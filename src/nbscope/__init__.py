@@ -64,6 +64,7 @@ from .sequences import (
     SequenceError,
     TwoSidedSequence,
     TwoSidedWindow,
+    VerificationError,
     erdos,
     explicit,
     gap_powers,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -262,6 +263,11 @@ def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
             raise SequenceError(
                 f"shift {shift} beyond explicit sequence length {seq.length}")
         m_terms = seq.length - shift
+
+    if abs(ipow(z, shift)) < sys.float_info.min:
+        raise AnalyticError(
+            f"|z|^shift underflows (|z| = {r}, shift = {shift}); use a "
+            f"smaller shift or a larger |z|")
 
     all_coeffs = _coeffs_for(seq, shift + m_terms)
     head, tail = all_coeffs[:shift], all_coeffs[shift:]

@@ -24,7 +24,8 @@ import numpy as np
 
 from ._util import worker_count
 from .rightlimits import find_pair_certificate
-from .sequences import GeneratorSpec, OneSidedSequence, SequenceError, make_sequence
+from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
+                        VerificationError, make_sequence)
 
 __all__ = [
     "ProcessSpec",
@@ -451,7 +452,8 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
                                          delta=delta, flank_side=side,
                                          min_recurrence=min_recurrence)
             if cert is not None:
-                assert cert.verify(path), "witness failed path re-verification"
+                if not cert.verify(path):
+                    raise VerificationError("witness failed path re-verification")
                 var, se = _variance_with_se(path.prefix(horizon + 1))
                 return TrialResult(trial, True, cert.pairs, side, var, se)
         var, se = _variance_with_se(path.prefix(horizon + 1))

@@ -38,6 +38,7 @@ from .sequences import (
     OneSidedSequence,
     SequenceError,
     TwoSidedWindow,
+    VerificationError,
     default_eps,
 )
 
@@ -387,70 +388,11 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     if h < 2 * width + 1:
         raise SequenceError("horizon too small for pair search")
     arr = seq.prefix(h + 1)
-    backward = flank_side == "backward"
-    centers = range(width, h + 1) if backward else range(0, h + 1 - width)
-
-    def flank(i):
-        return arr[i - width:i] if backward else arr[i + 1:i + width + 1]
-
-    if eps == 0.0:
-        def fkey(v):
-            return v.tobytes()
-
-        def ckey(c):
-            return c
+    if flank_side == "backward":    # flank offset, first and end center
+        off, start, stop = -width, width, h + 1
     else:
-        inv = 1.0 / eps
-
-        def fkey(v):
-            q = np.floor(v.real * inv).astype(np.int64)
-            if np.any(v.imag):
-                q = np.concatenate([q, np.floor(v.imag * inv).astype(np.int64)])
-            return q.tobytes()
-
-        def ckey(c):
-            return (math.floor(c.real * inv), math.floor(c.imag * inv))
-
-    buckets: dict = {}
-    pairs = []
-    notes = set()
-    for m in centers:
-        fl = flank(m)
-        key = fkey(fl)
-        cm = complex(arr[m])
-        ck = ckey(cm)
-        cells = buckets.get(key)
-        chosen = None
-        if cells:
-            # candidates live in other center cells: same-cell centers are
-            # within 2*eps < delta of each other and can never qualify
-            for ck2, lst in cells.items():
-                if ck2 == ck:
-                    continue
-                for n in lst:
-                    if chosen is not None and n >= chosen:
-                        break
-                    if (np.max(np.abs(flank(n) - fl)) <= eps
-                            and abs(arr[n] - cm) >= delta):
-                        chosen = n
-                        break
-        if chosen is not None:
-            pairs.append((int(chosen), int(m)))
-            for lst in cells.values():  # chosen sits in this flank bucket
-                if chosen in lst:
-                    lst.remove(chosen)
-                    break
-            if len(pairs) >= _PAIR_CAP:
-                notes.add(f"pair collection capped at {_PAIR_CAP}")
-                break
-        else:
-            if cells is None:
-                cells = buckets[key] = {}
-            lst = cells.setdefault(ck, [])
-            if len(lst) < _BUCKET_CAP:
-                lst.append(m)
-            else:
-                notes.add("bucket-collision overflow: some candidates dropped")
+        off, start, stop = 1, 0, h + 1 - width
+    pairs, notes = _pair_walk(_data_view(arr), width, off, eps, delta, start, stop)
 
     if len(pairs) < min_recurrence:
         return None
@@ -467,6 +409,133 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
         pairs=tuple(pairs),
         notes=tuple(sorted(notes)),
     )
+
+
+_KEY_CHUNK = 4096
+
+
+def _pair_walk(data, width, off, eps, delta, start, stop):
+    """Sequential pair selection over centers start..stop-1; the flank of
+    center m is data[m + off : m + off + width].
+
+    Centers are scanned in ascending order.  Each center m is paired with
+    the least n, over the other center cells of m's flank bucket, whose
+    flank is within eps of m's (sup metric) and whose center differs from
+    m's by at least delta; that n leaves its cell.  An unpaired m joins its
+    cell while the cell holds fewer than ``_BUCKET_CAP`` entries.  Keys are
+    computed chunk by chunk as the scan reaches them, because the search
+    usually stops at ``_PAIR_CAP`` long before the horizon.
+    Returns (pairs, notes).
+    """
+    offs = range(off, off + width)
+    bucket_ids: dict = {}       # flank key bytes -> bucket id
+    cell_ids: dict = {}         # center cell value -> cell id
+    buckets: dict = {}          # bucket id -> {cell id -> ascending centers}
+    pairs = []
+    notes = set()
+    vals: list = []             # data as Python scalars, grown with the scan
+    for c0 in range(start, stop, _KEY_CHUNK):
+        c1 = min(c0 + _KEY_CHUNK, stop)
+        bids, cids = _chunk_keys(data, width, off, eps, c0, c1,
+                                 bucket_ids, cell_ids)
+        vals += data[len(vals):c1 + width].tolist()
+        for m, b, c in zip(range(c0, c1), bids, cids):
+            cm = vals[m]
+            cells = buckets.get(b)
+            chosen = None
+            if cells:
+                # candidates live in other center cells: same-cell centers
+                # are within 2*eps < delta of each other and never qualify;
+                # the delta test runs first because most candidates fail it
+                for c2, lst in cells.items():
+                    if c2 == c:
+                        continue
+                    for n in lst:
+                        if chosen is not None and n >= chosen:
+                            break
+                        if (abs(vals[n] - cm) >= delta
+                                and all(abs(vals[n + k] - vals[m + k]) <= eps
+                                        for k in offs)):
+                            chosen, chosen_cell = n, lst
+                            break
+            if chosen is not None:
+                pairs.append((chosen, m))
+                chosen_cell.remove(chosen)
+                if len(pairs) >= _PAIR_CAP:
+                    notes.add(f"pair collection capped at {_PAIR_CAP}")
+                    return pairs, notes
+            else:
+                if cells is None:
+                    cells = buckets[b] = {}
+                lst = cells.setdefault(c, [])
+                if len(lst) < _BUCKET_CAP:
+                    lst.append(m)
+                else:
+                    notes.add("bucket-collision overflow: some candidates dropped")
+    return pairs, notes
+
+
+def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
+    """Flank-bucket ids and center-cell ids (lists) of centers c0..c1-1.
+
+    Ids come from ``bucket_ids`` / ``cell_ids``, which grow across chunks,
+    so they are consistent over the whole scan.  Flank keys: at eps = 0 the
+    flank's bit pattern (value equality, since sequence values carry no
+    negative zeros); at eps > 0 the per-coordinate int64 floor(re/eps),
+    extended by the imaginary floors and a has-imaginary-part flag when the
+    data is complex.  Center cells: the value at eps = 0, else
+    (floor(re/eps), floor(im/eps)).
+    """
+    seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
+    cen = data[c0:c1]
+    if eps == 0.0:
+        # rows of small value ids group the chunk; the flank values
+        # themselves identify its buckets across chunks
+        _, ids = np.unique(seg, return_inverse=True)
+        rows = sliding_window_view(ids, width)
+        keys = sliding_window_view(seg, width)
+        cells = cen
+    else:
+        inv = 1.0 / eps
+        rows = sliding_window_view(np.floor(seg.real * inv).astype(np.int64), width)
+        cells = np.floor(cen.real * inv)
+        if np.iscomplexobj(data):
+            has_imag = sliding_window_view(seg.imag != 0, width).any(axis=1)
+            rows = np.hstack([has_imag[:, None].astype(np.int64), rows,
+                              sliding_window_view(np.floor(seg.imag * inv)
+                                                  .astype(np.int64), width)])
+            cells = cells + 1j * np.floor(cen.imag * inv)
+        keys = rows
+    groups, first = _group_rows(rows)
+    bids = np.array([bucket_ids.setdefault(keys[i].tobytes(), len(bucket_ids))
+                     for i in first.tolist()], dtype=np.int64)[groups]
+    uniq, inverse = np.unique(cells, return_inverse=True)
+    cids = np.array([cell_ids.setdefault(v, len(cell_ids))
+                     for v in uniq.tolist()], dtype=np.int64)[inverse]
+    return bids.tolist(), cids.tolist()
+
+
+def _group_rows(rows):
+    """(groups, first) for the equal rows of an int64 matrix: row i is in
+    group groups[i], and first[g] is a row of group g.
+
+    Rows are encoded as mixed-radix int64 codes when the product of the
+    column spans fits; otherwise they are lexsorted.
+    """
+    lo = rows.min(axis=0)
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo.tolist(), rows.max(axis=0).tolist())]
+    if math.prod(spans) < 2 ** 63:
+        radix = np.cumprod([1] + spans[:-1]).astype(np.int64)
+        codes = (rows - lo) @ radix
+        _, first, groups = np.unique(codes, return_index=True, return_inverse=True)
+        return groups, first
+    order = np.lexsort(rows.T)
+    srt = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    groups = np.empty(len(order), dtype=np.int64)
+    groups[order] = np.cumsum(new) - 1
+    return groups, order[new]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +631,8 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
                     best = cand
             else:
                 first_seen[blk] = ell
-        assert best is not None, "pigeonhole guarantee violated"
+        if best is None:
+            raise VerificationError("pigeonhole guarantee violated")
         P, Q = best[0] * p, best[1] * p
         witness = None
         j = p + 1
@@ -698,7 +768,8 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
             if cert is not None:
                 break
     if cert is not None:
-        assert cert.verify(seq), "certificate failed re-verification"
+        if not cert.verify(seq):
+            raise VerificationError("certificate failed re-verification")
         return Verdict(kind="StrongNaturalBoundaryEvidence",
                        certificate=cert,
                        reason=f"{cert.kind} with {len(cert.witnesses)} witnesses",
@@ -710,8 +781,10 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
                                       max_preperiod=cfg.max_preperiod)
         probes.append(f"szego(p_max={cfg.p_max})")
         if report.overall == "mismatch-at-every-p":
-            for w in report.per_p.values():
-                assert isinstance(w, SzegoWitness) and w.verify(seq)
+            for p, w in report.per_p.items():
+                if not (isinstance(w, SzegoWitness) and w.verify(seq)):
+                    raise VerificationError(
+                        f"block-mismatch witness for p = {p} failed re-verification")
             return Verdict(kind="StrongNaturalBoundaryEvidence",
                            szego=report,
                            reason=f"block mismatch at every p <= {cfg.p_max}",

@@ -21,6 +21,7 @@ mutate, and repeated queries return identical results.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -34,6 +35,7 @@ from ._util import fmt17
 
 __all__ = [
     "SequenceError",
+    "VerificationError",
     "GeneratorSpec",
     "OneSidedSequence",
     "TwoSidedWindow",
@@ -67,6 +69,12 @@ _BOUND_SLACK = 1e-9
 
 class SequenceError(ValueError):
     """Invalid generator specification or sequence-domain error."""
+
+
+class VerificationError(RuntimeError):
+    """A certificate, witness or certified bound failed its re-check against
+    raw sequence reads.  Raised explicitly, so the check also runs under
+    ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -150,10 +158,11 @@ class OneSidedSequence:
 
     Values are queried with :meth:`eval` (single index) or :meth:`prefix`
     (the first ``count`` values as a numpy array, cached and grown on
-    demand).  ``value_kind`` records whether values admit exact equality
-    comparison (``exact-integer`` / ``exact-rational``) or need a tolerance
-    (``float``); downstream searches pick their default matching tolerance
-    from it.
+    demand).  Both canonicalise signed zeros to +0.0, so bit-pattern keys
+    over values mean value equality.  ``value_kind`` records whether values
+    admit exact equality comparison (``exact-integer`` /
+    ``exact-rational``) or need a tolerance (``float``); downstream
+    searches pick their default matching tolerance from it.
 
     ``length`` is ``None`` for generators defined at every index and a
     finite count for explicit/CSV-backed sequences, whose analyses clamp
@@ -185,9 +194,10 @@ class OneSidedSequence:
                 f"index {n} beyond explicit sequence length {self.length}")
         if n < self._cache.shape[0]:
             return complex(self._cache[n])
-        v = complex(self._fn(n))
-        assert abs(v) <= self.bound * (1 + 1e-12) + _BOUND_SLACK, \
-            f"|a_{n}| = {abs(v)} exceeds certified bound {self.bound}"
+        v = complex(self._fn(n)) + 0j
+        if not abs(v) <= self.bound * (1 + 1e-12) + _BOUND_SLACK:
+            raise VerificationError(
+                f"|a_{n}| = {abs(v)} exceeds certified bound {self.bound}")
         return v
 
     def prefix(self, count: int) -> np.ndarray:
@@ -197,11 +207,11 @@ class OneSidedSequence:
                 f"prefix({count}) beyond explicit sequence length {self.length}")
         if count > self._cache.shape[0]:
             if self._block_fn is not None:
-                arr = np.asarray(self._block_fn(count), dtype=complex)
+                arr = np.asarray(self._block_fn(count), dtype=complex) + 0j
             else:
-                arr = np.array([self._fn(n) for n in range(count)], dtype=complex)
-            assert bool(np.all(np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK)), \
-                "generator exceeded its certified bound"
+                arr = np.array([self._fn(n) for n in range(count)], dtype=complex) + 0j
+            if not np.all(np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK):
+                raise VerificationError("generator exceeded its certified bound")
             self._cache = arr
         return self._cache[:count]
 
@@ -422,9 +432,36 @@ def _frac_shift_exact(n: int, q: float, theta: float) -> float:
     return x / d
 
 
+def _frac_shift_block(q: float, theta: float, lo: int, hi: int) -> np.ndarray:
+    """frac(n*q + theta) for lo <= n < hi (hi <= 2^64), bit for bit as
+    :func:`_frac_shift_exact`.
+
+    The common denominator d is a power of two, so when d <= 2^64 the
+    numerator (n*q_num + theta_num) mod d is exact in wrapping uint64
+    arithmetic (d divides 2^64).  The numerator is converted to float as
+    hi*2^32 + lo: both halves are exact doubles, so the sum rounds once,
+    correctly, and the division by d is exact.  Larger d (tiny q or theta)
+    takes the exact per-index path.
+    """
+    qn, qd = q.as_integer_ratio()
+    tn, td = theta.as_integer_ratio()
+    d = max(qd, td)
+    if d > 2 ** 64:
+        return np.array([_frac_shift_exact(n, q, theta) for n in range(lo, hi)],
+                        dtype=float)
+    step = np.uint64(qn * (d // qd) % d)
+    start = np.uint64(tn * (d // td) % d)
+    x = (np.arange(lo, hi, dtype=np.uint64) * step + start) & np.uint64(d - 1)
+    upper = (x >> np.uint64(32)).astype(float) * 2.0 ** 32
+    lower = (x & np.uint64(0xFFFFFFFF)).astype(float)
+    return (upper + lower) / float(d)
+
+
+# name -> (scalar function, vectorized function, sup bound)
 _BOUNDARY_FNS = {
-    "fractional-part": (lambda x: x, 1.0),
-    "half-indicator": (lambda x: 1.0 if x < 0.5 else 0.0, 1.0),
+    "fractional-part": (lambda x: x, lambda xs: xs, 1.0),
+    "half-indicator": (lambda x: 1.0 if x < 0.5 else 0.0,
+                       lambda xs: np.where(xs < 0.5, 1.0, 0.0), 1.0),
 }
 
 
@@ -436,18 +473,24 @@ def _make_rotation(params) -> OneSidedSequence:
     if isinstance(bf, str):
         if bf not in _BOUNDARY_FNS:
             raise SequenceError(f"unknown boundary function {bf!r}")
-        func, sup = _BOUNDARY_FNS[bf]
+        func, vfunc, sup = _BOUNDARY_FNS[bf]
         label = bf
     else:
         func, sup = bf
         label = "custom"
 
+        def vfunc(xs):
+            return [func(x) for x in xs.tolist()]
+
     def fn(n):
         return func(_frac_shift_exact(n, q, theta))
 
+    def block(count):
+        return vfunc(_frac_shift_block(q, theta, 0, count))
+
     return OneSidedSequence(fn, float(sup), "rotation",
                             {"q": q, "theta": theta, "boundary_fn": label},
-                            value_kind="float")
+                            value_kind="float", block_fn=block)
 
 
 def _erdos_blocks(limit: int):
@@ -660,7 +703,9 @@ class TwoSidedSequence:
 
     def eval(self, n: int) -> complex:
         v = complex(self.fn(n))
-        assert abs(v) <= self.bound * (1 + 1e-12) + _BOUND_SLACK
+        if not abs(v) <= self.bound * (1 + 1e-12) + _BOUND_SLACK:
+            raise VerificationError(
+                f"|b_{n}| = {abs(v)} exceeds certified bound {self.bound}")
         return v
 
 
@@ -712,7 +757,8 @@ def _write_rows(dest, indices, vals) -> None:
 
 
 def read_sequence_csv(src) -> OneSidedSequence:
-    """Read a one-sided sequence; validates ascending gap-free indices.
+    """Read a one-sided sequence; validates ascending gap-free indices and
+    finite values.
 
     Integer-valued files import as exact (so downstream analyses compare
     with zero tolerance, matching in-memory generation of exact families);
@@ -769,7 +815,13 @@ def _read_rows(src):
                 continue
             if len(row) != 3:
                 raise SequenceError(f"malformed CSV row: {row}")
-            out.append((int(row[0]), complex(float(row[1]), float(row[2]))))
+            try:
+                n, v = int(row[0]), complex(float(row[1]), float(row[2]))
+            except ValueError:
+                raise SequenceError(f"malformed CSV row: {row}") from None
+            if not cmath.isfinite(v):
+                raise SequenceError(f"non-finite value in CSV row: {row}")
+            out.append((n, v + 0j))
         return out
     finally:
         if own:

@@ -325,3 +325,9 @@ def test_probe_independent_of_worker_count(monkeypatch):
     four = boundary_l1_scan(seq, arc, radii, quad_points=512, tol=1e-8)
     assert one.integrals == four.integrals
     assert one.quad_errors == four.quad_errors
+
+
+def test_shift_rejects_underflowing_power():
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    with pytest.raises(AnalyticError):
+        nb.eval_shift_pair(seq, 20_000, 0.3)

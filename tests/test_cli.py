@@ -205,3 +205,15 @@ def test_probe_requires_arc_or_full(capsys):
                        "--pattern", "1", "--radii", "0.5")
     assert code == 2
     assert "--arc" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_csv_exits_2(capsys, tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,re,im\n" + "".join(f"{n},1,0\n" for n in range(40))
+                    + f"40,{value},0\n")
+    code, out, err = run(capsys, "verdict", "--input", str(path), "--horizon", "40")
+    assert code == 2
+    assert not out
+    assert "non-finite" in err
+

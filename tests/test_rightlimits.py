@@ -340,3 +340,73 @@ def test_verdict_json_round():
     d = v.to_json_dict()
     assert d["kind"] == "EventuallyPeriodic"
     assert d["rational_form"]["poles"]
+
+
+# ---------------------------------------------------------------------------
+# Signed zeros and explicit re-verification
+
+
+def test_extract_eps0_signed_zeros_are_one_value():
+    # numerically period 3; the period-6 pattern differs only in the sign
+    # of its zeros
+    plain = nb.make_sequence(nb.periodic([0.0, 1.0, 2.0]))
+    signed = nb.make_sequence(nb.periodic([0.0, 1.0, 2.0, -0.0, 1.0, 2.0]))
+    a = nb.extract_right_limits(plain, 2, 300, eps=0.0)
+    b = nb.extract_right_limits(signed, 2, 300, eps=0.0)
+    assert a.clusters_total == b.clusters_total == 3
+
+
+def test_szego_signed_zero_pigeonhole():
+    seq = nb.make_sequence(nb.explicit([0.0, -0.0, 1.0, 1.0]))
+    rep = nb.szego_block_analysis(seq, 1, 2)
+    assert rep.per_p[1] == SzegoWitness(1, 0, 1, 2)
+    assert rep.per_p[1].verify(seq)
+
+
+_FORGED_SCRIPT = r"""
+import sys
+import nbscope as nb
+from nbscope import randomseries, rightlimits
+
+assert sys.flags.optimize >= 1
+forged = nb.NonReflectionlessCertificate(
+    kind="PairMismatch", witnesses=(10,), flank_side="backward", flank_width=3,
+    eps=0.0, delta=0.5, separation=1.0, pairs=((10, 11), (20, 21), (30, 31)))
+rejected = []
+
+rightlimits.find_pair_certificate = lambda *a, **k: forged
+try:
+    nb.verdict(nb.make_sequence(nb.periodic([1.0, 1.0, 0.0, 1.0, 0.0])),
+               nb.AnalysisConfig(horizon=50, max_period=4, max_preperiod=0))
+except nb.VerificationError:
+    rejected.append("verdict")
+
+randomseries.find_pair_certificate = lambda *a, **k: forged
+try:
+    nb.certificate_rate_experiment(nb.iid_process([0, 1], seed=1), 1, 3, 200,
+                                   eps=0.0, delta=0.5)
+except nb.VerificationError:
+    rejected.append("montecarlo")
+
+unbounded = nb.OneSidedSequence(lambda n: 2.0, 1.0, "forged-bound")
+for read in (lambda: unbounded.eval(0), lambda: unbounded.prefix(4)):
+    try:
+        read()
+    except nb.VerificationError:
+        rejected.append("bound")
+print(",".join(rejected))
+"""
+
+
+def test_forged_certificate_rejected_under_optimize():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "verdict,montecarlo,bound,bound"

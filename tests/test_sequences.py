@@ -298,3 +298,23 @@ def test_stochastic_generator_spec():
     assert seq.length == 50
     assert seq.value_kind == "exact-integer"
     assert float(np.max(np.abs(seq.prefix(50)))) <= 1.0
+
+
+def test_signed_zeros_canonicalised():
+    seq = nb.make_sequence(nb.explicit([-0.0, complex(1.0, -0.0), complex(-0.0, -0.0)]))
+    arr = seq.prefix(3)
+    assert not np.signbit(arr.real).any() and not np.signbit(arr.imag).any()
+    fresh = nb.make_sequence(nb.explicit([complex(-0.0, -0.0)]))
+    v = fresh.eval(0)
+    assert math.copysign(1.0, v.real) == 1.0 and math.copysign(1.0, v.imag) == 1.0
+    back = nb.read_sequence_csv(io.StringIO("n,re,im\n0,-0.0,-0.0\n1,1,0\n"))
+    assert not np.signbit(back.prefix(2).view(float)).any()
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "abc"])
+def test_csv_rejects_non_finite_and_malformed_values(text):
+    for row in (f"1,{text},0", f"1,0,{text}"):
+        with pytest.raises(SequenceError):
+            nb.read_sequence_csv(io.StringIO(f"n,re,im\n0,1,0\n{row}\n"))
+    with pytest.raises(SequenceError):
+        nb.read_window_csv(io.StringIO(f"n,re,im\n-1,1,0\n0,{text},0\n1,1,0\n"))
