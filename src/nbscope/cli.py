@@ -3,7 +3,7 @@
 Machine output (CSV or JSON with a ``schema_version`` field) goes to the
 file given by --out, or stdout; diagnostics go to stderr.  Exit codes:
 0 success, 1 no finding where one was requested, 2 usage error, 3
-numeric-cap abort.  The environment variable NBSCOPE_THREADS bounds the
+numeric-cap abort, 4 a result failed re-verification against raw reads.  The environment variable NBSCOPE_THREADS bounds the
 worker count used by parallel scans.
 """
 
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_NO_FINDING = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC_CAP = 3
+EXIT_VERIFICATION = 4
 
 
 def _parse_values(text):
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except sequences.VerificationError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

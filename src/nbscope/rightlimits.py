@@ -489,11 +489,7 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
     seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
     cen = data[c0:c1]
     if eps == 0.0:
-        # rows of small value ids group the chunk; the flank values
-        # themselves identify its buckets across chunks
-        _, ids = np.unique(seg, return_inverse=True)
-        rows = sliding_window_view(ids, width)
-        keys = sliding_window_view(seg, width)
+        rows = sliding_window_view(seg, width)
         cells = cen
     else:
         inv = 1.0 / eps
@@ -505,9 +501,8 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
                               sliding_window_view(np.floor(seg.imag * inv)
                                                   .astype(np.int64), width)])
             cells = cells + 1j * np.floor(cen.imag * inv)
-        keys = rows
     groups, first = _group_rows(rows)
-    bids = np.array([bucket_ids.setdefault(keys[i].tobytes(), len(bucket_ids))
+    bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
                      for i in first.tolist()], dtype=np.int64)[groups]
     uniq, inverse = np.unique(cells, return_inverse=True)
     cids = np.array([cell_ids.setdefault(v, len(cell_ids))
@@ -516,19 +511,8 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
 
 
 def _group_rows(rows):
-    """(groups, first) for the equal rows of an int64 matrix: row i is in
-    group groups[i], and first[g] is a row of group g.
-
-    Rows are encoded as mixed-radix int64 codes when the product of the
-    column spans fits; otherwise they are lexsorted.
-    """
-    lo = rows.min(axis=0)
-    spans = [int(b) - int(a) + 1 for a, b in zip(lo.tolist(), rows.max(axis=0).tolist())]
-    if math.prod(spans) < 2 ** 63:
-        radix = np.cumprod([1] + spans[:-1]).astype(np.int64)
-        codes = (rows - lo) @ radix
-        _, first, groups = np.unique(codes, return_index=True, return_inverse=True)
-        return groups, first
+    """(groups, first) for the value-equal rows of a matrix: row i is in
+    group groups[i], and first[g] is a row of group g."""
     order = np.lexsort(rows.T)
     srt = rows[order]
     new = np.ones(len(order), dtype=bool)

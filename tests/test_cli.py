@@ -217,3 +217,19 @@ def test_non_finite_csv_exits_2(capsys, tmp_path, value):
     assert not out
     assert "non-finite" in err
 
+
+
+def test_failed_reverification_exits_4(capsys, monkeypatch):
+    import nbscope as nb
+    from nbscope import rightlimits
+
+    # Rudin-Shapiro values are +-1, so no pair can be 3 apart
+    forged = nb.NonReflectionlessCertificate(
+        kind="PairMismatch", witnesses=(10,), flank_side="backward", flank_width=3,
+        eps=0.0, delta=3.0, separation=3.0, pairs=((10, 11), (20, 21), (30, 31)))
+    monkeypatch.setattr(rightlimits, "find_pair_certificate", lambda *a, **k: forged)
+    code, out, err = run(capsys, "verdict", "--family", "rudin-shapiro",
+                         "--horizon", "200")
+    assert code == 4
+    assert not out
+    assert "verification failed" in err

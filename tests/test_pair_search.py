@@ -216,11 +216,13 @@ def test_pair_search_long_horizon_across_chunks():
 def test_group_rows_partitions_like_brute_force():
     rng = np.random.default_rng(3)
     small = rng.integers(-3, 4, size=(500, 4))
-    wide = small * (2 ** 40)             # column spans overflow the radix
+    wide = small * (2 ** 40)
     big = np.array([[np.iinfo(np.int64).min, 0], [0, 5], [np.iinfo(np.int64).min, 0],
                     [np.iinfo(np.int64).max, 5]], dtype=np.int64)
-    for rows in (small, wide, big):
-        groups, first = rl._group_rows(np.asarray(rows, dtype=np.int64))
+    floats = small * 0.25 + 0.1                     # eps = 0 flanks are raw values
+    cplx = floats + 1j * rng.integers(-1, 2, size=(500, 4))
+    for rows in (small, wide, big, floats, cplx):
+        groups, first = rl._group_rows(rows)
         assert len(first) == len({tuple(r) for r in rows.tolist()})
         for i, row in enumerate(rows.tolist()):
             assert rows[first[groups[i]]].tolist() == row
