@@ -306,7 +306,9 @@ def build_parser():
     p.add_argument("--max-period", type=int, default=64)
     p.add_argument("--max-preperiod", type=int, default=64)
     p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="finite tolerance >= 0 on |a_{n+T} - a_n| "
+                        "(default: 0 exact input, 1e-9 float)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_periodicity)
 

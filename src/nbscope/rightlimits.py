@@ -512,7 +512,8 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
 
 def _group_rows(rows):
     """(groups, first) for the value-equal rows of a matrix: row i is in
-    group groups[i], and first[g] is a row of group g."""
+    group groups[i], and first[g] is the least index of a row of group g
+    (the lexsort is stable)."""
     order = np.lexsort(rows.T)
     srt = rows[order]
     new = np.ones(len(order), dtype=bool)
@@ -592,8 +593,9 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
             "block analysis needs exact-valued input (finite value set)")
     h = seq.clamp_horizon(horizon)
     arr = seq.prefix(h + 1)
-    values = sorted(set(arr.tolist()), key=lambda v: (v.real, v.imag))
+    values = np.unique(arr).tolist()        # complex order: real, then imag
     nv = len(values)
+    data = _data_view(arr)
 
     per_p: dict = {}
     all_witness = True
@@ -605,26 +607,17 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
                         f"{needed} needed to guarantee recurrence")
             all_witness = False
             continue
-        first_seen: dict = {}
-        best = None
-        for ell in range(blocks):
-            blk = arr[ell * p:(ell + 1) * p].tobytes()
-            if blk in first_seen:
-                cand = (first_seen[blk], ell)
-                if best is None or cand < best:
-                    best = cand
-            else:
-                first_seen[blk] = ell
-        if best is None:
+        # least pair: the repeated group whose first member (the least index,
+        # since the lexsort is stable) is smallest, with its second member
+        groups, first = _group_rows(data[:blocks * p].reshape(blocks, p))
+        repeated = first[np.bincount(groups) > 1]
+        if repeated.size == 0:
             raise VerificationError("pigeonhole guarantee violated")
-        P, Q = best[0] * p, best[1] * p
-        witness = None
-        j = p + 1
-        while Q + j <= h + 1:
-            if arr[P + j - 1] != arr[Q + j - 1]:
-                witness = SzegoWitness(p, P, Q, j)
-                break
-            j += 1
+        i = int(repeated.min())
+        j = int(np.flatnonzero(groups == groups[i])[1])
+        P, Q = i * p, j * p
+        off = np.flatnonzero(data[P + p:P + h + 1 - Q] != data[Q + p:h + 1])
+        witness = SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size else None
         if witness is None:
             per_p[p] = "no mismatch within horizon"
             all_witness = False
@@ -650,28 +643,53 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
     horizon, or None.
 
     A candidate is valid when |a_{n+period} - a_n| <= tol for every n from
-    the preperiod through horizon - period.
+    the preperiod through horizon - period.  ``tol`` must be finite and
+    >= 0.
     """
     if max_period < 1:
         raise SequenceError("max_period must be >= 1")
+    if max_preperiod < 0:
+        raise SequenceError("max_preperiod must be >= 0")
     if tol is None:
         tol = 0.0 if seq.exact else 1e-9
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SequenceError(
+            f"periodicity tolerance must be finite and >= 0, got {tol}")
     h = seq.clamp_horizon(horizon)
     if h < max_preperiod + 2 * max_period:
         raise SequenceError(
             f"horizon {h} < max_preperiod + 2*max_period = "
             f"{max_preperiod + 2 * max_period}")
     arr = seq.prefix(h + 1)
+    # from `tail` on the sequence is exactly constant, so every comparison
+    # there is |c - c| = 0 <= tol and cannot violate
+    moving = np.flatnonzero(arr != arr[-1])
+    tail = int(moving[-1]) + 1 if moving.size else 0
     best = None
     for T in range(1, max_period + 1):
-        d = np.abs(arr[T:] - arr[:-T])
-        viol = np.nonzero(d > tol)[0]
-        need = int(viol[-1]) + 1 if viol.size else 0
-        if need <= max_preperiod:
-            cand = (need, T)
-            if best is None or cand < best:
-                best = cand
+        # the preperiod a valid T needs comes from the head alone; the scan
+        # past the head only decides validity, so it runs only for a T that
+        # would improve on the best candidate
+        viol = np.flatnonzero(np.abs(arr[T:T + max_preperiod]
+                                     - arr[:max_preperiod]) > tol)
+        cand = (int(viol[-1]) + 1 if viol.size else 0, T)
+        if ((best is None or cand < best)
+                and _holds_from(arr, T, max_preperiod, min(h + 1 - T, tail), tol)):
+            best = cand
     return best
+
+
+def _holds_from(arr, T, lo, hi, tol):
+    """Whether |arr[n+T] - arr[n]| <= tol for every n in [lo, hi), scanned
+    backwards in doubling chunks so that a violation near the end (the usual
+    case for a wrong period) is found after one small chunk."""
+    size = _KEY_CHUNK
+    while hi > lo:
+        c0 = max(lo, hi - size)
+        if np.any(np.abs(arr[c0 + T:hi + T] - arr[c0:hi]) > tol):
+            return False
+        hi, size = c0, 2 * size
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +729,16 @@ class Verdict:
         }
 
 
+def _periodic_verdict(seq, found, reason, probes, szego=None):
+    """EventuallyPeriodic verdict with the reduced rational form of the
+    (preperiod, period) pair ``found``."""
+    pre, per = found
+    arr = seq.prefix(pre + per)
+    form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:pre + per])
+    return Verdict(kind="EventuallyPeriodic", periodicity=found, szego=szego,
+                   rational_form=form, reason=reason, probes=probes)
+
+
 def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verdict:
     """Run the evidence pipeline on a sequence.
 
@@ -730,14 +758,8 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
     found = detect_eventual_periodicity(seq, mp, mpp, h, tol=cfg.periodicity_tol)
     probes.append(f"periodicity(max_period={mp}, max_preperiod={mpp})")
     if found is not None:
-        pre, per = found
-        arr = seq.prefix(pre + per)
-        form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:pre + per])
-        return Verdict(kind="EventuallyPeriodic", periodicity=found,
-                       rational_form=form,
-                       reason=f"period {per} after preperiod {pre}, verified "
-                              f"on horizon {h}",
-                       probes=probes)
+        return _periodic_verdict(seq, found, f"period {found[1]} after preperiod "
+                                 f"{found[0]}, verified on horizon {h}", probes)
 
     cert = find_gap_certificate(seq, cfg.width, h, eps=cfg.eps,
                                 delta=cfg.delta,
@@ -774,14 +796,9 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
                            reason=f"block mismatch at every p <= {cfg.p_max}",
                            probes=probes)
         if report.overall == "eventually-periodic":
-            pre, per = report.periodicity
-            arr = seq.prefix(pre + per)
-            form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:pre + per])
-            return Verdict(kind="EventuallyPeriodic",
-                           periodicity=report.periodicity, szego=report,
-                           rational_form=form,
-                           reason="periodicity surfaced by block analysis",
-                           probes=probes)
+            return _periodic_verdict(seq, report.periodicity,
+                                     "periodicity surfaced by block analysis",
+                                     probes, szego=report)
 
     return Verdict(kind="Inconclusive",
                    reason="no certificate found and no periodicity detected "

@@ -218,6 +218,16 @@ def test_non_finite_csv_exits_2(capsys, tmp_path, value):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "rudin-shapiro", "--tol", "nan"),
+    ("--family", "periodic", "--pattern", "1,-1", "--tol", "-1"),
+])
+def test_invalid_periodicity_tol_exits_2(capsys, argv):
+    code, out, err = run(capsys, "periodicity", *argv, "--horizon", "1000")
+    assert code == 2
+    assert not out
+    assert "tolerance" in err
+
 
 def test_failed_reverification_exits_4(capsys, monkeypatch):
     import nbscope as nb

@@ -1,0 +1,289 @@
+"""Differential tests of the early-exit periodicity scan and the
+lexsort-grouped block analysis against the full-array loops they replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+import nbscope as nb
+from nbscope import rightlimits as rl
+
+
+def reference_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
+    """The full-array loop that detect_eventual_periodicity replaced, verbatim."""
+    if max_period < 1:
+        raise nb.SequenceError("max_period must be >= 1")
+    if tol is None:
+        tol = 0.0 if seq.exact else 1e-9
+    h = seq.clamp_horizon(horizon)
+    if h < max_preperiod + 2 * max_period:
+        raise nb.SequenceError(
+            f"horizon {h} < max_preperiod + 2*max_period = "
+            f"{max_preperiod + 2 * max_period}")
+    arr = seq.prefix(h + 1)
+    best = None
+    for T in range(1, max_period + 1):
+        d = np.abs(arr[T:] - arr[:-T])
+        viol = np.nonzero(d > tol)[0]
+        need = int(viol[-1]) + 1 if viol.size else 0
+        if need <= max_preperiod:
+            cand = (need, T)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def reference_szego(seq, p_max, horizon, max_period=64, max_preperiod=64):
+    """The per-block dict loop and scalar mismatch walk that
+    szego_block_analysis replaced, verbatim (its periodicity fallback uses
+    the reference scan above)."""
+    h = seq.clamp_horizon(horizon)
+    arr = seq.prefix(h + 1)
+    values = sorted(set(arr.tolist()), key=lambda v: (v.real, v.imag))
+    nv = len(values)
+
+    per_p: dict = {}
+    all_witness = True
+    for p in range(1, p_max + 1):
+        blocks = (h + 1) // p
+        needed = nv ** p + 1
+        if blocks < needed:
+            per_p[p] = (f"skipped: {blocks} aligned blocks available, "
+                        f"{needed} needed to guarantee recurrence")
+            all_witness = False
+            continue
+        first_seen: dict = {}
+        best = None
+        for ell in range(blocks):
+            blk = arr[ell * p:(ell + 1) * p].tobytes()
+            if blk in first_seen:
+                cand = (first_seen[blk], ell)
+                if best is None or cand < best:
+                    best = cand
+            else:
+                first_seen[blk] = ell
+        if best is None:
+            raise nb.VerificationError("pigeonhole guarantee violated")
+        P, Q = best[0] * p, best[1] * p
+        witness = None
+        j = p + 1
+        while Q + j <= h + 1:
+            if arr[P + j - 1] != arr[Q + j - 1]:
+                witness = rl.SzegoWitness(p, P, Q, j)
+                break
+            j += 1
+        if witness is None:
+            per_p[p] = "no mismatch within horizon"
+            all_witness = False
+        else:
+            per_p[p] = witness
+
+    if all_witness:
+        return rl.SzegoReport(per_p, "mismatch-at-every-p", None,
+                              tuple(values), h)
+    mp = min(max_period, max(1, h // 3))
+    mpp = min(max_preperiod, max(0, h - 2 * mp))
+    found = reference_periodicity(seq, mp, mpp, h, tol=0.0)
+    if found is not None:
+        return rl.SzegoReport(per_p, "eventually-periodic", found,
+                              tuple(values), h)
+    return rl.SzegoReport(per_p, "horizon-exhausted", None, tuple(values), h)
+
+
+def _seq(values, kind=None):
+    params = {"values": tuple(complex(v) for v in values)}
+    if kind is not None:
+        params["value_kind"] = kind
+    return nb.make_sequence(nb.GeneratorSpec("explicit", params))
+
+
+def _same_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
+    want = reference_periodicity(seq, max_period, max_preperiod, horizon, tol)
+    got = nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
+                                         horizon, tol)
+    assert got == want
+    return want
+
+
+def _eventually_periodic(head, block, length):
+    reps = -(-(length - len(head)) // len(block))
+    return list(head) + (list(block) * reps)[:length - len(head)]
+
+
+# ---------------------------------------------------------------------------
+# periodicity
+
+
+@pytest.mark.parametrize("mpp", [0, 1, 8, 13])
+def test_preperiod_at_and_past_the_limit(mpp):
+    # head values never occur in the block, so the least preperiod is exactly
+    # len(head): valid at mpp, invalid at mpp + 1
+    for pre in (mpp - 1, mpp, mpp + 1):
+        if pre < 0:
+            continue
+        for block in ([1, -1, 0], [2], [1j, 1, 1, -1, 0, 0, 2]):
+            vals = _eventually_periodic(([5, 6] * pre)[:pre], block, 400)
+            got = _same_periodicity(_seq(vals), 16, mpp, 399)
+            assert got == ((pre, len(block)) if pre <= mpp else None)
+
+
+@pytest.mark.parametrize("period", [1, 2, 5])
+def test_violations_on_chunk_boundaries(period, monkeypatch):
+    # one defect at every position in turn, with chunks of 4, 8, 16, ...: a
+    # defect at q > horizon - T violates only at q - T, so for periods T up
+    # to 40 some lone violation falls on every chunk edge of the backward scan
+    monkeypatch.setattr(rl, "_KEY_CHUNK", 4)
+    rng = np.random.default_rng(period)
+    block = [int(v) for v in rng.integers(-2, 3, period)]
+    base = _eventually_periodic([], block, 200)
+    for q in range(len(base)):
+        vals = list(base)
+        vals[q] = 7
+        for horizon in (199, 150):
+            _same_periodicity(_seq(vals), 40, 6, horizon)
+
+
+def test_gap_streams_near_the_end_and_constant_streams(monkeypatch):
+    monkeypatch.setattr(rl, "_KEY_CHUNK", 8)
+    length = 500
+    for r in range(0, 40):
+        for fill in (1, 1j, -2):
+            vals = [0] * length
+            for pos in (3, 40, 200, length - 1 - r):
+                vals[pos] = fill
+            _same_periodicity(_seq(vals), 32, 16, length - 1)
+            _same_periodicity(_seq(vals), 32, 16, length - 1 - r // 2)
+            # the same stream on a nonzero constant background
+            back = [fill if v == 0 else 0 for v in vals]
+            _same_periodicity(_seq(back), 32, 16, length - 1)
+    for c in (0, 1, -1, 2 + 3j, 0.1):
+        assert _same_periodicity(_seq([c] * 300, "exact-rational"),
+                                 64, 64, 299) == (0, 1)
+
+
+def test_gap_families_match_reference():
+    for spec in (nb.gap_powers("factorials"), nb.gap_powers("squares", 1 + 1j),
+                 nb.gap_powers(range(3, 4000, 7)), nb.gap_powers([5, 4093, 4095])):
+        seq = nb.make_sequence(spec)
+        for horizon in (4095, 5040, 5041, 20_000):
+            _same_periodicity(seq, 64, 64, horizon)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_float_differences_at_tol_and_one_ulp_either_side(complex_data, monkeypatch):
+    monkeypatch.setattr(rl, "_KEY_CHUNK", 32)
+    rng = np.random.default_rng(7 + complex_data)
+    block = rng.uniform(-1, 1, 6)
+    if complex_data:
+        block = block + 1j * rng.uniform(-1, 1, 6)
+    base = np.resize(block, 600)
+    for q in (2, 5, 6, 7, 40, 300, 599):
+        vals = base.copy()
+        vals[q] += (0.3 + 0.2j) * 1e-3 if complex_data else 1e-3
+        seq = _seq(vals, "float")
+        for T in (6, 12):
+            for n in (q - T, q):
+                if 0 <= n and n + T < len(vals):
+                    d = float(np.abs(vals[n + T] - vals[n]))
+                    for tol in (d, np.nextafter(d, 0), np.nextafter(d, np.inf)):
+                        _same_periodicity(seq, 16, 8, 599, tol=tol)
+        _same_periodicity(seq, 16, 8, 599)          # default tol 1e-9
+
+
+def test_complex_streams_match_reference(monkeypatch):
+    monkeypatch.setattr(rl, "_KEY_CHUNK", 16)
+    rng = np.random.default_rng(11)
+    atoms = np.array([0, 1, 1j, -1j, 1 + 1j])
+    for trial in range(30):
+        head = atoms[rng.integers(0, 5, int(rng.integers(0, 20)))]
+        block = atoms[rng.integers(0, 5, int(rng.integers(1, 9)))]
+        vals = np.array(_eventually_periodic(head, block, 400))
+        if trial % 3 == 0:
+            vals[int(rng.integers(0, 400))] += 1j       # imaginary-only defect
+        _same_periodicity(_seq(vals), 20, 24, 399)
+
+
+def test_sequence_families_match_reference():
+    for spec in (nb.rudin_shapiro(), nb.erdos("hard"), nb.periodic([1, -1, 0, 1j]),
+                 nb.rotation(math.sqrt(2) % 1, 0.3)):
+        seq = nb.make_sequence(spec)
+        _same_periodicity(seq, 64, 64, 20_000)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_invalid_tolerance_rejected(tol):
+    seq = nb.make_sequence(nb.periodic([1, -1]))
+    with pytest.raises(nb.SequenceError):
+        nb.detect_eventual_periodicity(seq, 8, 8, 1000, tol=tol)
+    with pytest.raises(nb.SequenceError):
+        nb.verdict(seq, nb.AnalysisConfig(horizon=1000, periodicity_tol=tol))
+
+
+def test_negative_max_preperiod_rejected():
+    seq = nb.make_sequence(nb.periodic([1, -1]))
+    with pytest.raises(nb.SequenceError):
+        nb.detect_eventual_periodicity(seq, 8, -1, 1000)
+
+
+# ---------------------------------------------------------------------------
+# block analysis
+
+
+def _late_recurrence_stream(p, blocks, late, rng):
+    """±1 stream of aligned p-blocks where block 0 recurs first at block
+    ``late``: earlier blocks repeat one another, so the earliest repeat is
+    not the least pair."""
+    b0 = [1] * p
+    out = [b0]
+    while len(out) < blocks:
+        blk = [int(v) for v in rng.choice([-1, 1], p)]
+        if len(out) == late:
+            blk = b0
+        elif blk == b0 and len(out) < late:
+            continue
+        out.append(blk)
+    return [v for blk in out for v in blk]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_szego_block_zero_recurs_late(p):
+    rng = np.random.default_rng(p)
+    for late in (2 ** p + 1, 2 ** p + 40, 150):
+        vals = _late_recurrence_stream(p, 160, late, rng)
+        seq = _seq(vals)
+        h = len(vals) - 1
+        want = reference_szego(seq, p, h)
+        got = nb.szego_block_analysis(seq, p, h)
+        assert got.to_json_dict() == want.to_json_dict()
+        w = want.per_p[p]
+        assert isinstance(w, rl.SzegoWitness) and (w.first, w.second) == (0, late * p)
+
+
+def test_szego_matches_reference_on_streams():
+    rng = np.random.default_rng(5)
+    cases = [
+        (nb.make_sequence(nb.rudin_shapiro()), 8, 6000),
+        (nb.make_sequence(nb.erdos("hard")), 8, 6000),
+        (nb.make_sequence(nb.periodic([1, -1, 0])), 4, 2000),
+        (nb.make_sequence(nb.gap_powers("squares")), 6, 3000),
+        (nb.sample_process(nb.iid_process([0.0, 1.0, 1j], [0.5, 0.3, 0.2],
+                                          seed=5), 4001), 6, 4000),
+        (nb.sample_process(nb.markov_process([-1.0, 1.0], [[0.9, 0.1], [0.2, 0.8]],
+                                             seed=9), 4001), 8, 4000),
+        # eventually periodic: the mismatch walk runs to the horizon
+        (_seq(_eventually_periodic([2, 0, 2], [1, -1, -1, 1, 0], 3000)), 6, 2999),
+        (_seq(_eventually_periodic([0j] * 7, [1j, 1], 3000)), 6, 2999),
+    ]
+    # the streams after the least pair first differ at or near the horizon
+    for back in range(6):
+        vals = _eventually_periodic([2, 0, 2], [1, -1, -1, 1, 0], 1200)
+        vals[len(vals) - 1 - back] = 2
+        cases.append((_seq(vals), 6, 1199))
+    for _ in range(6):
+        n = int(rng.integers(200, 3000))
+        cases.append((_seq(rng.choice([-1, 0, 1], n)), 5, n - 1))
+    for seq, p_max, h in cases:
+        want = reference_szego(seq, p_max, h)
+        got = nb.szego_block_analysis(seq, p_max, h)
+        assert got.to_json_dict() == want.to_json_dict()
