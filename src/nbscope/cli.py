@@ -319,7 +319,8 @@ def build_parser():
     p.add_argument("--radii", type=_parse_floats,
                    default=[0.9, 0.99, 0.999, 0.9999])
     p.add_argument("--quad-points", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="per-node truncation tolerance, finite and > 0")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--json", help="also write a JSON envelope here")
     p.set_defaults(func=_cmd_probe)

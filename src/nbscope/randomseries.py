@@ -140,14 +140,18 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
         em = np.asarray(spec.params["emissions"], dtype=complex)
         tr = np.asarray(spec.params["transition"], dtype=float)
         k = len(em)
-        states = np.empty(length, dtype=np.int64)
-        states[0] = rng.choice(k, p=spec.params["initial"])
-        # one uniform per step, inverted through the row CDF
+        state = int(rng.choice(k, p=spec.params["initial"]))
+        # one uniform per step, inverted through the row CDF of every state
+        # at once; the walk then only picks the row of the current state
         u = rng.random(length - 1)
         cdf = np.cumsum(tr, axis=1)
-        for i in range(1, length):
-            states[i] = min(int(np.searchsorted(cdf[states[i - 1]], u[i - 1], side="right")), k - 1)
-        path = em[states]
+        step_to = [np.minimum(np.searchsorted(row, u, side="right"), k - 1).tolist()
+                   for row in cdf]
+        states = [state]
+        for i in range(length - 1):
+            state = step_to[state][i]
+            states.append(state)
+        path = em[np.array(states, dtype=np.int64)]
         kind = _exact_kind_for(spec.params["emissions"])
     elif spec.kind == "rotation-driven":
         gen = make_sequence(GeneratorSpec("rotation", dict(spec.params)))

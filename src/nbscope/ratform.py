@@ -8,9 +8,9 @@ a rational function whose poles sit among the T-th roots of unity.  This
 module reduces that representation: roots of unity where the combined
 numerator vanishes are cancelled, the rest are reported as poles.
 
-Gaussian-integer inputs are reduced exactly over the cyclotomic
-factorization of 1 - z^T; other inputs fall back to numeric root matching
-with a 1e-9 tolerance.
+Gaussian-integer inputs are reduced exactly, in Python integers, over the
+cyclotomic factorization of 1 - z^T; other inputs fall back to numeric
+root matching with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -106,42 +106,67 @@ def _trim(coeffs):
     return arr[: nz[-1] + 1]
 
 
-def _reduce_exact(num_coeffs, T, pp):
-    import sympy
+def _divmod_monic(num, den):
+    """(quotient, remainder) of integer polynomials, coefficient lists
+    ascending in the exponent; ``den`` is monic."""
+    deg = len(den) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(rem) - deg)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + deg]
+        if c:
+            quot[i] = c
+            for j in range(deg + 1):
+                rem[i + j] -= c * den[j]
+    return quot, rem[:deg]
 
-    z = sympy.Symbol("z")
-    has_imag = any(c.imag for c in num_coeffs)
-    dom = "QQ_I" if has_imag else "QQ"
 
-    expr = sympy.Integer(0)
-    for k, c in enumerate(num_coeffs):
-        coef = sympy.Integer(int(c.real))
-        if has_imag:
-            coef = coef + sympy.Integer(int(c.imag)) * sympy.I
-        expr = expr + coef * z ** k
-    npoly = sympy.Poly(expr, z, domain=dom)
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    survivors, cancelled = [], []
-    quotient = -npoly  # 1 - z^T = -(z^T - 1) = -(product of cyclotomics)
+
+def _cyclotomics(T):
+    """{d: Phi_d} for the divisors d of T, from z^d - 1 = prod_{e | d} Phi_e
+    by exact monic long division."""
+    cyc = {}
     for d in (d for d in range(1, T + 1) if T % d == 0):
-        if npoly.is_zero:
-            cancelled.append(d)
-            continue
-        cyc = sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
-        q, r = quotient.div(cyc)
-        if r.is_zero:
-            quotient = q
-            cancelled.append(d)
-        else:
+        poly = [-1] + [0] * (d - 1) + [1]
+        for e in cyc:
+            if d % e == 0:
+                poly, _ = _divmod_monic(poly, cyc[e])
+        cyc[d] = poly
+    return cyc
+
+
+def _reduce_exact(num_coeffs, T, pp):
+    """Exact reduction of a Gaussian-integer numerator over the cyclotomic
+    factors of 1 - z^T, in Python ints.  Phi_d has integer coefficients
+    and is monic, so a Gaussian numerator divides exactly iff its real and
+    imaginary parts both do."""
+    num = _trim(num_coeffs)
+    re_part = [int(c.real) for c in num]
+    im_part = [int(c.imag) for c in num]
+    is_zero = not any(re_part) and not any(im_part)
+    cyc = _cyclotomics(T)
+
+    survivors = []
+    # 1 - z^T = -(z^T - 1) = -(product of cyclotomics)
+    quotient = ([-c for c in re_part], [-c for c in im_part])
+    for d, phi in ({} if is_zero else cyc).items():
+        q_re, r_re = _divmod_monic(quotient[0], phi)
+        q_im, r_im = _divmod_monic(quotient[1], phi)
+        if any(r_re) or any(r_im):
             survivors.append(d)
+        else:
+            quotient = (q_re, q_im)
 
-    den = sympy.Poly(1, z, domain=dom)
+    den = [1]
     for d in survivors:
-        den = den * sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
-
-    def to_tuple(poly):
-        cs = poly.all_coeffs()[::-1]  # ascending order
-        return tuple(complex(sympy.re(c)) + 1j * float(sympy.im(c)) for c in cs)
+        den = _polymul(den, cyc[d])
 
     poles = []
     for d in survivors:
@@ -149,8 +174,10 @@ def _reduce_exact(num_coeffs, T, pp):
             if math.gcd(k, d) == 1:
                 poles.append(RootOfUnityPole(k, d))
     poles.sort(key=lambda p: (p.angle, p.den))
-    num_tuple = (0j,) if npoly.is_zero else to_tuple(quotient)
-    return RationalForm(num_tuple, to_tuple(den), tuple(poles), T, pp, True)
+    num_tuple = ((0j,) if is_zero else
+                 tuple(complex(float(a), float(b)) for a, b in zip(*quotient)))
+    den_tuple = tuple(complex(float(a), 0.0) for a in den)
+    return RationalForm(num_tuple, den_tuple, tuple(poles), T, pp, True)
 
 
 def _synthetic_div(coeffs, root):

@@ -33,6 +33,17 @@ def test_truncation_length_examples():
     assert truncation_length(1.0, 0.5, 3.0) == 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_truncation_length_rejects_invalid_tolerance(tol):
+    with pytest.raises(AnalyticError):
+        truncation_length(1.0, 0.5, tol)
+    seq = nb.make_sequence(nb.periodic([1]))
+    with pytest.raises(AnalyticError):
+        nb.eval_f(seq, 0.5, tol=tol)
+    with pytest.raises(AnalyticError):
+        boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5], quad_points=64, tol=tol)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0.1, 5.0), st.floats(0.05, 0.99), st.floats(1e-12, 1e-2))
 def test_truncation_length_minimality(bound, r, tol):
@@ -213,6 +224,17 @@ def test_probe_rejects_bad_radii():
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.99, 0.9])
     with pytest.raises(AnalyticError):
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5], quad_points=32)
+
+
+def test_probe_with_zero_terms_reports_tail_only():
+    # tol >= bound/(1-r) needs no series terms at all
+    seq = nb.make_sequence(nb.periodic([1]))
+    arc = ArcSpec.full_circle()
+    rep = boundary_l1_scan(seq, arc, [0.9, 0.99], quad_points=64, tol=100.0)
+    assert rep.integrals == [0.0, 0.0]
+    assert rep.skipped == [False, False]
+    for r, t in zip(rep.radii, rep.trunc_errors):
+        assert t == pytest.approx(seq.bound / (1 - r) * arc.width / (2 * math.pi))
 
 
 def test_probe_csv_format(tmp_path):

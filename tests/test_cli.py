@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -198,6 +201,46 @@ def test_probe_all_radii_over_cap_exits_3(capsys):
                        "--tol", "1e-300")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_probe_invalid_tol_exits_2(capsys, tol):
+    code, out, err = run(capsys, "probe", "--family", "periodic",
+                         "--pattern", "1", "--full", "--radii", "0.9,0.99",
+                         "--quad-points", "64", "--tol", tol)
+    assert code == 2
+    assert not out
+    assert "tolerance" in err
+
+
+def test_probe_needing_no_terms_exits_0(capsys):
+    code, out, _ = run(capsys, "probe", "--family", "periodic",
+                       "--pattern", "1", "--full", "--radii", "0.9,0.99",
+                       "--quad-points", "64", "--tol", "100")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == [0.0, 0.0]
+    assert [float(row[3]) for row in rows] == pytest.approx([10.0, 100.0])
+
+
+def test_probe_and_verdict_import_neither_scipy_nor_sympy(tmp_path):
+    script = (
+        "import sys\n"
+        "from nbscope.cli import main\n"
+        "probe = main(['probe', '--family', 'rudin-shapiro', '--full',\n"
+        "              '--radii', '0.9,0.99', '--quad-points', '64'])\n"
+        "verdict = main(['verdict', '--family', 'periodic', '--pattern', '1,1j,0,0',\n"
+        "                '--horizon', '2000'])\n"
+        "assert (probe, verdict) == (0, 0), (probe, verdict)\n"
+        "loaded = sorted(m for m in ('scipy', 'sympy') if m in sys.modules)\n"
+        "assert not loaded, loaded\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"exact": true' in proc.stdout
 
 
 def test_probe_requires_arc_or_full(capsys):

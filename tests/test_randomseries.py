@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nbscope as nb
+from nbscope.randomseries import _rng_for
 from nbscope.sequences import SequenceError
 
 
@@ -44,6 +45,54 @@ def test_markov_process_path():
     assert set(np.unique(vals)) <= {0.0, 1.0}
     # heavy self-loop at state 0 biases occupation toward 0
     assert vals.mean() < 0.5
+
+
+def reference_markov_path(spec, length, trial=None):
+    """The per-step Markov sampling loop that sample_process replaced, verbatim."""
+    rng = _rng_for(spec, trial)
+    em = np.asarray(spec.params["emissions"], dtype=complex)
+    tr = np.asarray(spec.params["transition"], dtype=float)
+    k = len(em)
+    states = np.empty(length, dtype=np.int64)
+    states[0] = rng.choice(k, p=spec.params["initial"])
+    # one uniform per step, inverted through the row CDF
+    u = rng.random(length - 1)
+    cdf = np.cumsum(tr, axis=1)
+    for i in range(1, length):
+        states[i] = min(int(np.searchsorted(cdf[states[i - 1]], u[i - 1], side="right")), k - 1)
+    return em[states]
+
+
+def _seeded_transition(rng, k):
+    tr = rng.dirichlet(np.ones(k), size=k)
+    if k > 1:
+        tr[0] = 0.0                      # a row with zero-probability entries
+        tr[0, int(rng.integers(k))] = 1.0
+        tr[-1, 0] = 0.0                  # a transition that never happens
+        tr[-1] /= tr[-1].sum()
+    return tr
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_markov_path_matches_reference_loop(k):
+    rng = np.random.default_rng(100 + k)
+    for case in range(4):
+        tr = _seeded_transition(rng, k)
+        initial = rng.dirichlet(np.ones(k))
+        spec = nb.markov_process(rng.integers(-3, 4, k) + 1j * rng.integers(0, 2, k),
+                                 tr, initial, seed=int(rng.integers(1 << 30)))
+        for length, trial in ((1, None), (2, 0), (997, None), (5000, case)):
+            got = nb.sample_process(spec, length, trial=trial).prefix(length)
+            want = reference_markov_path(spec, length, trial)
+            assert got.tobytes() == want.tobytes(), (k, case, length)
+    # a row whose CDF ends well below 1 (markov_process allows only rounding
+    # there), so many draws land past it and take the clip to state k - 1
+    spec = nb.markov_process(np.arange(k), _seeded_transition(rng, k), seed=k)
+    short = [list(row) for row in spec.params["transition"]]
+    short[-1] = [0.5 * p for p in short[-1]]
+    spec = nb.ProcessSpec("markov", dict(spec.params, transition=short), spec.bound, k)
+    got = nb.sample_process(spec, 3000).prefix(3000)
+    assert got.tobytes() == reference_markov_path(spec, 3000).tobytes()
 
 
 def test_markov_validation():

@@ -1,0 +1,113 @@
+"""The exact rational-form reduction in Python integers, checked against the
+sympy reduction it replaced (sympy is a test-only oracle)."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from nbscope import ratform
+from nbscope.ratform import RationalForm, RootOfUnityPole
+
+ALPHABET = (-1, 0, 1, 1j)
+
+
+def reference_reduce_exact(num_coeffs, T, pp):
+    """The sympy reduction that ratform._reduce_exact replaced, verbatim."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    has_imag = any(c.imag for c in num_coeffs)
+    dom = "QQ_I" if has_imag else "QQ"
+
+    expr = sympy.Integer(0)
+    for k, c in enumerate(num_coeffs):
+        coef = sympy.Integer(int(c.real))
+        if has_imag:
+            coef = coef + sympy.Integer(int(c.imag)) * sympy.I
+        expr = expr + coef * z ** k
+    npoly = sympy.Poly(expr, z, domain=dom)
+
+    survivors, cancelled = [], []
+    quotient = -npoly  # 1 - z^T = -(z^T - 1) = -(product of cyclotomics)
+    for d in (d for d in range(1, T + 1) if T % d == 0):
+        if npoly.is_zero:
+            cancelled.append(d)
+            continue
+        cyc = sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
+        q, r = quotient.div(cyc)
+        if r.is_zero:
+            quotient = q
+            cancelled.append(d)
+        else:
+            survivors.append(d)
+
+    den = sympy.Poly(1, z, domain=dom)
+    for d in survivors:
+        den = den * sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
+
+    def to_tuple(poly):
+        cs = poly.all_coeffs()[::-1]  # ascending order
+        return tuple(complex(sympy.re(c)) + 1j * float(sympy.im(c)) for c in cs)
+
+    poles = []
+    for d in survivors:
+        for k in range(d):
+            if math.gcd(k, d) == 1:
+                poles.append(RootOfUnityPole(k, d))
+    poles.sort(key=lambda p: (p.angle, p.den))
+    num_tuple = (0j,) if npoly.is_zero else to_tuple(quotient)
+    return RationalForm(num_tuple, to_tuple(den), tuple(poles), T, pp, True)
+
+
+def _assert_same(head, block):
+    num = ratform._combined_numerator([complex(v) for v in head],
+                                      [complex(v) for v in block])
+    got = ratform._reduce_exact(num, len(block), len(head))
+    want = reference_reduce_exact(num, len(block), len(head))
+    assert got == want, (head, block)
+    # signed zeros reach the JSON output, so the floats must match bit for bit
+    assert repr(got.numerator) == repr(want.numerator), (head, block)
+    assert repr(got.denominator) == repr(want.denominator), (head, block)
+
+
+@pytest.mark.parametrize("head_len", [0, 1, 2])
+def test_reduce_exact_matches_sympy_on_all_short_patterns(head_len):
+    pytest.importorskip("sympy")
+    heads = list(itertools.product(ALPHABET, repeat=head_len))
+    for length in range(1, 5):
+        for block in itertools.product(ALPHABET, repeat=length):
+            for head in heads:
+                _assert_same(head, block)
+
+
+def test_reduce_exact_matches_sympy_on_seeded_long_patterns():
+    pytest.importorskip("sympy")
+    rng = np.random.default_rng(20261018)
+    values = ALPHABET + (2, -3, 2 - 1j, -1j, 5j)
+    for _ in range(300):
+        block = [values[i] for i in rng.integers(0, len(values), int(rng.integers(5, 9)))]
+        head = [values[i] for i in rng.integers(0, len(values), int(rng.integers(0, 4)))]
+        _assert_same(head, block)
+
+
+def test_reduce_exact_cancels_and_keeps_expected_factors():
+    # 1 + z + z^2 repeating with period 3: f = -1/(z - 1), one pole at 1
+    form = ratform.reduce_eventually_periodic([], [1, 1, 1])
+    assert form.exact
+    assert form.numerator == (-1 + 0j,)
+    assert form.denominator == (-1 + 0j, 1 + 0j)
+    assert form.poles == (RootOfUnityPole(0, 1),)
+
+
+def test_cyclotomics_multiply_back_to_z_power_minus_one():
+    for T in (1, 2, 6, 12, 30, 60, 105):
+        cyc = ratform._cyclotomics(T)
+        prod = [1]
+        for poly in cyc.values():
+            assert poly[-1] == 1
+            prod = ratform._polymul(prod, poly)
+        assert prod == [-1] + [0] * (T - 1) + [1]
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}
+    assert min(ratform._cyclotomics(105)[105]) == -2
