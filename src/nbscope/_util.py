@@ -1,8 +1,6 @@
-"""Small shared helpers: compensated sums, integer powers, worker counts."""
+"""Small shared helpers: compensated sums, integer powers, number format."""
 
 from __future__ import annotations
-
-import os
 
 
 def kahan_complex_sum(terms):
@@ -46,19 +44,6 @@ def ipow(z: complex, k: int) -> complex:
         base *= base
         k >>= 1
     return result
-
-
-def worker_count() -> int:
-    """Worker cap: NBSCOPE_THREADS if set, else hardware parallelism."""
-    env = os.environ.get("NBSCOPE_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def fmt17(x: float) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ratform
-from ._util import fmt17, ipow, kahan_complex_sum, worker_count
+from ._util import fmt17, ipow, kahan_complex_sum
 from .sequences import (
     OneSidedSequence,
     SequenceError,
@@ -525,7 +526,8 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
     if quad_points < 64:
         raise AnalyticError("need at least 64 quadrature nodes")
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(radii))) as ex:
+    # one task per radius; the radii share the sequence's prefix cache
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(radii))) as ex:
         rows = list(ex.map(lambda r: _scan_one_radius(seq, arc, r, quad_points, tol),
                            radii))
 

@@ -3,8 +3,7 @@
 Machine output (CSV or JSON with a ``schema_version`` field) goes to the
 file given by --out, or stdout; diagnostics go to stderr.  Exit codes:
 0 success, 1 no finding where one was requested, 2 usage error, 3
-numeric-cap abort, 4 a result failed re-verification against raw reads.  The environment variable NBSCOPE_THREADS bounds the
-worker count used by parallel scans.
+numeric-cap abort, 4 a result failed re-verification against raw reads.
 """
 
 from __future__ import annotations
@@ -267,7 +266,8 @@ def build_parser():
         prog="nbscope",
         description="Analyze bounded power series for natural-boundary "
                     "behavior via recurring-window certificates.",
-        epilog="NBSCOPE_THREADS bounds the worker count of parallel scans.")
+        epilog="Exit codes: 0 success, 1 no finding, 2 usage error, "
+               "3 numeric-cap abort, 4 failed re-verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a sequence prefix as CSV")

@@ -10,19 +10,16 @@ hit rate together with variance diagnostics and the constructive
 two-value separation used to justify the center-gap target.
 
 Reproducibility: every path is a pure function of (process spec, seed,
-trial index); trials are aggregated in trial order, so reports are
-identical across worker counts.
+trial index), and trials run and are aggregated in trial order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import worker_count
 from .rightlimits import find_pair_certificate
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
                         VerificationError, make_sequence)
@@ -160,12 +157,10 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
     else:
         raise SequenceError(f"unknown process kind {spec.kind!r}")
 
-    seq = OneSidedSequence(
-        lambda n: path[n], spec.bound, f"stochastic-{spec.kind}",
+    return OneSidedSequence(
+        lambda lo, hi: path[lo:hi], spec.bound, f"stochastic-{spec.kind}",
         {"seed": spec.seed, "trial": trial, "kind": spec.kind},
-        value_kind=kind, length=length,
-        block_fn=lambda count: path[:count])
-    return seq
+        value_kind=kind, length=length)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +458,7 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
         var, se = _variance_with_se(path.prefix(horizon + 1))
         return TrialResult(trial, False, (), None, var, se)
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), trials)) as ex:
-        results = list(ex.map(run, range(trials)))
+    results = [run(trial) for trial in range(trials)]
 
     found = sum(1 for r in results if r.found)
     return MonteCarloReport(

@@ -324,16 +324,12 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
         raise SequenceError("horizon smaller than flank width")
     ab = np.abs(seq.prefix(h + 1))
 
-    if decay is None:
-        fl = sliding_window_view(ab, width).max(axis=1)  # fl[i] = max ab[i:i+W]
-        ok = fl[: h + 1 - width] <= eps
-    else:
-        C, Dd = float(decay[0]), float(decay[1])
-        ok = np.ones(h + 1 - width, dtype=bool)
-        for k in range(1, width + 1):
-            thr = C * math.exp(-Dd * k) + eps
-            # flank offset -k of center n = index n-k; centers n = width..h
-            ok &= ab[width - k: h + 1 - k] <= thr
+    ok = np.ones(h + 1 - width, dtype=bool)
+    for k in range(1, width + 1):
+        thr = (eps if decay is None
+               else float(decay[0]) * math.exp(-float(decay[1]) * k) + eps)
+        # flank offset -k of center n = index n-k; centers n = width..h
+        ok &= ab[width - k: h + 1 - k] <= thr
     centers = np.arange(width, h + 1)
     hits = centers[ok & (ab[centers] >= delta)]
     if hits.size < min_recurrence:

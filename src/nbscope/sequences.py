@@ -25,6 +25,9 @@ import cmath
 import csv
 import io
 import math
+import operator
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -62,9 +65,14 @@ __all__ = [
 #: Denominator cap used when screening rotation numbers for rationality.
 _RATIONAL_DENOM_CAP = 10 ** 6
 _RATIONAL_TOL = 1e-12
+_RATIONAL_ULPS = 4
 
 # Bound checks allow this much floating slack on |value| <= bound.
 _BOUND_SLACK = 1e-9
+
+# Reads cover 0 <= n < 2^63, the range of the int64/uint64 index arithmetic
+# in the block functions.
+_INDEX_END = 2 ** 63
 
 
 class SequenceError(ValueError):
@@ -120,10 +128,10 @@ def rotation(q: float, theta: float = 0.0, boundary_fn="fractional-part") -> Gen
     ``boundary_fn`` is ``"fractional-part"`` (F(x) = x), ``"half-indicator"``
     (1 on [0, 1/2), else 0), or a pair ``(callable, sup_bound)``.
 
-    Construction rejects q with a rational approximation p/q' (q' <= 1e6)
-    within 1e-12.  The screen is conservative: quadratic irrationals whose
-    continued-fraction denominators land close to the cap (e.g. sqrt(3))
-    are rejected along with true rationals.
+    Construction rejects q when the closest fraction p/d with d <= 1e6 lies
+    within min(1e-12, 4 ulp(q)) of it: doubles of such fractions (1/3,
+    355/113, 0.1*3) are rejected, while irrationals such as sqrt(3), whose
+    near fractions are thousands of ulps away, are accepted.
     """
     return GeneratorSpec(
         "rotation", {"q": float(q), "theta": float(theta), "boundary_fn": boundary_fn}
@@ -156,10 +164,13 @@ def explicit(values: Iterable[complex]) -> GeneratorSpec:
 class OneSidedSequence:
     """A bounded coefficient sequence with a certified sup bound.
 
-    Values are queried with :meth:`eval` (single index) or :meth:`prefix`
-    (the first ``count`` values as a numpy array, cached and grown on
-    demand).  Both canonicalise signed zeros to +0.0, so bit-pattern keys
-    over values mean value equality.  ``value_kind`` records whether values
+    Every value comes from one vectorized block function: ``block(lo, hi)``
+    returns a_lo..a_{hi-1} for 0 <= lo <= hi.  :meth:`eval` (one index),
+    :meth:`prefix` (the first ``count`` values, cached and grown from where
+    the cache stops) and :meth:`window` are views of it.  Each read
+    canonicalises signed zeros to +0.0, so bit-pattern keys over values
+    mean value equality, and checks what it read against the bound.
+    Indices run over 0 <= n < 2^63.  ``value_kind`` records whether values
     admit exact equality comparison (``exact-integer`` /
     ``exact-rational``) or need a tolerance (``float``); downstream
     searches pick their default matching tolerance from it.
@@ -169,16 +180,16 @@ class OneSidedSequence:
     their horizons accordingly.
     """
 
-    def __init__(self, fn, bound, family, params=None, value_kind="float",
-                 length=None, block_fn=None):
-        self._fn = fn
-        self._block_fn = block_fn
+    def __init__(self, block, bound, family, params=None, value_kind="float",
+                 length=None):
+        self._block = block
         self.bound = float(bound)
         self.family = family
         self.params = dict(params or {})
         self.value_kind = value_kind
         self.length = length
         self._cache = np.empty(0, dtype=complex)
+        self._grow_lock = threading.Lock()
 
     # -- queries ----------------------------------------------------------
 
@@ -186,34 +197,41 @@ class OneSidedSequence:
     def exact(self) -> bool:
         return self.value_kind in ("exact-integer", "exact-rational")
 
-    def eval(self, n: int) -> complex:
-        if n < 0:
-            raise SequenceError(f"index must be >= 0, got {n}")
-        if self.length is not None and n >= self.length:
-            raise SequenceError(
-                f"index {n} beyond explicit sequence length {self.length}")
-        if n < self._cache.shape[0]:
-            return complex(self._cache[n])
-        v = complex(self._fn(n)) + 0j
-        if not abs(v) <= self.bound * (1 + 1e-12) + _BOUND_SLACK:
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        """a_lo..a_{hi-1} straight from the block function, canonicalised
+        and bound-checked."""
+        lo, hi = operator.index(lo), operator.index(hi)
+        if lo < 0:
+            raise SequenceError(f"index must be >= 0, got {lo}")
+        end = _INDEX_END if self.length is None else self.length
+        if hi > end:
+            raise SequenceError(f"index {hi - 1} beyond the last index {end - 1}")
+        arr = np.asarray(self._block(lo, hi), dtype=complex) + 0j
+        ok = np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK
+        if not ok.all():
+            i = int(np.argmin(ok))
             raise VerificationError(
-                f"|a_{n}| = {abs(v)} exceeds certified bound {self.bound}")
-        return v
+                f"|a_{lo + i}| = {abs(arr[i])} exceeds certified bound {self.bound}")
+        return arr
+
+    def eval(self, n: int) -> complex:
+        if 0 <= n < self._cache.shape[0]:
+            return complex(self._cache[n])
+        return complex(self._read(n, n + 1)[0])
 
     def prefix(self, count: int) -> np.ndarray:
-        """First ``count`` values as a complex array (cached)."""
-        if self.length is not None and count > self.length:
-            raise SequenceError(
-                f"prefix({count}) beyond explicit sequence length {self.length}")
-        if count > self._cache.shape[0]:
-            if self._block_fn is not None:
-                arr = np.asarray(self._block_fn(count), dtype=complex) + 0j
-            else:
-                arr = np.array([self._fn(n) for n in range(count)], dtype=complex) + 0j
-            if not np.all(np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK):
-                raise VerificationError("generator exceeded its certified bound")
-            self._cache = arr
-        return self._cache[:count]
+        """First ``count`` values as a complex array (cached; a longer
+        request reads only the indices past the cache)."""
+        if count < 0:
+            raise SequenceError(f"prefix count must be >= 0, got {count}")
+        # one growth at a time, so threads sharing the sequence (the arc
+        # scan's radii) read each index once and never shorten the cache
+        with self._grow_lock:
+            done = self._cache.shape[0]
+            if count > done:
+                new = self._read(done, count)
+                self._cache = np.concatenate((self._cache, new)) if done else new
+            return self._cache[:count]
 
     def clamp_horizon(self, horizon: int) -> int:
         """Largest usable index not exceeding ``horizon``."""
@@ -267,7 +285,7 @@ def window(seq: OneSidedSequence, center: int, radius: int) -> TwoSidedWindow:
     if center < radius:
         raise SequenceError(
             f"window center {center} smaller than radius {radius}")
-    vals = tuple(seq.eval(center + k) for k in range(-radius, radius + 1))
+    vals = tuple(seq._read(center - radius, center + radius + 1).tolist())
     return TwoSidedWindow(vals, radius, {"kind": "center", "n": center},
                           eps=0.0, bound=seq.bound)
 
@@ -290,17 +308,14 @@ def _make_periodic(params) -> OneSidedSequence:
         raise SequenceError("periodic pattern must be nonempty")
     p = len(pattern)
     arr = np.asarray(pattern, dtype=complex)
-    bound = float(np.max(np.abs(arr))) if p else 0.0
+    bound = float(np.max(np.abs(arr)))
 
-    def fn(n):
-        return pattern[n % p]
+    def block(lo, hi):
+        # the pattern rotated to start at phase lo mod p
+        return np.tile(np.roll(arr, -(lo % p)), (hi - lo) // p + 1)[:hi - lo]
 
-    def block(count):
-        reps = count // p + 1
-        return np.tile(arr, reps)[:count]
-
-    return OneSidedSequence(fn, bound, "periodic", {"pattern": pattern},
-                            value_kind=_exact_kind(pattern), block_fn=block)
+    return OneSidedSequence(block, bound, "periodic", {"pattern": pattern},
+                            value_kind=_exact_kind(pattern))
 
 
 def _factorials():
@@ -319,34 +334,32 @@ def _squares():
 
 
 class _ExponentSet:
-    """Lazily grown ascending exponent set with O(1) membership for seen range."""
+    """Lazily grown ascending exponent list, read with bisect.  Growth is
+    locked: the arc scan's radii read the sparse support concurrently."""
 
     def __init__(self, iterator_factory):
         self._it = iterator_factory()
-        self._seen = set()
-        self._limit = -1  # all exponents <= _limit are in _seen
-        self._last = -1
+        self._exps = []
+        self._limit = -1  # all exponents <= _limit are in _exps
+        self._lock = threading.Lock()
 
     def grow_to(self, n: int):
-        while self._limit < n:
-            e = next(self._it, None)
-            if e is None:
-                self._limit = math.inf
-                return
-            if e < 0 or e <= self._last:
-                raise SequenceError(
-                    "exponent stream must be strictly ascending and nonnegative")
-            self._last = e
-            self._seen.add(e)
-            self._limit = e
+        with self._lock:
+            while self._limit < n:
+                e = next(self._it, None)
+                if e is None:
+                    self._limit = math.inf
+                    return
+                if e < 0 or (self._exps and e <= self._exps[-1]):
+                    raise SequenceError(
+                        "exponent stream must be strictly ascending and nonnegative")
+                self._exps.append(e)
+                self._limit = e
 
-    def __contains__(self, n: int) -> bool:
-        self.grow_to(n)
-        return n in self._seen
-
-    def upto(self, n: int):
-        self.grow_to(n)
-        return sorted(e for e in self._seen if e <= n)
+    def between(self, lo: int, hi: int):
+        """Exponents e with lo <= e < hi, ascending."""
+        self.grow_to(hi - 1)
+        return self._exps[bisect_left(self._exps, lo):bisect_left(self._exps, hi)]
 
 
 def _exponent_factory(spec):
@@ -374,45 +387,40 @@ def _make_gap_powers(params) -> OneSidedSequence:
     name = params.get("exponents")
     label = name if isinstance(name, str) else "custom"
 
-    def fn(n):
-        return fill if n in exps else 0.0
-
-    def block(count):
-        arr = np.zeros(count, dtype=complex)
-        for e in exps.upto(count - 1):
-            arr[e] = fill
+    def block(lo, hi):
+        arr = np.zeros(hi - lo, dtype=complex)
+        arr[np.asarray(exps.between(lo, hi), dtype=np.int64) - lo] = fill
         return arr
 
     kind = "exact-integer" if _is_integral(fill) else "exact-rational"
-    seq = OneSidedSequence(fn, bound, "gap-powers",
-                           {"exponents": label, "fill": fill},
-                           value_kind=kind, block_fn=block)
+    seq = OneSidedSequence(block, bound, "gap-powers",
+                           {"exponents": label, "fill": fill}, value_kind=kind)
     # sparse support handle: lets evaluators sum over the exponent set
     # without materializing coefficient arrays (horizons up to 1e9)
-    seq.gap_support = lambda count: (exps.upto(count - 1), fill)
+    seq.gap_support = lambda count: (exps.between(0, count), fill)
     return seq
 
 
-def _rs_value(n: int) -> int:
+def _rs_block(lo, hi):
     # parity of the count of adjacent "11" bit pairs
-    return 1 if ((n & (n >> 1)).bit_count() & 1) == 0 else -1
+    ns = np.arange(lo, hi, dtype=np.uint64)
+    return np.where(np.bitwise_count(ns & (ns >> np.uint64(1))) & 1, -1.0, 1.0)
 
 
 def _make_rudin_shapiro(params) -> OneSidedSequence:
-    def block(count):
-        ns = np.arange(count, dtype=np.uint64)
-        pairs = np.bitwise_count(ns & (ns >> np.uint64(1)))
-        return np.where(pairs & 1 == 0, 1.0, -1.0).astype(complex)
-
-    return OneSidedSequence(_rs_value, 1.0, "rudin-shapiro", {},
-                            value_kind="exact-integer", block_fn=block)
+    return OneSidedSequence(_rs_block, 1.0, "rudin-shapiro", {},
+                            value_kind="exact-integer")
 
 
 def _check_irrational(q: float):
+    # A double of p/d lies within half an ulp of it, while Dirichlet's
+    # theorem puts every irrational within 1/d^2 of some p/d (d <= cap):
+    # a tolerance of a few ulps rejects the first without the second.
+    tol = min(_RATIONAL_TOL, _RATIONAL_ULPS * math.ulp(q))
     approx = Fraction(q).limit_denominator(_RATIONAL_DENOM_CAP)
-    if abs(q - float(approx)) < _RATIONAL_TOL:
+    if abs(q - float(approx)) <= tol:
         raise SequenceError(
-            f"rotation number {q!r} is within {_RATIONAL_TOL} of "
+            f"rotation number {q!r} is within {tol:.3g} of "
             f"{approx.numerator}/{approx.denominator}; an irrational rotation "
             f"number is required")
 
@@ -457,11 +465,10 @@ def _frac_shift_block(q: float, theta: float, lo: int, hi: int) -> np.ndarray:
     return (upper + lower) / float(d)
 
 
-# name -> (scalar function, vectorized function, sup bound)
+# name -> (vectorized function of the fractional parts, sup bound)
 _BOUNDARY_FNS = {
-    "fractional-part": (lambda x: x, lambda xs: xs, 1.0),
-    "half-indicator": (lambda x: 1.0 if x < 0.5 else 0.0,
-                       lambda xs: np.where(xs < 0.5, 1.0, 0.0), 1.0),
+    "fractional-part": (lambda xs: xs, 1.0),
+    "half-indicator": (lambda xs: np.where(xs < 0.5, 1.0, 0.0), 1.0),
 }
 
 
@@ -473,7 +480,7 @@ def _make_rotation(params) -> OneSidedSequence:
     if isinstance(bf, str):
         if bf not in _BOUNDARY_FNS:
             raise SequenceError(f"unknown boundary function {bf!r}")
-        func, vfunc, sup = _BOUNDARY_FNS[bf]
+        vfunc, sup = _BOUNDARY_FNS[bf]
         label = bf
     else:
         func, sup = bf
@@ -482,92 +489,45 @@ def _make_rotation(params) -> OneSidedSequence:
         def vfunc(xs):
             return [func(x) for x in xs.tolist()]
 
-    def fn(n):
-        return func(_frac_shift_exact(n, q, theta))
+    def block(lo, hi):
+        return vfunc(_frac_shift_block(q, theta, lo, hi))
 
-    def block(count):
-        return vfunc(_frac_shift_block(q, theta, 0, count))
-
-    return OneSidedSequence(fn, float(sup), "rotation",
+    return OneSidedSequence(block, float(sup), "rotation",
                             {"q": q, "theta": theta, "boundary_fn": label},
-                            value_kind="float", block_fn=block)
+                            value_kind="float")
 
 
-def _erdos_blocks(limit: int):
-    """Blocks [j!, j!+j], j >= 2, with start < limit."""
-    out = []
-    f, j = 2, 2
-    while f < limit:
-        out.append((f, f + j))
-        j += 1
+def _erdos_ramp(g: int, f: int, a: int, b: int) -> np.ndarray:
+    """Soft values on a <= n < b inside the gap [g, f):
+    min(n - g + 1, f - n, rise + 1) / (rise + 1) with rise = isqrt(f - g)."""
+    rise = math.isqrt(f - g)
+    ramp = np.minimum(np.arange(a - g, b - g, dtype=np.int64) + 1.0, rise + 1.0)
+    c = max(a, f - rise - 1)    # from c on, f - n <= rise + 1 is small and exact
+    if c < b:
+        ramp[c - a:] = np.minimum(ramp[c - a:], np.arange(f - c, f - b, -1.0))
+    return ramp / (rise + 1.0)
+
+
+def _erdos_block(hard: bool, lo: int, hi: int) -> np.ndarray:
+    """Erdos values for lo <= n < hi: 0 on the blocks [j!, j!+j], j >= 2,
+    and on each gap between blocks 1 (hard) or the ramp (soft)."""
+    out = np.zeros(hi - lo, dtype=complex)
+    g, f, j = 0, 2, 2       # the gap [g, f) ends where block [f, f + j] starts
+    while g < hi:
+        a, b = max(g, lo), min(f, hi)
+        if a < b:
+            out[a - lo:b - lo] = 1.0 if hard else _erdos_ramp(g, f, a, b)
+        g, j = f + j + 1, j + 1
         f *= j
     return out
-
-
-def _erdos_gap_value(t: int, gap_len: int) -> float:
-    rise = math.isqrt(gap_len)
-    return min(t + 1.0, float(gap_len - t), rise + 1.0) / (rise + 1.0)
-
-
-def _erdos_locate(n: int):
-    """(in_block, gap_lo, gap_len) for index n."""
-    f, j = 2, 2
-    prev_end = -1
-    while True:
-        if n < f:
-            return False, prev_end + 1, f - (prev_end + 1)
-        if n <= f + j:
-            return True, 0, 0
-        prev_end = f + j
-        j += 1
-        f *= j
 
 
 def _make_erdos(params) -> OneSidedSequence:
     edge = params.get("edge", "hard")
     hard = edge == "hard"
-
-    def fn(n):
-        in_block, gap_lo, gap_len = _erdos_locate(n)
-        if in_block:
-            return 0.0
-        if hard:
-            return 1.0
-        return _erdos_gap_value(n - gap_lo, gap_len)
-
-    def block(count):
-        if hard:
-            arr = np.ones(count, dtype=complex)
-            for lo, hi in _erdos_blocks(count):
-                arr[lo:min(hi, count - 1) + 1] = 0.0
-            return arr
-        arr = np.zeros(count, dtype=complex)
-        prev_end = -1
-        blocks = _erdos_blocks(count) + [(None, None)]
-        for lo, hi in blocks:
-            if lo is None:
-                gap_lo, gap_hi = prev_end + 1, count - 1
-                # true gap extends to the next block start
-                f, j = 2, 2
-                while f <= gap_lo:
-                    j += 1
-                    f *= j
-                true_len = f - gap_lo
-            else:
-                gap_lo, gap_hi = prev_end + 1, lo - 1
-                true_len = lo - gap_lo
-                prev_end = hi
-            if gap_hi < gap_lo:
-                continue
-            t = np.arange(gap_lo, gap_hi + 1, dtype=float) - gap_lo
-            rise = math.isqrt(true_len)
-            vals = np.minimum(np.minimum(t + 1.0, true_len - t), rise + 1.0) / (rise + 1.0)
-            arr[gap_lo:gap_hi + 1] = vals
-        return arr[:count]
-
     kind = "exact-integer" if hard else "float"
-    return OneSidedSequence(fn, 1.0, "erdos", {"edge": edge},
-                            value_kind=kind, block_fn=block)
+    return OneSidedSequence(lambda lo, hi: _erdos_block(hard, lo, hi), 1.0,
+                            "erdos", {"edge": edge}, value_kind=kind)
 
 
 def _make_explicit(params) -> OneSidedSequence:
@@ -577,16 +537,10 @@ def _make_explicit(params) -> OneSidedSequence:
     arr = np.asarray(values, dtype=complex)
     bound = float(np.max(np.abs(arr)))
     kind = params.get("value_kind") or _exact_kind(values)
-
-    def fn(n):
-        return values[n]
-
-    def block(count):
-        return arr[:count]
-
-    return OneSidedSequence(fn, bound, params.get("family_label", "explicit"),
+    return OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
+                            params.get("family_label", "explicit"),
                             {"count": len(values)}, value_kind=kind,
-                            length=len(values), block_fn=block)
+                            length=len(values))
 
 
 def make_sequence(spec: GeneratorSpec) -> OneSidedSequence:
@@ -673,17 +627,16 @@ def snap_to_limit_points(seq: OneSidedSequence, points: Sequence[complex],
     viol = np.nonzero(dev > gamma)[0]
     onset = int(viol[-1]) + 1 if viol.size else 0
 
-    snapped_tuple = tuple(complex(v) for v in snapped)
-
-    def fn(n):
-        if n <= horizon:
-            return snapped_tuple[n]
-        v = seq.eval(n)
-        return min(pts, key=lambda p: abs(v - p))
+    def block(lo, hi):
+        # stored values up to the scan horizon, nearest points past it
+        # (argmin keeps the first of equally near points, as min() does)
+        past = seq._read(max(lo, horizon + 1), max(hi, horizon + 1))
+        near = parr[np.argmin(np.abs(past[:, None] - parr[None, :]), axis=1)]
+        return np.concatenate((snapped[lo:hi], near))
 
     bound = max(abs(p) for p in pts)
     return OneSidedSequence(
-        fn, bound, "snapped",
+        block, bound, "snapped",
         {"points": tuple(pts), "gamma": gamma, "onset_index": onset,
          "ties": tuple(ties), "scan_horizon": horizon, "source": seq.family},
         value_kind=_exact_kind(pts), length=seq.length)

@@ -337,18 +337,6 @@ def test_decay_rule_rejects_violated_hypothesis():
     assert "offsets" in str(exc.value)
 
 
-def test_probe_independent_of_worker_count(monkeypatch):
-    seq = nb.make_sequence(nb.gap_powers("squares", 1))
-    arc = ArcSpec(0.2, 1.7)
-    radii = [0.5, 0.9, 0.99]
-    monkeypatch.setenv("NBSCOPE_THREADS", "1")
-    one = boundary_l1_scan(seq, arc, radii, quad_points=512, tol=1e-8)
-    monkeypatch.setenv("NBSCOPE_THREADS", "4")
-    four = boundary_l1_scan(seq, arc, radii, quad_points=512, tol=1e-8)
-    assert one.integrals == four.integrals
-    assert one.quad_errors == four.quad_errors
-
-
 def test_shift_rejects_underflowing_power():
     seq = nb.make_sequence(nb.rudin_shapiro())
     with pytest.raises(AnalyticError):

@@ -286,3 +286,19 @@ def test_failed_reverification_exits_4(capsys, monkeypatch):
     assert code == 4
     assert not out
     assert "verification failed" in err
+
+
+def test_generate_negative_count_exits_2(capsys):
+    code, out, err = run(capsys, "generate", "--family", "periodic", "--pattern", "1,0",
+                         "--count", "-3")
+    assert code == 2
+    assert not out
+    assert "count" in err
+
+
+def test_rotation_sqrt3_is_accepted(capsys):
+    q = math.sqrt(3) % 1
+    code, out, _ = run(capsys, "generate", "--family", "rotation", "--q", repr(q),
+                       "--count", "3")
+    assert code == 0
+    assert float(out.splitlines()[2].split(",")[1]) == q

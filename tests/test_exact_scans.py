@@ -1,5 +1,6 @@
-"""Differential tests of the early-exit periodicity scan and the
-lexsort-grouped block analysis against the full-array loops they replaced."""
+"""Differential tests of the early-exit periodicity scan, the
+lexsort-grouped block analysis and the gap search's flank loop against the
+full-array code they replaced."""
 
 import math
 
@@ -287,3 +288,50 @@ def test_szego_matches_reference_on_streams():
         want = reference_szego(seq, p_max, h)
         got = nb.szego_block_analysis(seq, p_max, h)
         assert got.to_json_dict() == want.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# Gap search: one flank loop serves the plain and the decay thresholds
+
+
+def reference_gap_hits(seq, width, horizon, eps, delta):
+    """Hits of the plain (decay-free) gap scan as the sliding-window maximum
+    it replaced computed them, verbatim."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    h = seq.clamp_horizon(horizon)
+    ab = np.abs(seq.prefix(h + 1))
+    fl = sliding_window_view(ab, width).max(axis=1)  # fl[i] = max ab[i:i+W]
+    ok = fl[: h + 1 - width] <= eps
+    centers = np.arange(width, h + 1)
+    return centers[ok & (ab[centers] >= delta)]
+
+
+def _gap_witnesses(seq, width, horizon, eps, delta):
+    cert = rl.find_gap_certificate(seq, width, horizon, eps=eps, delta=delta,
+                                   min_recurrence=1)
+    return () if cert is None else cert.witnesses
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_gap_loop_matches_sliding_window_maximum(width):
+    families = [nb.gap_powers("factorials", 1), nb.gap_powers("squares", 1),
+                nb.gap_powers([3, 4, 9, 17, 18, 19, 40, 47, 90], 1), nb.erdos("hard")]
+    for spec in families:
+        seq = nb.make_sequence(spec)
+        for horizon in (width, 200, 20_000):
+            want = reference_gap_hits(seq, width, horizon, 0.0, 0.5)
+            assert _gap_witnesses(seq, width, horizon, 0.0, 0.5) == tuple(want.tolist())
+    rng = np.random.default_rng(width)
+    small = rng.random(3000) * 0.1
+    big = 0.5 + rng.random(3000) * 0.5
+    vals = np.where(rng.random(3000) < 0.15, big, small)
+    if width % 2:
+        vals = vals * np.exp(1j * rng.random(3000) * 6.0)
+    seq = nb.make_sequence(nb.explicit(vals))
+    ab = np.abs(seq.prefix(3000))
+    for level in np.sort(ab[ab < 0.1])[::150]:
+        for eps in (np.nextafter(level, 0.0), level, np.nextafter(level, 1.0)):
+            want = reference_gap_hits(seq, width, 2999, float(eps), 0.45)
+            got = _gap_witnesses(seq, width, 2999, float(eps), 0.45)
+            assert got == tuple(want.tolist()), (width, eps)

@@ -197,14 +197,3 @@ def test_report_bit_identical_reproduction():
     r2 = nb.certificate_rate_experiment(spec, trials=4, width=3,
                                         horizon=4000, eps=0.0, delta=1.0)
     assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
-
-
-def test_experiment_independent_of_worker_count(monkeypatch):
-    spec = nb.iid_process([0, 1], [0.5, 0.5], seed=3)
-    monkeypatch.setenv("NBSCOPE_THREADS", "1")
-    one = nb.certificate_rate_experiment(spec, trials=4, width=3,
-                                         horizon=3000, eps=0.0, delta=1.0)
-    monkeypatch.setenv("NBSCOPE_THREADS", "8")
-    eight = nb.certificate_rate_experiment(spec, trials=4, width=3,
-                                           horizon=3000, eps=0.0, delta=1.0)
-    assert json.dumps(one.to_json_dict()) == json.dumps(eight.to_json_dict())

@@ -388,7 +388,7 @@ try:
 except nb.VerificationError:
     rejected.append("montecarlo")
 
-unbounded = nb.OneSidedSequence(lambda n: 2.0, 1.0, "forged-bound")
+unbounded = nb.OneSidedSequence(lambda lo, hi: [2.0] * (hi - lo), 1.0, "forged-bound")
 for read in (lambda: unbounded.eval(0), lambda: unbounded.prefix(4)):
     try:
         read()

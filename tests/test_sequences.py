@@ -1,4 +1,5 @@
-"""Generator families, windows, snapping, and CSV round trips."""
+"""Generator families, range reads, windows, snapping, the rotation screen
+and CSV round trips."""
 
 import io
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbscope as nb
-from nbscope.sequences import SequenceError
+from nbscope.sequences import SequenceError, _exponent_factory, _frac_shift_exact
 
 
 # --- independent oracle: the paired polynomial recursion -------------------
@@ -79,10 +80,9 @@ def test_rotation_rejects_rational():
         nb.make_sequence(nb.rotation(0.5))
     with pytest.raises(SequenceError):
         nb.make_sequence(nb.rotation(float(Fraction(355, 113))))
-    # sqrt(3) has a rational approximation with denominator 978122 within
-    # 9.1e-13, so the conservative screen rejects it as well
-    with pytest.raises(SequenceError):
-        nb.make_sequence(nb.rotation(math.sqrt(3)))
+    # sqrt(3) lies within 9.1e-13 of a fraction with denominator 978122,
+    # thousands of ulps away: an irrational, so it is accepted
+    nb.make_sequence(nb.rotation(math.sqrt(3)))
 
 
 def test_rotation_high_index_precision():
@@ -123,8 +123,7 @@ def test_erdos_block_prefix_matches_scalar():
     for edge in ("hard", "soft"):
         seq = nb.make_sequence(nb.erdos(edge))
         arr = seq.prefix(800)
-        fresh = nb.make_sequence(nb.erdos(edge))
-        pointwise = np.array([fresh._fn(n) for n in range(800)], dtype=complex)
+        pointwise = np.array([scalar_erdos(edge)(n) for n in range(800)], dtype=complex)
         np.testing.assert_array_equal(arr, pointwise)
 
 
@@ -318,3 +317,404 @@ def test_csv_rejects_non_finite_and_malformed_values(text):
             nb.read_sequence_csv(io.StringIO(f"n,re,im\n0,1,0\n{row}\n"))
     with pytest.raises(SequenceError):
         nb.read_window_csv(io.StringIO(f"n,re,im\n-1,1,0\n0,{text},0\n1,1,0\n"))
+
+
+# ---------------------------------------------------------------------------
+# Range reads: every family has one block(lo, hi); the per-index generators
+# it replaced are kept below verbatim as oracles.
+
+
+def _rs_value(n: int) -> int:
+    # parity of the count of adjacent "11" bit pairs
+    return 1 if ((n & (n >> 1)).bit_count() & 1) == 0 else -1
+
+
+def _erdos_gap_value(t: int, gap_len: int) -> float:
+    rise = math.isqrt(gap_len)
+    return min(t + 1.0, float(gap_len - t), rise + 1.0) / (rise + 1.0)
+
+
+def _erdos_locate(n: int):
+    """(in_block, gap_lo, gap_len) for index n."""
+    f, j = 2, 2
+    prev_end = -1
+    while True:
+        if n < f:
+            return False, prev_end + 1, f - (prev_end + 1)
+        if n <= f + j:
+            return True, 0, 0
+        prev_end = f + j
+        j += 1
+        f *= j
+
+
+class _ExponentSet:
+    """Lazily grown ascending exponent set with O(1) membership for seen range."""
+
+    def __init__(self, iterator_factory):
+        self._it = iterator_factory()
+        self._seen = set()
+        self._limit = -1  # all exponents <= _limit are in _seen
+        self._last = -1
+
+    def grow_to(self, n: int):
+        while self._limit < n:
+            e = next(self._it, None)
+            if e is None:
+                self._limit = math.inf
+                return
+            if e < 0 or e <= self._last:
+                raise SequenceError(
+                    "exponent stream must be strictly ascending and nonnegative")
+            self._last = e
+            self._seen.add(e)
+            self._limit = e
+
+    def __contains__(self, n: int) -> bool:
+        self.grow_to(n)
+        return n in self._seen
+
+
+_SCALAR_BOUNDARY_FNS = {
+    "fractional-part": lambda x: x,
+    "half-indicator": lambda x: 1.0 if x < 0.5 else 0.0,
+}
+
+
+def scalar_periodic(pattern):
+    pattern = tuple(complex(v) for v in pattern)
+    p = len(pattern)
+
+    def fn(n):
+        return pattern[n % p]
+
+    return fn
+
+
+def scalar_gap_powers(exponents, fill):
+    fill = complex(fill)
+    exps = _ExponentSet(_exponent_factory(exponents))
+
+    def fn(n):
+        return fill if n in exps else 0.0
+
+    return fn
+
+
+def scalar_rotation(q, theta, boundary_fn):
+    if isinstance(boundary_fn, str):
+        func = _SCALAR_BOUNDARY_FNS[boundary_fn]
+    else:
+        func = boundary_fn[0]
+
+    def fn(n):
+        return func(_frac_shift_exact(n, q, theta))
+
+    return fn
+
+
+def scalar_erdos(edge):
+    hard = edge == "hard"
+
+    def fn(n):
+        in_block, gap_lo, gap_len = _erdos_locate(n)
+        if in_block:
+            return 0.0
+        if hard:
+            return 1.0
+        return _erdos_gap_value(n - gap_lo, gap_len)
+
+    return fn
+
+
+def scalar_explicit(values):
+    values = tuple(complex(v) for v in values)
+
+    def fn(n):
+        return values[n]
+
+    return fn
+
+
+def scalar_snapped(source_fn, points, horizon):
+    """The snapped sequence's per-index read over a scalar source oracle
+    (the stored part is rebuilt as snap_to_limit_points builds it)."""
+    pts = [complex(p) for p in points]
+    parr = np.asarray(pts, dtype=complex)
+    raw = np.array([complex(source_fn(n)) for n in range(horizon + 1)]) + 0j
+    snapped_tuple = tuple(complex(v) for v in
+                          parr[np.argmin(np.abs(raw[:, None] - parr[None, :]), axis=1)])
+
+    def fn(n):
+        if n <= horizon:
+            return snapped_tuple[n]
+        v = complex(source_fn(n)) + 0j
+        return min(pts, key=lambda p: abs(v - p))
+
+    return fn
+
+
+_BIG = ((2 ** 32 - 40, 2 ** 32 + 40), (2 ** 53 - 40, 2 ** 53 + 40), (2 ** 63 - 64, 2 ** 63))
+
+
+def _around(points, before=3, after=4):
+    return tuple((max(0, x - before), x + after) for x in points)
+
+
+def _erdos_edges():
+    """Block starts j!, block ends j!+j, and the two points of each gap
+    where the ramp stops rising or starts falling."""
+    out, g = [], 0
+    for j in range(2, 21):
+        f = math.factorial(j)
+        rise = math.isqrt(f - g)
+        out += [f, f + j, g + rise, f - rise - 1]
+        g = f + j + 1
+    return _around(out)
+
+
+_SQRT2 = math.sqrt(2) % 1
+_SNAP_SOURCE = (nb.periodic([0.5, 0.0, 1.0, 0.9, -0.2]), scalar_periodic([0.5, 0.0, 1.0, 0.9, -0.2]))
+
+# name -> (sequence factory, scalar oracle, ranges straddling block edges)
+FAMILIES = {
+    "periodic-5": (lambda: nb.make_sequence(nb.periodic([1, -1, 1j, -0.0, 0.5 + 2j])),
+                   scalar_periodic([1, -1, 1j, -0.0, 0.5 + 2j]),
+                   _around([5, 10, 25, 5 * 10 ** 6]) + ((0, 23),) + _BIG),
+    "periodic-1": (lambda: nb.make_sequence(nb.periodic([7])), scalar_periodic([7]),
+                   ((0, 5),) + _BIG),
+    "gap-factorials": (lambda: nb.make_sequence(nb.gap_powers("factorials", 1)),
+                       scalar_gap_powers("factorials", 1),
+                       _around([math.factorial(k) for k in range(1, 21)]) + _BIG),
+    "gap-squares": (lambda: nb.make_sequence(nb.gap_powers("squares", 2 - 1j)),
+                    scalar_gap_powers("squares", 2 - 1j),
+                    _around([0, 1, 4, 9, 10_000, 2 ** 32]) + ((0, 50),)),
+    "gap-custom": (lambda: nb.make_sequence(
+                       nb.gap_powers([0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10], 0.5j)),
+                   scalar_gap_powers([0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10], 0.5j),
+                   _around([0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10], 3, 3)
+                   + ((0, 40),) + _BIG),
+    "rudin-shapiro": (lambda: nb.make_sequence(nb.rudin_shapiro()), _rs_value,
+                      _around([2 ** k for k in range(1, 13)]) + ((0, 70),) + _BIG),
+    "rotation-frac": (lambda: nb.make_sequence(nb.rotation(_SQRT2, 0.3)),
+                      scalar_rotation(_SQRT2, 0.3, "fractional-part"), ((0, 200),) + _BIG),
+    "rotation-half": (lambda: nb.make_sequence(
+                          nb.rotation(math.sqrt(10) % 1, 0.05, "half-indicator")),
+                      scalar_rotation(math.sqrt(10) % 1, 0.05, "half-indicator"),
+                      ((0, 200),) + _BIG),
+    "rotation-custom": (lambda: nb.make_sequence(
+                            nb.rotation(math.sqrt(7) % 1, 0.6, (lambda x: math.sin(7 * x), 1.0))),
+                        scalar_rotation(math.sqrt(7) % 1, 0.6, (lambda x: math.sin(7 * x), 1.0)),
+                        ((0, 100),) + _BIG),
+    "rotation-custom-complex": (
+        lambda: nb.make_sequence(nb.rotation(
+            _SQRT2, 0.1, (lambda x: complex(math.cos(6 * x), -math.sin(6 * x)), 1.0))),
+        scalar_rotation(_SQRT2, 0.1, (lambda x: complex(math.cos(6 * x), -math.sin(6 * x)), 1.0)),
+        ((0, 100),) + _BIG),
+    "rotation-large-denominator": (
+        lambda: nb.make_sequence(nb.rotation(math.sqrt(2) * 1e-7, 0.25)),
+        scalar_rotation(math.sqrt(2) * 1e-7, 0.25, "fractional-part"),
+        ((0, 100),) + _BIG),
+    "erdos-hard": (lambda: nb.make_sequence(nb.erdos("hard")), scalar_erdos("hard"),
+                   _erdos_edges() + ((0, 130),) + _BIG),
+    "erdos-soft": (lambda: nb.make_sequence(nb.erdos("soft")), scalar_erdos("soft"),
+                   _erdos_edges() + ((0, 130),) + _BIG),
+    "explicit": (lambda: nb.make_sequence(nb.explicit([complex(n % 7, -(n % 3)) for n in range(50)])),
+                 scalar_explicit([complex(n % 7, -(n % 3)) for n in range(50)]),
+                 ((0, 50), (10, 20), (49, 50), (50, 50))),
+    "snapped": (lambda: nb.snap_to_limit_points(nb.make_sequence(_SNAP_SOURCE[0]), [1.0, 0.0],
+                                                onset_tol=0.01, scan_horizon=10),
+                scalar_snapped(_SNAP_SOURCE[1], [1.0, 0.0], 10),
+                _around([10, 11]) + ((0, 40),) + _BIG),
+    "snapped-first-point-zero": (
+        lambda: nb.snap_to_limit_points(nb.make_sequence(_SNAP_SOURCE[0]), [0.0, 1.0],
+                                        onset_tol=0.01, scan_horizon=12),
+        scalar_snapped(_SNAP_SOURCE[1], [0.0, 1.0], 12),
+        _around([12, 13]) + ((0, 40),) + _BIG),
+    "snapped-rotation": (
+        lambda: nb.snap_to_limit_points(nb.make_sequence(nb.rotation(_SQRT2, 0.3)),
+                                        [0.0, 0.5, 1.0], onset_tol=0.01, scan_horizon=1000),
+        scalar_snapped(scalar_rotation(_SQRT2, 0.3, "fractional-part"), [0.0, 0.5, 1.0], 1000),
+        _around([1000, 1001], 20, 20) + _BIG),
+}
+
+
+def _oracle_values(fn, lo, hi):
+    return np.array([complex(fn(n)) for n in range(lo, hi)], dtype=complex)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_block_bit_identical_to_scalar_oracle(name):
+    make, fn, ranges = FAMILIES[name]
+    seq = make()
+    for lo, hi in ranges:
+        want = _oracle_values(fn, lo, hi)
+        got = np.asarray(seq._block(lo, hi), dtype=complex)
+        assert got.tobytes() == want.tobytes(), (name, lo, hi)
+        # the checked read is the block with signed zeros canonicalised,
+        # which is what the scalar eval returned
+        assert seq._read(lo, hi).tobytes() == (want + 0j).tobytes(), (name, lo, hi)
+        for n in (lo, (lo + hi) // 2, hi - 1)[:hi - lo]:
+            assert repr(make().eval(n)) == repr(complex(fn(n)) + 0j), (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_reads_past_the_index_domain_raise(name):
+    seq = FAMILIES[name][0]()
+    for n in (2 ** 63, 2 ** 64 + 5):
+        with pytest.raises(SequenceError):
+            seq.eval(n)
+    with pytest.raises(SequenceError):
+        seq.eval(-1)
+
+
+def _growth_cases():
+    cases = {name: make for name, (make, _, _) in FAMILIES.items() if name != "explicit"}
+    cases["explicit"] = lambda: nb.make_sequence(nb.explicit([n % 5 - 2.5j for n in range(30000)]))
+    cases["stochastic"] = lambda: nb.sample_process(nb.markov_process(
+        [0, 1, 1j], [[0.5, 0.5, 0], [0.2, 0.3, 0.5], [1, 0, 0]], seed=4), 30000)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_growth_cases()))
+def test_prefix_grows_from_where_it_stopped(name):
+    make = _growth_cases()[name]
+    whole = make().prefix(20000)
+    seq = make()
+    calls = []
+    block = seq._block
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return block(lo, hi)
+
+    seq._block = counting
+    for count in (1, 8, 1008, 5107, 5107, 3, 0, 9000, 20000):
+        assert seq.prefix(count).tobytes() == whole[:count].tobytes()
+    assert calls == [(0, 1), (1, 8), (8, 1008), (1008, 5107), (5107, 9000), (9000, 20000)]
+    # cached reads go through no block call
+    assert seq.eval(4321) == whole[4321]
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_window_is_the_tuple_of_evals(name):
+    make, _, ranges = FAMILIES[name]
+    seq = make()
+    seq.prefix(30)      # windows straddle the cache end as well as lie past it
+    for lo, hi in ranges:
+        for W in (0, 1, 3):
+            c = max((lo + hi) // 2, W)
+            if c + W >= (seq.length or 2 ** 63):
+                continue
+            win = seq.window(c, W)
+            fresh = make()
+            evals = tuple(fresh.eval(c + k) for k in range(-W, W + 1))
+            assert repr(win.values) == repr(evals), (name, c, W)
+            assert win.provenance == {"kind": "center", "n": c}
+
+
+def test_concurrent_growth_reads_each_index_once():
+    """Threads growing one sequence's prefix and sparse support at once, as
+    the arc scan's radii do, get exact values, read every index once and
+    never shorten the cache."""
+    import sys
+    import threading
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for spec in (nb.rudin_shapiro(), nb.gap_powers("squares", 1)):
+            want = nb.make_sequence(spec).prefix(200_000)
+            seq = nb.make_sequence(spec)
+            calls, errors, block = [], [], seq._block
+
+            def counting(lo, hi):
+                calls.append((lo, hi))
+                return block(lo, hi)
+
+            def worker(k):
+                rng = np.random.default_rng(k)
+                try:
+                    for count in rng.integers(0, 200_001, size=40).tolist():
+                        if seq.prefix(count).tobytes() != want[:count].tobytes():
+                            errors.append(("prefix", count))
+                        if hasattr(seq, "gap_support"):
+                            exps, _ = seq.gap_support(count * 50 + 1)
+                            if exps != [i * i for i in range(math.isqrt(count * 50) + 1)]:
+                                errors.append(("support", count))
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            seq._block = counting
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
+            assert seq._cache.shape[0] == calls[-1][1]
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_negative_prefix_count_rejected():
+    seq = nb.make_sequence(nb.periodic([1, 0]))
+    assert seq.prefix(10).shape == (10,)
+    with pytest.raises(SequenceError):
+        seq.prefix(-3)
+    with pytest.raises(SequenceError):
+        nb.make_sequence(nb.rudin_shapiro()).prefix(-1)
+
+
+def test_reads_past_explicit_length_rejected():
+    seq = nb.make_sequence(nb.explicit([1, 2, 3]))
+    with pytest.raises(SequenceError):
+        seq.eval(3)
+    with pytest.raises(SequenceError):
+        seq.prefix(4)
+    with pytest.raises(SequenceError):
+        seq.window(2, 1)
+    assert seq.window(1, 1).values == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Rotation irrationality screen
+
+
+def _old_screen_rejects(q):
+    approx = Fraction(q).limit_denominator(10 ** 6)
+    return abs(q - float(approx)) < 1e-12
+
+
+def _rejected(q):
+    try:
+        nb.make_sequence(nb.rotation(q))
+    except SequenceError:
+        return True
+    return False
+
+
+def test_rotation_accepts_every_irrational_square_root():
+    for k in range(2, 200):
+        if math.isqrt(k) ** 2 != k:
+            assert not _rejected(math.sqrt(k) % 1), k
+            assert not _rejected(math.sqrt(k)), k
+
+
+def test_rotation_rejects_doubles_of_small_denominator_rationals():
+    for q in (1 / 3, 355 / 113, 0.1 * 3, 0.0, 0.5, 999_999 / 1_000_000, 1 / 999_983):
+        assert _rejected(q), q
+    rng = np.random.default_rng(7)
+    for d in rng.integers(2, 10 ** 6 + 1, size=300).tolist():
+        p = int(rng.integers(1, d))
+        assert _rejected(p / d), (p, d)
+
+
+def test_rotation_screen_rejects_few_uniform_numbers_and_only_old_rejections():
+    qs = np.random.default_rng(2024).random(10_000).tolist()
+    rejected = [q for q in qs if _rejected(q)]
+    assert len(rejected) < 0.01 * len(qs)
+    assert all(_old_screen_rejects(q) for q in rejected)
