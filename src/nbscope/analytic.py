@@ -197,12 +197,6 @@ def _sum_series(coeffs: np.ndarray, z: complex, start_exponent: int = 0) -> comp
     return _sum_series_with_mass(coeffs, z, start_exponent)[0]
 
 
-def _coeffs_for(seq: OneSidedSequence, count: int) -> np.ndarray:
-    if seq.length is not None:
-        count = min(count, seq.length)
-    return seq.prefix(count)
-
-
 def _gap_support(seq: OneSidedSequence, count: int):
     """(exponents, fill) for a sparse gap-power family, else None."""
     support = getattr(seq, "gap_support", None)
@@ -215,7 +209,14 @@ def _gap_support(seq: OneSidedSequence, count: int):
 def eval_f(seq: OneSidedSequence, z: complex, tol: float = 1e-10) -> EvalResult:
     """Evaluate f(z) = sum a_n z^n inside the disk to within ``tol``."""
     z = complex(z)
-    r = abs(z)
+    return _eval_series(seq, z, abs(z), tol)
+
+
+def _eval_series(seq: OneSidedSequence, z: complex, r: float, tol: float,
+                 offset: int = 0) -> EvalResult:
+    """sum_n a_n z^(n + offset) to within ``tol``, where r = |z| < 1 (the
+    outside series of a two-sided sequence passes r = 1.0 / |z|, which can
+    differ from abs(1 / z) in the last bit, and offset 1)."""
     if r > 1.0 - _INSIDE_MARGIN:
         raise AnalyticError(
             f"|z| = {r} too close to the unit circle (need <= {1 - _INSIDE_MARGIN})")
@@ -227,15 +228,14 @@ def eval_f(seq: OneSidedSequence, z: complex, tol: float = 1e-10) -> EvalResult:
     if seq.length is not None and n_terms >= seq.length:
         # finite polynomial: no tail at all
         coeffs = seq.prefix(seq.length)
-        return EvalResult(_sum_series(coeffs, z), 0.0, seq.length)
-    bound = seq.bound * r ** n_terms / (1.0 - r)
+        return EvalResult(_sum_series(coeffs, z, offset), 0.0, seq.length)
+    bound = seq.bound * r ** (n_terms + offset) / (1.0 - r)
     sparse = _gap_support(seq, n_terms)
     if sparse is not None:
         exps, fill = sparse
-        val = kahan_complex_sum(fill * ipow(z, int(e)) for e in exps)
+        val = kahan_complex_sum(fill * ipow(z, int(e) + offset) for e in exps)
         return EvalResult(val, bound, n_terms)
-    coeffs = _coeffs_for(seq, n_terms)
-    return EvalResult(_sum_series(coeffs, z), bound, n_terms)
+    return EvalResult(_sum_series(seq.prefix(n_terms), z, offset), bound, n_terms)
 
 
 def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
@@ -269,7 +269,7 @@ def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
             f"|z|^shift underflows (|z| = {r}, shift = {shift}); use a "
             f"smaller shift or a larger |z|")
 
-    all_coeffs = _coeffs_for(seq, shift + m_terms)
+    all_coeffs = seq.prefix(shift + m_terms)
     head, tail = all_coeffs[:shift], all_coeffs[shift:]
 
     fplus_val, fplus_mass = _sum_series_with_mass(tail, z, 0)
@@ -313,6 +313,8 @@ def eval_two_sided(source, z: complex, tol: float = 1e-10) -> EvalResult:
     of a two-sided window or two-sided sequence.
 
     Windows are zero-padded beyond their radius, so their sums are exact.
+    A two-sided sequence sums its inside side at z, or its outside side at
+    1/z from exponent 1.
     """
     z = complex(z)
     r = abs(z)
@@ -320,32 +322,16 @@ def eval_two_sided(source, z: complex, tol: float = 1e-10) -> EvalResult:
         raise AnalyticError("two-sided evaluation is undefined on |z| = 1")
     if isinstance(source, TwoSidedWindow):
         W = source.radius
+        vals = source.as_array()
         if r < 1.0:
-            vals = np.asarray([source.value(k) for k in range(0, W + 1)], dtype=complex)
-            return EvalResult(_sum_series(vals, z, 0), 0.0, W + 1)
-        vals = np.asarray([source.value(-m) for m in range(1, W + 1)], dtype=complex)
-        return EvalResult(_sum_series(vals, 1.0 / z, 1), 0.0, W)
+            return EvalResult(_sum_series(vals[W:], z, 0), 0.0, W + 1)
+        return EvalResult(_sum_series(vals[:W][::-1], 1.0 / z, 1), 0.0, W)
     if not isinstance(source, TwoSidedSequence):
         raise AnalyticError(
             "source must be a TwoSidedWindow or TwoSidedSequence")
     if r < 1.0:
-        if r > 1.0 - _INSIDE_MARGIN:
-            raise AnalyticError("|z| too close to 1 from inside")
-        n_terms = truncation_length(source.bound, r, tol)
-        if n_terms > TERM_CAP:
-            raise NumericCapError(n_terms)
-        vals = np.asarray([source.eval(n) for n in range(n_terms)], dtype=complex)
-        bound = source.bound * r ** n_terms / (1.0 - r)
-        return EvalResult(_sum_series(vals, z, 0), bound, n_terms)
-    rinv = 1.0 / r
-    if rinv > 1.0 - _INSIDE_MARGIN:
-        raise AnalyticError("|z| too close to 1 from outside")
-    n_terms = truncation_length(source.bound, rinv, tol)
-    if n_terms > TERM_CAP:
-        raise NumericCapError(n_terms)
-    vals = np.asarray([source.eval(-m) for m in range(1, n_terms + 1)], dtype=complex)
-    bound = source.bound * rinv ** (n_terms + 1) / (1.0 - rinv)
-    return EvalResult(_sum_series(vals, 1.0 / z, 1), bound, n_terms)
+        return _eval_series(source.inside, z, r, tol)
+    return _eval_series(source.outside, 1.0 / z, 1.0 / r, tol, offset=1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +468,7 @@ def _scan_one_radius(seq, arc, r, m, tol):
         return None
     if seq.length is not None:
         n_terms = min(n_terms, seq.length)
-        trunc = 0.0 if n_terms == seq.length else seq.bound * r ** n_terms / (1.0 - r)
-    else:
-        trunc = seq.bound * r ** n_terms / (1.0 - r)
+    trunc = 0.0 if n_terms == seq.length else seq.bound * r ** n_terms / (1.0 - r)
     weight = arc.width / (2.0 * math.pi)
 
     sparse = (_gap_support(seq, n_terms)

@@ -146,6 +146,9 @@ def _cmd_certificate(args):
             if cert:
                 found.append(cert)
                 break
+    for cert in found:
+        if not cert.verify(seq):
+            raise sequences.VerificationError("certificate failed re-verification")
     report = {"certificates": [c.to_json_dict() for c in found]}
     _emit_json(args, "certificate", report)
     return EXIT_OK if found else EXIT_NO_FINDING
@@ -154,6 +157,10 @@ def _cmd_certificate(args):
 def _cmd_szego(args):
     seq = _build_sequence(args)
     rep = rightlimits.szego_block_analysis(seq, args.pmax, args.horizon)
+    for p, w in rep.per_p.items():
+        if isinstance(w, rightlimits.SzegoWitness) and not w.verify(seq):
+            raise sequences.VerificationError(
+                f"block-mismatch witness for p = {p} failed re-verification")
     _emit_json(args, "szego", rep.to_json_dict())
     return EXIT_OK
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .rightlimits import find_pair_certificate
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
-                        VerificationError, make_sequence)
+                        VerificationError, _exact_kind, make_sequence)
 
 __all__ = [
     "ProcessSpec",
@@ -113,11 +113,6 @@ def _rng_for(spec: ProcessSpec, trial=None):
     return np.random.default_rng(ss)
 
 
-def _exact_kind_for(values) -> str:
-    ints = all(v.imag == 0 and float(v.real).is_integer() for v in values)
-    return "exact-integer" if ints else "exact-rational"
-
-
 def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequence:
     """Draw one path of the process as an explicit sequence.
 
@@ -131,7 +126,7 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
         vals = np.asarray(spec.params["values"], dtype=complex)
         idx = rng.choice(len(vals), size=length, p=spec.params["probs"])
         path = vals[idx]
-        kind = _exact_kind_for(spec.params["values"])
+        kind = _exact_kind(spec.params["values"])
     elif spec.kind == "markov":
         rng = _rng_for(spec, trial)
         em = np.asarray(spec.params["emissions"], dtype=complex)
@@ -149,7 +144,7 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
             state = step_to[state][i]
             states.append(state)
         path = em[np.array(states, dtype=np.int64)]
-        kind = _exact_kind_for(spec.params["emissions"])
+        kind = _exact_kind(spec.params["emissions"])
     elif spec.kind == "rotation-driven":
         gen = make_sequence(GeneratorSpec("rotation", dict(spec.params)))
         path = gen.prefix(length).copy()
@@ -446,6 +441,7 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
 
     def run(trial):
         path = sample_process(spec, horizon + 1, trial=trial)
+        var, se = _variance_with_se(path.prefix(horizon + 1))
         for side in ("backward", "forward"):
             cert = find_pair_certificate(path, width, horizon, eps=eps,
                                          delta=delta, flank_side=side,
@@ -453,9 +449,7 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
             if cert is not None:
                 if not cert.verify(path):
                     raise VerificationError("witness failed path re-verification")
-                var, se = _variance_with_se(path.prefix(horizon + 1))
                 return TrialResult(trial, True, cert.pairs, side, var, se)
-        var, se = _variance_with_se(path.prefix(horizon + 1))
         return TrialResult(trial, False, (), None, var, se)
 
     results = [run(trial) for trial in range(trials)]

@@ -79,7 +79,6 @@ class AnalysisConfig:
     horizon: int = 100_000
     p_max: int = 8
     min_recurrence: int = 3
-    max_candidates: int = 16
     max_period: int = 64
     max_preperiod: int = 64
     periodicity_tol: float | None = None
@@ -87,6 +86,16 @@ class AnalysisConfig:
 
 def _resolve_eps(seq, eps):
     return default_eps(seq) if eps is None else float(eps)
+
+
+def _span_rows(seq, centers, offsets):
+    """a_{c+o} for each center c (a row) and ascending offset o (a column),
+    from one read of the span they cover."""
+    if not len(centers):
+        return np.empty((0, len(offsets)), dtype=complex)
+    lo = min(centers) + int(offsets[0])
+    vals = seq.read(lo, max(centers) + int(offsets[-1]) + 1)
+    return vals[(np.asarray(centers, dtype=np.int64) - lo)[:, None] + offsets]
 
 
 def _data_view(arr: np.ndarray):
@@ -114,12 +123,10 @@ class RightLimitCandidate:
     eps: float
 
     def verify(self, seq: OneSidedSequence) -> bool:
+        """Re-check every center, with the clustering's distance (np.abs)."""
         W = self.window.radius
-        for n in self.recurrence_indices:
-            for k in range(-W, W + 1):
-                if abs(seq.eval(n + k) - self.window.value(k)) > self.eps:
-                    return False
-        return True
+        rows = _span_rows(seq, self.recurrence_indices, np.arange(-W, W + 1))
+        return bool(np.all(np.abs(rows - self.window.as_array()) <= self.eps))
 
     def to_json_dict(self):
         return {
@@ -264,14 +271,12 @@ class NonReflectionlessCertificate:
     notes: tuple = ()
 
     def verify(self, seq: OneSidedSequence) -> bool:
-        """Re-check every witness against raw sequence reads."""
+        """Re-check every witness against one raw read of their span."""
         if self.kind == "GapZeroFlank":
-            return all(verify_gap_hit(seq, n, self.flank_width, self.eps,
-                                      self.delta, self.decay)
-                       for n in self.witnesses)
-        return all(verify_pair(seq, n, m, self.flank_width, self.eps,
-                               self.delta, self.flank_side)
-                   for n, m in (self.pairs or ()))
+            return _gap_hits_hold(seq, self.witnesses, self.flank_width,
+                                  self.eps, self.delta, self.decay)
+        return _pairs_hold(seq, self.pairs or (), self.flank_width, self.eps,
+                           self.delta, self.flank_side)
 
     def to_json_dict(self):
         return {
@@ -295,15 +300,28 @@ def _check_tolerances(eps, delta):
             f"(delta={delta}, eps={eps})")
 
 
+def _flank_thresholds(width, eps, decay):
+    """Bounds on |a_{n-k}|, k = 1..width, at a zero-flank hit: eps, or
+    C e^{-D k} + eps under the decay envelope (C, D)."""
+    return np.array([eps if decay is None
+                     else float(decay[0]) * math.exp(-float(decay[1]) * k) + eps
+                     for k in range(1, width + 1)])
+
+
+def _gap_hits_hold(seq, centers, width, eps, delta, decay):
+    """Whether every center is a zero-flank hit, with the search's distance
+    (np.abs) and thresholds."""
+    if any(n < width for n in centers):
+        return False
+    # columns: offsets -width..-1, then the center
+    ab = np.abs(_span_rows(seq, centers, np.arange(-width, 1)))
+    return bool(np.all(ab[:, :-1] <= _flank_thresholds(width, eps, decay)[::-1])
+                and np.all(ab[:, -1] >= delta))
+
+
 def verify_gap_hit(seq: OneSidedSequence, n: int, width: int, eps: float,
                    delta: float, decay=None) -> bool:
-    if n < width:
-        return False
-    for k in range(1, width + 1):
-        thr = eps if decay is None else decay[0] * math.exp(-decay[1] * k) + eps
-        if abs(seq.eval(n - k)) > thr:
-            return False
-    return abs(seq.eval(n)) >= delta
+    return _gap_hits_hold(seq, (n,), width, eps, delta, decay)
 
 
 def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
@@ -324,12 +342,11 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
         raise SequenceError("horizon smaller than flank width")
     ab = np.abs(seq.prefix(h + 1))
 
+    thr = _flank_thresholds(width, eps, decay)
     ok = np.ones(h + 1 - width, dtype=bool)
     for k in range(1, width + 1):
-        thr = (eps if decay is None
-               else float(decay[0]) * math.exp(-float(decay[1]) * k) + eps)
         # flank offset -k of center n = index n-k; centers n = width..h
-        ok &= ab[width - k: h + 1 - k] <= thr
+        ok &= ab[width - k: h + 1 - k] <= thr[k - 1]
     centers = np.arange(width, h + 1)
     hits = centers[ok & (ab[centers] >= delta)]
     if hits.size < min_recurrence:
@@ -346,18 +363,22 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     )
 
 
+def _pairs_hold(seq, pairs, width, eps, delta, flank_side):
+    """Whether every pair (n, m) has flanks within eps and centers at least
+    delta apart.  The distance is hypot(re, im), bit for bit the Python abs
+    of the pair walk (np.abs on complex values can differ in the last bit)."""
+    offs = np.arange(-width, 1) if flank_side == "backward" else np.arange(width + 1)
+    if any(n == m or min(n, m) + int(offs[0]) < 0 for n, m in pairs):
+        return False
+    rows = _span_rows(seq, [n for n, _ in pairs] + [m for _, m in pairs], offs)
+    d = rows[:len(pairs)] - rows[len(pairs):]
+    dist = np.hypot(d.real, d.imag)
+    return bool(np.all(dist[:, offs != 0] <= eps) and np.all(dist[:, offs == 0] >= delta))
+
+
 def verify_pair(seq: OneSidedSequence, n: int, m: int, width: int, eps: float,
                 delta: float, flank_side: str = "backward") -> bool:
-    if n == m:
-        return False
-    offs = range(-width, 0) if flank_side == "backward" else range(1, width + 1)
-    lo = min(n, m) + min(offs)
-    if lo < 0:
-        return False
-    for k in offs:
-        if abs(seq.eval(n + k) - seq.eval(m + k)) > eps:
-            return False
-    return abs(seq.eval(n) - seq.eval(m)) >= delta
+    return _pairs_hold(seq, ((n, m),), width, eps, delta, flank_side)
 
 
 def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
@@ -537,13 +558,11 @@ class SzegoWitness:
     mismatch: int
 
     def verify(self, seq: OneSidedSequence) -> bool:
+        """Re-check the agreeing blocks and the mismatch exactly."""
         if self.mismatch < self.p + 1:
             return False
-        for j in range(1, self.p + 1):
-            if seq.eval(self.first + j - 1) != seq.eval(self.second + j - 1):
-                return False
-        return (seq.eval(self.first + self.mismatch - 1)
-                != seq.eval(self.second + self.mismatch - 1))
+        a, b = _span_rows(seq, (self.first, self.second), np.arange(self.mismatch))
+        return bool(np.all(a[:self.p] == b[:self.p]) and a[-1] != b[-1])
 
     def to_json_dict(self):
         return {"p": self.p, "first": self.first, "second": self.second,

@@ -30,7 +30,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -165,9 +165,10 @@ class OneSidedSequence:
     """A bounded coefficient sequence with a certified sup bound.
 
     Every value comes from one vectorized block function: ``block(lo, hi)``
-    returns a_lo..a_{hi-1} for 0 <= lo <= hi.  :meth:`eval` (one index),
-    :meth:`prefix` (the first ``count`` values, cached and grown from where
-    the cache stops) and :meth:`window` are views of it.  Each read
+    returns a_lo..a_{hi-1} for 0 <= lo <= hi.  :meth:`read` (any range)
+    and :meth:`prefix` (the first ``count`` values, cached and grown from
+    where the cache stops) are views of it; :meth:`eval` and :meth:`window`
+    are single reads.  Each read
     canonicalises signed zeros to +0.0, so bit-pattern keys over values
     mean value equality, and checks what it read against the bound.
     Indices run over 0 <= n < 2^63.  ``value_kind`` records whether values
@@ -197,10 +198,15 @@ class OneSidedSequence:
     def exact(self) -> bool:
         return self.value_kind in ("exact-integer", "exact-rational")
 
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        """a_lo..a_{hi-1} straight from the block function, canonicalised
-        and bound-checked."""
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """a_lo..a_{hi-1}: a view of the cached prefix when it covers the
+        range, else one block read that is not cached (only :meth:`prefix`
+        grows the cache, so a far read never builds a prefix)."""
         lo, hi = operator.index(lo), operator.index(hi)
+        if hi < lo:
+            raise SequenceError(f"read range [{lo}, {hi}) ends before it starts")
+        if 0 <= lo and hi <= self._cache.shape[0]:
+            return self._cache[lo:hi]       # the cache only grows
         if lo < 0:
             raise SequenceError(f"index must be >= 0, got {lo}")
         end = _INDEX_END if self.length is None else self.length
@@ -215,9 +221,7 @@ class OneSidedSequence:
         return arr
 
     def eval(self, n: int) -> complex:
-        if 0 <= n < self._cache.shape[0]:
-            return complex(self._cache[n])
-        return complex(self._read(n, n + 1)[0])
+        return complex(self.read(n, n + 1)[0])
 
     def prefix(self, count: int) -> np.ndarray:
         """First ``count`` values as a complex array (cached; a longer
@@ -229,7 +233,7 @@ class OneSidedSequence:
         with self._grow_lock:
             done = self._cache.shape[0]
             if count > done:
-                new = self._read(done, count)
+                new = self.read(done, count)
                 self._cache = np.concatenate((self._cache, new)) if done else new
             return self._cache[:count]
 
@@ -285,7 +289,7 @@ def window(seq: OneSidedSequence, center: int, radius: int) -> TwoSidedWindow:
     if center < radius:
         raise SequenceError(
             f"window center {center} smaller than radius {radius}")
-    vals = tuple(seq._read(center - radius, center + radius + 1).tolist())
+    vals = tuple(seq.read(center - radius, center + radius + 1).tolist())
     return TwoSidedWindow(vals, radius, {"kind": "center", "n": center},
                           eps=0.0, bound=seq.bound)
 
@@ -630,7 +634,7 @@ def snap_to_limit_points(seq: OneSidedSequence, points: Sequence[complex],
     def block(lo, hi):
         # stored values up to the scan horizon, nearest points past it
         # (argmin keeps the first of equally near points, as min() does)
-        past = seq._read(max(lo, horizon + 1), max(hi, horizon + 1))
+        past = seq.read(max(lo, horizon + 1), max(hi, horizon + 1))
         near = parr[np.argmin(np.abs(past[:, None] - parr[None, :]), axis=1)]
         return np.concatenate((snapped[lo:hi], near))
 
@@ -648,42 +652,33 @@ def snap_to_limit_points(seq: OneSidedSequence, points: Sequence[complex],
 
 @dataclass(frozen=True)
 class TwoSidedSequence:
-    """A bounded two-sided sequence n -> b_n, n in Z."""
+    """A bounded two-sided sequence b_n, n in Z, as two one-sided sequences:
+    ``inside`` holds b_0, b_1, ... and ``outside`` holds b_{-1}, b_{-2}, ..."""
 
-    fn: Callable[[int], complex]
-    bound: float
+    inside: OneSidedSequence
+    outside: OneSidedSequence
     description: str = "two-sided"
-
-    def eval(self, n: int) -> complex:
-        v = complex(self.fn(n))
-        if not abs(v) <= self.bound * (1 + 1e-12) + _BOUND_SLACK:
-            raise VerificationError(
-                f"|b_{n}| = {abs(v)} exceeds certified bound {self.bound}")
-        return v
 
 
 def constant_extension(c: complex) -> TwoSidedSequence:
     c = complex(c)
-    return TwoSidedSequence(lambda n: c, abs(c), f"constant {c}")
+    side = make_sequence(periodic([c]))
+    return TwoSidedSequence(side, side, f"constant {c}")
 
 
 def periodic_extension(pattern: Sequence[complex]) -> TwoSidedSequence:
-    pat = tuple(complex(v) for v in pattern)
-    if not pat:
-        raise SequenceError("periodic pattern must be nonempty")
-    p = len(pat)
-    bound = max(abs(v) for v in pat)
-    return TwoSidedSequence(lambda n: pat[n % p], bound, f"periodic({p})")
+    inside = make_sequence(periodic(pattern))
+    pat = inside.params["pattern"]
+    # b_{-m} = pat[-m mod p]: the outside side runs through the pattern backwards
+    return TwoSidedSequence(inside, make_sequence(periodic(pat[::-1])),
+                            f"periodic({len(pat)})")
 
 
 def window_extension(win: TwoSidedWindow) -> TwoSidedSequence:
     """Zero-padding beyond the window radius."""
     W = win.radius
-
-    def fn(n):
-        return win.value(n) if abs(n) <= W else 0.0
-
-    return TwoSidedSequence(fn, max(abs(v) for v in win.values) if win.values else 0.0,
+    return TwoSidedSequence(make_sequence(explicit(win.values[W:])),
+                            make_sequence(explicit(win.values[W - 1::-1] if W else (0,))),
                             "zero-padded window")
 
 

@@ -192,6 +192,124 @@ def test_outside_bound_holds():
         assert abs(res.value) <= A / (1 - 1 / r) + 1e-9
 
 
+# the per-index two-sided path, as it was: one fn call and bound check per
+# index, with the bound of the whole two-sided sequence
+
+class LoopTwoSided:
+    def __init__(self, fn, bound):
+        self.fn, self.bound = fn, bound
+
+    def eval(self, n: int) -> complex:
+        v = complex(self.fn(n))
+        if not abs(v) <= self.bound * (1 + 1e-12) + 1e-9:
+            raise nb.VerificationError(
+                f"|b_{n}| = {abs(v)} exceeds certified bound {self.bound}")
+        return v
+
+
+def loop_constant_extension(c):
+    c = complex(c)
+    return LoopTwoSided(lambda n: c, abs(c))
+
+
+def loop_periodic_extension(pattern):
+    pat = tuple(complex(v) for v in pattern)
+    p = len(pat)
+    bound = max(abs(v) for v in pat)
+    return LoopTwoSided(lambda n: pat[n % p], bound)
+
+
+def loop_eval_two_sided(source, z, tol=1e-10):
+    from nbscope.analytic import _INSIDE_MARGIN, TERM_CAP, _sum_series
+
+    z = complex(z)
+    r = abs(z)
+    if isinstance(source, nb.TwoSidedWindow):
+        W = source.radius
+        if r < 1.0:
+            vals = np.asarray([source.value(k) for k in range(0, W + 1)], dtype=complex)
+            return nb.EvalResult(_sum_series(vals, z, 0), 0.0, W + 1)
+        vals = np.asarray([source.value(-m) for m in range(1, W + 1)], dtype=complex)
+        return nb.EvalResult(_sum_series(vals, 1.0 / z, 1), 0.0, W)
+    if r < 1.0:
+        if r > 1.0 - _INSIDE_MARGIN:
+            raise AnalyticError("|z| too close to 1 from inside")
+        n_terms = truncation_length(source.bound, r, tol)
+        if n_terms > TERM_CAP:
+            raise NumericCapError(n_terms)
+        vals = np.asarray([source.eval(n) for n in range(n_terms)], dtype=complex)
+        bound = source.bound * r ** n_terms / (1.0 - r)
+        return nb.EvalResult(_sum_series(vals, z, 0), bound, n_terms)
+    rinv = 1.0 / r
+    if rinv > 1.0 - _INSIDE_MARGIN:
+        raise AnalyticError("|z| too close to 1 from outside")
+    n_terms = truncation_length(source.bound, rinv, tol)
+    if n_terms > TERM_CAP:
+        raise NumericCapError(n_terms)
+    vals = np.asarray([source.eval(-m) for m in range(1, n_terms + 1)], dtype=complex)
+    bound = source.bound * rinv ** (n_terms + 1) / (1.0 - rinv)
+    return nb.EvalResult(_sum_series(vals, 1.0 / z, 1), bound, n_terms)
+
+
+def _bits(res):
+    return (res.value.real.hex(), res.value.imag.hex(), res.abs_error_bound.hex(),
+            res.terms_used)
+
+
+def _seeded_points(rng, count):
+    """Points inside and outside the disk, from near 0 to near the circle."""
+    radii = np.concatenate([rng.uniform(0.01, 0.999, count), rng.uniform(1.001, 5.0, count)])
+    return (radii * np.exp(1j * rng.uniform(0, 2 * math.pi, 2 * count))).tolist()
+
+
+def test_two_sided_sides_match_the_per_index_path_bit_for_bit():
+    # complex values whose np.abs and Python abs agree, so that both paths
+    # start from the same bound
+    agreeing = [v for v in (np.random.default_rng(0).normal(size=(60, 2)) @ [1, 1j]).tolist()
+                if float(np.abs(np.complex128(v))) == abs(v)]
+    rng = np.random.default_rng(8)
+    cases = [(nb.constant_extension(c), loop_constant_extension(c))
+             for c in (1.0, -0.75, 0.0, 1j, agreeing[0])]
+    for p in range(1, 8):
+        for pat in (rng.integers(-2, 3, p).astype(float).tolist(),
+                    rng.normal(size=p).tolist(), agreeing[p:2 * p]):
+            cases.append((nb.periodic_extension(pat), loop_periodic_extension(pat)))
+    for ext, loop in cases:
+        for z in _seeded_points(rng, 6):
+            for tol in (1e-6, 1e-10, 1e-12):
+                assert _bits(eval_two_sided(ext, z, tol)) == \
+                    _bits(loop_eval_two_sided(loop, z, tol)), (ext.description, z, tol)
+    for W in range(4):
+        win = nb.TwoSidedWindow(tuple(rng.normal(size=2 * W + 1) + 0j), W, {"kind": "test"})
+        for z in _seeded_points(rng, 6):
+            assert _bits(eval_two_sided(win, z)) == _bits(loop_eval_two_sided(win, z))
+
+
+def test_two_sided_sequence_at_zero_returns_b0():
+    ext = nb.periodic_extension([2.0, -1.0, 0.5])
+    res = eval_two_sided(ext, 0.0)
+    assert (res.value, res.abs_error_bound, res.terms_used) == (2.0, 0.0, 1)
+    with pytest.raises(AnalyticError):   # the per-index path refused z = 0
+        loop_eval_two_sided(loop_periodic_extension([2.0, -1.0, 0.5]), 0.0)
+
+
+@pytest.mark.parametrize("W", [0, 1, 2, 5])
+def test_window_extension_sums_are_exact_when_the_truncation_covers_the_window(W):
+    rng = np.random.default_rng(W)
+    win = nb.TwoSidedWindow(tuple(rng.normal(size=2 * W + 1) + 0j), W, {"kind": "test"})
+    ext = nb.window_extension(win)
+    for z in (0.5, -0.3 + 0.4j, 2.0, 3.0 - 1.0j):
+        assert _bits(eval_two_sided(ext, z)) == _bits(eval_two_sided(win, z))
+    # a truncation that stops inside the window keeps the side's tail bound
+    inside = np.asarray(win.values[W:])
+    res = eval_two_sided(ext, 0.2, tol=0.5)
+    assert res.terms_used < W + 1
+    side_bound = float(np.max(np.abs(inside)))
+    assert res.abs_error_bound == side_bound * 0.2 ** res.terms_used / 0.8
+    exact = sum(v * 0.2 ** k for k, v in enumerate(inside))
+    assert abs(res.value - exact) <= res.abs_error_bound
+
+
 # ---------------------------------------------------------------------------
 # boundary probe
 

@@ -288,6 +288,55 @@ def test_failed_reverification_exits_4(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_certificate_reverifies_before_emitting(capsys, monkeypatch):
+    import nbscope as nb
+    from nbscope import rightlimits
+
+    # squares carry 1 at k^2 and 0 elsewhere, so index 10 is no hit
+    forged = nb.NonReflectionlessCertificate(
+        kind="GapZeroFlank", witnesses=(9, 10, 16), flank_side="backward",
+        flank_width=2, eps=0.0, delta=0.5, separation=1.0)
+    monkeypatch.setattr(rightlimits, "find_gap_certificate", lambda *a, **k: forged)
+    code, out, err = run(capsys, "certificate", "--family", "gap-squares",
+                         "--kind", "gap", "--window", "2", "--horizon", "200")
+    assert code == 4
+    assert not out
+    assert "verification failed" in err
+
+
+def test_szego_reverifies_before_emitting(capsys, monkeypatch):
+    from nbscope import rightlimits
+
+    real = rightlimits.szego_block_analysis
+
+    def forged(*a, **k):
+        rep = real(*a, **k)
+        w = rep.per_p[2]    # a mismatch inside the agreeing block is no witness
+        rep.per_p[2] = rightlimits.SzegoWitness(2, w.first, w.second, 2)
+        return rep
+
+    code, out, _ = run(capsys, "szego", "--family", "rudin-shapiro", "--pmax", "3",
+                       "--horizon", "2000")
+    assert code == 0 and json.loads(out)["report"]["overall"] == "mismatch-at-every-p"
+    monkeypatch.setattr(rightlimits, "szego_block_analysis", forged)
+    code, out, err = run(capsys, "szego", "--family", "rudin-shapiro", "--pmax", "3",
+                         "--horizon", "2000")
+    assert code == 4
+    assert not out
+    assert "p = 2" in err
+
+
+def test_verdict_complex_fill_at_numpy_modulus_exits_0(capsys):
+    # delta is the fill's np.abs, one ulp above its Python abs
+    code, out, _ = run(capsys, "verdict", "--family", "gap-factorial",
+                       "--fill=(-0.39361034141671003-0.09300422103869699j)",
+                       "--delta", "0.4044488669797381", "--eps", "0", "--window", "3")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["kind"] == "StrongNaturalBoundaryEvidence"
+    assert report["certificate"]["witnesses"] == [6, 24, 120, 720, 5040, 40320]
+
+
 def test_generate_negative_count_exits_2(capsys):
     code, out, err = run(capsys, "generate", "--family", "periodic", "--pattern", "1,0",
                          "--count", "-3")

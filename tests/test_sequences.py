@@ -553,7 +553,7 @@ def test_block_bit_identical_to_scalar_oracle(name):
         assert got.tobytes() == want.tobytes(), (name, lo, hi)
         # the checked read is the block with signed zeros canonicalised,
         # which is what the scalar eval returned
-        assert seq._read(lo, hi).tobytes() == (want + 0j).tobytes(), (name, lo, hi)
+        assert seq.read(lo, hi).tobytes() == (want + 0j).tobytes(), (name, lo, hi)
         for n in (lo, (lo + hi) // 2, hi - 1)[:hi - lo]:
             assert repr(make().eval(n)) == repr(complex(fn(n)) + 0j), (name, n)
 
@@ -678,6 +678,55 @@ def test_reads_past_explicit_length_rejected():
     with pytest.raises(SequenceError):
         seq.window(2, 1)
     assert seq.window(1, 1).values == (1, 2, 3)
+
+
+def _counting(seq):
+    calls, block = [], seq._block
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return block(lo, hi)
+
+    seq._block = counting
+    return calls
+
+
+@pytest.mark.parametrize("spec", [nb.rudin_shapiro(), nb.erdos("soft"),
+                                  nb.rotation(math.sqrt(2) - 1)])
+def test_read_views_the_cache_and_reads_past_it_uncached(spec):
+    whole = nb.make_sequence(spec).prefix(400)
+    seq = nb.make_sequence(spec)
+    calls = _counting(seq)
+    cached = seq.prefix(100)
+    inside = seq.read(10, 50)
+    assert calls == [(0, 100)]
+    assert np.shares_memory(inside, cached)
+    assert inside.tobytes() == whole[10:50].tobytes()
+    assert seq.read(100, 100).shape == (0,)
+    for lo, hi in ((90, 150), (200, 400), (99, 101)):
+        assert seq.read(lo, hi).tobytes() == whole[lo:hi].tobytes()
+    assert calls == [(0, 100), (90, 150), (200, 400), (99, 101)]
+    # the past-the-cache reads left the cache where it was
+    assert seq.prefix(120).tobytes() == whole[:120].tobytes()
+    assert calls[-1] == (100, 120)
+    assert seq.eval(7) == whole[7] and seq.eval(300) == whole[300]
+    assert calls[-1] == (300, 301)
+
+
+def test_read_range_errors():
+    seq = nb.make_sequence(nb.periodic([1, 0]))
+    seq.prefix(10)
+    with pytest.raises(SequenceError, match="ends before it starts"):
+        seq.read(5, 4)
+    with pytest.raises(SequenceError):
+        seq.read(-1, 3)
+    with pytest.raises(SequenceError):
+        seq.read(2 ** 63 - 1, 2 ** 63 + 1)
+    assert seq.read(2 ** 63 - 2, 2 ** 63).tolist() == [1, 0]
+    short = nb.make_sequence(nb.explicit([1, 2, 3]))
+    with pytest.raises(SequenceError):
+        short.read(2, 4)
+    assert short.read(1, 3).tolist() == [2, 3]
 
 
 # ---------------------------------------------------------------------------
