@@ -85,7 +85,16 @@ class AnalysisConfig:
 
 
 def _resolve_eps(seq, eps):
-    return default_eps(seq) if eps is None else float(eps)
+    eps = default_eps(seq) if eps is None else float(eps)
+    # a negative or nan eps matches nothing, not even a window to itself
+    if not (math.isfinite(eps) and eps >= 0):
+        raise SequenceError(f"eps must be finite and >= 0, got {eps}")
+    return eps
+
+
+def _check_min_recurrence(min_recurrence):
+    if min_recurrence < 1:
+        raise SequenceError(f"min_recurrence must be >= 1, got {min_recurrence}")
 
 
 def _span_rows(seq, centers, offsets):
@@ -158,6 +167,7 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     """
     if width < 1:
         raise SequenceError("window width must be >= 1")
+    _check_min_recurrence(min_recurrence)
     h = seq.clamp_horizon(horizon)
     if h < 10 * width:
         raise SequenceError(f"horizon {h} too small; need >= {10 * width}")
@@ -166,11 +176,14 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     D = 2 * width + 1
 
     if eps == 0.0:
-        members: dict = {}
-        for s in range(0, h + 1 - D + 1):
-            key = arr[s:s + D].tobytes()
-            members.setdefault(key, []).append(s + width)
-        clusters = [(np.frombuffer(k, dtype=complex), v) for k, v in members.items()]
+        groups, first = _group_rows(sliding_window_view(_data_view(arr), D))
+        # clusters in order of their first window, members ascending
+        by_first = np.argsort(first)
+        cid = np.argsort(by_first)[groups]
+        centers = (np.argsort(cid, kind="stable") + width).tolist()
+        ends = np.cumsum(np.bincount(cid)).tolist()
+        clusters = [(arr[f:f + D], centers[a:b]) for f, a, b
+                    in zip(first[by_first].tolist(), [0] + ends[:-1], ends)]
         truncated = False
     else:
         clusters, truncated = _greedy_leader_clusters(_data_view(arr), D, width, eps)
@@ -335,6 +348,7 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     """
     if width < 1:
         raise SequenceError("flank width must be >= 1")
+    _check_min_recurrence(min_recurrence)
     eps = _resolve_eps(seq, eps)
     _check_tolerances(eps, delta)
     h = seq.clamp_horizon(horizon)
@@ -399,6 +413,7 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
         raise SequenceError("flank_side must be 'backward' or 'forward'")
     if width < 1:
         raise SequenceError("flank width must be >= 1")
+    _check_min_recurrence(min_recurrence)
     eps = _resolve_eps(seq, eps)
     _check_tolerances(eps, delta)
     h = seq.clamp_horizon(horizon)
@@ -606,6 +621,8 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
     if not seq.exact:
         raise SequenceError(
             "block analysis needs exact-valued input (finite value set)")
+    if p_max < 1:
+        raise SequenceError(f"p_max must be >= 1, got {p_max}")
     h = seq.clamp_horizon(horizon)
     arr = seq.prefix(h + 1)
     values = np.unique(arr).tolist()        # complex order: real, then imag
@@ -744,13 +761,13 @@ class Verdict:
         }
 
 
-def _periodic_verdict(seq, found, reason, probes, szego=None):
+def _periodic_verdict(seq, found, reason, probes):
     """EventuallyPeriodic verdict with the reduced rational form of the
     (preperiod, period) pair ``found``."""
     pre, per = found
     arr = seq.prefix(pre + per)
     form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:pre + per])
-    return Verdict(kind="EventuallyPeriodic", periodicity=found, szego=szego,
+    return Verdict(kind="EventuallyPeriodic", periodicity=found,
                    rational_form=form, reason=reason, probes=probes)
 
 
@@ -810,10 +827,6 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
                            szego=report,
                            reason=f"block mismatch at every p <= {cfg.p_max}",
                            probes=probes)
-        if report.overall == "eventually-periodic":
-            return _periodic_verdict(seq, report.periodicity,
-                                     "periodicity surfaced by block analysis",
-                                     probes, szego=report)
 
     return Verdict(kind="Inconclusive",
                    reason="no certificate found and no periodicity detected "

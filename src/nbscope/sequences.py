@@ -106,9 +106,9 @@ def gap_powers(exponents="factorials", fill: complex = 1.0) -> GeneratorSpec:
     """a_n = fill on a sparse exponent set, 0 elsewhere.
 
     ``exponents`` is ``"factorials"`` ({k! : k >= 1}), ``"squares"``
-    ({k^2 : k >= 0}), an explicit iterable of nonnegative integers, or a
-    zero-argument callable returning an ascending iterator (so horizons up
-    to 1e9 never materialize arrays).
+    ({k^2 : k >= 0}) or an explicit iterable of nonnegative integers.  Each
+    support is read in closed form over any index range, so horizons up to
+    1e9 never materialize arrays.
     """
     return GeneratorSpec("gap-powers", {"exponents": exponents, "fill": complex(fill)})
 
@@ -322,78 +322,50 @@ def _make_periodic(params) -> OneSidedSequence:
                             value_kind=_exact_kind(pattern))
 
 
-def _factorials():
-    f, k = 1, 1
-    while True:
-        yield f
-        k += 1
-        f *= k
+# k! for k = 1..20: 20! < 2^63 < 21!, and reads stop at 2^63
+_FACTORIALS = tuple(math.factorial(k) for k in range(1, 21))
 
 
-def _squares():
-    k = 0
-    while True:
-        yield k * k
-        k += 1
+def _square_support(lo: int, hi: int) -> list:
+    """Squares k*k with lo <= k*k < hi, ascending."""
+    def first(x):   # least k >= 0 with k*k >= x
+        return math.isqrt(x - 1) + 1 if x > 0 else 0
+    return [k * k for k in range(first(lo), first(hi))]
 
 
-class _ExponentSet:
-    """Lazily grown ascending exponent list, read with bisect.  Growth is
-    locked: the arc scan's radii read the sparse support concurrently."""
-
-    def __init__(self, iterator_factory):
-        self._it = iterator_factory()
-        self._exps = []
-        self._limit = -1  # all exponents <= _limit are in _exps
-        self._lock = threading.Lock()
-
-    def grow_to(self, n: int):
-        with self._lock:
-            while self._limit < n:
-                e = next(self._it, None)
-                if e is None:
-                    self._limit = math.inf
-                    return
-                if e < 0 or (self._exps and e <= self._exps[-1]):
-                    raise SequenceError(
-                        "exponent stream must be strictly ascending and nonnegative")
-                self._exps.append(e)
-                self._limit = e
-
-    def between(self, lo: int, hi: int):
-        """Exponents e with lo <= e < hi, ascending."""
-        self.grow_to(hi - 1)
-        return self._exps[bisect_left(self._exps, lo):bisect_left(self._exps, hi)]
-
-
-def _exponent_factory(spec):
-    if spec == "factorials":
-        return _factorials
+def _exponents_between(spec):
+    """The support of a gap family as a stateless ``between(lo, hi)``, the
+    ascending exponents e with lo <= e < hi."""
     if spec == "squares":
-        return _squares
-    if callable(spec):
-        return spec
-    try:
-        values = sorted(set(int(e) for e in spec))
-    except TypeError:
-        raise SequenceError(f"malformed exponent set: {spec!r}") from None
-    if any(e < 0 for e in values):
-        raise SequenceError("exponents must be nonnegative integers")
-    if not values:
-        raise SequenceError("exponent set must be nonempty")
-    return lambda: iter(values)
+        return _square_support
+    if spec == "factorials":
+        exps = _FACTORIALS
+    else:
+        try:
+            exps = tuple(sorted(set(int(e) for e in spec)))
+        except TypeError:
+            raise SequenceError(f"malformed exponent set: {spec!r}") from None
+        if any(e < 0 for e in exps):
+            raise SequenceError("exponents must be nonnegative integers")
+        if not exps:
+            raise SequenceError("exponent set must be nonempty")
+
+    def between(lo, hi):
+        return list(exps[bisect_left(exps, lo):bisect_left(exps, hi)])
+
+    return between
 
 
 def _make_gap_powers(params) -> OneSidedSequence:
     fill = complex(params.get("fill", 1.0))
-    exps = _ExponentSet(_exponent_factory(params.get("exponents", "factorials")))
+    between = _exponents_between(params.get("exponents", "factorials"))
     bound = max(abs(fill), 1.0)
     name = params.get("exponents")
     label = name if isinstance(name, str) else "custom"
 
     def block(lo, hi):
         arr = np.zeros(hi - lo, dtype=complex)
-        arr[np.asarray(exps.between(lo, hi), dtype=np.int64) - lo] = fill
+        arr[np.asarray(between(lo, hi), dtype=np.int64) - lo] = fill
         return arr
 
     kind = "exact-integer" if _is_integral(fill) else "exact-rational"
@@ -401,7 +373,7 @@ def _make_gap_powers(params) -> OneSidedSequence:
                            {"exponents": label, "fill": fill}, value_kind=kind)
     # sparse support handle: lets evaluators sum over the exponent set
     # without materializing coefficient arrays (horizons up to 1e9)
-    seq.gap_support = lambda count: (exps.between(0, count), fill)
+    seq.gap_support = lambda count: (between(0, count), fill)
     return seq
 
 

@@ -272,6 +272,38 @@ def test_invalid_periodicity_tol_exits_2(capsys, argv):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rightlimits", "--family", "rotation", "--q", "0.41421356237309515",
+     "--window", "3", "--eps=-0.1"),
+    ("rightlimits", "--family", "rotation", "--q", "0.41421356237309515",
+     "--window", "3", "--eps=nan"),
+    ("certificate", "--family", "rudin-shapiro", "--eps", "-1"),
+    ("certificate", "--family", "rudin-shapiro", "--kind", "pair", "--eps", "nan"),
+])
+def test_invalid_eps_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--horizon", "2000")
+    assert code == 2
+    assert not out
+    assert "eps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verdict", "--family", "rudin-shapiro", "--min-recurrence", "100000",
+     "--pmax", "0"),
+    ("szego", "--family", "rudin-shapiro", "--pmax", "0"),
+    ("certificate", "--family", "rudin-shapiro", "--min-recurrence", "0",
+     "--kind", "gap"),
+    ("certificate", "--family", "periodic", "--pattern", "1",
+     "--min-recurrence", "0", "--kind", "pair"),
+    ("rightlimits", "--family", "rudin-shapiro", "--min-recurrence", "0"),
+])
+def test_counts_below_1_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--horizon", "300")
+    assert code == 2
+    assert not out
+    assert "must be >= 1" in err
+
+
 def test_failed_reverification_exits_4(capsys, monkeypatch):
     import nbscope as nb
     from nbscope import rightlimits

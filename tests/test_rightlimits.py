@@ -67,6 +67,42 @@ def test_extract_greedy_matches_brute_force():
         assert list(cand.recurrence_indices) == by_first[cand.recurrence_indices[0]]
 
 
+def _extract_eps0_oracle(seq, width, horizon):
+    """The per-window dict grouping extract_right_limits used at eps = 0:
+    clusters in order of first appearance, members ascending."""
+    arr = seq.prefix(horizon + 1)
+    h, D = horizon, 2 * width + 1
+    members: dict = {}
+    for s in range(0, h + 1 - D + 1):
+        key = arr[s:s + D].tobytes()
+        members.setdefault(key, []).append(s + width)
+    return [(np.frombuffer(k, dtype=complex), v) for k, v in members.items()]
+
+
+_EPS0_STREAMS = {
+    "rudin-shapiro": nb.rudin_shapiro(),
+    "erdos-hard": nb.erdos("hard"),
+    "squares": nb.gap_powers("squares", 1),
+    "periodic-complex": nb.periodic([1, 1j, -1, 0.5 + 0.5j, 1j, 0]),
+    "explicit-complex": nb.explicit(np.random.default_rng(5).choice(
+        [0, 1, 1j, -1 - 1j], size=6001)),
+}
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("name", sorted(_EPS0_STREAMS))
+def test_extract_eps0_grouping_matches_dict_oracle(name, width):
+    seq = nb.make_sequence(_EPS0_STREAMS[name])
+    res = nb.extract_right_limits(seq, width, 6000, eps=0.0,
+                                  max_candidates=0, min_recurrence=1)
+    clusters = _extract_eps0_oracle(seq, width, 6000)
+    order = sorted(range(len(clusters)), key=lambda i: (-len(clusters[i][1]), i))
+    assert res.clusters_total == len(clusters)
+    assert [(repr(c.window.values), c.recurrence_indices) for c in res.candidates] == [
+        (repr(tuple(complex(v) for v in clusters[i][0])), tuple(clusters[i][1]))
+        for i in order]
+
+
 def test_extract_rejects_small_horizon():
     seq = nb.make_sequence(nb.periodic([1]))
     with pytest.raises(SequenceError):
@@ -221,6 +257,41 @@ def test_szego_rejects_float_input():
     rot = nb.make_sequence(nb.rotation(math.sqrt(2)))
     with pytest.raises(SequenceError):
         nb.szego_block_analysis(rot, 4, 1000)
+
+
+@pytest.mark.parametrize("eps", [-0.1, -1.0, math.nan, math.inf])
+def test_searches_reject_invalid_eps(eps):
+    # a negative or nan eps matched no window, not even its own leader, so
+    # the clustering founded one cluster per window up to its cap
+    rot = nb.make_sequence(nb.rotation(math.sqrt(2) - 1))
+    with pytest.raises(SequenceError, match="eps"):
+        nb.extract_right_limits(rot, 3, 2000, eps=eps)
+    with pytest.raises(SequenceError, match="eps"):
+        nb.find_gap_certificate(rot, 3, 2000, eps=eps)
+    with pytest.raises(SequenceError, match="eps"):
+        nb.find_pair_certificate(rot, 3, 2000, eps=eps)
+
+
+@pytest.mark.parametrize("min_recurrence", [0, -2])
+def test_searches_reject_min_recurrence_below_1(min_recurrence):
+    rs = nb.make_sequence(nb.rudin_shapiro())
+    one = nb.make_sequence(nb.periodic([1]))
+    with pytest.raises(SequenceError, match="min_recurrence"):
+        nb.find_gap_certificate(rs, 5, 300, min_recurrence=min_recurrence)
+    with pytest.raises(SequenceError, match="min_recurrence"):
+        nb.find_pair_certificate(one, 5, 300, min_recurrence=min_recurrence)
+    with pytest.raises(SequenceError, match="min_recurrence"):
+        nb.extract_right_limits(rs, 3, 300, min_recurrence=min_recurrence)
+
+
+@pytest.mark.parametrize("p_max", [0, -1])
+def test_szego_and_verdict_reject_p_max_below_1(p_max):
+    # p_max = 0 used to report a mismatch at every p <= 0, with no witness
+    rs = nb.make_sequence(nb.rudin_shapiro())
+    with pytest.raises(SequenceError, match="p_max"):
+        nb.szego_block_analysis(rs, p_max, 300)
+    with pytest.raises(SequenceError, match="p_max"):
+        nb.verdict(rs, AnalysisConfig(horizon=300, min_recurrence=100_000, p_max=p_max))
 
 
 def test_szego_skips_undersupplied_p():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbscope as nb
-from nbscope.sequences import SequenceError, _exponent_factory, _frac_shift_exact
+from nbscope.sequences import SequenceError, _frac_shift_exact
 
 
 # --- independent oracle: the paired polynomial recursion -------------------
@@ -348,6 +348,39 @@ def _erdos_locate(n: int):
         f *= j
 
 
+def _factorials():
+    f, k = 1, 1
+    while True:
+        yield f
+        k += 1
+        f *= k
+
+
+def _squares():
+    k = 0
+    while True:
+        yield k * k
+        k += 1
+
+
+def _exponent_factory(spec):
+    if spec == "factorials":
+        return _factorials
+    if spec == "squares":
+        return _squares
+    if callable(spec):
+        return spec
+    try:
+        values = sorted(set(int(e) for e in spec))
+    except TypeError:
+        raise SequenceError(f"malformed exponent set: {spec!r}") from None
+    if any(e < 0 for e in values):
+        raise SequenceError("exponents must be nonnegative integers")
+    if not values:
+        raise SequenceError("exponent set must be nonempty")
+    return lambda: iter(values)
+
+
 class _ExponentSet:
     """Lazily grown ascending exponent set with O(1) membership for seen range."""
 
@@ -556,6 +589,30 @@ def test_block_bit_identical_to_scalar_oracle(name):
         assert seq.read(lo, hi).tobytes() == (want + 0j).tobytes(), (name, lo, hi)
         for n in (lo, (lo + hi) // 2, hi - 1)[:hi - lo]:
             assert repr(make().eval(n)) == repr(complex(fn(n)) + 0j), (name, n)
+
+
+def test_gap_squares_far_reads_match_membership():
+    # the squares support is a closed form, so reads near 2^62 cost no more
+    # than reads near 0
+    seq = nb.make_sequence(nb.gap_powers("squares", 1))
+    for lo, hi in _BIG + ((2 ** 62 - 50, 2 ** 62 + 50),):
+        want = [1.0 if math.isqrt(n) ** 2 == n else 0.0 for n in range(lo, hi)]
+        assert seq.read(lo, hi).real.tolist() == want, (lo, hi)
+    assert np.flatnonzero(seq.read(2 ** 62 - 50, 2 ** 62 + 50)).tolist() == [50]
+
+
+def test_gap_factorials_end_at_20_factorial():
+    seq = nb.make_sequence(nb.gap_powers("factorials", 1))
+    f20 = math.factorial(20)
+    assert np.flatnonzero(seq.read(f20 - 64, f20 + 64)).tolist() == [64]
+    assert not seq.read(2 ** 63 - 64, 2 ** 63).any()
+    exps, fill = seq.gap_support(2 ** 63)
+    assert exps == [math.factorial(k) for k in range(1, 21)] and fill == 1
+
+
+def test_gap_powers_callable_exponents_rejected():
+    with pytest.raises(SequenceError, match="malformed exponent set"):
+        nb.make_sequence(nb.gap_powers(lambda: iter([1, 4, 9]), 1))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
