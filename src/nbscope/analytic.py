@@ -20,9 +20,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +158,23 @@ def truncation_length(bound: float, r: float, tol: float) -> int:
     return n
 
 
+def _truncation(seq: OneSidedSequence, r: float, tol: float, start: int = 0,
+                offset: int = 0):
+    """(terms, tail bound) for sum_n a_(start+n) z^(n+offset) within ``tol``
+    at |z| = r: a finite sequence is cut at its end, where the sum is exact
+    (bound 0), before the cap is checked against start + terms."""
+    n = truncation_length(seq.bound, r, tol)
+    exact = seq.length is not None and start + n >= seq.length
+    if exact:
+        if start > seq.length:
+            raise SequenceError(
+                f"shift {start} beyond explicit sequence length {seq.length}")
+        n = seq.length - start
+    if start + n > TERM_CAP:
+        raise NumericCapError(start + n)
+    return n, 0.0 if exact else seq.bound * r ** (n + offset) / (1.0 - r)
+
+
 # ---------------------------------------------------------------------------
 # Series summation helpers
 
@@ -222,14 +237,7 @@ def _eval_series(seq: OneSidedSequence, z: complex, r: float, tol: float,
             f"|z| = {r} too close to the unit circle (need <= {1 - _INSIDE_MARGIN})")
     if r == 0.0:
         return EvalResult(seq.eval(0), 0.0, 1)
-    n_terms = truncation_length(seq.bound, r, tol)
-    if n_terms > TERM_CAP:
-        raise NumericCapError(n_terms)
-    if seq.length is not None and n_terms >= seq.length:
-        # finite polynomial: no tail at all
-        coeffs = seq.prefix(seq.length)
-        return EvalResult(_sum_series(coeffs, z, offset), 0.0, seq.length)
-    bound = seq.bound * r ** (n_terms + offset) / (1.0 - r)
+    n_terms, bound = _truncation(seq, r, tol, offset=offset)
     sparse = _gap_support(seq, n_terms)
     if sparse is not None:
         exps, fill = sparse
@@ -255,14 +263,7 @@ def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
         raise AnalyticError("shift identity needs z != 0")
     if r > 1.0 - _INSIDE_MARGIN:
         raise AnalyticError("the shifted inside series needs |z| < 1")
-    m_terms = truncation_length(seq.bound, r, tol)
-    if shift + m_terms > TERM_CAP:
-        raise NumericCapError(shift + m_terms)
-    if seq.length is not None and shift + m_terms > seq.length:
-        if shift > seq.length:
-            raise SequenceError(
-                f"shift {shift} beyond explicit sequence length {seq.length}")
-        m_terms = seq.length - shift
+    m_terms, tail_bound = _truncation(seq, r, tol, start=shift)
 
     if abs(ipow(z, shift)) < sys.float_info.min:
         raise AnalyticError(
@@ -283,10 +284,6 @@ def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
     rhs = scale * f_val
     residual = abs(lhs - rhs)
 
-    if seq.length is not None and shift + m_terms >= seq.length:
-        tail_bound = 0.0
-    else:
-        tail_bound = seq.bound * r ** m_terms / (1.0 - r)
     f_bound = tail_bound * r ** shift          # tail of f starts at shift+m
     # certified rounding: each term of a length-k power sum carries at most
     # (k+3) ulps of relative error, compensation keeps accumulation below
@@ -463,12 +460,7 @@ _SPARSE_NODE_CUTOFF = 1 << 20
 
 
 def _scan_one_radius(seq, arc, r, m, tol):
-    n_terms = truncation_length(seq.bound, r, tol)
-    if n_terms > TERM_CAP:
-        return None
-    if seq.length is not None:
-        n_terms = min(n_terms, seq.length)
-    trunc = 0.0 if n_terms == seq.length else seq.bound * r ** n_terms / (1.0 - r)
+    n_terms, trunc = _truncation(seq, r, tol)
     weight = arc.width / (2.0 * math.pi)
 
     sparse = (_gap_support(seq, n_terms)
@@ -510,25 +502,17 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
     if quad_points < 64:
         raise AnalyticError("need at least 64 quadrature nodes")
 
-    # one task per radius; the radii share the sequence's prefix cache
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(radii))) as ex:
-        rows = list(ex.map(lambda r: _scan_one_radius(seq, arc, r, quad_points, tol),
-                           radii))
-
-    integrals, quad_errors, trunc_errors, skipped = [], [], [], []
-    notes = []
-    for r, row in zip(radii, rows):
-        if row is None:
-            integrals.append(math.nan)
-            quad_errors.append(math.nan)
-            trunc_errors.append(math.nan)
-            skipped.append(True)
+    integrals, quad_errors, trunc_errors, skipped, notes = [], [], [], [], []
+    for r in radii:
+        try:
+            row, skip = _scan_one_radius(seq, arc, r, quad_points, tol), False
+        except NumericCapError:
+            row, skip = (math.nan, math.nan, math.nan), True
             notes.append(f"radius {r} skipped: truncation exceeds term cap")
-        else:
-            integrals.append(row[0])
-            quad_errors.append(row[1])
-            trunc_errors.append(row[2])
-            skipped.append(False)
+        integrals.append(row[0])
+        quad_errors.append(row[1])
+        trunc_errors.append(row[2])
+        skipped.append(skip)
 
     growth = None
     kept = [(r, i) for r, i, s in zip(radii, integrals, skipped) if not s]

@@ -88,12 +88,13 @@ def _build_sequence(args):
     raise sequences.SequenceError(f"unknown family {fam!r}")
 
 
-def _emit_json(args, command, report):
+def _emit_json(dest, command, report):
+    """Write the JSON envelope to the path ``dest``, or stdout if None."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command,
                "report": report}
     text = json.dumps(payload, indent=2, allow_nan=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as f:
+    if dest:
+        with open(dest, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
@@ -117,7 +118,7 @@ def _cmd_rightlimits(args):
         seq, args.window, args.horizon, eps=args.eps,
         max_candidates=args.max_candidates,
         min_recurrence=args.min_recurrence)
-    _emit_json(args, "rightlimits", {
+    _emit_json(args.out, "rightlimits", {
         "candidates": [c.to_json_dict() for c in res.candidates],
         "clusters_total": res.clusters_total,
         "windows_scanned": res.windows_scanned,
@@ -150,7 +151,7 @@ def _cmd_certificate(args):
         if not cert.verify(seq):
             raise sequences.VerificationError("certificate failed re-verification")
     report = {"certificates": [c.to_json_dict() for c in found]}
-    _emit_json(args, "certificate", report)
+    _emit_json(args.out, "certificate", report)
     return EXIT_OK if found else EXIT_NO_FINDING
 
 
@@ -161,7 +162,7 @@ def _cmd_szego(args):
         if isinstance(w, rightlimits.SzegoWitness) and not w.verify(seq):
             raise sequences.VerificationError(
                 f"block-mismatch witness for p = {p} failed re-verification")
-    _emit_json(args, "szego", rep.to_json_dict())
+    _emit_json(args.out, "szego", rep.to_json_dict())
     return EXIT_OK
 
 
@@ -169,7 +170,7 @@ def _cmd_periodicity(args):
     seq = _build_sequence(args)
     found = rightlimits.detect_eventual_periodicity(
         seq, args.max_period, args.max_preperiod, args.horizon, tol=args.tol)
-    _emit_json(args, "periodicity", {
+    _emit_json(args.out, "periodicity", {
         "found": None if found is None else
         {"preperiod": found[0], "period": found[1]}})
     return EXIT_OK if found is not None else EXIT_NO_FINDING
@@ -194,10 +195,7 @@ def _cmd_probe(args):
     else:
         report.write_csv(sys.stdout)
     if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "command": "probe",
-                   "report": report.to_json_dict()}
-        with open(args.json, "w") as f:
-            f.write(json.dumps(payload, indent=2, allow_nan=True) + "\n")
+        _emit_json(args.json, "probe", report.to_json_dict())
     if all(report.skipped):
         print("all radii exceeded the evaluation term cap", file=sys.stderr)
         return EXIT_NUMERIC_CAP
@@ -208,13 +206,13 @@ def _cmd_reflectionless(args):
     if args.pattern:
         arc = _arc_from(args)
         res = analytic.periodic_reflectionless_check(args.pattern, arc)
-        _emit_json(args, "reflectionless", res.to_json_dict())
+        _emit_json(args.out, "reflectionless", res.to_json_dict())
         return EXIT_OK if res.passed else EXIT_NO_FINDING
     if args.window_csv:
         win = sequences.read_window_csv(args.window_csv)
         res = analytic.decay_rule_check(win, args.decay_side,
                                         args.decay_c, args.decay_d, args.delta)
-        _emit_json(args, "reflectionless", res.to_json_dict())
+        _emit_json(args.out, "reflectionless", res.to_json_dict())
         return EXIT_OK
     raise sequences.SequenceError("need --pattern (periodic check) or "
                                   "--window-csv (decay rule)")
@@ -237,7 +235,7 @@ def _cmd_montecarlo(args):
     rep = randomseries.certificate_rate_experiment(
         spec, args.trials, args.window, args.horizon,
         eps=args.eps, delta=args.delta, min_recurrence=args.min_recurrence)
-    _emit_json(args, "montecarlo", rep.to_json_dict())
+    _emit_json(args.out, "montecarlo", rep.to_json_dict())
     return EXIT_OK
 
 
@@ -248,7 +246,7 @@ def _cmd_verdict(args):
         horizon=args.horizon, p_max=args.pmax,
         min_recurrence=args.min_recurrence)
     v = rightlimits.verdict(seq, cfg)
-    _emit_json(args, "verdict", v.to_json_dict())
+    _emit_json(args.out, "verdict", v.to_json_dict())
     return EXIT_OK if v.kind != "Inconclusive" else EXIT_NO_FINDING
 
 

@@ -163,11 +163,14 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     window joins the earliest-created cluster whose leader window is within
     ``eps`` in sup metric, else founds a new cluster.  Clusters with at
     least ``min_recurrence`` members are returned as candidates, ordered by
-    population (ties: earlier cluster first), at most ``max_candidates``.
+    population (ties: earlier cluster first), at most ``max_candidates``
+    (0: no limit).
     """
     if width < 1:
         raise SequenceError("window width must be >= 1")
     _check_min_recurrence(min_recurrence)
+    if max_candidates < 0:
+        raise SequenceError(f"max_candidates must be >= 0, got {max_candidates}")
     h = seq.clamp_horizon(horizon)
     if h < 10 * width:
         raise SequenceError(f"horizon {h} too small; need >= {10 * width}")

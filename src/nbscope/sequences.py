@@ -167,8 +167,8 @@ class OneSidedSequence:
     Every value comes from one vectorized block function: ``block(lo, hi)``
     returns a_lo..a_{hi-1} for 0 <= lo <= hi.  :meth:`read` (any range)
     and :meth:`prefix` (the first ``count`` values, cached and grown from
-    where the cache stops) are views of it; :meth:`eval` and :meth:`window`
-    are single reads.  Each read
+    where the cache stops) are views of it, read-only where they view the
+    cache; :meth:`eval` and :meth:`window` are single reads.  Each read
     canonicalises signed zeros to +0.0, so bit-pattern keys over values
     mean value equality, and checks what it read against the bound.
     Indices run over 0 <= n < 2^63.  ``value_kind`` records whether values
@@ -228,13 +228,15 @@ class OneSidedSequence:
         request reads only the indices past the cache)."""
         if count < 0:
             raise SequenceError(f"prefix count must be >= 0, got {count}")
-        # one growth at a time, so threads sharing the sequence (the arc
-        # scan's radii) read each index once and never shorten the cache
+        # one growth at a time, so callers' threads sharing the sequence
+        # read each index once and never shorten the cache
         with self._grow_lock:
             done = self._cache.shape[0]
             if count > done:
                 new = self.read(done, count)
-                self._cache = np.concatenate((self._cache, new)) if done else new
+                cache = np.concatenate((self._cache, new)) if done else new
+                cache.flags.writeable = False   # views must not alter reads
+                self._cache = cache
             return self._cache[:count]
 
     def clamp_horizon(self, horizon: int) -> int:
@@ -341,12 +343,14 @@ def _exponents_between(spec):
     if spec == "factorials":
         exps = _FACTORIALS
     else:
+        # rejects other names ("cubes") and non-integral values (2.5, nan)
         try:
-            exps = tuple(sorted(set(int(e) for e in spec)))
-        except TypeError:
+            pairs = [(int(e), e) for e in spec]
+        except (TypeError, ValueError, OverflowError):
             raise SequenceError(f"malformed exponent set: {spec!r}") from None
-        if any(e < 0 for e in exps):
-            raise SequenceError("exponents must be nonnegative integers")
+        if any(n != e or n < 0 for n, e in pairs):
+            raise SequenceError(f"exponents must be nonnegative integers: {spec!r}")
+        exps = tuple(sorted({n for n, _ in pairs}))
         if not exps:
             raise SequenceError("exponent set must be nonempty")
 
@@ -358,9 +362,9 @@ def _exponents_between(spec):
 
 def _make_gap_powers(params) -> OneSidedSequence:
     fill = complex(params.get("fill", 1.0))
-    between = _exponents_between(params.get("exponents", "factorials"))
+    name = params.get("exponents", "factorials")
+    between = _exponents_between(name)
     bound = max(abs(fill), 1.0)
-    name = params.get("exponents")
     label = name if isinstance(name, str) else "custom"
 
     def block(lo, hi):

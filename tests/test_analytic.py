@@ -102,6 +102,122 @@ def test_tail_bound_validity_against_extended_precision():
 
 
 # ---------------------------------------------------------------------------
+# one truncation rule for every evaluator
+
+# the three rules it replaces, as they were: eval_f's body, eval_shift_pair
+# and the scan's per-radius rule (None: the radius is skipped)
+
+def old_series_rule(bound, length, r, tol, offset):
+    n_terms = truncation_length(bound, r, tol)
+    if n_terms > nb.analytic.TERM_CAP:
+        raise NumericCapError(n_terms)
+    if length is not None and n_terms >= length:
+        return length, 0.0
+    return n_terms, bound * r ** (n_terms + offset) / (1.0 - r)
+
+
+def old_shift_rule(bound, length, r, tol, shift):
+    m_terms = truncation_length(bound, r, tol)
+    if shift + m_terms > nb.analytic.TERM_CAP:
+        raise NumericCapError(shift + m_terms)
+    if length is not None and shift + m_terms > length:
+        if shift > length:
+            raise nb.SequenceError("shift beyond explicit sequence length")
+        m_terms = length - shift
+    if length is not None and shift + m_terms >= length:
+        return m_terms, 0.0
+    return m_terms, bound * r ** m_terms / (1.0 - r)
+
+
+def old_scan_rule(bound, length, r, tol):
+    n_terms = truncation_length(bound, r, tol)
+    if n_terms > nb.analytic.TERM_CAP:
+        return None
+    if length is not None:
+        n_terms = min(n_terms, length)
+    return n_terms, 0.0 if n_terms == length else bound * r ** n_terms / (1.0 - r)
+
+
+class _Sized:
+    def __init__(self, bound, length):
+        self.bound, self.length = bound, length
+
+
+def _rule_bits(rule, *args):
+    try:
+        out = rule(*args)
+    except (NumericCapError, nb.SequenceError) as e:
+        return type(e).__name__
+    return None if out is None else (out[0], out[1].hex())
+
+
+def test_one_truncation_rule_matches_the_three_it_replaced():
+    from nbscope.analytic import _truncation
+
+    rng = np.random.default_rng(21)
+    for _ in range(3000):
+        bound = float(rng.choice([1.0, 0.5, 3.0, rng.uniform(0.01, 10)]))
+        r = float(rng.choice([rng.uniform(0.01, 0.99), 1 - 10 ** -rng.uniform(1, 8.9)]))
+        tol = float(10 ** -rng.uniform(0, 300))
+        shift = int(rng.choice([0, 1, 7, 1000, 10 ** 8 - 5]))
+        offset = int(rng.integers(0, 2))
+        for length in (None, 3, 1000, int(rng.integers(1, 10 ** 6))):
+            seq = _Sized(bound, length)
+            olds = [(old_series_rule, (bound, length, r, tol, offset),
+                     (seq, r, tol, 0, offset)),
+                    (old_shift_rule, (bound, length, r, tol, shift),
+                     (seq, r, tol, shift, 0)),
+                    (old_scan_rule, (bound, length, r, tol), (seq, r, tol))]
+            for old, old_args, new_args in olds:
+                want = _rule_bits(old, *old_args)
+                got = _rule_bits(_truncation, *new_args)
+                if old is old_scan_rule and got == "NumericCapError":
+                    got = None
+                start = new_args[3] if len(new_args) > 3 else 0
+                if length is None or want not in ("NumericCapError", None):
+                    assert got == want, (old.__name__, bound, length, r, tol, shift)
+                elif start > length:
+                    assert got == "SequenceError"
+                elif start + truncation_length(bound, r, tol) >= length:
+                    # clamped before the cap: the exact finite sum
+                    assert got == (length - start, "0x0.0p+0")
+                else:
+                    assert got == want
+
+
+def test_finite_sequences_sum_exactly_where_the_cap_used_to_fire():
+    # 3 terms give the exact sum at any tolerance; the truncation estimate
+    # (705689298 terms at r = 0.999999) used to hit the cap first
+    seq = nb.make_sequence(nb.explicit([1, 2, 3]))
+    z = 1 - 2.0 ** -20          # dyadic: integer-coefficient sums are exact
+    res = nb.eval_f(seq, z, tol=1e-300)
+    assert (res.value, res.abs_error_bound, res.terms_used) == (1 + 2 * z + 3 * z * z, 0.0, 3)
+    pair = nb.eval_shift_pair(seq, 1, z, tol=1e-300)
+    assert (pair.fplus.value, pair.fplus.abs_error_bound, pair.fplus.terms_used) == \
+        (2 + 3 * z, 0.0, 2)
+    assert pair.fminus == 1 / z and pair.identity_residual <= pair.residual_allowance
+    rep = boundary_l1_scan(seq, ArcSpec.full_circle(), [0.9, 0.999999],
+                           quad_points=64, tol=1e-300)
+    assert rep.skipped == [False, False] and rep.trunc_errors == [0.0, 0.0]
+    assert not rep.notes
+    theta = (np.arange(4096) + 0.5) * 2 * math.pi / 4096
+    for r, integral in zip(rep.radii, rep.integrals):
+        w = r * np.exp(1j * theta)
+        assert integral == pytest.approx(float(np.mean(np.abs(1 + 2 * w + 3 * w * w))),
+                                         rel=1e-9)
+    with pytest.raises(nb.SequenceError, match="beyond explicit"):
+        nb.eval_shift_pair(seq, 4, z, tol=1e-300)
+    # an infinite sequence still needs its truncation, and still hits the cap
+    one = nb.make_sequence(nb.periodic([1]))
+    with pytest.raises(NumericCapError):
+        nb.eval_f(one, z, tol=1e-300)
+    with pytest.raises(NumericCapError):
+        nb.eval_shift_pair(one, 1, z, tol=1e-300)
+    assert boundary_l1_scan(one, ArcSpec.full_circle(), [0.999999], quad_points=64,
+                            tol=1e-300).skipped == [True]
+
+
+# ---------------------------------------------------------------------------
 # shift identity
 
 

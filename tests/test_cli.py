@@ -224,6 +224,7 @@ def test_probe_needing_no_terms_exits_0(capsys):
 
 
 def test_probe_and_verdict_import_neither_scipy_nor_sympy(tmp_path):
+    # nor start a thread: the library runs on the calling thread only
     script = (
         "import sys\n"
         "from nbscope.cli import main\n"
@@ -232,8 +233,11 @@ def test_probe_and_verdict_import_neither_scipy_nor_sympy(tmp_path):
         "verdict = main(['verdict', '--family', 'periodic', '--pattern', '1,1j,0,0',\n"
         "                '--horizon', '2000'])\n"
         "assert (probe, verdict) == (0, 0), (probe, verdict)\n"
-        "loaded = sorted(m for m in ('scipy', 'sympy') if m in sys.modules)\n"
-        "assert not loaded, loaded\n")
+        "loaded = sorted(m for m in ('scipy', 'sympy', 'concurrent.futures')\n"
+        "                if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import threading\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -302,6 +306,15 @@ def test_counts_below_1_exit_2(capsys, argv):
     assert code == 2
     assert not out
     assert "must be >= 1" in err
+
+
+def test_negative_max_candidates_exits_2(capsys):
+    code, out, err = run(capsys, "rightlimits", "--family", "erdos-soft",
+                         "--window", "3", "--eps", "0.1", "--horizon", "2000",
+                         "--max-candidates", "-1")
+    assert code == 2
+    assert not out
+    assert "max_candidates" in err
 
 
 def test_failed_reverification_exits_4(capsys, monkeypatch):

@@ -284,6 +284,15 @@ def test_searches_reject_min_recurrence_below_1(min_recurrence):
         nb.extract_right_limits(rs, 3, 300, min_recurrence=min_recurrence)
 
 
+def test_extract_rejects_negative_max_candidates():
+    # -1 used to stop after the first candidate; 0 still means no limit
+    soft = nb.make_sequence(nb.erdos("soft"))
+    with pytest.raises(SequenceError, match="max_candidates"):
+        nb.extract_right_limits(soft, 3, 2000, eps=0.1, max_candidates=-1)
+    assert len(nb.extract_right_limits(soft, 3, 2000, eps=0.1,
+                                       max_candidates=0).candidates) > 1
+
+
 @pytest.mark.parametrize("p_max", [0, -1])
 def test_szego_and_verdict_reject_p_max_below_1(p_max):
     # p_max = 0 used to report a mismatch at every p <= 0, with no witness

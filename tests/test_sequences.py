@@ -615,6 +615,37 @@ def test_gap_powers_callable_exponents_rejected():
         nb.make_sequence(nb.gap_powers(lambda: iter([1, 4, 9]), 1))
 
 
+@pytest.mark.parametrize("exponents", ["cubes", "123", [2.5, 4], [1, math.nan],
+                                       [1, math.inf], ["4"], [1j]])
+def test_gap_powers_rejects_unknown_names_and_non_integral_exponents(exponents):
+    # "cubes" escaped as a bare ValueError, and 2.5 put the fill at index 2
+    with pytest.raises(SequenceError):
+        nb.make_sequence(nb.gap_powers(exponents, 1))
+
+
+def test_gap_powers_accepts_integral_values_of_any_type():
+    seq = nb.make_sequence(nb.gap_powers([4.0, np.int64(1), Fraction(9, 1)], 1))
+    assert np.flatnonzero(seq.prefix(12)).tolist() == [1, 4, 9]
+
+
+def test_gap_powers_default_support_is_labelled_factorials():
+    seq = nb.make_sequence(nb.GeneratorSpec("gap-powers", {}))
+    assert seq.params["exponents"] == "factorials"
+    assert np.flatnonzero(seq.prefix(30)).tolist() == [1, 2, 6, 24]
+
+
+def test_prefix_cache_is_read_only():
+    # a write through a view used to change every later read of the index
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    want = seq.eval(3)
+    views = (seq.prefix(10), seq.read(2, 5), seq.prefix(40), seq.read(0, 40))
+    for view in views:
+        with pytest.raises(ValueError):
+            view[1] = 7
+    assert seq.eval(3) == want == -1
+    assert seq.prefix(40).tolist() == nb.make_sequence(nb.rudin_shapiro()).read(0, 40).tolist()
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_reads_past_the_index_domain_raise(name):
     seq = FAMILIES[name][0]()
@@ -673,8 +704,8 @@ def test_window_is_the_tuple_of_evals(name):
 
 def test_concurrent_growth_reads_each_index_once():
     """Threads growing one sequence's prefix and sparse support at once, as
-    the arc scan's radii do, get exact values, read every index once and
-    never shorten the cache."""
+    callers' threads sharing a sequence may, get exact values, read every
+    index once and never shorten the cache."""
     import sys
     import threading
 
