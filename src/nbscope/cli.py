@@ -118,6 +118,10 @@ def _cmd_rightlimits(args):
         seq, args.window, args.horizon, eps=args.eps,
         max_candidates=args.max_candidates,
         min_recurrence=args.min_recurrence)
+    for cand in res.candidates:
+        if not cand.verify(seq):
+            raise sequences.VerificationError(
+                "right-limit candidate failed re-verification")
     _emit_json(args.out, "rightlimits", {
         "candidates": [c.to_json_dict() for c in res.candidates],
         "clusters_total": res.clusters_total,

@@ -161,7 +161,13 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
 
     Greedy leader clustering: scanning centers in ascending order, each
     window joins the earliest-created cluster whose leader window is within
-    ``eps`` in sup metric, else founds a new cluster.  Clusters with at
+    ``eps`` in sup metric, else founds a new cluster; once ``_CLUSTER_CAP``
+    clusters exist (eps > 0 only), a window matching none is dropped and
+    ``truncated`` is set.  Equal windows always land in the same cluster,
+    so the rule runs once per distinct window, in order of first
+    occurrence, and each founder only tests the distinct windows whose
+    first value lies within a little more than ``eps`` of its own (at
+    eps = 0 each distinct window is its own cluster).  Clusters with at
     least ``min_recurrence`` members are returned as candidates, ordered by
     population (ties: earlier cluster first), at most ``max_candidates``
     (0: no limit).
@@ -178,18 +184,19 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     arr = seq.prefix(h + 1)
     D = 2 * width + 1
 
-    if eps == 0.0:
-        groups, first = _group_rows(sliding_window_view(_data_view(arr), D))
-        # clusters in order of their first window, members ascending
-        by_first = np.argsort(first)
-        cid = np.argsort(by_first)[groups]
-        centers = (np.argsort(cid, kind="stable") + width).tolist()
-        ends = np.cumsum(np.bincount(cid)).tolist()
-        clusters = [(arr[f:f + D], centers[a:b]) for f, a, b
-                    in zip(first[by_first].tolist(), [0] + ends[:-1], ends)]
-        truncated = False
-    else:
-        clusters, truncated = _greedy_leader_clusters(_data_view(arr), D, width, eps)
+    wins = sliding_window_view(_data_view(arr), D)
+    groups, first = _group_rows(wins)
+    # distinct windows in order of first occurrence, then each window's
+    # cluster (-1: dropped at the cap); members come out ascending
+    by_first = np.argsort(first)
+    starts = first[by_first]
+    label, founders, truncated = _leader_clusters(wins[starts], eps)
+    cid = label[np.argsort(by_first)[groups]]
+    kept = np.flatnonzero(cid >= 0)
+    centers = (kept[np.argsort(cid[kept], kind="stable")] + width).tolist()
+    ends = np.cumsum(np.bincount(cid[kept])).tolist()
+    clusters = [(arr[f:f + D], centers[a:b]) for f, a, b
+                in zip(starts[founders].tolist(), [0] + ends[:-1], ends)]
 
     order = sorted(range(len(clusters)),
                    key=lambda i: (-len(clusters[i][1]), i))
@@ -208,56 +215,42 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
                          windows_scanned=h + 2 - D, truncated=truncated)
 
 
-def _greedy_leader_clusters(data, D, width, eps, chunk=16384):
-    """Greedy leader clustering in ascending center order.
+def _leader_clusters(rows, eps):
+    """Greedy leader clustering of distinct rows, taken in order.
 
-    Per chunk, existing leaders are tried in creation order against the
-    shrinking set of still-unassigned windows (earliest leader wins, which
-    is exactly the sequential greedy assignment).  Windows matching no
-    existing leader found new clusters: the earliest becomes a leader and
-    immediately absorbs every later unassigned window within eps, which
-    again reproduces the sequential order.
+    The first unassigned row founds a cluster and absorbs every unassigned
+    row within eps (sup of np.abs): leaders never change and the earliest
+    matching one wins, as in the sequential rule.  Only rows whose column-0
+    real part lies within ``slack`` of the founder's are tested; the slack
+    exceeds eps by more than the distance's rounding, so it can only add
+    candidates.  Returns (label, founders, truncated): row i is in cluster
+    label[i], founded by row founders[label[i]], or in none (-1) once
+    ``_CLUSTER_CAP`` clusters exist and it matches none of them.
     """
-    wins = sliding_window_view(data, D)
-    n_wins = wins.shape[0]
-    lead_rows = np.empty((0, D), dtype=data.dtype)
-    members: list = []
-    truncated = False
-    for s0 in range(0, n_wins, chunk):
-        block = np.ascontiguousarray(wins[s0:s0 + chunk])
-        nb = block.shape[0]
-        first = np.full(nb, -1, dtype=np.int64)
-        remaining = np.arange(nb)
-        for li in range(lead_rows.shape[0]):
-            if remaining.size == 0:
-                break
-            dist = np.abs(block[remaining] - lead_rows[li]).max(axis=1)
-            hit = dist <= eps
-            if hit.any():
-                first[remaining[hit]] = li
-                remaining = remaining[~hit]
-        # assign matched windows, in ascending center order per cluster
-        matched = np.nonzero(first >= 0)[0]
-        if matched.size:
-            order = first[matched]
-            for li in np.unique(order):
-                rows = matched[order == li]
-                members[li].extend((s0 + rows + width).tolist())
-        # unmatched windows found new clusters, earliest first
-        new_rows = []
-        while remaining.size:
-            if lead_rows.shape[0] + len(new_rows) >= _CLUSTER_CAP:
-                truncated = True
-                break
-            row = np.array(block[remaining[0]])
-            dist = np.abs(block[remaining] - row).max(axis=1)
-            hit = dist <= eps  # includes the founder itself
-            members.append((s0 + remaining[hit] + width).tolist())
-            new_rows.append(row)
-            remaining = remaining[~hit]
-        if new_rows:
-            lead_rows = np.vstack([lead_rows] + [r[None, :] for r in new_rows])
-    return [(lead_rows[i], members[i]) for i in range(len(members))], truncated
+    n = rows.shape[0]
+    if eps == 0.0:
+        # distinct rows are never within 0 of each other
+        every = np.arange(n)
+        return every, every, False
+    key = rows[:, 0].real
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    slack = eps * (1 + 2.0 ** -20)
+    label = np.full(n, -1, dtype=np.int64)
+    founders = []
+    for b0 in range(0, n, _KEY_CHUNK):
+        # rows absorbed before this block starts are skipped in bulk
+        for i in (np.flatnonzero(label[b0:b0 + _KEY_CHUNK] < 0) + b0).tolist():
+            if label[i] >= 0:
+                continue
+            if len(founders) >= _CLUSTER_CAP:
+                return label, founders, True
+            cand = by_key[sorted_key.searchsorted(key[i] - slack):
+                          sorted_key.searchsorted(key[i] + slack, "right")]
+            cand = cand[label[cand] < 0]
+            label[cand[np.abs(rows[cand] - rows[i]).max(axis=1) <= eps]] = len(founders)
+            founders.append(i)
+    return label, founders, False
 
 
 # ---------------------------------------------------------------------------

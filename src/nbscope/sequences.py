@@ -240,7 +240,9 @@ class OneSidedSequence:
             return self._cache[:count]
 
     def clamp_horizon(self, horizon: int) -> int:
-        """Largest usable index not exceeding ``horizon``."""
+        """Largest usable index not exceeding ``horizon``, which must be >= 0."""
+        if horizon < 0:
+            raise SequenceError(f"horizon must be >= 0, got {horizon}")
         if self.length is not None:
             return min(horizon, self.length - 1)
         return horizon

@@ -317,6 +317,18 @@ def test_negative_max_candidates_exits_2(capsys):
     assert "max_candidates" in err
 
 
+@pytest.mark.parametrize("command", ["szego", "verdict", "periodicity",
+                                     "certificate", "rightlimits"])
+def test_negative_horizon_exits_2_naming_it(capsys, command):
+    # the error used to name a shrunk internal value (a prefix count of -4,
+    # a budget of 2) instead of the horizon passed
+    code, out, err = run(capsys, command, "--family", "rudin-shapiro",
+                         "--horizon", "-5")
+    assert code == 2
+    assert not out
+    assert "horizon must be >= 0, got -5" in err
+
+
 def test_failed_reverification_exits_4(capsys, monkeypatch):
     import nbscope as nb
     from nbscope import rightlimits
@@ -369,6 +381,27 @@ def test_szego_reverifies_before_emitting(capsys, monkeypatch):
     assert code == 4
     assert not out
     assert "p = 2" in err
+
+
+def test_rightlimits_reverifies_before_emitting(capsys, monkeypatch):
+    from nbscope import rightlimits
+
+    real = rightlimits.extract_right_limits
+
+    def forged(*a, **k):
+        res = real(*a, **k)
+        first, second = res.candidates    # the two phases of 1, 0
+        res.candidates[0] = rightlimits.RightLimitCandidate(
+            second.window, first.recurrence_indices, first.eps)
+        return res
+
+    argv = ("rightlimits", "--family", "periodic", "--pattern", "1,0",
+            "--window", "2", "--eps", "0", "--horizon", "1000")
+    monkeypatch.setattr(rightlimits, "extract_right_limits", forged)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert not out
+    assert "right-limit candidate" in err
 
 
 def test_verdict_complex_fill_at_numpy_modulus_exits_0(capsys):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import nbscope as nb
-from nbscope.rightlimits import AnalysisConfig, SzegoWitness
-from nbscope.sequences import SequenceError
+from nbscope import rightlimits
+from nbscope.rightlimits import (AnalysisConfig, ExtractResult, RightLimitCandidate,
+                                 SzegoWitness, _data_view)
+from nbscope.sequences import SequenceError, TwoSidedWindow
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,178 @@ def test_extract_eps0_grouping_matches_dict_oracle(name, width):
     assert [(repr(c.window.values), c.recurrence_indices) for c in res.candidates] == [
         (repr(tuple(complex(v) for v in clusters[i][0])), tuple(clusters[i][1]))
         for i in order]
+
+
+def reference_leader_clusters(data, D, width, eps, chunk=16384):
+    """The chunked greedy leader clustering extract_right_limits ran at
+    eps > 0 before it clustered distinct windows (the cap is read from the
+    module, so patching it reaches both)."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    wins = sliding_window_view(data, D)
+    n_wins = wins.shape[0]
+    lead_rows = np.empty((0, D), dtype=data.dtype)
+    members: list = []
+    truncated = False
+    for s0 in range(0, n_wins, chunk):
+        block = np.ascontiguousarray(wins[s0:s0 + chunk])
+        nb = block.shape[0]
+        first = np.full(nb, -1, dtype=np.int64)
+        remaining = np.arange(nb)
+        for li in range(lead_rows.shape[0]):
+            if remaining.size == 0:
+                break
+            dist = np.abs(block[remaining] - lead_rows[li]).max(axis=1)
+            hit = dist <= eps
+            if hit.any():
+                first[remaining[hit]] = li
+                remaining = remaining[~hit]
+        # assign matched windows, in ascending center order per cluster
+        matched = np.nonzero(first >= 0)[0]
+        if matched.size:
+            order = first[matched]
+            for li in np.unique(order):
+                rows = matched[order == li]
+                members[li].extend((s0 + rows + width).tolist())
+        # unmatched windows found new clusters, earliest first
+        new_rows = []
+        while remaining.size:
+            if lead_rows.shape[0] + len(new_rows) >= rightlimits._CLUSTER_CAP:
+                truncated = True
+                break
+            row = np.array(block[remaining[0]])
+            dist = np.abs(block[remaining] - row).max(axis=1)
+            hit = dist <= eps  # includes the founder itself
+            members.append((s0 + remaining[hit] + width).tolist())
+            new_rows.append(row)
+            remaining = remaining[~hit]
+        if new_rows:
+            lead_rows = np.vstack([lead_rows] + [r[None, :] for r in new_rows])
+    return [(lead_rows[i], members[i]) for i in range(len(members))], truncated
+
+
+def _reference_extract(seq, width, horizon, eps, max_candidates, min_recurrence):
+    """extract_right_limits at eps > 0 as it was, on the oracle above."""
+    h = seq.clamp_horizon(horizon)
+    arr = seq.prefix(h + 1)
+    D = 2 * width + 1
+    clusters, truncated = reference_leader_clusters(_data_view(arr), D, width, eps)
+    order = sorted(range(len(clusters)), key=lambda i: (-len(clusters[i][1]), i))
+    candidates = []
+    for i in order:
+        leader, mem = clusters[i]
+        if len(mem) < min_recurrence:
+            break
+        win = TwoSidedWindow(tuple(complex(v) for v in leader), width,
+                             {"kind": "cluster", "indices": tuple(mem)},
+                             eps=eps, bound=seq.bound)
+        candidates.append(RightLimitCandidate(win, tuple(mem), eps))
+        if max_candidates and len(candidates) >= max_candidates:
+            break
+    return ExtractResult(candidates=candidates, clusters_total=len(clusters),
+                         windows_scanned=h + 2 - D, truncated=truncated)
+
+
+def _assert_same_extract(res, ref):
+    assert res.clusters_total == ref.clusters_total
+    assert res.windows_scanned == ref.windows_scanned
+    assert res.truncated is ref.truncated
+    assert len(res.candidates) == len(ref.candidates)
+    for got, want in zip(res.candidates, ref.candidates):
+        # repr keeps every bit of the leader values, signed zeros included
+        assert repr(got.window.values) == repr(want.window.values)
+        assert got.recurrence_indices == want.recurrence_indices
+        assert repr(got) == repr(want)
+
+
+_ULP_1E12 = math.ulp(1e12)       # 2**-13: float steps near 1e12
+
+
+def _near_1e12(rng, n, imag=False):
+    # column-0 gaps are whole multiples of the ulp, and eps below sits
+    # within a few ulps of three of them
+    vals = 1e12 + _ULP_1E12 * rng.integers(0, 8, size=n)
+    if imag:
+        vals = vals + 1j * _ULP_1E12 * rng.integers(0, 2, size=n)
+    return nb.make_sequence(nb.explicit(vals))
+
+
+def _float_noise(rng, n):
+    return nb.make_sequence(nb.explicit(rng.random(n)))
+
+
+def _complex_repeats(rng, n):
+    atoms = np.array([0, 1, 1j, -1 - 1j, 0.5 + 0.5j])
+    vals = atoms[rng.integers(0, len(atoms), size=n)]
+    # a few near-copies, so clusters gather more than exact repeats
+    vals = vals + 0.01 * (rng.random(n) < 0.1)
+    return nb.make_sequence(nb.explicit(vals))
+
+
+_EPS_3ULP = 3 * _ULP_1E12
+_DIFF_CASES = [
+    # (stream, width, horizon, eps)
+    ("erdos-soft", lambda rng: nb.make_sequence(nb.erdos("soft")), 3, 6000, 0.1),
+    ("half-indicator", lambda rng: nb.make_sequence(
+        nb.rotation(math.sqrt(5) - 2, 0.0, "half-indicator")), 3, 6000, 0.02),
+    ("rotation-0.05", lambda rng: nb.make_sequence(nb.rotation(math.sqrt(2) - 1)),
+     5, 6000, 0.05),
+    ("rotation-0.01", lambda rng: nb.make_sequence(nb.rotation(math.sqrt(3) - 1, 0.3)),
+     3, 4000, 0.01),
+    ("float-noise", lambda rng: _float_noise(rng, 3000), 1, 2999, 0.2),
+    ("float-noise-rounded", lambda rng: nb.make_sequence(
+        nb.explicit(rng.random(2500).round(1))), 2, 2499, 0.15),
+    ("iid", lambda rng: nb.sample_process(
+        nb.iid_process([0, 0.3, 1], seed=11), 5000), 3, 4999, 0.35),
+    ("markov", lambda rng: nb.sample_process(nb.markov_process(
+        [0, 0.5, 1], [[0.8, 0.1, 0.1], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]], seed=4),
+        5000), 4, 4999, 0.5),
+    ("complex-repeats", lambda rng: _complex_repeats(rng, 5000), 2, 4999, 0.75),
+    ("complex-repeats-tight", lambda rng: _complex_repeats(rng, 2000), 2, 1999, 0.01),
+    # windows at sup distance exactly eps
+    ("dyadic-exact-eps", lambda rng: nb.make_sequence(
+        nb.explicit(rng.integers(0, 4, size=3000) * 0.25)), 2, 2999, 0.25),
+    ("1e12-at-eps", lambda rng: _near_1e12(rng, 3000), 2, 2999, _EPS_3ULP),
+    ("1e12-below-eps", lambda rng: _near_1e12(rng, 3000), 2, 2999,
+     math.nextafter(_EPS_3ULP, 0)),
+    ("1e12-above-eps", lambda rng: _near_1e12(rng, 3000), 2, 2999,
+     math.nextafter(_EPS_3ULP, 1)),
+    ("1e12-few-ulps-of-eps", lambda rng: _near_1e12(rng, 3000), 2, 2999,
+     _EPS_3ULP * (1 - 4 * 2.0 ** -53)),
+    ("1e12-complex", lambda rng: _near_1e12(rng, 3000, imag=True), 2, 2999,
+     _EPS_3ULP),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 5])
+@pytest.mark.parametrize("name,make,width,horizon,eps", _DIFF_CASES,
+                         ids=[c[0] for c in _DIFF_CASES])
+def test_extract_matches_reference_leader_clusters(monkeypatch, name, make,
+                                                   width, horizon, eps, cap):
+    if cap is not None:
+        monkeypatch.setattr(rightlimits, "_CLUSTER_CAP", cap)
+    seq = make(np.random.default_rng(sum(map(ord, name))))
+    for max_candidates, min_recurrence in ((0, 1), (16, 3)):
+        res = nb.extract_right_limits(seq, width, horizon, eps=eps,
+                                      max_candidates=max_candidates,
+                                      min_recurrence=min_recurrence)
+        ref = _reference_extract(seq, width, horizon, eps, max_candidates,
+                                 min_recurrence)
+        _assert_same_extract(res, ref)
+    # every stream has more than 5 clusters, so a patched cap fires mid-stream
+    assert res.truncated is (cap is not None)
+
+
+def test_extract_eps0_ignores_the_cap(monkeypatch):
+    # every distinct window is its own cluster at eps = 0, however many
+    monkeypatch.setattr(rightlimits, "_CLUSTER_CAP", 2)
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    res = nb.extract_right_limits(seq, 3, 3000, eps=0.0, max_candidates=0,
+                                  min_recurrence=1)
+    clusters = _extract_eps0_oracle(seq, 3, 3000)
+    assert res.truncated is False
+    assert res.clusters_total == len(clusters) > 2
+    assert sum(len(c.recurrence_indices) for c in res.candidates) == res.windows_scanned
 
 
 def test_extract_rejects_small_horizon():
