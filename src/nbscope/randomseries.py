@@ -152,10 +152,12 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
     else:
         raise SequenceError(f"unknown process kind {spec.kind!r}")
 
-    return OneSidedSequence(
+    seq = OneSidedSequence(
         lambda lo, hi: path[lo:hi], spec.bound, f"stochastic-{spec.kind}",
         {"seed": spec.seed, "trial": trial, "kind": spec.kind},
         value_kind=kind, length=length)
+    seq.real_valued = not np.any(path.imag)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +429,8 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
     """
     if trials < 1:
         raise SequenceError("need at least one trial")
+    if horizon < 0:     # as clamp_horizon says, before any path is sampled
+        raise SequenceError(f"horizon must be >= 0, got {horizon}")
     dist, sigma = _distribution_of(spec)
     sep = separated_values(dist, cover_m, sigma, bound=spec.bound)
     if sep is None:

@@ -63,6 +63,14 @@ __all__ = [
 _CLUSTER_CAP = 10 ** 6
 _BUCKET_CAP = 64
 _PAIR_CAP = 256
+# Values per read of the gap and periodicity scans and of a certificate
+# check: they read fixed chunks through ``read``, which leaves the prefix
+# cache alone, so their memory does not grow with the horizon.
+_READ_CHUNK = 2 ** 16
+# A certificate check reads two neighbouring witnesses together when they
+# are at most this many indices apart: a separate read costs about as much
+# as reading that many more values.
+_WITNESS_GAP = 1024
 
 
 @dataclass
@@ -98,13 +106,28 @@ def _check_min_recurrence(min_recurrence):
 
 
 def _span_rows(seq, centers, offsets):
-    """a_{c+o} for each center c (a row) and ascending offset o (a column),
-    from one read of the span they cover."""
-    if not len(centers):
-        return np.empty((0, len(offsets)), dtype=complex)
-    lo = min(centers) + int(offsets[0])
-    vals = seq.read(lo, max(centers) + int(offsets[-1]) + 1)
-    return vals[(np.asarray(centers, dtype=np.int64) - lo)[:, None] + offsets]
+    """a_{c+o} for each center c (a row) and ascending offset o (a column).
+
+    Nearby centers are read together: one read per group of centers at
+    most ``_WITNESS_GAP`` apart whose span is at most ``_READ_CHUNK``
+    values (a lone center's span may be longer), so far-apart witnesses
+    never read the indices between them."""
+    out = np.empty((len(centers), len(offsets)), dtype=complex)
+    o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    srt = [int(centers[k]) for k in order]
+    i = 0
+    while i < len(srt):
+        j = i + 1
+        while (j < len(srt) and srt[j] - srt[j - 1] <= _WITNESS_GAP
+               and srt[j] - srt[i] + span <= _READ_CHUNK):
+            j += 1
+        lo = srt[i] + o0
+        vals = seq.read(lo, srt[j - 1] + o0 + span)
+        rel = np.asarray(srt[i:j], dtype=np.int64) - lo
+        out[order[i:j]] = vals[rel[:, None] + offsets]
+        i = j
+    return out
 
 
 def _data_view(arr: np.ndarray):
@@ -311,7 +334,12 @@ def _check_tolerances(eps, delta):
 
 def _flank_thresholds(width, eps, decay):
     """Bounds on |a_{n-k}|, k = 1..width, at a zero-flank hit: eps, or
-    C e^{-D k} + eps under the decay envelope (C, D)."""
+    C e^{-D k} + eps under the decay envelope (C, D), whose constants must
+    be finite and > 0."""
+    if decay is not None and not all(math.isfinite(v) and v > 0
+                                     for v in map(float, decay)):
+        raise SequenceError(
+            f"decay constants must be finite and > 0, got {tuple(decay)}")
     return np.array([eps if decay is None
                      else float(decay[0]) * math.exp(-float(decay[1]) * k) + eps
                      for k in range(1, width + 1)])
@@ -320,12 +348,12 @@ def _flank_thresholds(width, eps, decay):
 def _gap_hits_hold(seq, centers, width, eps, delta, decay):
     """Whether every center is a zero-flank hit, with the search's distance
     (np.abs) and thresholds."""
+    thr = _flank_thresholds(width, eps, decay)
     if any(n < width for n in centers):
         return False
     # columns: offsets -width..-1, then the center
     ab = np.abs(_span_rows(seq, centers, np.arange(-width, 1)))
-    return bool(np.all(ab[:, :-1] <= _flank_thresholds(width, eps, decay)[::-1])
-                and np.all(ab[:, -1] >= delta))
+    return bool(np.all(ab[:, :-1] <= thr[::-1]) and np.all(ab[:, -1] >= delta))
 
 
 def verify_gap_hit(seq: OneSidedSequence, n: int, width: int, eps: float,
@@ -341,6 +369,8 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     A hit at n requires |a_{n-k}| <= eps for k = 1..width (or under
     C e^{-D k} + eps when ``decay`` = (C, D) is given) and |a_n| >= delta.
     Returns a certificate iff at least ``min_recurrence`` hits exist.
+    Centers are scanned ``_READ_CHUNK`` at a time, each chunk read with
+    the ``width`` flank values before it.
     """
     if width < 1:
         raise SequenceError("flank width must be >= 1")
@@ -350,25 +380,34 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     h = seq.clamp_horizon(horizon)
     if h < width:
         raise SequenceError("horizon smaller than flank width")
-    ab = np.abs(seq.prefix(h + 1))
-
     thr = _flank_thresholds(width, eps, decay)
-    ok = np.ones(h + 1 - width, dtype=bool)
-    for k in range(1, width + 1):
-        # flank offset -k of center n = index n-k; centers n = width..h
-        ok &= ab[width - k: h + 1 - k] <= thr[k - 1]
-    centers = np.arange(width, h + 1)
-    hits = centers[ok & (ab[centers] >= delta)]
-    if hits.size < min_recurrence:
+
+    hits = []
+    separation = math.inf
+    for lo in range(width, h + 1, _READ_CHUNK):
+        hi = min(lo + _READ_CHUNK, h + 1)
+        # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
+        # flank offset -k at n-lo+width-k (on real values |x| is bit for
+        # bit the complex modulus of x + 0j, and cheaper)
+        seg = seq.read(lo - width, hi)
+        ab = np.abs(seg.real if seq.real_valued else seg)
+        ok = ab[width:] >= delta
+        for k in range(1, width + 1):
+            ok &= ab[width - k:hi - lo + width - k] <= thr[k - 1]
+        found = np.flatnonzero(ok)
+        if found.size:
+            hits += (found + lo).tolist()
+            separation = min(separation, float(ab[found + width].min()))
+    if len(hits) < min_recurrence:
         return None
     return NonReflectionlessCertificate(
         kind="GapZeroFlank",
-        witnesses=tuple(int(n) for n in hits),
+        witnesses=tuple(hits),
         flank_side="backward",
         flank_width=width,
         eps=eps,
         delta=delta,
-        separation=float(np.min(ab[hits])),
+        separation=separation,
         decay=None if decay is None else (float(decay[0]), float(decay[1])),
     )
 
@@ -403,7 +442,9 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     never tolerance artifacts; grid-boundary near-misses may go unfound.
     Scanning is in ascending second-index order and each selected pair
     removes both indices from further pairing, which makes the found set
-    stable under horizon growth.
+    stable under horizon growth.  Values are read a key chunk at a time as
+    the scan reaches them, so a capped search reads no further than it
+    scanned.
     """
     if flank_side not in ("backward", "forward"):
         raise SequenceError("flank_side must be 'backward' or 'forward'")
@@ -415,17 +456,16 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     h = seq.clamp_horizon(horizon)
     if h < 2 * width + 1:
         raise SequenceError("horizon too small for pair search")
-    arr = seq.prefix(h + 1)
     if flank_side == "backward":    # flank offset, first and end center
         off, start, stop = -width, width, h + 1
     else:
         off, start, stop = 1, 0, h + 1 - width
-    pairs, notes = _pair_walk(_data_view(arr), width, off, eps, delta, start, stop)
+    pairs, notes, vals = _pair_walk(seq, width, off, eps, delta, start, stop, h + 1)
 
     if len(pairs) < min_recurrence:
         return None
     pairs.sort(key=lambda p: p[0])
-    separation = min(abs(arr[n] - arr[m]) for n, m in pairs)
+    separation = min(abs(vals[n] - vals[m]) for n, m in pairs)
     return NonReflectionlessCertificate(
         kind="PairMismatch",
         witnesses=tuple(n for n, _ in pairs),
@@ -442,18 +482,23 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
 _KEY_CHUNK = 4096
 
 
-def _pair_walk(data, width, off, eps, delta, start, stop):
-    """Sequential pair selection over centers start..stop-1; the flank of
-    center m is data[m + off : m + off + width].
+def _pair_walk(seq, width, off, eps, delta, start, stop, end):
+    """Sequential pair selection over centers start..stop-1 of a sequence
+    read below ``end``; the flank of center m is a_{m+off} .. a_{m+off+width-1}.
 
     Centers are scanned in ascending order.  Each center m is paired with
     the least n, over the other center cells of m's flank bucket, whose
     flank is within eps of m's (sup metric) and whose center differs from
     m's by at least delta; that n leaves its cell.  An unpaired m joins its
     cell while the cell holds fewer than ``_BUCKET_CAP`` entries.  Keys are
-    computed chunk by chunk as the scan reaches them, because the search
-    usually stops at ``_PAIR_CAP`` long before the horizon.
-    Returns (pairs, notes).
+    computed chunk by chunk as the scan reaches them, from one read of the
+    chunk's centers and flanks, because the search usually stops at
+    ``_PAIR_CAP`` long before the horizon.  The values are real floats when
+    the sequence says it is real, else complex (on real data complex values
+    make the same decisions: abs(complex(x, 0)) == abs(x), and the keys
+    partition alike), fixed before the first read so that every chunk keys
+    alike.  Returns (pairs, notes, vals): vals holds a_0 .. as far as the
+    scan read, as Python scalars.
     """
     offs = range(off, off + width)
     bucket_ids: dict = {}       # flank key bytes -> bucket id
@@ -461,12 +506,16 @@ def _pair_walk(data, width, off, eps, delta, start, stop):
     buckets: dict = {}          # bucket id -> {cell id -> ascending centers}
     pairs = []
     notes = set()
-    vals: list = []             # data as Python scalars, grown with the scan
+    vals: list = []             # values as Python scalars, grown with the scan
     for c0 in range(start, stop, _KEY_CHUNK):
         c1 = min(c0 + _KEY_CHUNK, stop)
-        bids, cids = _chunk_keys(data, width, off, eps, c0, c1,
+        lo = c0 + min(off, 0)
+        seg = seq.read(lo, min(c1 + width, end))
+        if seq.real_valued:
+            seg = np.ascontiguousarray(seg.real)
+        bids, cids = _chunk_keys(seg, width, off, eps, c0 - lo, c1 - lo,
                                  bucket_ids, cell_ids)
-        vals += data[len(vals):c1 + width].tolist()
+        vals += seg[len(vals) - lo:].tolist()
         for m, b, c in zip(range(c0, c1), bids, cids):
             cm = vals[m]
             cells = buckets.get(b)
@@ -491,7 +540,7 @@ def _pair_walk(data, width, off, eps, delta, start, stop):
                 chosen_cell.remove(chosen)
                 if len(pairs) >= _PAIR_CAP:
                     notes.add(f"pair collection capped at {_PAIR_CAP}")
-                    return pairs, notes
+                    return pairs, notes, vals
             else:
                 if cells is None:
                     cells = buckets[b] = {}
@@ -500,11 +549,12 @@ def _pair_walk(data, width, off, eps, delta, start, stop):
                     lst.append(m)
                 else:
                     notes.add("bucket-collision overflow: some candidates dropped")
-    return pairs, notes
+    return pairs, notes, vals
 
 
 def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
-    """Flank-bucket ids and center-cell ids (lists) of centers c0..c1-1.
+    """Flank-bucket ids and center-cell ids (lists) of the centers at
+    positions c0..c1-1 of ``data``.
 
     Ids come from ``bucket_ids`` / ``cell_ids``, which grow across chunks,
     so they are consistent over the whole scan.  Flank keys: at eps = 0 the
@@ -672,7 +722,9 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
 
     A candidate is valid when |a_{n+period} - a_n| <= tol for every n from
     the preperiod through horizon - period.  ``tol`` must be finite and
-    >= 0.
+    >= 0.  The head [0, max_preperiod + max_period) is read once, the rest
+    from the top down in chunks that double up to ``_READ_CHUNK`` values,
+    each read once and checked for every period.
     """
     if max_period < 1:
         raise SequenceError("max_period must be >= 1")
@@ -688,36 +740,65 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
         raise SequenceError(
             f"horizon {h} < max_preperiod + 2*max_period = "
             f"{max_preperiod + 2 * max_period}")
-    arr = seq.prefix(h + 1)
-    # from `tail` on the sequence is exactly constant, so every comparison
-    # there is |c - c| = 0 <= tol and cannot violate
-    moving = np.flatnonzero(arr != arr[-1])
-    tail = int(moving[-1]) + 1 if moving.size else 0
-    best = None
+    # the preperiod a valid T needs comes from the head alone; the scan
+    # past the head only decides which T are valid
+    head = seq.read(0, max_preperiod + max_period)
+    cands = {}
     for T in range(1, max_period + 1):
-        # the preperiod a valid T needs comes from the head alone; the scan
-        # past the head only decides validity, so it runs only for a T that
-        # would improve on the best candidate
-        viol = np.flatnonzero(np.abs(arr[T:T + max_preperiod]
-                                     - arr[:max_preperiod]) > tol)
-        cand = (int(viol[-1]) + 1 if viol.size else 0, T)
-        if ((best is None or cand < best)
-                and _holds_from(arr, T, max_preperiod, min(h + 1 - T, tail), tol)):
-            best = cand
-    return best
+        viol = np.flatnonzero(np.abs(head[T:T + max_preperiod]
+                                     - head[:max_preperiod]) > tol)
+        cands[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
 
-
-def _holds_from(arr, T, lo, hi, tol):
-    """Whether |arr[n+T] - arr[n]| <= tol for every n in [lo, hi), scanned
-    backwards in doubling chunks so that a violation near the end (the usual
-    case for a wrong period) is found after one small chunk."""
-    size = _KEY_CHUNK
-    while hi > lo:
-        c0 = max(lo, hi - size)
-        if np.any(np.abs(arr[c0 + T:hi + T] - arr[c0:hi]) > tol):
-            return False
-        hi, size = c0, 2 * size
-    return True
+    # A valid T has no violation at n >= max_preperiod.  From `tail` on the
+    # sequence is exactly constant, so every comparison there is
+    # |c - c| = 0 <= tol and cannot violate.  The chunks, which double
+    # from _KEY_CHUNK values, are first searched for the tail, then each
+    # live T is checked below it, backwards in steps that double from
+    # max_period values, so that a violation near the end (the usual case
+    # for a wrong T) costs one small step.
+    live = None         # T -> end of its still unchecked range of n
+    step = dict.fromkeys(cands, max_period)
+    above = np.empty(0)
+    c1 = h + 1
+    size = min(_KEY_CHUNK, _READ_CHUNK)
+    while c1 > max_preperiod:
+        c0 = max(max_preperiod, c1 - size)
+        # a_{c0} .. a_{c1+max_period-1}: the top max_period values come
+        # from the chunk above, so each index is read once (real values
+        # compare and subtract as their complex forms do)
+        chunk = seq.read(c0, c1)
+        buf = np.concatenate((chunk.real if seq.real_valued else chunk,
+                              above[:max_period]))
+        if live is None:
+            if c1 == h + 1:
+                last = buf[-1]
+            moving = np.flatnonzero(buf[:c1 - c0] != last)
+            if moving.size:
+                tail = c0 + int(moving[-1]) + 1
+                live = {T: min(h + 1 - T, tail) for T in cands}
+        for T in list(live or ()):
+            if tol == 0 and any(T % d == 0 for d in live if d < T):
+                # exact equality chains: a live divisor d of T has
+                # a_{n+d} = a_n for every n checked so far, which gives
+                # a_{n+T} = a_n on this chunk too
+                live[T] = min(live[T], c0)
+                continue
+            hi = live[T]
+            while hi > c0:
+                lo = max(c0, hi - step[T])
+                ahead, here = buf[lo - c0 + T:hi - c0 + T], buf[lo - c0:hi - c0]
+                # at tol = 0, |x - y| > 0 exactly when x != y (finite values)
+                if (np.any(ahead != here) if tol == 0
+                        else np.any(np.abs(ahead - here) > tol)):
+                    del live[T]
+                    break
+                hi, step[T] = lo, 2 * step[T]
+            else:
+                live[T] = hi
+        if live == {}:
+            return None
+        above, c1, size = buf, c0, min(2 * size, _READ_CHUNK)
+    return min(cands[T] for T in (cands if live is None else live))
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +842,7 @@ def _periodic_verdict(seq, found, reason, probes):
     """EventuallyPeriodic verdict with the reduced rational form of the
     (preperiod, period) pair ``found``."""
     pre, per = found
-    arr = seq.prefix(pre + per)
+    arr = seq.read(0, pre + per)
     form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:pre + per])
     return Verdict(kind="EventuallyPeriodic", periodicity=found,
                    rational_form=form, reason=reason, probes=probes)

@@ -179,6 +179,11 @@ class OneSidedSequence:
     ``length`` is ``None`` for generators defined at every index and a
     finite count for explicit/CSV-backed sequences, whose analyses clamp
     their horizons accordingly.
+
+    ``real_valued`` is True when every value is known to be real before
+    any is read (the family constructors set it), so a search can fix its
+    real-or-complex arithmetic up front; False, the default, means the
+    sequence cannot say.
     """
 
     def __init__(self, block, bound, family, params=None, value_kind="float",
@@ -189,6 +194,7 @@ class OneSidedSequence:
         self.params = dict(params or {})
         self.value_kind = value_kind
         self.length = length
+        self.real_valued = False
         self._cache = np.empty(0, dtype=complex)
         self._grow_lock = threading.Lock()
 
@@ -322,8 +328,10 @@ def _make_periodic(params) -> OneSidedSequence:
         # the pattern rotated to start at phase lo mod p
         return np.tile(np.roll(arr, -(lo % p)), (hi - lo) // p + 1)[:hi - lo]
 
-    return OneSidedSequence(block, bound, "periodic", {"pattern": pattern},
-                            value_kind=_exact_kind(pattern))
+    seq = OneSidedSequence(block, bound, "periodic", {"pattern": pattern},
+                           value_kind=_exact_kind(pattern))
+    seq.real_valued = not np.any(arr.imag)
+    return seq
 
 
 # k! for k = 1..20: 20! < 2^63 < 21!, and reads stop at 2^63
@@ -364,6 +372,8 @@ def _exponents_between(spec):
 
 def _make_gap_powers(params) -> OneSidedSequence:
     fill = complex(params.get("fill", 1.0))
+    if not cmath.isfinite(fill):
+        raise SequenceError(f"gap fill must be finite, got {fill}")
     name = params.get("exponents", "factorials")
     between = _exponents_between(name)
     bound = max(abs(fill), 1.0)
@@ -377,6 +387,7 @@ def _make_gap_powers(params) -> OneSidedSequence:
     kind = "exact-integer" if _is_integral(fill) else "exact-rational"
     seq = OneSidedSequence(block, bound, "gap-powers",
                            {"exponents": label, "fill": fill}, value_kind=kind)
+    seq.real_valued = fill.imag == 0
     # sparse support handle: lets evaluators sum over the exponent set
     # without materializing coefficient arrays (horizons up to 1e9)
     seq.gap_support = lambda count: (between(0, count), fill)
@@ -390,8 +401,10 @@ def _rs_block(lo, hi):
 
 
 def _make_rudin_shapiro(params) -> OneSidedSequence:
-    return OneSidedSequence(_rs_block, 1.0, "rudin-shapiro", {},
-                            value_kind="exact-integer")
+    seq = OneSidedSequence(_rs_block, 1.0, "rudin-shapiro", {},
+                           value_kind="exact-integer")
+    seq.real_valued = True
+    return seq
 
 
 def _check_irrational(q: float):
@@ -457,6 +470,9 @@ _BOUNDARY_FNS = {
 def _make_rotation(params) -> OneSidedSequence:
     q = float(params["q"])
     theta = float(params.get("theta", 0.0))
+    if not (math.isfinite(q) and math.isfinite(theta)):
+        raise SequenceError(
+            f"rotation number and phase must be finite, got q={q}, theta={theta}")
     _check_irrational(q)
     bf = params.get("boundary_fn", "fractional-part")
     if isinstance(bf, str):
@@ -474,9 +490,11 @@ def _make_rotation(params) -> OneSidedSequence:
     def block(lo, hi):
         return vfunc(_frac_shift_block(q, theta, lo, hi))
 
-    return OneSidedSequence(block, float(sup), "rotation",
-                            {"q": q, "theta": theta, "boundary_fn": label},
-                            value_kind="float")
+    seq = OneSidedSequence(block, float(sup), "rotation",
+                           {"q": q, "theta": theta, "boundary_fn": label},
+                           value_kind="float")
+    seq.real_valued = isinstance(bf, str)   # a custom function may be complex
+    return seq
 
 
 def _erdos_ramp(g: int, f: int, a: int, b: int) -> np.ndarray:
@@ -508,8 +526,10 @@ def _make_erdos(params) -> OneSidedSequence:
     edge = params.get("edge", "hard")
     hard = edge == "hard"
     kind = "exact-integer" if hard else "float"
-    return OneSidedSequence(lambda lo, hi: _erdos_block(hard, lo, hi), 1.0,
-                            "erdos", {"edge": edge}, value_kind=kind)
+    seq = OneSidedSequence(lambda lo, hi: _erdos_block(hard, lo, hi), 1.0,
+                           "erdos", {"edge": edge}, value_kind=kind)
+    seq.real_valued = True
+    return seq
 
 
 def _make_explicit(params) -> OneSidedSequence:
@@ -519,10 +539,12 @@ def _make_explicit(params) -> OneSidedSequence:
     arr = np.asarray(values, dtype=complex)
     bound = float(np.max(np.abs(arr)))
     kind = params.get("value_kind") or _exact_kind(values)
-    return OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
-                            params.get("family_label", "explicit"),
-                            {"count": len(values)}, value_kind=kind,
-                            length=len(values))
+    seq = OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
+                           params.get("family_label", "explicit"),
+                           {"count": len(values)}, value_kind=kind,
+                           length=len(values))
+    seq.real_valued = not np.any(arr.imag)
+    return seq
 
 
 def make_sequence(spec: GeneratorSpec) -> OneSidedSequence:
@@ -617,11 +639,13 @@ def snap_to_limit_points(seq: OneSidedSequence, points: Sequence[complex],
         return np.concatenate((snapped[lo:hi], near))
 
     bound = max(abs(p) for p in pts)
-    return OneSidedSequence(
+    out = OneSidedSequence(
         block, bound, "snapped",
         {"points": tuple(pts), "gamma": gamma, "onset_index": onset,
          "ties": tuple(ties), "scan_horizon": horizon, "source": seq.family},
         value_kind=_exact_kind(pts), length=seq.length)
+    out.real_valued = not np.any(parr.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -429,3 +429,48 @@ def test_rotation_sqrt3_is_accepted(capsys):
                        "--count", "3")
     assert code == 0
     assert float(out.splitlines()[2].split(",")[1]) == q
+
+
+@pytest.mark.parametrize("fill", ["nan", "inf", "(1+nanj)", "(-inf+0j)"])
+def test_non_finite_gap_fill_exits_2(capsys, fill):
+    # nan used to exit 4 ("exceeds certified bound nan"), inf to exit 0
+    # with "separation": Infinity
+    for family in ("gap-factorial", "gap-squares"):
+        code, out, err = run(capsys, "verdict", "--family", family,
+                             f"--fill={fill}", "--horizon", "2000")
+        assert code == 2
+        assert not out
+        assert "fill must be finite" in err
+
+
+@pytest.mark.parametrize("decay", [("nan", "1"), ("1", "nan"), ("inf", "1"),
+                                   ("1", "inf"), ("0", "1"), ("1", "-1")])
+def test_invalid_gap_decay_exits_2(capsys, decay):
+    # a nan envelope used to match nothing and exit 1 ("no finding")
+    code, out, err = run(capsys, "certificate", "--family", "gap-factorial",
+                         "--kind", "gap", "--decay", *decay, "--horizon", "2000")
+    assert code == 2
+    assert not out
+    assert "decay constants must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("argv", [("--q", "nan"), ("--q", "inf"), ("--q=-inf",),
+                                  ("--q", "0.41421356237309515", "--theta", "nan"),
+                                  ("--q", "0.41421356237309515", "--theta", "inf")])
+def test_non_finite_rotation_parameters_exit_2(capsys, argv):
+    # nan used to end in a ValueError traceback, inf in an OverflowError
+    code, out, err = run(capsys, "verdict", "--family", "rotation", *argv,
+                         "--horizon", "2000")
+    assert code == 2
+    assert not out
+    assert "must be finite" in err
+
+
+def test_montecarlo_negative_horizon_exits_2_naming_it(capsys):
+    # the error used to name the sampled path length, not the horizon
+    code, out, err = run(capsys, "montecarlo", "--process", "iid",
+                         "--values", "0,1", "--probs", "0.5,0.5",
+                         "--horizon", "-5", "--eps", "0", "--delta", "0.9")
+    assert code == 2
+    assert not out
+    assert "horizon must be >= 0, got -5" in err

@@ -1,6 +1,7 @@
 """Differential tests of the early-exit periodicity scan, the
 lexsort-grouped block analysis and the gap search's flank loop against the
-full-array code they replaced."""
+full-array code they replaced, and of the chunked gap and periodicity
+scans against the whole-prefix code they replaced."""
 
 import math
 
@@ -335,3 +336,276 @@ def test_gap_loop_matches_sliding_window_maximum(width):
             want = reference_gap_hits(seq, width, 2999, float(eps), 0.45)
             got = _gap_witnesses(seq, width, 2999, float(eps), 0.45)
             assert got == tuple(want.tolist()), (width, eps)
+
+
+# ---------------------------------------------------------------------------
+# Chunked reads: the gap and periodicity scans against the whole-prefix code
+# they replaced, with the read chunk patched to 1, 7 and 4096 values
+
+
+def whole_prefix_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
+    """detect_eventual_periodicity as it read one whole prefix, verbatim."""
+    if max_period < 1:
+        raise nb.SequenceError("max_period must be >= 1")
+    if max_preperiod < 0:
+        raise nb.SequenceError("max_preperiod must be >= 0")
+    if tol is None:
+        tol = 0.0 if seq.exact else 1e-9
+    if not (math.isfinite(tol) and tol >= 0):
+        raise nb.SequenceError(
+            f"periodicity tolerance must be finite and >= 0, got {tol}")
+    h = seq.clamp_horizon(horizon)
+    if h < max_preperiod + 2 * max_period:
+        raise nb.SequenceError(
+            f"horizon {h} < max_preperiod + 2*max_period = "
+            f"{max_preperiod + 2 * max_period}")
+    arr = seq.prefix(h + 1)
+    # from `tail` on the sequence is exactly constant, so every comparison
+    # there is |c - c| = 0 <= tol and cannot violate
+    moving = np.flatnonzero(arr != arr[-1])
+    tail = int(moving[-1]) + 1 if moving.size else 0
+    best = None
+    for T in range(1, max_period + 1):
+        # the preperiod a valid T needs comes from the head alone; the scan
+        # past the head only decides validity, so it runs only for a T that
+        # would improve on the best candidate
+        viol = np.flatnonzero(np.abs(arr[T:T + max_preperiod]
+                                     - arr[:max_preperiod]) > tol)
+        cand = (int(viol[-1]) + 1 if viol.size else 0, T)
+        if ((best is None or cand < best)
+                and _whole_prefix_holds_from(arr, T, max_preperiod,
+                                             min(h + 1 - T, tail), tol)):
+            best = cand
+    return best
+
+
+def _whole_prefix_holds_from(arr, T, lo, hi, tol):
+    """Whether |arr[n+T] - arr[n]| <= tol for every n in [lo, hi), scanned
+    backwards in doubling chunks so that a violation near the end (the usual
+    case for a wrong period) is found after one small chunk."""
+    size = rl._KEY_CHUNK
+    while hi > lo:
+        c0 = max(lo, hi - size)
+        if np.any(np.abs(arr[c0 + T:hi + T] - arr[c0:hi]) > tol):
+            return False
+        hi, size = c0, 2 * size
+    return True
+
+
+def whole_prefix_gap_certificate(seq, width, horizon, eps=None, delta=0.5,
+                                 decay=None, min_recurrence=3):
+    """find_gap_certificate as it read one whole prefix, verbatim."""
+    if width < 1:
+        raise nb.SequenceError("flank width must be >= 1")
+    rl._check_min_recurrence(min_recurrence)
+    eps = rl._resolve_eps(seq, eps)
+    rl._check_tolerances(eps, delta)
+    h = seq.clamp_horizon(horizon)
+    if h < width:
+        raise nb.SequenceError("horizon smaller than flank width")
+    ab = np.abs(seq.prefix(h + 1))
+
+    thr = rl._flank_thresholds(width, eps, decay)
+    ok = np.ones(h + 1 - width, dtype=bool)
+    for k in range(1, width + 1):
+        # flank offset -k of center n = index n-k; centers n = width..h
+        ok &= ab[width - k: h + 1 - k] <= thr[k - 1]
+    centers = np.arange(width, h + 1)
+    hits = centers[ok & (ab[centers] >= delta)]
+    if hits.size < min_recurrence:
+        return None
+    return rl.NonReflectionlessCertificate(
+        kind="GapZeroFlank",
+        witnesses=tuple(int(n) for n in hits),
+        flank_side="backward",
+        flank_width=width,
+        eps=eps,
+        delta=delta,
+        separation=float(np.min(ab[hits])),
+        decay=None if decay is None else (float(decay[0]), float(decay[1])),
+    )
+
+
+CHUNKS = (1, 7, 4096)
+
+FAMILY_SPECS = {
+    "gap-factorials": nb.gap_powers("factorials"),
+    "gap-squares-complex": nb.gap_powers("squares", 1 + 1j),
+    "gap-custom": nb.gap_powers(range(3, 4000, 7)),
+    "gap-edges": nb.gap_powers([6, 7, 13, 14, 20, 27, 34, 41, 48, 400, 406, 407]),
+    "rudin-shapiro": nb.rudin_shapiro(),
+    "erdos-hard": nb.erdos("hard"),
+    "erdos-soft": nb.erdos("soft"),
+    "periodic": nb.periodic([1, -1, 0, 1j]),
+    "rotation-frac": nb.rotation(math.sqrt(2) % 1, 0.3),
+    "rotation-half": nb.rotation(math.sqrt(10) % 1, 0.05, "half-indicator"),
+}
+
+
+def _spiky_stream(seed, length, complex_data):
+    """Mostly small values with large spikes: gap hits, and flanks broken
+    by a spike or by a small value just over eps, fall on every chunk edge."""
+    rng = np.random.default_rng(seed)
+    vals = np.where(rng.random(length) < 0.2, 0.5 + rng.random(length) * 0.5,
+                    np.where(rng.random(length) < 0.7, 0.0, rng.random(length) * 0.1))
+    if complex_data:
+        vals = vals * np.exp(1j * rng.random(length) * 6.0)
+    return _seq(vals, "float")
+
+
+def _same_gap(seq, width, horizon, **kw):
+    want = whole_prefix_gap_certificate(seq, width, horizon, **kw)
+    got = rl.find_gap_certificate(seq, width, horizon, **kw)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.separation == want.separation
+    return want
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_gap_search_matches_whole_prefix(chunk, monkeypatch):
+    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    horizon = 1500 if chunk == 1 else 9000
+    for spec in FAMILY_SPECS.values():
+        seq = nb.make_sequence(spec)
+        for width in (1, 3, 5):
+            _same_gap(seq, width, horizon, min_recurrence=1)
+            _same_gap(seq, width, horizon, eps=0.05, delta=0.45, decay=(0.8, 0.5))
+    for seed, complex_data in ((1, False), (2, True)):
+        seq = _spiky_stream(seed, 3000, complex_data)
+        for width in (1, 2, 4):
+            for eps in (0.0, 0.03, 0.1):
+                _same_gap(seq, width, 2999, eps=eps, delta=0.45, min_recurrence=1)
+            _same_gap(seq, width, 2999, eps=0.01, delta=0.45, decay=(0.3, 0.7))
+
+
+def _same_chunked_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
+    want = whole_prefix_periodicity(seq, max_period, max_preperiod, horizon, tol)
+    assert nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
+                                          horizon, tol) == want
+    return want
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_periodicity_matches_whole_prefix_on_families(chunk, monkeypatch):
+    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    horizon = 700 if chunk == 1 else 20_000
+    for spec in FAMILY_SPECS.values():
+        seq = nb.make_sequence(spec)
+        _same_chunked_periodicity(seq, 16, 16, horizon)
+        _same_chunked_periodicity(seq, 16, 16, horizon, tol=0.0)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_periodicity_edges_tails_and_divisors(chunk, monkeypatch):
+    # with chunks of 7 below index 300 the chunk edges are 293, 286, ...:
+    # defects, and the start of a constant tail, land on and beside them;
+    # periods 2 and 3 have live multiples, which exact equality vouches for
+    # while a divisor lives and which are checked again once it dies
+    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    found = set()
+    for period in (1, 2, 3, 6):
+        block = [complex(v) for v in rng.choice([-1, 0, 1, 1j], period)]
+        if period > 1:
+            block[0] = 2            # no shorter period
+        for pre in (0, 5, 12):
+            base = _eventually_periodic([3] * pre, block, 300)
+            found.add(_same_chunked_periodicity(_seq(base), 24, 12, 299))
+            for q in (299, 298, 293, 292, 287, 286, 250, 40, 13, 12, 11):
+                vals = list(base)
+                vals[q] = 5
+                found.add(_same_chunked_periodicity(_seq(vals), 24, 12, 299))
+            for t in (293, 292, 286, 100, 13, 12):
+                vals = base[:t] + [7] * (300 - t)
+                found.add(_same_chunked_periodicity(_seq(vals), 24, 12, 299))
+    assert {(0, 2), (5, 3), (12, 6)} <= found
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_periodicity_float_tolerance(chunk, monkeypatch):
+    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    rng = np.random.default_rng(31)
+    block = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    base = np.resize(block, 400)
+    for q in (399, 392, 300, 50, 20):
+        vals = base.copy()
+        vals[q] += 1e-3
+        seq = _seq(vals, "float")
+        for tol in (None, 1e-3, float(np.abs(vals[q] - vals[q - 4])),
+                    float(np.nextafter(np.abs(vals[q] - vals[q - 4]), 0))):
+            _same_chunked_periodicity(seq, 16, 16, 399, tol=tol)
+    # steps of 0.6 tol pass period 1 and fail period 2 (1.2 tol) past the
+    # head, while in the head only period 1 fails (its last violation, a
+    # step of 1.5 tol at n = 3, is undone by the next step): a live
+    # divisor vouches for its multiples only under exact equality
+    tol = 1e-3
+    vals = [0.0, 0.0, 0.75, 0.0, 1.5, 0.75, 0.75, 0.75]
+    vals += [0.75 + 0.6 * k for k in range(392)]
+    assert _same_chunked_periodicity(_seq(np.array(vals) * tol, "float"),
+                                     8, 8, 399, tol=tol) == (4, 1)
+
+
+def _counted(spec):
+    """A fresh sequence of ``spec`` whose block reads are recorded."""
+    seq = nb.make_sequence(spec)
+    reads = []
+    block = seq._block
+
+    def counting(lo, hi):
+        reads.append((lo, hi))
+        return block(lo, hi)
+
+    seq._block = counting
+    return seq, reads
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_periodicity_reads_each_index_once(chunk, monkeypatch):
+    # the head [0, mpp + mp) is read once; the chunks from the top down
+    # overlap it by max_period values and each other not at all
+    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    mp, mpp = 16, 10
+    for spec, horizon in ((nb.gap_powers("factorials"), 20_000),
+                          (nb.periodic([1, 0, 0, -1]), 3000),
+                          (nb.periodic([1, 1j]), 3000),
+                          (nb.rudin_shapiro(), 3000)):
+        seq, reads = _counted(spec)
+        nb.detect_eventual_periodicity(seq, mp, mpp, horizon)
+        counts = np.zeros(horizon + 1, dtype=np.int64)
+        for lo, hi in reads:
+            counts[lo:hi] += 1
+        assert counts[:mpp].max() <= 1 and counts[mpp + mp:].max() <= 1
+        assert counts[mpp:mpp + mp].max() <= 2
+        assert seq._cache.shape[0] == 0
+
+
+def test_gap_check_reads_only_near_its_witnesses():
+    # witnesses 10^6 apart are checked by one small read each, never by a
+    # read of the span between them
+    seq, reads = _counted(nb.gap_powers([10, 10 ** 6, 10 ** 9, 10 ** 12]))
+    cert = rl.NonReflectionlessCertificate(
+        kind="GapZeroFlank", witnesses=(10, 10 ** 6, 10 ** 9, 10 ** 12),
+        flank_side="backward", flank_width=5, eps=0.0, delta=0.5, separation=1.0)
+    assert cert.verify(seq)
+    assert sorted(reads) == [(n - 5, n + 1) for n in cert.witnesses]
+    seq, reads = _counted(nb.gap_powers("factorials"))
+    cert = rl.find_gap_certificate(seq, 3, 10 ** 6)
+    reads.clear()
+    assert cert.verify(seq)
+    # 6, 24, 120 and 720 are close neighbours; the others stand alone
+    assert reads == [(3, 721)] + [(n - 3, n + 1) for n in (5040, 40320, 362880)]
+
+
+def test_verdict_certificates_leave_the_prefix_cache_empty():
+    for spec, horizon in ((nb.gap_powers("factorials"), 10 ** 6),
+                          (nb.gap_powers("squares", 1 + 1j), 10 ** 5),
+                          (nb.rudin_shapiro(), 10 ** 5),
+                          (nb.erdos("hard"), 10 ** 5)):
+        seq, reads = _counted(spec)
+        v = nb.verdict(seq, nb.AnalysisConfig(horizon=horizon))
+        assert v.certificate is not None
+        assert seq._cache.shape[0] == 0
+        # no read is longer than a chunk plus the flanks around it
+        assert max(hi - lo for lo, hi in reads) <= rl._READ_CHUNK + 64

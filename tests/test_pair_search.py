@@ -1,5 +1,6 @@
 """Differential tests of the bucketed pair-certificate search and of the
-vectorized rotation block against the per-index loops they replaced."""
+vectorized rotation block against the per-index loops they replaced, and of
+the chunk-reading pair search against the whole-prefix walk it replaced."""
 
 import math
 
@@ -104,6 +105,95 @@ def reference_pair_certificate(seq, width, horizon, eps=None, delta=0.5,
         pairs=tuple(pairs),
         notes=tuple(sorted(notes)),
     )
+
+
+def whole_prefix_pair_certificate(seq, width, horizon, eps=None, delta=0.5,
+                                  flank_side="backward", min_recurrence=3):
+    """find_pair_certificate as it read one whole prefix, verbatim."""
+    if flank_side not in ("backward", "forward"):
+        raise nb.SequenceError("flank_side must be 'backward' or 'forward'")
+    if width < 1:
+        raise nb.SequenceError("flank width must be >= 1")
+    rl._check_min_recurrence(min_recurrence)
+    eps = rl._resolve_eps(seq, eps)
+    rl._check_tolerances(eps, delta)
+    h = seq.clamp_horizon(horizon)
+    if h < 2 * width + 1:
+        raise nb.SequenceError("horizon too small for pair search")
+    arr = seq.prefix(h + 1)
+    if flank_side == "backward":    # flank offset, first and end center
+        off, start, stop = -width, width, h + 1
+    else:
+        off, start, stop = 1, 0, h + 1 - width
+    pairs, notes = _whole_prefix_pair_walk(rl._data_view(arr), width, off, eps,
+                                           delta, start, stop)
+
+    if len(pairs) < min_recurrence:
+        return None
+    pairs.sort(key=lambda p: p[0])
+    separation = min(abs(arr[n] - arr[m]) for n, m in pairs)
+    return rl.NonReflectionlessCertificate(
+        kind="PairMismatch",
+        witnesses=tuple(n for n, _ in pairs),
+        flank_side=flank_side,
+        flank_width=width,
+        eps=eps,
+        delta=delta,
+        separation=float(separation),
+        pairs=tuple(pairs),
+        notes=tuple(sorted(notes)),
+    )
+
+
+def _whole_prefix_pair_walk(data, width, off, eps, delta, start, stop):
+    """The pair walk over a whole data array, verbatim: the flank of center
+    m is data[m + off : m + off + width]."""
+    offs = range(off, off + width)
+    bucket_ids: dict = {}       # flank key bytes -> bucket id
+    cell_ids: dict = {}         # center cell value -> cell id
+    buckets: dict = {}          # bucket id -> {cell id -> ascending centers}
+    pairs = []
+    notes = set()
+    vals: list = []             # data as Python scalars, grown with the scan
+    for c0 in range(start, stop, rl._KEY_CHUNK):
+        c1 = min(c0 + rl._KEY_CHUNK, stop)
+        bids, cids = rl._chunk_keys(data, width, off, eps, c0, c1,
+                                    bucket_ids, cell_ids)
+        vals += data[len(vals):c1 + width].tolist()
+        for m, b, c in zip(range(c0, c1), bids, cids):
+            cm = vals[m]
+            cells = buckets.get(b)
+            chosen = None
+            if cells:
+                # candidates live in other center cells: same-cell centers
+                # are within 2*eps < delta of each other and never qualify;
+                # the delta test runs first because most candidates fail it
+                for c2, lst in cells.items():
+                    if c2 == c:
+                        continue
+                    for n in lst:
+                        if chosen is not None and n >= chosen:
+                            break
+                        if (abs(vals[n] - cm) >= delta
+                                and all(abs(vals[n + k] - vals[m + k]) <= eps
+                                        for k in offs)):
+                            chosen, chosen_cell = n, lst
+                            break
+            if chosen is not None:
+                pairs.append((chosen, m))
+                chosen_cell.remove(chosen)
+                if len(pairs) >= rl._PAIR_CAP:
+                    notes.add(f"pair collection capped at {rl._PAIR_CAP}")
+                    return pairs, notes
+            else:
+                if cells is None:
+                    cells = buckets[b] = {}
+                lst = cells.setdefault(c, [])
+                if len(lst) < rl._BUCKET_CAP:
+                    lst.append(m)
+                else:
+                    notes.add("bucket-collision overflow: some candidates dropped")
+    return pairs, notes
 
 
 def _complex_stream(seed, length):
@@ -211,6 +301,127 @@ def test_pair_search_long_horizon_across_chunks():
     seq = nb.make_sequence(nb.rotation(math.sqrt(5) % 1, 0.123))
     cert = _assert_same(seq, 5, 12_000, 0.02, 0.5, "forward")
     assert cert is not None and max(m for _, m in cert.pairs) > 2 * rl._KEY_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# Chunk reads: the walk reads each key chunk as it reaches it
+
+
+def _assert_same_as_whole_prefix(seq, width, horizon, eps, delta, side):
+    got = nb.find_pair_certificate(seq, width, horizon, eps=eps, delta=delta,
+                                   flank_side=side)
+    want = whole_prefix_pair_certificate(seq, width, horizon, eps=eps,
+                                         delta=delta, flank_side=side)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.pairs == want.pairs
+        assert got.notes == want.notes
+        assert got.separation == want.separation
+        assert got.to_json_dict() == want.to_json_dict()
+    return want
+
+
+def _late_complex_stream(length, start):
+    """1.0 everywhere, except 1j at every tenth index from ``start`` on: the
+    early chunks hold only real values, and the first pairs join an early
+    center to a late one."""
+    vals = np.ones(length, dtype=complex)
+    vals[start::10] = 1j
+    return nb.make_sequence(nb.explicit(vals))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_chunked_pair_search_matches_whole_prefix(name, chunk, monkeypatch):
+    monkeypatch.setattr(rl, "_KEY_CHUNK", chunk)
+    seq = SEQUENCES[name]()
+    horizon = {1: 300, 7: 1200, 4096: 9000}[chunk]
+    for i, eps in enumerate(EPS[:3] if chunk == 1 else EPS):
+        width = 1 + (i + len(name)) % 5
+        delta = 0.65 if eps == 0.3 else 0.5
+        for side in ("backward", "forward"):
+            _assert_same_as_whole_prefix(seq, width, horizon, eps, delta, side)
+
+
+@pytest.mark.parametrize("chunk", [7, 97])
+def test_key_layout_is_fixed_before_the_first_read(chunk, monkeypatch):
+    # the early chunks hold only real values; keying them with a real
+    # layout and the later ones with a complex layout would split buckets
+    monkeypatch.setattr(rl, "_KEY_CHUNK", chunk)
+    seq = _late_complex_stream(3001, 1500)
+    assert not seq.real_valued
+    for eps in (0.0, 0.05):
+        for width in (1, 2, 3):
+            for side in ("backward", "forward"):
+                cert = _assert_same_as_whole_prefix(seq, width, 3000, eps, 0.5, side)
+                assert any(n < 1500 <= m for n, m in cert.pairs)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SEQUENCES
+                                        if SEQUENCES[n]().real_valued))
+def test_complex_layout_decides_alike_on_real_streams(name):
+    # a sequence that cannot say it is real is walked with complex values
+    # and complex keys; on real data that gives the same pairs and notes
+    real, unknown = SEQUENCES[name](), SEQUENCES[name]()
+    unknown.real_valued = False
+    for i, eps in enumerate(EPS):
+        width = 1 + (i + len(name)) % 6
+        delta = 0.65 if eps == 0.3 else 0.5
+        for side in ("backward", "forward"):
+            a = nb.find_pair_certificate(real, width, 3000, eps=eps, delta=delta,
+                                         flank_side=side)
+            b = nb.find_pair_certificate(unknown, width, 3000, eps=eps,
+                                         delta=delta, flank_side=side)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_real_families_say_so():
+    real = {"rotation-frac", "rotation-frac-k13", "rotation-half", "erdos-soft",
+            "erdos-hard", "rudin-shapiro", "gap-factorials", "gap-custom",
+            "float-noise", "markov"}
+    for name, make in SEQUENCES.items():
+        assert make().real_valued == (name in real), name
+    assert nb.make_sequence(nb.periodic([0.5, -1])).real_valued
+    assert not nb.make_sequence(nb.periodic([0.5, 1j])).real_valued
+    custom = nb.rotation(math.sqrt(2) % 1, 0.0, (lambda x: x, 1.0))
+    assert not nb.make_sequence(custom).real_valued
+
+
+def _counted(make):
+    seq = make()
+    reads = []
+    block = seq._block
+
+    def counting(lo, hi):
+        reads.append((lo, hi))
+        return block(lo, hi)
+
+    seq._block = counting
+    return seq, reads
+
+
+@pytest.mark.parametrize("side", ["backward", "forward"])
+def test_capped_search_reads_no_further_than_it_scanned(side):
+    seq, reads = _counted(SEQUENCES["rudin-shapiro"])
+    cert = nb.find_pair_certificate(seq, 3, 10 ** 6, eps=0.0, flank_side=side)
+    assert f"pair collection capped at {rl._PAIR_CAP}" in cert.notes
+    last = max(m for _, m in cert.pairs)
+    assert max(hi for _, hi in reads) <= last + rl._KEY_CHUNK + 3 + 1
+    assert seq._cache.shape[0] == 0
+    # the check reads the dense pairs' span once
+    reads.clear()
+    assert cert.verify(seq)
+    assert len(reads) == 1
+
+
+def test_pair_verdicts_leave_the_prefix_cache_empty():
+    for name in ("rudin-shapiro", "rotation-frac", "rotation-half", "markov"):
+        seq = SEQUENCES[name]()
+        v = nb.verdict(seq, nb.AnalysisConfig(horizon=4000))
+        assert v.certificate is not None and v.certificate.kind == "PairMismatch"
+        assert seq._cache.shape[0] == 0
 
 
 def test_group_rows_partitions_like_brute_force():
