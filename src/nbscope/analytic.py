@@ -544,11 +544,13 @@ class ReflectionlessCheckResult:
     max_confirmation_defect: float
 
     def to_json_dict(self):
+        defect = self.max_confirmation_defect
         return {
             "passed": self.passed,
             "reason": self.reason,
             "rational_form": self.form.to_json_dict(),
-            "max_confirmation_defect": self.max_confirmation_defect,
+            # nan (no confirmation ran) is null, as in the probe report
+            "max_confirmation_defect": None if math.isnan(defect) else defect,
         }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .rightlimits import find_pair_certificate
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
-                        VerificationError, _exact_kind, make_sequence)
+                        VerificationError, _check_finite, _exact_kind, make_sequence)
 
 __all__ = [
     "ProcessSpec",
@@ -63,9 +63,11 @@ def iid_process(values, probs=None, seed: int = 0) -> ProcessSpec:
     vals = tuple(complex(v) for v in values)
     if not vals:
         raise SequenceError("iid process needs at least one atom")
+    _check_finite(np.asarray(vals), "iid values")
     if probs is None:
         probs = tuple(1.0 / len(vals) for _ in vals)
     probs = tuple(float(p) for p in probs)
+    _check_finite(np.asarray(probs), "iid probabilities")
     if len(probs) != len(vals):
         raise SequenceError("values and probs must have equal length")
     if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > _ROW_SUM_TOL:
@@ -76,15 +78,18 @@ def iid_process(values, probs=None, seed: int = 0) -> ProcessSpec:
 
 def markov_process(emissions, transition, initial=None, seed: int = 0) -> ProcessSpec:
     em = tuple(complex(v) for v in emissions)
+    _check_finite(np.asarray(em, dtype=complex), "markov values")
     tr = np.asarray(transition, dtype=float)
     k = len(em)
     if tr.shape != (k, k):
         raise SequenceError("transition matrix shape must match emissions")
+    _check_finite(tr, "transition probabilities")
     if np.any(tr < 0) or np.any(np.abs(tr.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
         raise SequenceError("transition rows must be nonnegative and sum to 1")
     if initial is None:
         initial = tuple(1.0 / k for _ in range(k))
     initial = tuple(float(p) for p in initial)
+    _check_finite(np.asarray(initial), "initial probabilities")
     if abs(sum(initial) - 1.0) > _ROW_SUM_TOL or any(p < 0 for p in initial):
         raise SequenceError("initial distribution must be a distribution")
     bound = max(abs(v) for v in em)

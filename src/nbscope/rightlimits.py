@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import sub
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -208,7 +210,7 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     D = 2 * width + 1
 
     wins = sliding_window_view(_data_view(arr), D)
-    groups, first = _group_rows(wins)
+    groups, first, _ = _group_rows(wins)
     # distinct windows in order of first occurrence, then each window's
     # cluster (-1: dropped at the cap); members come out ascending
     by_first = np.argsort(first)
@@ -480,117 +482,236 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
 
 
 _KEY_CHUNK = 4096
+# Centers per block of a key chunk: the walk checks for its stop after each.
+_WALK_BLOCK = 128
+# The one cell of every nan cell value, as numpy groups them (a cell value
+# is nan only when eps is so small next to the values that value/eps
+# overflows); one object, so that it finds itself as a dict key.
+_NAN_CELL = math.nan
 
 
 def _pair_walk(seq, width, off, eps, delta, start, stop, end):
     """Sequential pair selection over centers start..stop-1 of a sequence
     read below ``end``; the flank of center m is a_{m+off} .. a_{m+off+width-1}.
 
-    Centers are scanned in ascending order.  Each center m is paired with
-    the least n, over the other center cells of m's flank bucket, whose
-    flank is within eps of m's (sup metric) and whose center differs from
-    m's by at least delta; that n leaves its cell.  An unpaired m joins its
-    cell while the cell holds fewer than ``_BUCKET_CAP`` entries.  Keys are
-    computed chunk by chunk as the scan reaches them, from one read of the
-    chunk's centers and flanks, because the search usually stops at
-    ``_PAIR_CAP`` long before the horizon.  The values are real floats when
-    the sequence says it is real, else complex (on real data complex values
-    make the same decisions: abs(complex(x, 0)) == abs(x), and the keys
-    partition alike), fixed before the first read so that every chunk keys
-    alike.  Returns (pairs, notes, vals): vals holds a_0 .. as far as the
-    scan read, as Python scalars.
+    The rule: centers are taken in ascending order.  Each center m is
+    paired with the least n, over the other center cells of m's flank
+    bucket, whose flank is within eps of m's (sup metric) and whose center
+    differs from m's by at least delta; that n leaves its cell.  An
+    unpaired m joins its cell while the cell holds fewer than
+    ``_BUCKET_CAP`` entries, and the walk stops at the ``_PAIR_CAP``-th
+    pair.
+
+    Buckets meet only at that stop, so a key chunk is walked bucket by
+    bucket: its centers are grouped by bucket, ascending within a bucket,
+    and cut into runs of one cell.  Each cell knows the other cells of its
+    bucket that are not too close to it (``_cells_too_close``); only their
+    centers can pair with its own, and while a run lasts only its own
+    pairings take centers from them.  So a run's arrivals take the
+    candidate test one by one while those cells hold a center, and the
+    rest of the run joins its cell as one slice.  Runs are taken by the
+    ``_WALK_BLOCK``-center block of the chunk they start in, and once the
+    finished blocks hold enough pairs the chunk's pairs are merged in
+    order of m and cut at the stop; the overflow note counts only if a
+    center overflowed before the stop.
+
+    Keys are computed chunk by chunk as the scan reaches them, from one
+    read of the chunk's centers and flanks, because the search usually
+    stops at ``_PAIR_CAP`` long before the horizon.  The values are real
+    floats when the sequence says it is real, else complex (on real data
+    complex values make the same decisions: abs(complex(x, 0)) == abs(x),
+    and the keys partition alike), fixed before the first read so that
+    every chunk keys alike.  Returns (pairs, notes, vals): vals holds
+    a_0 .. as Python scalars, as far as the scan read when it last met a
+    center that could pair (so past every center of ``pairs``).
     """
-    offs = range(off, off + width)
+    end_off = off + width
+    exact = eps == 0.0
     bucket_ids: dict = {}       # flank key bytes -> bucket id
-    cell_ids: dict = {}         # center cell value -> cell id
-    buckets: dict = {}          # bucket id -> {cell id -> ascending centers}
+    # bucket id -> {cell -> (its ascending centers, the center lists of the
+    # bucket's cells not too close to it)}
+    buckets: dict = {}
     pairs = []
     notes = set()
-    vals: list = []             # values as Python scalars, grown with the scan
+    vals: list = []             # a_0 .. as Python scalars, for the candidate test
+    unconverted = []            # numpy segments read since, converted only
+    read_end = 0                # when a center that can pair arrives
     for c0 in range(start, stop, _KEY_CHUNK):
         c1 = min(c0 + _KEY_CHUNK, stop)
         lo = c0 + min(off, 0)
         seg = seq.read(lo, min(c1 + width, end))
         if seq.real_valued:
             seg = np.ascontiguousarray(seg.real)
-        bids, cids = _chunk_keys(seg, width, off, eps, c0 - lo, c1 - lo,
-                                 bucket_ids, cell_ids)
-        vals += seg[len(vals) - lo:].tolist()
-        for m, b, c in zip(range(c0, c1), bids, cids):
-            cm = vals[m]
-            cells = buckets.get(b)
-            chosen = None
-            if cells:
-                # candidates live in other center cells: same-cell centers
-                # are within 2*eps < delta of each other and never qualify;
-                # the delta test runs first because most candidates fail it
-                for c2, lst in cells.items():
-                    if c2 == c:
-                        continue
-                    for n in lst:
-                        if chosen is not None and n >= chosen:
-                            break
-                        if (abs(vals[n] - cm) >= delta
-                                and all(abs(vals[n + k] - vals[m + k]) <= eps
-                                        for k in offs)):
-                            chosen, chosen_cell = n, lst
-                            break
-            if chosen is not None:
-                pairs.append((chosen, m))
-                chosen_cell.remove(chosen)
-                if len(pairs) >= _PAIR_CAP:
-                    notes.add(f"pair collection capped at {_PAIR_CAP}")
-                    return pairs, notes, vals
-            else:
-                if cells is None:
-                    cells = buckets[b] = {}
-                lst = cells.setdefault(c, [])
-                if len(lst) < _BUCKET_CAP:
-                    lst.append(m)
-                else:
-                    notes.add("bucket-collision overflow: some candidates dropped")
+        bids, cells, order = _chunk_keys(seg, width, off, eps, c0 - lo, c1 - lo,
+                                         bucket_ids)
+        unconverted.append(seg[read_end - lo:])
+        read_end = lo + len(seg)
+        b, c = bids[order], cells[order]
+        heads = np.flatnonzero(np.concatenate(
+            ([True], (b[1:] != b[:-1]) | (c[1:] != c[:-1]))))
+        ends = np.append(heads[1:], len(order))
+        # runs by the block of the chunk their first center falls in: a
+        # stop early in the chunk is seen after its block
+        blk = order[heads] // _WALK_BLOCK
+        ro = np.argsort(blk, kind="stable")
+        heads, ends = heads[ro], ends[ro]
+        runs = zip(heads.tolist(), ends.tolist(), b[heads].tolist(),
+                   c[heads].tolist())
+        ms = (order + c0).tolist()
+        need = _PAIR_CAP - len(pairs)
+        found = []              # (m, n) of this chunk
+        spill = stop            # least center that found its cell full
+        for blk_no, count in enumerate(np.bincount(blk).tolist()):
+            for i, j, bk, ck in islice(runs, count):
+                if ck != ck:
+                    ck = _NAN_CELL      # one cell, as numpy groups nan
+                bucket = buckets.get(bk)
+                if bucket is None:
+                    bucket = buckets[bk] = {}
+                cell = bucket.get(ck)
+                if cell is None:
+                    # link the new cell with the bucket's cells whose centers
+                    # may pair with its own: same-cell centers are within
+                    # 2*eps < delta of each other and never qualify, nor do
+                    # those of a cell too close to it
+                    cell = bucket[ck] = ([], [])
+                    for c2, (l2, far2) in bucket.items():
+                        if c2 is not ck and not _cells_too_close(ck, c2, eps, delta):
+                            cell[1].append(l2)
+                            far2.append(cell[0])
+                lst, far = cell
+                reach = sum(map(len, far)) if far else 0
+                if reach and unconverted:
+                    for u in unconverted:
+                        vals += u.tolist()
+                    unconverted.clear()
+                while reach and i < j:
+                    m = ms[i]
+                    i += 1
+                    cm = vals[m]
+                    chosen = None
+                    for l2 in far:
+                        for n in l2:
+                            if chosen is not None and n >= chosen:
+                                break
+                            # at eps = 0 every candidate passes: its flank
+                            # is m's, and its value passed the delta test as
+                            # its cell's; else the delta test goes first, as
+                            # most candidates fail it
+                            if exact or (abs(vals[n] - cm) >= delta and max(map(
+                                    abs, map(sub, vals[n + off:n + end_off],
+                                             vals[m + off:m + end_off]))) <= eps):
+                                chosen, chosen_cell = n, l2
+                                break
+                    if chosen is not None:
+                        found.append((m, chosen))
+                        chosen_cell.remove(chosen)
+                        reach -= 1
+                    elif len(lst) < _BUCKET_CAP:
+                        lst.append(m)
+                    else:
+                        spill = min(spill, m)
+                # the rest of the run cannot pair: it joins the cell up to the cap
+                room = _BUCKET_CAP - len(lst)
+                if j - i > room:
+                    spill = min(spill, ms[i + room])
+                    j = i + room
+                lst += ms[i:j]
+            if (len(found) >= need
+                    and sum(m < c0 + _WALK_BLOCK * (blk_no + 1)
+                            for m, _ in found) >= need):
+                break
+        found.sort()
+        if len(pairs) + len(found) >= _PAIR_CAP:
+            found = found[:_PAIR_CAP - len(pairs)]
+            pairs += [(n, m) for m, n in found]
+            notes.add(f"pair collection capped at {_PAIR_CAP}")
+            if spill < found[-1][0]:
+                notes.add("bucket-collision overflow: some candidates dropped")
+            return pairs, notes, vals
+        pairs += [(n, m) for m, n in found]
+        if spill < stop:
+            notes.add("bucket-collision overflow: some candidates dropped")
     return pairs, notes, vals
 
 
-def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
-    """Flank-bucket ids and center-cell ids (lists) of the centers at
-    positions c0..c1-1 of ``data``.
+def _cells_too_close(p, q, eps, delta):
+    """Whether every center of the cell with value ``p`` lies less than
+    delta from every center of the cell with value ``q``, so that no
+    candidate between the two cells passes the delta test.
 
-    Ids come from ``bucket_ids`` / ``cell_ids``, which grow across chunks,
-    so they are consistent over the whole scan.  Flank keys: at eps = 0 the
-    flank's bit pattern (value equality, since sequence values carry no
-    negative zeros); at eps > 0 the per-coordinate int64 floor(re/eps),
-    extended by the imaginary floors and a has-imaginary-part flag when the
-    data is complex.  Center cells: the value at eps = 0, else
-    (floor(re/eps), floor(im/eps)).
+    At eps = 0 a cell's value is its centers' value.  At eps > 0 it is the
+    grid index K = floor(re/eps) (plus i*floor(im/eps) on complex data).
+    While every index is at most 2**32 in size, the rounding of re/eps
+    moves a value by far less than 0.01 of a cell, so two values in cells
+    K and K' lie less than (|K - K'| + 1.01) * eps apart in each
+    coordinate.
+    """
+    if eps == 0.0:
+        return abs(q - p) < delta
+    lim = 2.0 ** 32
+    if not (abs(p.real) <= lim and abs(p.imag) <= lim
+            and abs(q.real) <= lim and abs(q.imag) <= lim):
+        return False
+    if isinstance(p, float):
+        return (abs(p - q) + 1.01) * eps < delta
+    return math.hypot(abs(p.real - q.real) + 1.01,
+                      abs(p.imag - q.imag) + 1.01) * eps < delta
+
+
+def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
+    """(bids, cells, order) for the centers at positions c0..c1-1 of
+    ``data``: their flank-bucket ids (int64), their center cells, and the
+    order that lists them bucket by bucket, ascending within a bucket.
+
+    Bucket ids come from ``bucket_ids``, which grows across chunks, so they
+    are consistent over the whole scan.  Flank keys: at eps = 0 the flank's
+    bit pattern (value equality, since sequence values carry no negative
+    zeros); at eps > 0 the per-coordinate int64 floor(re/eps), extended by
+    the imaginary floors and a has-imaginary-part flag when the data is
+    complex.  Center cells, the same values in every chunk: the value at
+    eps = 0, else floor(re/eps), plus i*floor(im/eps) when the data is
+    complex.
     """
     seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
     cen = data[c0:c1]
     if eps == 0.0:
-        rows = sliding_window_view(seg, width)
+        rows = keys = sliding_window_view(seg, width)
         cells = cen
     else:
         inv = 1.0 / eps
-        rows = sliding_window_view(np.floor(seg.real * inv).astype(np.int64), width)
+        grid = np.floor(seg.real * inv).astype(np.int64)
+        rows = sliding_window_view(grid, width)
+        keys = sliding_window_view(_compact(grid), width)
         cells = np.floor(cen.real * inv)
         if np.iscomplexobj(data):
             has_imag = sliding_window_view(seg.imag != 0, width).any(axis=1)
             rows = np.hstack([has_imag[:, None].astype(np.int64), rows,
                               sliding_window_view(np.floor(seg.imag * inv)
                                                   .astype(np.int64), width)])
+            keys = _compact(rows)
             cells = cells + 1j * np.floor(cen.imag * inv)
-    groups, first = _group_rows(rows)
+    # the key rows sort alike and group alike; ids come from the int64 rows
+    groups, first, order = _group_rows(keys)
     bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
                      for i in first.tolist()], dtype=np.int64)[groups]
-    uniq, inverse = np.unique(cells, return_inverse=True)
-    cids = np.array([cell_ids.setdefault(v, len(cell_ids))
-                     for v in uniq.tolist()], dtype=np.int64)[inverse]
-    return bids.tolist(), cids.tolist()
+    return bids, cells, order
+
+
+def _compact(a):
+    """The int64 array ``a`` as uint16 offsets from its least value when
+    its values span less than 2**16 (the same order, which numpy sorts by
+    radix), else ``a`` itself."""
+    least = a.min()
+    if int(a.max()) - int(least) < 2 ** 16:
+        return (a - least).astype(np.uint16)
+    return a
 
 
 def _group_rows(rows):
-    """(groups, first) for the value-equal rows of a matrix: row i is in
-    group groups[i], and first[g] is the least index of a row of group g
+    """(groups, first, order) for the value-equal rows of a matrix: row i
+    is in group groups[i], first[g] is the least index of a row of group g,
+    and ``order`` lists the rows group by group, ascending within a group
     (the lexsort is stable)."""
     order = np.lexsort(rows.T)
     srt = rows[order]
@@ -598,7 +719,7 @@ def _group_rows(rows):
     new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
     groups = np.empty(len(order), dtype=np.int64)
     groups[order] = np.cumsum(new) - 1
-    return groups, order[new]
+    return groups, order[new], order
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +808,7 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
             continue
         # least pair: the repeated group whose first member (the least index,
         # since the lexsort is stable) is smallest, with its second member
-        groups, first = _group_rows(data[:blocks * p].reshape(blocks, p))
+        groups, first, _ = _group_rows(data[:blocks * p].reshape(blocks, p))
         repeated = first[np.bincount(groups) > 1]
         if repeated.size == 0:
             raise VerificationError("pigeonhole guarantee violated")

@@ -79,6 +79,13 @@ class SequenceError(ValueError):
     """Invalid generator specification or sequence-domain error."""
 
 
+def _check_finite(arr, what):
+    """Raise SequenceError naming the first non-finite entry of ``arr``."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise SequenceError(f"{what} must be finite, got {arr.flat[bad[0]]}")
+
+
 class VerificationError(RuntimeError):
     """A certificate, witness or certified bound failed its re-check against
     raw sequence reads.  Raised explicitly, so the check also runs under
@@ -322,6 +329,7 @@ def _make_periodic(params) -> OneSidedSequence:
         raise SequenceError("periodic pattern must be nonempty")
     p = len(pattern)
     arr = np.asarray(pattern, dtype=complex)
+    _check_finite(arr, "periodic pattern values")
     bound = float(np.max(np.abs(arr)))
 
     def block(lo, hi):
@@ -537,6 +545,7 @@ def _make_explicit(params) -> OneSidedSequence:
     if not values:
         raise SequenceError("explicit sequence needs at least one value")
     arr = np.asarray(values, dtype=complex)
+    _check_finite(arr, "explicit values")
     bound = float(np.max(np.abs(arr)))
     kind = params.get("value_kind") or _exact_kind(values)
     seq = OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,

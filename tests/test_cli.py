@@ -474,3 +474,44 @@ def test_montecarlo_negative_horizon_exits_2_naming_it(capsys):
     assert code == 2
     assert not out
     assert "horizon must be >= 0, got -5" in err
+
+
+def test_generate_periodic_non_finite_pattern_exits_2(capsys):
+    # used to exit 4 with "exceeds certified bound nan"
+    code, out, err = run(capsys, "generate", "--family", "periodic",
+                         "--pattern", "1,nan", "--count", "5")
+    assert code == 2
+    assert not out
+    assert "periodic pattern values must be finite, got (nan+0j)" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # exited 0 with hit rate 1.0
+    (("--process", "markov", "--values", "0,1", "--transition", "0.5,0.5;nan,1"),
+     "transition probabilities must be finite, got nan"),
+    # ended in a ValueError traceback with exit 1
+    (("--process", "iid", "--values", "0,1", "--probs", "nan,nan"),
+     "iid probabilities must be finite, got nan"),
+    (("--process", "iid", "--values", "0,nan"),
+     "iid values must be finite, got (nan+0j)"),
+])
+def test_montecarlo_non_finite_inputs_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "montecarlo", *argv, "--trials", "2",
+                         "--horizon", "500", "--eps", "0", "--delta", "0.9")
+    assert code == 2
+    assert not out
+    assert message in err
+
+
+def test_reflectionless_full_emits_strict_json(capsys):
+    # the nan defect of a check that ran no confirmation used to print NaN
+    code, out, _ = run(capsys, "reflectionless", "--pattern", "1,2", "--full",
+                       "--arc", "0.1", "0.5")
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=reject)["report"]
+    assert report["passed"] is False
+    assert report["max_confirmation_defect"] is None

@@ -197,3 +197,23 @@ def test_report_bit_identical_reproduction():
     r2 = nb.certificate_rate_experiment(spec, trials=4, width=3,
                                         horizon=4000, eps=0.0, delta=1.0)
     assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: nb.iid_process([0.0, math.nan]), "iid values must be finite"),
+    (lambda: nb.iid_process([0.0, 1.0], [math.nan, math.nan]),
+     "iid probabilities must be finite"),
+    (lambda: nb.iid_process([0.0, 1.0], [math.inf, 0.0]),
+     "iid probabilities must be finite"),
+    (lambda: nb.markov_process([0.0, complex(1, math.inf)], [[0.5, 0.5], [0.5, 0.5]]),
+     "markov values must be finite"),
+    (lambda: nb.markov_process([0.0, 1.0], [[0.5, 0.5], [math.nan, 1.0]]),
+     "transition probabilities must be finite"),
+    (lambda: nb.markov_process([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], [math.nan, 1.0]),
+     "initial probabilities must be finite"),
+])
+def test_process_specs_reject_non_finite_inputs(make, message):
+    # nan transition rows used to pass the row-sum check (hit rate 1.0), and
+    # nan values or probabilities ended in a numpy ValueError
+    with pytest.raises(SequenceError, match=message):
+        make()

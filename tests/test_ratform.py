@@ -1,6 +1,7 @@
 """The exact rational-form reduction in Python integers, checked against the
 sympy reduction it replaced (sympy is a test-only oracle)."""
 
+import functools
 import itertools
 import math
 
@@ -13,21 +14,32 @@ from nbscope.ratform import RationalForm, RootOfUnityPole
 ALPHABET = (-1, 0, 1, 1j)
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(d, dom):
+    """The sympy Poly of the d-th cyclotomic polynomial over ``dom``."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    return sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
+
+
 def reference_reduce_exact(num_coeffs, T, pp):
-    """The sympy reduction that ratform._reduce_exact replaced, verbatim."""
+    """The sympy reduction that ratform._reduce_exact replaced.  Its Polys
+    are built from coefficient lists and the cyclotomics are cached, which
+    gives the same Polys as building them from expressions, faster."""
     import sympy
 
     z = sympy.Symbol("z")
     has_imag = any(c.imag for c in num_coeffs)
     dom = "QQ_I" if has_imag else "QQ"
 
-    expr = sympy.Integer(0)
-    for k, c in enumerate(num_coeffs):
+    coefs = []
+    for c in num_coeffs:
         coef = sympy.Integer(int(c.real))
         if has_imag:
             coef = coef + sympy.Integer(int(c.imag)) * sympy.I
-        expr = expr + coef * z ** k
-    npoly = sympy.Poly(expr, z, domain=dom)
+        coefs.append(coef)
+    npoly = sympy.Poly.from_list(coefs[::-1], z, domain=dom)
 
     survivors, cancelled = [], []
     quotient = -npoly  # 1 - z^T = -(z^T - 1) = -(product of cyclotomics)
@@ -35,8 +47,7 @@ def reference_reduce_exact(num_coeffs, T, pp):
         if npoly.is_zero:
             cancelled.append(d)
             continue
-        cyc = sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
-        q, r = quotient.div(cyc)
+        q, r = quotient.div(_cyclotomic(d, dom))
         if r.is_zero:
             quotient = q
             cancelled.append(d)
@@ -45,7 +56,7 @@ def reference_reduce_exact(num_coeffs, T, pp):
 
     den = sympy.Poly(1, z, domain=dom)
     for d in survivors:
-        den = den * sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
+        den = den * _cyclotomic(d, dom)
 
     def to_tuple(poly):
         cs = poly.all_coeffs()[::-1]  # ascending order

@@ -855,3 +855,13 @@ def test_rotation_screen_rejects_few_uniform_numbers_and_only_old_rejections():
     rejected = [q for q in qs if _rejected(q)]
     assert len(rejected) < 0.01 * len(qs)
     assert all(_old_screen_rejects(q) for q in rejected)
+
+
+@pytest.mark.parametrize("spec", [
+    nb.explicit([1.0, math.nan]), nb.explicit([0.0, complex(0.0, math.inf)]),
+    nb.periodic([1.0, math.nan]), nb.periodic([-math.inf]),
+])
+def test_explicit_and_periodic_reject_non_finite_values(spec):
+    # explicit([1, nan]) used to be accepted with bound nan
+    with pytest.raises(nb.SequenceError, match="must be finite, got"):
+        nb.make_sequence(spec)
