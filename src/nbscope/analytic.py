@@ -490,7 +490,9 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
 
     Midpoint quadrature at ``quad_points`` nodes (and at double resolution
     for the Richardson error estimate); per-node series truncation within
-    ``tol``.  The growth fit regresses I(r) on log(1/(1-r)).
+    ``tol``.  The growth fit regresses I(r) on log(1/(1-r)).  Raises
+    NumericCapError, before allocating, when the 4 * ``quad_points`` nodes
+    of the transform exceed TERM_CAP.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -501,6 +503,11 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
         raise AnalyticError("radii must lie in (0, 1 - 1e-6]")
     if quad_points < 64:
         raise AnalyticError("need at least 64 quadrature nodes")
+    # the transform evaluates 4 * quad_points nodes at once
+    if 4 * quad_points > TERM_CAP:
+        raise NumericCapError(4 * quad_points,
+                              f"{quad_points} quadrature points need "
+                              f"{4 * quad_points} nodes (cap {TERM_CAP})")
 
     integrals, quad_errors, trunc_errors, skipped, notes = [], [], [], [], []
     for r in radii:

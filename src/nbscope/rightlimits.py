@@ -28,6 +28,7 @@ never depends on cached intermediate state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import sub
@@ -99,6 +100,11 @@ def _resolve_eps(seq, eps):
     # a negative or nan eps matches nothing, not even a window to itself
     if not (math.isfinite(eps) and eps >= 0):
         raise SequenceError(f"eps must be finite and >= 0, got {eps}")
+    # the key grids scale by 1/eps, which is inf for a subnormal eps
+    if 0 < eps < sys.float_info.min:
+        raise SequenceError(
+            f"eps must be 0 or at least {sys.float_info.min} (1/eps must be "
+            f"finite), got {eps}")
     return eps
 
 

@@ -22,19 +22,20 @@ mutate, and repeated queries return identical results.
 from __future__ import annotations
 
 import cmath
+import codecs
 import csv
 import io
 import math
 import operator
+import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from ._util import fmt17
 
 __all__ = [
     "SequenceError",
@@ -160,8 +161,20 @@ def erdos(edge: str = "hard") -> GeneratorSpec:
 
 
 def explicit(values: Iterable[complex]) -> GeneratorSpec:
-    """A finite explicit coefficient list."""
-    return GeneratorSpec("explicit", {"values": tuple(complex(v) for v in values)})
+    """A finite explicit coefficient list, held as a read-only complex
+    array of ``complex(v)`` for each value."""
+    return GeneratorSpec("explicit", {"values": _complex_values(values)})
+
+
+def _complex_values(values) -> np.ndarray:
+    """``complex(v)`` for each of ``values`` as a read-only complex array,
+    converted once: a read-only 1-d complex array passes through as it is."""
+    if (isinstance(values, np.ndarray) and values.dtype == complex
+            and values.ndim == 1 and not values.flags.writeable):
+        return values
+    arr = np.fromiter(map(complex, values), dtype=complex)
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +328,15 @@ def window(seq: OneSidedSequence, center: int, radius: int) -> TwoSidedWindow:
 # Family construction
 
 
-def _is_integral(v: complex) -> bool:
-    return v.imag == 0.0 and float(v.real).is_integer()
+def _all_integral(arr: np.ndarray) -> bool:
+    """True when every entry of the complex array is a finite integer."""
+    re = arr.real
+    return not arr.imag.any() and bool(np.all(np.isfinite(re) & (np.trunc(re) == re)))
 
 
 def _exact_kind(values) -> str:
-    return "exact-integer" if all(_is_integral(v) for v in values) else "exact-rational"
+    arr = np.asarray(values, dtype=complex)
+    return "exact-integer" if _all_integral(arr) else "exact-rational"
 
 
 def _make_periodic(params) -> OneSidedSequence:
@@ -337,7 +353,7 @@ def _make_periodic(params) -> OneSidedSequence:
         return np.tile(np.roll(arr, -(lo % p)), (hi - lo) // p + 1)[:hi - lo]
 
     seq = OneSidedSequence(block, bound, "periodic", {"pattern": pattern},
-                           value_kind=_exact_kind(pattern))
+                           value_kind=_exact_kind(arr))
     seq.real_valued = not np.any(arr.imag)
     return seq
 
@@ -392,9 +408,9 @@ def _make_gap_powers(params) -> OneSidedSequence:
         arr[np.asarray(between(lo, hi), dtype=np.int64) - lo] = fill
         return arr
 
-    kind = "exact-integer" if _is_integral(fill) else "exact-rational"
     seq = OneSidedSequence(block, bound, "gap-powers",
-                           {"exponents": label, "fill": fill}, value_kind=kind)
+                           {"exponents": label, "fill": fill},
+                           value_kind=_exact_kind([fill]))
     seq.real_valued = fill.imag == 0
     # sparse support handle: lets evaluators sum over the exponent set
     # without materializing coefficient arrays (horizons up to 1e9)
@@ -541,17 +557,16 @@ def _make_erdos(params) -> OneSidedSequence:
 
 
 def _make_explicit(params) -> OneSidedSequence:
-    values = tuple(complex(v) for v in params.get("values", ()))
-    if not values:
+    arr = _complex_values(params.get("values", ()))
+    if not arr.size:
         raise SequenceError("explicit sequence needs at least one value")
-    arr = np.asarray(values, dtype=complex)
     _check_finite(arr, "explicit values")
     bound = float(np.max(np.abs(arr)))
-    kind = params.get("value_kind") or _exact_kind(values)
+    kind = params.get("value_kind") or _exact_kind(arr)
+    count = arr.shape[0]
     seq = OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
                            params.get("family_label", "explicit"),
-                           {"count": len(values)}, value_kind=kind,
-                           length=len(values))
+                           {"count": count}, value_kind=kind, length=count)
     seq.real_valued = not np.any(arr.imag)
     return seq
 
@@ -695,21 +710,51 @@ def window_extension(win: TwoSidedWindow) -> TwoSidedSequence:
 
 # ---------------------------------------------------------------------------
 # CSV import/export: header "n,re,im", index ascending from 0, no gaps.
+# Rows move in chunks of _CSV_CHUNK: each chunk is one read and one write,
+# or one slice of the reader converted a column at a time, so memory stays
+# bounded by the chunk (plus the values a reader keeps, 16 bytes a row).
+
+_CSV_CHUNK = 4096
+
+# One row in csv.writer's default dialect: lines end in \r\n, and no field
+# needs quoting (a finite float's text holds no ',', '"' or line break).
+# A chunk of k rows is one %-format of this row repeated k times.
+_CSV_ROW = "%d,%.17g,%.17g\r\n"
 
 
 def write_sequence_csv(dest, seq: OneSidedSequence, count: int) -> None:
-    vals = seq.prefix(count)
-    _write_rows(dest, range(count), vals)
+    """Write a_0..a_{count-1}; reads go through :meth:`OneSidedSequence.read`
+    a chunk at a time, so the prefix cache does not grow."""
+    count = operator.index(count)
+    if count < 0:
+        raise SequenceError(f"prefix count must be >= 0, got {count}")
+    end = _INDEX_END if seq.length is None else seq.length
+    if count > end:
+        raise SequenceError(f"index {count - 1} beyond the last index {end - 1}")
+    _write_rows(dest, 0, count, seq.read)
 
 
-def _write_rows(dest, indices, vals) -> None:
+def write_window_csv(dest, win: TwoSidedWindow) -> None:
+    W = win.radius
+    vals = np.asarray(win.values, dtype=complex)
+    _write_rows(dest, -W, 2 * W + 1, lambda lo, hi: vals[lo:hi])
+
+
+def _write_rows(dest, first, count, read) -> None:
+    """Header, then rows n = first..first+count-1; ``read(lo, hi)`` gives
+    the values of rows lo..hi-1, counted from the first row."""
     own = isinstance(dest, (str, bytes))
     f = open(dest, "w", newline="") if own else dest
     try:
-        w = csv.writer(f)
-        w.writerow(["n", "re", "im"])
-        for n, v in zip(indices, vals):
-            w.writerow([n, fmt17(v.real), fmt17(v.imag)])
+        f.write("n,re,im\r\n")
+        for lo in range(0, count, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, count)
+            vals = read(lo, hi)
+            fields = [None] * (3 * (hi - lo))
+            fields[0::3] = range(first + lo, first + hi)
+            fields[1::3] = vals.real.tolist()
+            fields[2::3] = vals.imag.tolist()
+            f.write(_CSV_ROW * (hi - lo) % tuple(fields))
     finally:
         if own:
             f.close()
@@ -721,45 +766,52 @@ def read_sequence_csv(src) -> OneSidedSequence:
 
     Integer-valued files import as exact (so downstream analyses compare
     with zero tolerance, matching in-memory generation of exact families);
-    anything else imports as float.
+    anything else imports as float.  A malformed or non-finite row anywhere
+    in the file is reported before an index gap.
     """
-    rows = _read_rows(src)
-    values = []
-    for i, (n, v) in enumerate(rows):
-        if n != i:
-            raise SequenceError(
-                f"CSV indices must ascend from 0 without gaps; row {i} has n={n}")
-        values.append(v)
-    if not values:
+    chunks, gap, count = [], None, 0
+    for ns, vals in _read_rows(src):
+        if gap is None:
+            off = np.flatnonzero(ns != np.arange(count, count + ns.shape[0]))
+            if off.size:
+                gap = (count + int(off[0]), int(ns[off[0]]))
+        chunks.append(vals)
+        count += vals.shape[0]
+    if gap is not None:
+        raise SequenceError(
+            f"CSV indices must ascend from 0 without gaps; row {gap[0]} has n={gap[1]}")
+    if not count:
         raise SequenceError("CSV contains no data rows")
-    kind = "exact-integer" if all(_is_integral(v) for v in values) else "float"
+    values = np.concatenate(chunks)
+    values.flags.writeable = False
+    kind = "exact-integer" if _all_integral(values) else "float"
     return _make_explicit({"values": values, "family_label": "csv",
                            "value_kind": kind})
 
 
-def write_window_csv(dest, win: TwoSidedWindow) -> None:
-    W = win.radius
-    _write_rows(dest, range(-W, W + 1), win.values)
-
-
 def read_window_csv(src) -> TwoSidedWindow:
     """Read a two-sided window; indices must run -W..W without gaps."""
-    rows = _read_rows(src)
-    if not rows:
+    chunks = list(_read_rows(src))
+    if not chunks:
         raise SequenceError("CSV contains no data rows")
-    ns = [n for n, _ in rows]
-    W = max(ns)
-    if sorted(ns) != list(range(-W, W + 1)):
+    ns = np.concatenate([c[0] for c in chunks])
+    W = int(ns.max())
+    if ns.shape[0] != 2 * W + 1 or not np.array_equal(np.sort(ns),
+                                                      np.arange(-W, W + 1)):
         raise SequenceError("window CSV must cover -W..W without gaps")
-    vals = dict(rows)
-    values = tuple(vals[k] for k in range(-W, W + 1))
+    values = np.empty(ns.shape[0], dtype=complex)
+    values[ns + W] = np.concatenate([c[1] for c in chunks])
+    values = tuple(values.tolist())
     return TwoSidedWindow(values, W, {"kind": "csv"}, eps=0.0,
                           bound=max(abs(v) for v in values))
 
 
 def _read_rows(src):
+    """The data rows of an ``n,re,im`` CSV as (indices, values) array
+    pairs, one per chunk of rows.  Blank lines are skipped; a malformed or
+    non-finite row raises SequenceError naming the first such row."""
     own = isinstance(src, (str, bytes))
-    f = open(src, "r", newline="") if own else src
+    f = open(src, "r", newline="", encoding="utf-8") if own else src
     try:
         if isinstance(f, io.TextIOBase) or hasattr(f, "read"):
             r = csv.reader(f)
@@ -768,20 +820,68 @@ def _read_rows(src):
         header = next(r, None)
         if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
             raise SequenceError(f"expected header 'n,re,im', got {header}")
-        out = []
-        for row in r:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SequenceError(f"malformed CSV row: {row}")
-            try:
-                n, v = int(row[0]), complex(float(row[1]), float(row[2]))
-            except ValueError:
-                raise SequenceError(f"malformed CSV row: {row}") from None
-            if not cmath.isfinite(v):
-                raise SequenceError(f"non-finite value in CSV row: {row}")
-            out.append((n, v + 0j))
-        return out
+        while raw := list(islice(r, _CSV_CHUNK)):
+            rows = list(filter(None, raw))
+            if rows:
+                yield _parse_rows(rows)
+    except UnicodeDecodeError as e:
+        # the decoder's own offset counts from the block it was decoding
+        name, where = ((os.fsdecode(src), f"byte {_bad_utf8_offset(src)}") if own
+                       else (getattr(f, "name", "stream"), e.reason))
+        raise SequenceError(
+            f"CSV file {name} is not valid {e.encoding} text at {where}") from None
     finally:
         if own:
             f.close()
+
+
+def _parse_rows(rows):
+    """(indices, values) of nonempty CSV rows, a column at a time."""
+    k = len(rows)
+    try:
+        if set(map(len, rows)) == {3}:
+            ns, re, im = zip(*rows)
+            vals = np.empty(k, dtype=complex)
+            vals.real = np.fromiter(map(float, re), dtype=float, count=k)
+            vals.imag = np.fromiter(map(float, im), dtype=float, count=k)
+            try:
+                idx = np.fromiter(map(int, ns), dtype=np.int64, count=k)
+            except OverflowError:   # kept exact: such an index can only be a gap
+                idx = np.array(list(map(int, ns)), dtype=object)
+            if np.isfinite(vals).all():
+                return idx, vals + 0j       # -0.0 reads as +0
+    except ValueError:
+        pass
+    for row in rows:    # name the first bad row, exactly as a row loop would
+        _check_row(row)
+    raise AssertionError("a CSV chunk failed to convert, yet no row is bad")
+
+
+def _check_row(row):
+    if len(row) != 3:
+        raise SequenceError(f"malformed CSV row: {row}")
+    try:
+        int(row[0])
+        v = complex(float(row[1]), float(row[2]))
+    except ValueError:
+        raise SequenceError(f"malformed CSV row: {row}") from None
+    if not cmath.isfinite(v):
+        raise SequenceError(f"non-finite value in CSV row: {row}")
+
+
+def _bad_utf8_offset(path) -> int:
+    """Offset of the first byte of the file at ``path`` that does not
+    decode as UTF-8 (the file's length if every byte does)."""
+    dec = codecs.getincrementaldecoder("utf-8")()
+    done = 0                    # bytes handed to the decoder so far
+    with open(path, "rb") as f:
+        while True:
+            block = f.read(1 << 16)
+            held = len(dec.getstate()[0])   # undecoded tail of earlier blocks
+            try:
+                dec.decode(block, final=not block)
+            except UnicodeDecodeError as e:
+                return done - held + e.start
+            if not block:
+                return done
+            done += len(block)

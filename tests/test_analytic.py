@@ -460,6 +460,23 @@ def test_probe_rejects_bad_radii():
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5], quad_points=32)
 
 
+@pytest.mark.parametrize("spec", [nb.periodic([1]), nb.gap_powers("factorials")])
+def test_probe_rejects_node_counts_over_the_cap_before_allocating(spec, monkeypatch):
+    from nbscope import analytic
+
+    def never(*args):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(analytic, "_czt", never)
+    monkeypatch.setattr(analytic, "_nodes_eval_sparse", never)
+    seq = nb.make_sequence(spec)
+    for points in (analytic.TERM_CAP // 4 + 1, 10 ** 11):
+        with pytest.raises(NumericCapError, match="cap") as info:
+            boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5, 0.999999],
+                             quad_points=points)
+        assert info.value.required == 4 * points
+
+
 def test_probe_with_zero_terms_reports_tail_only():
     # tol >= bound/(1-r) needs no series terms at all
     seq = nb.make_sequence(nb.periodic([1]))

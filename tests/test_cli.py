@@ -515,3 +515,47 @@ def test_reflectionless_full_emits_strict_json(capsys):
     report = json.loads(out, parse_constant=reject)["report"]
     assert report["passed"] is False
     assert report["max_confirmation_defect"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("verdict", "--input"),
+    ("reflectionless", "--full", "--window-csv"),
+])
+def test_undecodable_csv_exits_2_naming_file_and_offset(capsys, tmp_path, argv):
+    # used to end in a UnicodeDecodeError traceback with exit 1
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert not out
+    assert str(path) in err and "byte 0" in err
+    path.write_bytes(b"n,re,im\n0,1,0\n1,\xc3\x28,0\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert "byte 16" in err       # after 8 + 6 + 2 valid bytes
+
+
+def test_subnormal_eps_exits_2_naming_it(capsys):
+    # 1/eps overflowed to inf and the key grid cast printed a RuntimeWarning
+    code, out, err = run(capsys, "certificate", "--family", "rotation",
+                         "--q", "0.41421356", "--kind", "pair", "--eps", "1e-310",
+                         "--horizon", "2000")
+    assert code == 2
+    assert not out
+    assert "1e-310" in err
+
+
+def test_probe_node_count_over_cap_exits_3_without_allocating(capsys, monkeypatch):
+    # used to try a 2.9 TiB allocation and end in a traceback with exit 1
+    from nbscope import analytic
+
+    def never(*args):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(analytic, "_czt", never)
+    monkeypatch.setattr(analytic, "_nodes_eval_sparse", never)
+    code, out, err = run(capsys, "probe", "--family", "rudin-shapiro", "--full",
+                         "--radii", "0.5", "--quad-points", "100000000000")
+    assert code == 3
+    assert not out
+    assert "400000000000 nodes" in err

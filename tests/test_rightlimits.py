@@ -1,6 +1,7 @@
 """Window clustering, certificates, block analysis, periodicity, verdicts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -444,6 +445,16 @@ def test_searches_reject_invalid_eps(eps):
         nb.find_gap_certificate(rot, 3, 2000, eps=eps)
     with pytest.raises(SequenceError, match="eps"):
         nb.find_pair_certificate(rot, 3, 2000, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-310, sys.float_info.min / 2])
+def test_searches_reject_subnormal_eps_naming_it(eps):
+    # 1/eps is inf for these, and the key grids cast inf * 0 = nan to int64
+    rot = nb.make_sequence(nb.rotation(math.sqrt(2) - 1))
+    for search in (nb.extract_right_limits, nb.find_gap_certificate,
+                   nb.find_pair_certificate):
+        with pytest.raises(SequenceError, match=f"got {eps}"):
+            search(rot, 3, 2000, eps=eps)
 
 
 @pytest.mark.parametrize("min_recurrence", [0, -2])

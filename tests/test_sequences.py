@@ -1,6 +1,8 @@
 """Generator families, range reads, windows, snapping, the rotation screen
 and CSV round trips."""
 
+import cmath
+import csv
 import io
 import math
 from fractions import Fraction
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbscope as nb
-from nbscope.sequences import SequenceError, _frac_shift_exact
+from nbscope import sequences as seqmod
+from nbscope._util import fmt17
+from nbscope.sequences import SequenceError, _check_finite, _frac_shift_exact
 
 
 # --- independent oracle: the paired polynomial recursion -------------------
@@ -865,3 +869,386 @@ def test_explicit_and_periodic_reject_non_finite_values(spec):
     # explicit([1, nan]) used to be accepted with bound nan
     with pytest.raises(nb.SequenceError, match="must be finite, got"):
         nb.make_sequence(spec)
+
+
+# ---------------------------------------------------------------------------
+# CSV layer: the chunked column reader and writer against the row loops they
+# replaced, which are kept below verbatim as oracles (only renamed).
+
+
+def rowwise_is_integral(v: complex) -> bool:
+    return v.imag == 0.0 and float(v.real).is_integer()
+
+
+def rowwise_exact_kind(values) -> str:
+    return "exact-integer" if all(rowwise_is_integral(v) for v in values) else "exact-rational"
+
+
+def rowwise_explicit(values):
+    return nb.GeneratorSpec("explicit", {"values": tuple(complex(v) for v in values)})
+
+
+def rowwise_make_explicit(params) -> nb.OneSidedSequence:
+    values = tuple(complex(v) for v in params.get("values", ()))
+    if not values:
+        raise SequenceError("explicit sequence needs at least one value")
+    arr = np.asarray(values, dtype=complex)
+    _check_finite(arr, "explicit values")
+    bound = float(np.max(np.abs(arr)))
+    kind = params.get("value_kind") or rowwise_exact_kind(values)
+    seq = nb.OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
+                              params.get("family_label", "explicit"),
+                              {"count": len(values)}, value_kind=kind,
+                              length=len(values))
+    seq.real_valued = not np.any(arr.imag)
+    return seq
+
+
+def rowwise_write_rows(dest, indices, vals) -> None:
+    own = isinstance(dest, (str, bytes))
+    f = open(dest, "w", newline="") if own else dest
+    try:
+        w = csv.writer(f)
+        w.writerow(["n", "re", "im"])
+        for n, v in zip(indices, vals):
+            w.writerow([n, fmt17(v.real), fmt17(v.imag)])
+    finally:
+        if own:
+            f.close()
+
+
+def rowwise_read_sequence_csv(src) -> nb.OneSidedSequence:
+    rows = rowwise_read_rows(src)
+    values = []
+    for i, (n, v) in enumerate(rows):
+        if n != i:
+            raise SequenceError(
+                f"CSV indices must ascend from 0 without gaps; row {i} has n={n}")
+        values.append(v)
+    if not values:
+        raise SequenceError("CSV contains no data rows")
+    kind = "exact-integer" if all(rowwise_is_integral(v) for v in values) else "float"
+    return rowwise_make_explicit({"values": values, "family_label": "csv",
+                                  "value_kind": kind})
+
+
+def rowwise_read_window_csv(src) -> nb.TwoSidedWindow:
+    rows = rowwise_read_rows(src)
+    if not rows:
+        raise SequenceError("CSV contains no data rows")
+    ns = [n for n, _ in rows]
+    W = max(ns)
+    if sorted(ns) != list(range(-W, W + 1)):
+        raise SequenceError("window CSV must cover -W..W without gaps")
+    vals = dict(rows)
+    values = tuple(vals[k] for k in range(-W, W + 1))
+    return nb.TwoSidedWindow(values, W, {"kind": "csv"}, eps=0.0,
+                             bound=max(abs(v) for v in values))
+
+
+def rowwise_read_rows(src):
+    own = isinstance(src, (str, bytes))
+    f = open(src, "r", newline="") if own else src
+    try:
+        if isinstance(f, io.TextIOBase) or hasattr(f, "read"):
+            r = csv.reader(f)
+        else:  # pragma: no cover
+            raise SequenceError("unreadable CSV source")
+        header = next(r, None)
+        if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
+            raise SequenceError(f"expected header 'n,re,im', got {header}")
+        out = []
+        for row in r:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise SequenceError(f"malformed CSV row: {row}")
+            try:
+                n, v = int(row[0]), complex(float(row[1]), float(row[2]))
+            except ValueError:
+                raise SequenceError(f"malformed CSV row: {row}") from None
+            if not cmath.isfinite(v):
+                raise SequenceError(f"non-finite value in CSV row: {row}")
+            out.append((n, v + 0j))
+        return out
+    finally:
+        if own:
+            f.close()
+
+
+DEFAULT_CSV_CHUNK = seqmod._CSV_CHUNK
+CHUNKS = (1, 7, DEFAULT_CSV_CHUNK)
+
+
+@pytest.fixture(params=CHUNKS, ids=lambda c: f"chunk{c}")
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(seqmod, "_CSV_CHUNK", request.param)
+    return request.param
+
+
+_RNG = np.random.default_rng(2010)
+_WRITE_SPECS = {
+    "periodic-complex": nb.periodic([1, -1j, 0.5 + 0.25j, -0.0, 3]),
+    "gap-factorials-complex-fill": nb.gap_powers("factorials", 2 - 1j),
+    "gap-squares": nb.gap_powers("squares"),
+    "rudin-shapiro": nb.rudin_shapiro(),
+    "rotation-fractional-part": nb.rotation(math.sqrt(2) - 1, 0.3),
+    "rotation-half-indicator": nb.rotation(math.sqrt(3), 0.0, "half-indicator"),
+    "erdos-hard": nb.erdos("hard"),
+    "erdos-soft": nb.erdos("soft"),
+    "explicit-17-digits": nb.explicit(_RNG.standard_normal(9000)
+                                      + 1j * _RNG.standard_normal(9000)),
+    "explicit-near-1e300": nb.explicit(_RNG.uniform(-1, 1, 9000) * 1e300
+                                       + 1j * _RNG.uniform(-1, 1, 9000) * 1e299),
+    "explicit-near-1e-300": nb.explicit(_RNG.uniform(-1, 1, 9000) * 1e-300
+                                        + 1j * _RNG.uniform(-1, 1, 9000) * 1e-310),
+}
+
+
+def _write_count(chunk):
+    # a few chunks plus a partial one, and one row past a chunk edge
+    return 2 * chunk + 2 if chunk > 7 else 60
+
+
+@pytest.mark.parametrize("name", sorted(_WRITE_SPECS))
+def test_csv_writer_is_byte_identical_to_the_row_loop(name, chunk):
+    count = _write_count(chunk)
+    new, old = io.StringIO(), io.StringIO()
+    nb.write_sequence_csv(new, nb.make_sequence(_WRITE_SPECS[name]), count)
+    rowwise_write_rows(old, range(count),
+                       nb.make_sequence(_WRITE_SPECS[name]).prefix(count))
+    assert new.getvalue() == old.getvalue()
+    assert new.getvalue().count("\r\n") == count + 1
+
+
+@pytest.mark.parametrize("name", ["explicit-17-digits", "rudin-shapiro"])
+def test_csv_windows_are_byte_identical_to_the_row_loop(name, chunk):
+    seq = nb.make_sequence(_WRITE_SPECS[name])
+    for win in (seq.window(30, 0), seq.window(40, 13), seq.window(3000, 2000),
+                nb.TwoSidedWindow((0.5, -0.0, 1, complex(1e-310, -1e300), 7j),
+                                  2, {"kind": "test"})):
+        new, old = io.StringIO(), io.StringIO()
+        nb.write_window_csv(new, win)
+        rowwise_write_rows(old, range(-win.radius, win.radius + 1), win.values)
+        assert new.getvalue() == old.getvalue()
+
+
+def test_csv_file_on_disk_is_byte_identical_and_leaves_the_cache_empty(tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    seq = nb.make_sequence(_WRITE_SPECS["explicit-17-digits"])
+    nb.write_sequence_csv(str(new), seq, 9000)
+    assert seq._cache.shape[0] == 0     # reads went through read(), not prefix()
+    rowwise_write_rows(str(old), range(9000), seq.prefix(9000))
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("count, spec", [(-1, nb.rudin_shapiro()),
+                                         (4, nb.explicit([1, 2, 3]))])
+def test_csv_writer_checks_the_count_before_the_first_byte(tmp_path, count, spec):
+    with pytest.raises(SequenceError) as old:
+        nb.make_sequence(spec).prefix(count)
+    path = tmp_path / "never.csv"
+    with pytest.raises(SequenceError) as new:
+        nb.write_sequence_csv(str(path), nb.make_sequence(spec), count)
+    assert str(new.value) == str(old.value)
+    assert not path.exists()
+    buf = io.StringIO()
+    with pytest.raises(SequenceError):
+        nb.write_sequence_csv(buf, nb.make_sequence(spec), count)
+    assert buf.getvalue() == ""
+
+
+def _rows(indices, re="1"):
+    return [f"{n},{re},0" for n in indices]
+
+
+def _text(lines, header="n,re,im"):
+    return "\n".join([header] + lines) + "\n"
+
+
+# hand-written inputs: each reads the same (or fails with the same message)
+# on both paths, as a sequence and as a window
+_READ_CASES = {
+    "bad-header": "x,y,z\n0,1,0\n",
+    "bom": "﻿n,re,im\n0,1,0\n",
+    "header-only": "n,re,im\n",
+    "empty": "",
+    "blank-rows-only": "n,re,im\n\n\n",
+    "spaced-header": " n , re , im \n0,1,0\n",
+    "short-row": "n,re,im\n0,1,0\n1,1\n",
+    "long-row": "n,re,im\n0,1,0\n1,1,0,0\n",
+    "whitespace-row": "n,re,im\n0,1,0\n \n",
+    "quoted-fields": 'n,re,im\n"0","1","0"\n"1","2.5","-1"\n',
+    "quoted-comma": 'n,re,im\n0,"1,5",0\n',
+    "spaced-fields": "n,re,im\n0,1,0\n 1, 2 , 3\n",
+    "underscores": "n,re,im\n0,1_0,0\n1_0,2,1_0\n",
+    "plus-and-arabic-digits": "n,re,im\n+0,1,0\n١,2,0\n",
+    "float-index": "n,re,im\n0,1,0\n1.0,1,0\n",
+    "hex-float": "n,re,im\n0,0x1p3,0\n",
+    "nan": "n,re,im\n0,1,0\n1,nan,0\n",
+    "NaN-imag": "n,re,im\n0,1,0\n1,0,NaN\n",
+    "inf": "n,re,im\n0,inf,0\n",
+    "minus-Infinity": "n,re,im\n0,1,-Infinity\n",
+    "overflow": "n,re,im\n0,1,0\n1,1e999,0\n",
+    "negative-zero": "n,re,im\n0,-0.0,-0.0\n1,1,-0\n",
+    "subnormal": "n,re,im\n0,5e-324,0\n1,1,-1e-310\n",
+    "float-values": "n,re,im\n0,1.5,0\n1,2,0\n",
+    "complex-integers": "n,re,im\n0,1,1\n1,2,0\n",
+    "crlf": "n,re,im\r\n0,1,0\r\n1,2,0\r\n",
+    "cr": "n,re,im\r0,1,0\r1,2,0\r",
+    "gap": "n,re,im\n0,1,0\n2,1,0\n",
+    "starts-at-1": "n,re,im\n1,1,0\n2,1,0\n",
+    "duplicate": "n,re,im\n0,1,0\n0,1,0\n1,1,0\n",
+    "descending": "n,re,im\n1,1,0\n0,1,0\n-1,1,0\n",
+    "huge-index": "n,re,im\n0,1,0\n99999999999999999999999,1,0\n",
+    "huge-negative-index": "n,re,im\n-99999999999999999999999,1,0\n0,1,0\n",
+    "gap-then-malformed": "n,re,im\n0,1,0\n2,1,0\n3,abc,0\n",
+    "gap-then-non-finite": "n,re,im\n0,1,0\n2,1,0\n3,1,inf\n",
+    "non-finite-then-malformed": "n,re,im\n0,nan,0\n1,abc,0\n",
+    "malformed-then-non-finite": "n,re,im\n0,abc,0\n1,nan,0\n",
+    "window": "n,re,im\n-1,1,0\n0,2,0\n1,3,0\n",
+    "window-shuffled": "n,re,im\n1,3,0\n-1,1,0\n\n0,2,-2\n",
+    "window-negative-only": "n,re,im\n-1,1,0\n",
+    "window-negative-zeros": "n,re,im\n-1,-0.0,0\n0,1,-0.0\n1,-0,-0\n",
+    "window-missing": "n,re,im\n-2,1,0\n-1,1,0\n1,1,0\n2,1,0\n",
+}
+
+
+def _outcome(read, text):
+    try:
+        got = read(io.StringIO(text))
+    except Exception as e:     # noqa: BLE001 -- the error is the outcome
+        return ("error", type(e), str(e))
+    if isinstance(got, nb.TwoSidedWindow):
+        return ("window", tuple(map(repr, got.values)), got.radius,
+                got.provenance, got.eps, got.bound)
+    return ("sequence", got.prefix(got.length).tobytes(), got.length, got.bound,
+            got.value_kind, got.family, got.params, got.real_valued)
+
+
+def _assert_same_reads(text):
+    assert (_outcome(nb.read_sequence_csv, text)
+            == _outcome(rowwise_read_sequence_csv, text))
+    assert (_outcome(nb.read_window_csv, text)
+            == _outcome(rowwise_read_window_csv, text))
+
+
+@pytest.mark.parametrize("name", sorted(_READ_CASES))
+def test_csv_reader_matches_the_row_loop(name, chunk):
+    text = _READ_CASES[name]
+    if name != "huge-index":
+        _assert_same_reads(text)
+        return
+    # the row loop built range(-W, W + 1) for W = 1e23 and raised
+    # OverflowError (a traceback, exit 1); the count check comes first now
+    assert (_outcome(nb.read_sequence_csv, text)
+            == _outcome(rowwise_read_sequence_csv, text))
+    assert _outcome(rowwise_read_window_csv, text)[1] is OverflowError
+    assert _outcome(nb.read_window_csv, text) == (
+        "error", SequenceError, "window CSV must cover -W..W without gaps")
+
+
+def _edge_cases(chunk):
+    """Inputs with an error on each side of the edge between row chunks
+    (data rows ``chunk - 1`` and ``chunk``, counted from 0), as sequences
+    (0..N-1) and as windows (-W..W)."""
+    for at in (chunk - 1, chunk, chunk + 1):
+        n = at + 4
+        for base in (list(range(n)), list(range(-(n // 2), n // 2 + 1))):
+            def put(pos, line, lines=None):
+                lines = list(lines or _rows(base))
+                lines[pos] = line
+                return lines
+            yield _text(put(at, f"{base[at]},abc,0"))          # malformed
+            yield _text(put(at, f"{base[at]},1"))              # short
+            yield _text(put(at, f"{base[at]},0,nan"))          # non-finite
+            yield _text(put(at, f"{base[at] + 7},1,0"))        # gap
+            yield _text(put(at, f"{base[at - 1] if at else 5},1,0"))  # duplicate
+            yield _text(put(at, ""))                           # blank line
+            yield _text(_rows(base[:at]) + [""] + _rows(base[at:]))   # extra blank
+            # a gap, then a malformed row, a non-finite row, a later gap
+            gapped = put(1 if at > 1 else 0, f"{base[0] + 100},1,0")
+            yield _text(put(at + 1, f"{base[at + 1]},x,0", gapped))
+            yield _text(put(at + 1, f"{base[at + 1]},inf,0", gapped))
+            yield _text(put(at + 1, f"{base[at + 1] + 9},1,0", gapped))
+            # a malformed row, then a non-finite one across the edge
+            yield _text(put(at + 1, f"{base[at + 1]},-inf,0",
+                            put(at, f"{base[at]},,0")))
+            yield _text(_rows(base))                            # valid
+
+
+def test_csv_reader_matches_the_row_loop_at_chunk_edges(chunk):
+    for text in _edge_cases(chunk):
+        _assert_same_reads(text)
+
+
+def test_csv_reader_matches_the_row_loop_on_written_files(chunk):
+    for name in ("explicit-17-digits", "explicit-near-1e300", "rudin-shapiro"):
+        buf = io.StringIO()
+        nb.write_sequence_csv(buf, nb.make_sequence(_WRITE_SPECS[name]), 2 * chunk + 9)
+        _assert_same_reads(buf.getvalue())
+
+
+def test_csv_reader_keeps_one_read_only_array():
+    seq = nb.read_sequence_csv(io.StringIO("n,re,im\n0,1,0\n1,2,0\n"))
+    arr = seq.read(0, 2)
+    assert arr.dtype == complex
+    with pytest.raises(ValueError):
+        seq.prefix(2)[0] = 5
+
+
+def test_bad_utf8_offset_counts_from_the_start_of_the_file(tmp_path):
+    path = tmp_path / "f.csv"
+    # a two-byte character straddles the decoder's 64 KiB block edge
+    path.write_bytes(b"a" * 65535 + "é".encode() + b"b" * 10 + b"\xff")
+    assert seqmod._bad_utf8_offset(str(path)) == 65547
+    path.write_bytes(b"n,re,im\n0,1,0\n\xc3")   # truncated last character
+    assert seqmod._bad_utf8_offset(str(path)) == 14
+    with pytest.raises(SequenceError, match=f"{path} is not valid utf-8 text at byte 14"):
+        nb.read_sequence_csv(str(path))
+
+
+# explicit(): one conversion, the same accepted inputs, values and messages
+_EXPLICIT_INPUTS = {
+    "none": [1, None],
+    "string-number": ["1", "2+3j", " -0.5 "],
+    "string-bad": ["abc"],
+    "fractions": [Fraction(1, 3), Fraction(-7, 2), Fraction(4)],
+    "numpy-scalars": [np.float32(0.1), np.int64(-5), np.complex64(1 - 2j),
+                      np.float64(2.5), np.bool_(True)],
+    "negative-zero": [-0.0, complex(-0.0, -0.0), complex(1, -0.0)],
+    "huge-int": [10 ** 400],
+    "big-ints": [2 ** 63 + 1, -(2 ** 64) - 3],
+    "empty": [],
+    "non-finite": [1.0, math.nan],
+    "integers": [1, 2, -3],
+    "generator": (x / 4 for x in range(9)),
+    "float-array": np.arange(6) / 3.0,
+    "int-array": np.arange(-3, 3),
+    "object-array": np.array([1, 0.5, 2j], dtype=object),
+}
+
+
+def _explicit_outcome(build_spec, make, values):
+    try:
+        seq = make(build_spec(values).params)
+    except Exception as e:     # noqa: BLE001 -- the error is the outcome
+        return ("error", type(e), str(e))
+    return ("sequence", seq.prefix(seq.length).tobytes(), seq.length, seq.bound,
+            seq.value_kind, seq.family, seq.params, seq.real_valued)
+
+
+@pytest.mark.parametrize("name", sorted(_EXPLICIT_INPUTS))
+def test_explicit_matches_the_double_conversion(name):
+    values = _EXPLICIT_INPUTS[name]
+    if not isinstance(values, (list, np.ndarray)):
+        values = list(values)
+    assert (_explicit_outcome(nb.explicit, seqmod._make_explicit, values)
+            == _explicit_outcome(rowwise_explicit, rowwise_make_explicit, values))
+
+
+def test_explicit_does_not_alias_a_writable_array():
+    values = np.array([1 + 0j, 2, 3])
+    seq = nb.make_sequence(nb.explicit(values))
+    values[0] = 99
+    assert seq.eval(0) == 1
