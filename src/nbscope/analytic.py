@@ -471,8 +471,7 @@ def _scan_one_radius(seq, arc, r, m, tol):
     else:
         # one transform on the quarter-step grid alpha + i*width/(4m) holds
         # the m-node midpoints at i = 2 mod 4 and the 2m-node ones at odd i
-        coeffs = np.ascontiguousarray(seq.prefix(n_terms))
-        fine = _czt(coeffs, r, arc.alpha, arc.width / (4 * m), 4 * m)
+        fine = _czt(seq.prefix(n_terms), r, arc.alpha, arc.width / (4 * m), 4 * m)
         vals_half, vals_full = fine[2::4], fine[1::2]
     i_half = float(np.mean(np.abs(vals_half))) * weight
     i_full = float(np.mean(np.abs(vals_full))) * weight

@@ -152,7 +152,7 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
         kind = _exact_kind(spec.params["emissions"])
     elif spec.kind == "rotation-driven":
         gen = make_sequence(GeneratorSpec("rotation", dict(spec.params)))
-        path = gen.prefix(length).copy()
+        path = gen.prefix(length)
         kind = "float"
     else:
         raise SequenceError(f"unknown process kind {spec.kind!r}")

@@ -21,8 +21,9 @@ with recurring finite windows and labels its output *evidence*:
 * eventual-periodicity detection;
 * a combined verdict pipeline.
 
-Every certificate re-verifies against raw sequence reads; emitted evidence
-never depends on cached intermediate state.
+Every certificate re-verifies against raw sequence reads (a sequence
+keeps no values between reads); emitted evidence never depends on cached
+intermediate state.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ _CLUSTER_CAP = 10 ** 6
 _BUCKET_CAP = 64
 _PAIR_CAP = 256
 # Values per read of the gap and periodicity scans and of a certificate
-# check: they read fixed chunks through ``read``, which leaves the prefix
-# cache alone, so their memory does not grow with the horizon.
+# check: they read fixed chunks through ``read``, so their memory does not
+# grow with the horizon.
 _READ_CHUNK = 2 ** 16
 # A certificate check reads two neighbouring witnesses together when they
 # are at most this many indices apart: a separate read costs about as much
@@ -136,14 +137,6 @@ def _span_rows(seq, centers, offsets):
         out[order[i:j]] = vals[rel[:, None] + offsets]
         i = j
     return out
-
-
-def _data_view(arr: np.ndarray):
-    """Real view when the sequence is real-valued (same sup distances,
-    half the arithmetic)."""
-    if np.all(arr.imag == 0):
-        return np.ascontiguousarray(arr.real)
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,8 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     arr = seq.prefix(h + 1)
     D = 2 * width + 1
 
-    wins = sliding_window_view(_data_view(arr), D)
+    data = np.ascontiguousarray(arr.real) if seq.real_valued else arr
+    wins = sliding_window_view(data, D)
     groups, first, _ = _group_rows(wins)
     # distinct windows in order of first occurrence, then each window's
     # cluster (-1: dropped at the cap); members come out ascending
@@ -461,6 +455,11 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     _check_min_recurrence(min_recurrence)
     eps = _resolve_eps(seq, eps)
     _check_tolerances(eps, delta)
+    # the flank keys floor(value/eps) are int64, so |value|/eps must fit
+    if eps > 0 and seq.bound / eps >= 2 ** 62:
+        raise SequenceError(
+            f"eps {eps} is too small for the pair search's int64 key grid: "
+            f"bound/eps must be below 2^62 (bound {seq.bound})")
     h = seq.clamp_horizon(horizon)
     if h < 2 * width + 1:
         raise SequenceError("horizon too small for pair search")
@@ -800,7 +799,7 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
     arr = seq.prefix(h + 1)
     values = np.unique(arr).tolist()        # complex order: real, then imag
     nv = len(values)
-    data = _data_view(arr)
+    data = np.ascontiguousarray(arr.real) if seq.real_valued else arr
 
     per_p: dict = {}
     all_witness = True

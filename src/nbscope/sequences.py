@@ -28,7 +28,6 @@ import io
 import math
 import operator
 import os
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,6 +73,9 @@ _BOUND_SLACK = 1e-9
 # Reads cover 0 <= n < 2^63, the range of the int64/uint64 index arithmetic
 # in the block functions.
 _INDEX_END = 2 ** 63
+
+# prefix() fills its result through reads of at most this many values.
+_PREFIX_CHUNK = 2 ** 16
 
 
 class SequenceError(ValueError):
@@ -185,12 +187,13 @@ class OneSidedSequence:
     """A bounded coefficient sequence with a certified sup bound.
 
     Every value comes from one vectorized block function: ``block(lo, hi)``
-    returns a_lo..a_{hi-1} for 0 <= lo <= hi.  :meth:`read` (any range)
-    and :meth:`prefix` (the first ``count`` values, cached and grown from
-    where the cache stops) are views of it, read-only where they view the
-    cache; :meth:`eval` and :meth:`window` are single reads.  Each read
-    canonicalises signed zeros to +0.0, so bit-pattern keys over values
-    mean value equality, and checks what it read against the bound.
+    returns a_lo..a_{hi-1} for 0 <= lo <= hi.  The sequence keeps no state
+    between queries: :meth:`read` (any range), :meth:`eval` and
+    :meth:`window` are single block reads, and :meth:`prefix` fills the
+    first ``count`` values through :meth:`read` a chunk at a time.  Each
+    read returns a fresh array, canonicalises signed zeros to +0.0, so
+    bit-pattern keys over values mean value equality, and checks what it
+    read against the bound.
     Indices run over 0 <= n < 2^63.  ``value_kind`` records whether values
     admit exact equality comparison (``exact-integer`` /
     ``exact-rational``) or need a tolerance (``float``); downstream
@@ -215,8 +218,6 @@ class OneSidedSequence:
         self.value_kind = value_kind
         self.length = length
         self.real_valued = False
-        self._cache = np.empty(0, dtype=complex)
-        self._grow_lock = threading.Lock()
 
     # -- queries ----------------------------------------------------------
 
@@ -225,19 +226,13 @@ class OneSidedSequence:
         return self.value_kind in ("exact-integer", "exact-rational")
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        """a_lo..a_{hi-1}: a view of the cached prefix when it covers the
-        range, else one block read that is not cached (only :meth:`prefix`
-        grows the cache, so a far read never builds a prefix)."""
+        """a_lo..a_{hi-1} as a fresh array: one block read."""
         lo, hi = operator.index(lo), operator.index(hi)
         if hi < lo:
             raise SequenceError(f"read range [{lo}, {hi}) ends before it starts")
-        if 0 <= lo and hi <= self._cache.shape[0]:
-            return self._cache[lo:hi]       # the cache only grows
         if lo < 0:
             raise SequenceError(f"index must be >= 0, got {lo}")
-        end = _INDEX_END if self.length is None else self.length
-        if hi > end:
-            raise SequenceError(f"index {hi - 1} beyond the last index {end - 1}")
+        self._check_count(hi)
         arr = np.asarray(self._block(lo, hi), dtype=complex) + 0j
         ok = np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK
         if not ok.all():
@@ -250,20 +245,23 @@ class OneSidedSequence:
         return complex(self.read(n, n + 1)[0])
 
     def prefix(self, count: int) -> np.ndarray:
-        """First ``count`` values as a complex array (cached; a longer
-        request reads only the indices past the cache)."""
+        """First ``count`` values as a fresh complex array, filled through
+        :meth:`read` in chunks of ``_PREFIX_CHUNK``, so no block's
+        temporaries grow with ``count``."""
+        self._check_count(count)
+        out = np.empty(count, dtype=complex)
+        for lo in range(0, count, _PREFIX_CHUNK):
+            hi = min(lo + _PREFIX_CHUNK, count)
+            out[lo:hi] = self.read(lo, hi)
+        return out
+
+    def _check_count(self, count: int) -> None:
+        """Reject a prefix count below 0 or past the last index."""
         if count < 0:
             raise SequenceError(f"prefix count must be >= 0, got {count}")
-        # one growth at a time, so callers' threads sharing the sequence
-        # read each index once and never shorten the cache
-        with self._grow_lock:
-            done = self._cache.shape[0]
-            if count > done:
-                new = self.read(done, count)
-                cache = np.concatenate((self._cache, new)) if done else new
-                cache.flags.writeable = False   # views must not alter reads
-                self._cache = cache
-            return self._cache[:count]
+        end = _INDEX_END if self.length is None else self.length
+        if count > end:
+            raise SequenceError(f"index {count - 1} beyond the last index {end - 1}")
 
     def clamp_horizon(self, horizon: int) -> int:
         """Largest usable index not exceeding ``horizon``, which must be >= 0."""
@@ -724,13 +722,9 @@ _CSV_ROW = "%d,%.17g,%.17g\r\n"
 
 def write_sequence_csv(dest, seq: OneSidedSequence, count: int) -> None:
     """Write a_0..a_{count-1}; reads go through :meth:`OneSidedSequence.read`
-    a chunk at a time, so the prefix cache does not grow."""
+    a chunk at a time, so memory does not grow with ``count``."""
     count = operator.index(count)
-    if count < 0:
-        raise SequenceError(f"prefix count must be >= 0, got {count}")
-    end = _INDEX_END if seq.length is None else seq.length
-    if count > end:
-        raise SequenceError(f"index {count - 1} beyond the last index {end - 1}")
+    seq._check_count(count)
     _write_rows(dest, 0, count, seq.read)
 
 
@@ -809,7 +803,9 @@ def read_window_csv(src) -> TwoSidedWindow:
 def _read_rows(src):
     """The data rows of an ``n,re,im`` CSV as (indices, values) array
     pairs, one per chunk of rows.  Blank lines are skipped; a malformed or
-    non-finite row raises SequenceError naming the first such row."""
+    non-finite row raises SequenceError naming the first such row, and a
+    line the reader rejects (a field over ``csv.field_size_limit()``)
+    raises SequenceError naming the file and the line."""
     own = isinstance(src, (str, bytes))
     f = open(src, "r", newline="", encoding="utf-8") if own else src
     try:
@@ -830,6 +826,9 @@ def _read_rows(src):
                        else (getattr(f, "name", "stream"), e.reason))
         raise SequenceError(
             f"CSV file {name} is not valid {e.encoding} text at {where}") from None
+    except csv.Error as e:     # e.g. a field over csv.field_size_limit()
+        name = os.fsdecode(src) if own else getattr(f, "name", "stream")
+        raise SequenceError(f"CSV file {name}, line {r.line_num}: {e}") from None
     finally:
         if own:
             f.close()

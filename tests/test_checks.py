@@ -107,14 +107,6 @@ def stream(kind, rng, length, zero_share=0.0):
     return np.where(rng.random(length) < zero_share, 0.0, vals).astype(complex).tolist()
 
 
-def sequences_of(vals):
-    """The same values fresh (every check reads past the cache) and with
-    their whole prefix cached (every check reads a view of it)."""
-    cached = nb.make_sequence(nb.explicit(vals))
-    cached.prefix(cached.length)
-    return nb.make_sequence(nb.explicit(vals)), cached
-
-
 # --- gap checks -------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["real", "agreeing"])
@@ -125,26 +117,26 @@ def test_gap_check_matches_the_loop(kind, decay):
     width = 3
     centers = sorted(set(rng.integers(0, 300, size=30).tolist()) | {1, 3})
     hits = 0
-    for seq in sequences_of(vals):
-        for n in centers:
-            if n < width:
-                flank = 0.0
-            else:
-                env = [0.0 if decay is None else decay[0] * math.exp(-decay[1] * k)
-                       for k in range(1, width + 1)]
-                flank = max(max(abs(vals[n - k]) - env[k - 1], 0.0)
-                            for k in range(1, width + 1))
-            for eps in around(flank):
-                for delta in around(abs(vals[n])):
-                    got = nb.verify_gap_hit(seq, n, width, eps, delta, decay)
-                    assert got == loop_verify_gap_hit(seq, n, width, eps, delta, decay)
-                    hits += got
-        for eps in around(0.5):
-            for delta in around(abs(vals[centers[-1]])):
-                cert = nb.NonReflectionlessCertificate(
-                    "GapZeroFlank", tuple(centers[2:]), "backward", width, eps,
-                    delta, delta, decay=decay)
-                assert cert.verify(seq) == loop_certificate_verify(cert, seq)
+    seq = nb.make_sequence(nb.explicit(vals))
+    for n in centers:
+        if n < width:
+            flank = 0.0
+        else:
+            env = [0.0 if decay is None else decay[0] * math.exp(-decay[1] * k)
+                   for k in range(1, width + 1)]
+            flank = max(max(abs(vals[n - k]) - env[k - 1], 0.0)
+                        for k in range(1, width + 1))
+        for eps in around(flank):
+            for delta in around(abs(vals[n])):
+                got = nb.verify_gap_hit(seq, n, width, eps, delta, decay)
+                assert got == loop_verify_gap_hit(seq, n, width, eps, delta, decay)
+                hits += got
+    for eps in around(0.5):
+        for delta in around(abs(vals[centers[-1]])):
+            cert = nb.NonReflectionlessCertificate(
+                "GapZeroFlank", tuple(centers[2:]), "backward", width, eps,
+                delta, delta, decay=decay)
+            assert cert.verify(seq) == loop_certificate_verify(cert, seq)
     assert hits
 
 
@@ -188,28 +180,28 @@ def test_pair_check_matches_the_loop(kind):
     width = 4
     pairs = [tuple(p) for p in rng.integers(0, 296, size=(25, 2)).tolist()]
     pairs += [(40, 40), (2, 90), (90, 2), (295, 10)]
-    for seq in sequences_of(vals):
-        for side, offs in (("backward", range(-width, 0)),
-                           ("forward", range(1, width + 1))):
-            hits = 0
-            for n, m in pairs:
-                flank = max((abs(vals[n + k] - vals[m + k]) for k in offs
-                             if 0 <= min(n, m) + k and max(n, m) + k < 300), default=0.0)
-                for eps in around(flank):
-                    for delta in around(abs(vals[n] - vals[m])):
-                        got = nb.verify_pair(seq, n, m, width, eps, delta, side)
-                        assert got == loop_verify_pair(seq, n, m, width, eps, delta, side)
-                        hits += got
-            assert hits
-            chosen = [p for p in pairs if p[0] != p[1] and min(p) >= width][:6]
-            flank = max(abs(vals[n + k] - vals[m + k]) for n, m in chosen for k in offs)
-            center = min(abs(vals[n] - vals[m]) for n, m in chosen)
+    seq = nb.make_sequence(nb.explicit(vals))
+    for side, offs in (("backward", range(-width, 0)),
+                       ("forward", range(1, width + 1))):
+        hits = 0
+        for n, m in pairs:
+            flank = max((abs(vals[n + k] - vals[m + k]) for k in offs
+                         if 0 <= min(n, m) + k and max(n, m) + k < 300), default=0.0)
             for eps in around(flank):
-                for delta in around(center):
-                    cert = nb.NonReflectionlessCertificate(
-                        "PairMismatch", tuple(n for n, _ in chosen), side, width,
-                        eps, delta, center, pairs=tuple(chosen))
-                    assert cert.verify(seq) == loop_certificate_verify(cert, seq)
+                for delta in around(abs(vals[n] - vals[m])):
+                    got = nb.verify_pair(seq, n, m, width, eps, delta, side)
+                    assert got == loop_verify_pair(seq, n, m, width, eps, delta, side)
+                    hits += got
+        assert hits
+        chosen = [p for p in pairs if p[0] != p[1] and min(p) >= width][:6]
+        flank = max(abs(vals[n + k] - vals[m + k]) for n, m in chosen for k in offs)
+        center = min(abs(vals[n] - vals[m]) for n, m in chosen)
+        for eps in around(flank):
+            for delta in around(center):
+                cert = nb.NonReflectionlessCertificate(
+                    "PairMismatch", tuple(n for n, _ in chosen), side, width,
+                    eps, delta, center, pairs=tuple(chosen))
+                assert cert.verify(seq) == loop_certificate_verify(cert, seq)
 
 
 def test_pair_certificates_of_the_search_verify():
@@ -235,18 +227,18 @@ def test_cluster_check_matches_the_loop(kind):
     rng = np.random.default_rng(13)
     vals = stream(kind, rng, 300)
     W = 2
-    for seq in sequences_of(vals):
-        for _ in range(15):
-            lead = int(rng.integers(W, 300 - W))
-            members = sorted(set(rng.integers(W, 300 - W, size=4).tolist()) | {lead})
-            leader = tuple(complex(v) for v in vals[lead - W:lead + W + 1])
-            far = max(abs(vals[n + k] - leader[k + W])
-                      for n in members for k in range(-W, W + 1))
-            for eps in around(far):
-                win = nb.TwoSidedWindow(leader, W, {"kind": "cluster"}, eps=eps)
-                cand = RightLimitCandidate(win, tuple(members), eps)
-                assert cand.verify(seq) == loop_candidate_verify(cand, seq)
-                assert cand.verify(seq) == (eps >= far)
+    seq = nb.make_sequence(nb.explicit(vals))
+    for _ in range(15):
+        lead = int(rng.integers(W, 300 - W))
+        members = sorted(set(rng.integers(W, 300 - W, size=4).tolist()) | {lead})
+        leader = tuple(complex(v) for v in vals[lead - W:lead + W + 1])
+        far = max(abs(vals[n + k] - leader[k + W])
+                  for n in members for k in range(-W, W + 1))
+        for eps in around(far):
+            win = nb.TwoSidedWindow(leader, W, {"kind": "cluster"}, eps=eps)
+            cand = RightLimitCandidate(win, tuple(members), eps)
+            assert cand.verify(seq) == loop_candidate_verify(cand, seq)
+            assert cand.verify(seq) == (eps >= far)
 
 
 def test_cluster_candidates_of_the_search_verify():
@@ -284,19 +276,19 @@ def test_szego_check_matches_the_loop():
         found = nb.szego_block_analysis(nb.make_sequence(spec), 5, 2999).per_p
         witnesses = [w for w in found.values() if isinstance(w, SzegoWitness)]
         assert witnesses
-        for seq in sequences_of(nb.make_sequence(spec).prefix(3000)):
-            for w in witnesses:
-                assert w.verify(seq) and loop_szego_verify(w, seq)
-                for p, f, s, mm in ((w.p, w.first, w.second, w.mismatch - 1),
-                                    (w.p, w.first, w.second, w.mismatch + 1),
-                                    (w.p, w.second, w.first, w.mismatch),
-                                    (w.p, w.first + 1, w.second, w.mismatch),
-                                    (w.p + 1, w.first, w.second, w.mismatch),
-                                    (w.p, w.first, w.second, w.p)):
-                    if max(f, s) + mm > 3000:
-                        continue        # the span runs past the explicit end
-                    other = SzegoWitness(p, f, s, mm)
-                    assert other.verify(seq) == loop_szego_verify(other, seq)
+        seq = nb.make_sequence(nb.explicit(nb.make_sequence(spec).prefix(3000)))
+        for w in witnesses:
+            assert w.verify(seq) and loop_szego_verify(w, seq)
+            for p, f, s, mm in ((w.p, w.first, w.second, w.mismatch - 1),
+                                (w.p, w.first, w.second, w.mismatch + 1),
+                                (w.p, w.second, w.first, w.mismatch),
+                                (w.p, w.first + 1, w.second, w.mismatch),
+                                (w.p + 1, w.first, w.second, w.mismatch),
+                                (w.p, w.first, w.second, w.p)):
+                if max(f, s) + mm > 3000:
+                    continue        # the span runs past the explicit end
+                other = SzegoWitness(p, f, s, mm)
+                assert other.verify(seq) == loop_szego_verify(other, seq)
 
 
 # --- far indices -------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -559,3 +560,40 @@ def test_probe_node_count_over_cap_exits_3_without_allocating(capsys, monkeypatc
     assert code == 3
     assert not out
     assert "400000000000 nodes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verdict", "--input"),
+    ("reflectionless", "--full", "--window-csv"),
+], ids=["verdict", "reflectionless"])
+def test_oversized_csv_field_exits_2_naming_file_and_line(capsys, tmp_path, argv):
+    # a field over csv.field_size_limit() (131072 characters) used to end in
+    # a _csv.Error traceback with exit 1
+    path = tmp_path / "big.csv"
+    path.write_text("n,re,im\n0,1,0\n1," + "1" * 140_000 + ",0\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert not out
+    assert f"CSV file {path}, line 3: field larger than field limit" in err
+
+
+def test_pair_eps_below_the_key_grid_exits_2_naming_it(capsys):
+    # floor(value/eps) overflowed the int64 key grid with a RuntimeWarning
+    code, out, err = run(capsys, "certificate", "--family", "rotation",
+                         "--q", "0.41421356", "--kind", "pair", "--eps", "1e-300",
+                         "--horizon", "2000")
+    assert code == 2
+    assert not out
+    assert "eps 1e-300" in err and "bound 1.0" in err
+
+
+def test_pair_eps_just_above_the_key_grid_limit_runs_without_warning(capsys):
+    eps = math.nextafter(2.0 ** -62, 1.0)      # bound 1: bound/eps < 2^62
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "certificate", "--family", "rotation",
+                             "--q", "0.41421356", "--kind", "pair", "--eps", repr(eps),
+                             "--horizon", "2000")
+    assert code in (0, 1)
+    assert json.loads(out)["command"] == "certificate"
+    assert not err

@@ -128,8 +128,8 @@ def whole_prefix_pair_certificate(seq, width, horizon, eps=None, delta=0.5,
         off, start, stop = -width, width, h + 1
     else:
         off, start, stop = 1, 0, h + 1 - width
-    pairs, notes = _whole_prefix_pair_walk(rl._data_view(arr), width, off, eps,
-                                           delta, start, stop)
+    data = np.ascontiguousarray(arr.real) if np.all(arr.imag == 0) else arr
+    pairs, notes = _whole_prefix_pair_walk(data, width, off, eps, delta, start, stop)
 
     if len(pairs) < min_recurrence:
         return None
@@ -539,7 +539,8 @@ def test_capped_search_reads_no_further_than_it_scanned(side):
     assert f"pair collection capped at {rl._PAIR_CAP}" in cert.notes
     last = max(m for _, m in cert.pairs)
     assert max(hi for _, hi in reads) <= last + rl._KEY_CHUNK + 3 + 1
-    assert seq._cache.shape[0] == 0
+    # no read is longer than a key chunk plus its flanks
+    assert max(hi - lo for lo, hi in reads) <= rl._KEY_CHUNK + 2 * 3
     # the check reads the dense pairs' span once
     reads.clear()
     assert cert.verify(seq)
@@ -547,11 +548,13 @@ def test_capped_search_reads_no_further_than_it_scanned(side):
 
 
 def test_pair_verdicts_leave_the_prefix_cache_empty():
+    # every stage reads in chunks: no read is longer than a chunk plus its
+    # flanks, so memory does not grow with the horizon
     for name in ("rudin-shapiro", "rotation-frac", "rotation-half", "markov"):
-        seq = SEQUENCES[name]()
+        seq, reads = _counted(SEQUENCES[name])
         v = nb.verdict(seq, nb.AnalysisConfig(horizon=4000))
         assert v.certificate is not None and v.certificate.kind == "PairMismatch"
-        assert seq._cache.shape[0] == 0
+        assert max(hi - lo for lo, hi in reads) <= rl._READ_CHUNK + 64
 
 
 def test_group_rows_partitions_like_brute_force():

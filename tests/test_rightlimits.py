@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import nbscope as nb
 from nbscope import rightlimits
 from nbscope.rightlimits import (AnalysisConfig, ExtractResult, RightLimitCandidate,
-                                 SzegoWitness, _data_view)
+                                 SzegoWitness)
 from nbscope.sequences import SequenceError, TwoSidedWindow
 
 
@@ -159,7 +160,8 @@ def _reference_extract(seq, width, horizon, eps, max_candidates, min_recurrence)
     h = seq.clamp_horizon(horizon)
     arr = seq.prefix(h + 1)
     D = 2 * width + 1
-    clusters, truncated = reference_leader_clusters(_data_view(arr), D, width, eps)
+    data = arr.real if seq.real_valued else arr
+    clusters, truncated = reference_leader_clusters(data, D, width, eps)
     order = sorted(range(len(clusters)), key=lambda i: (-len(clusters[i][1]), i))
     candidates = []
     for i in order:
@@ -276,6 +278,46 @@ def test_extract_eps0_ignores_the_cap(monkeypatch):
     assert res.truncated is False
     assert res.clusters_total == len(clusters) > 2
     assert sum(len(c.recurrence_indices) for c in res.candidates) == res.windows_scanned
+
+
+def test_real_and_complex_paths_agree():
+    # real_valued picks the arithmetic before any value is read; a sequence
+    # that cannot say takes the complex path, which must give the same
+    q = math.sqrt(2) - 1
+    real = nb.make_sequence(nb.rotation(q, 0.3))
+    cplx = nb.make_sequence(nb.rotation(q, 0.3, (lambda x: x, 1.0)))
+    assert real.real_valued and not cplx.real_valued
+    a, b = (nb.extract_right_limits(s, 2, 10_000, eps=0.05) for s in (real, cplx))
+    assert a.clusters_total == b.clusters_total == 17
+    assert ([c.to_json_dict() for c in a.candidates]
+            == [c.to_json_dict() for c in b.candidates])
+    rs, flagged = nb.make_sequence(nb.rudin_shapiro()), nb.make_sequence(nb.rudin_shapiro())
+    flagged.real_valued = False
+    a, b = (nb.extract_right_limits(s, 3, 20_000, eps=0.0) for s in (rs, flagged))
+    assert ([c.to_json_dict() for c in a.candidates]
+            == [c.to_json_dict() for c in b.candidates])
+    a, b = (nb.szego_block_analysis(s, 8, 50_000) for s in (rs, flagged))
+    assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_candidate_check_after_extraction_reads_raw_values():
+    # the check goes to the block function, not to values the extraction read
+    seq = nb.make_sequence(nb.rotation(math.sqrt(2) - 1, 0.3))
+    res = nb.extract_right_limits(seq, 2, 10_000, eps=0.05)
+    assert res.candidates
+    block, calls = seq._block, []
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return block(lo, hi)
+
+    seq._block = counting
+    for cand in res.candidates:
+        calls.clear()
+        assert cand.verify(seq) and calls
+    # every window holds a value >= 0.2, so halved values match no leader
+    seq._block = lambda lo, hi: 0.5 * block(lo, hi)
+    assert not any(cand.verify(seq) for cand in res.candidates)
 
 
 def test_extract_rejects_small_horizon():
@@ -455,6 +497,20 @@ def test_searches_reject_subnormal_eps_naming_it(eps):
                    nb.find_pair_certificate):
         with pytest.raises(SequenceError, match=f"got {eps}"):
             search(rot, 3, 2000, eps=eps)
+
+
+def test_pair_search_rejects_eps_whose_key_grid_overflows_int64():
+    # floor(value/eps) is an int64 key: bound/eps must stay below 2^62
+    rot = nb.make_sequence(nb.rotation(math.sqrt(2) - 1))     # bound 1
+    for eps in (1e-300, 2.0 ** -62):
+        with pytest.raises(SequenceError, match=f"eps {eps} .*bound 1.0"):
+            nb.find_pair_certificate(rot, 3, 2000, eps=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nb.find_pair_certificate(rot, 3, 2000, eps=math.nextafter(2.0 ** -62, 1.0))
+        # the gap search and extraction build no integer grid
+        nb.find_gap_certificate(rot, 3, 2000, eps=1e-300)
+        nb.extract_right_limits(rot, 3, 2000, eps=1e-300)
 
 
 @pytest.mark.parametrize("min_recurrence", [0, -2])

@@ -5,6 +5,7 @@ import cmath
 import csv
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -638,14 +639,12 @@ def test_gap_powers_default_support_is_labelled_factorials():
     assert np.flatnonzero(seq.prefix(30)).tolist() == [1, 2, 6, 24]
 
 
-def test_prefix_cache_is_read_only():
-    # a write through a view used to change every later read of the index
+def test_writes_into_returned_arrays_change_no_later_read():
+    # every read returns a fresh array, so a write into one stays there
     seq = nb.make_sequence(nb.rudin_shapiro())
     want = seq.eval(3)
-    views = (seq.prefix(10), seq.read(2, 5), seq.prefix(40), seq.read(0, 40))
-    for view in views:
-        with pytest.raises(ValueError):
-            view[1] = 7
+    for arr in (seq.prefix(10), seq.read(2, 5), seq.prefix(40), seq.read(0, 40)):
+        arr[1] = 7
     assert seq.eval(3) == want == -1
     assert seq.prefix(40).tolist() == nb.make_sequence(nb.rudin_shapiro()).read(0, 40).tolist()
 
@@ -669,31 +668,36 @@ def _growth_cases():
 
 
 @pytest.mark.parametrize("name", sorted(_growth_cases()))
-def test_prefix_grows_from_where_it_stopped(name):
+def test_prefix_grows_from_where_it_stopped(name, monkeypatch):
+    # every prefix reads from 0 again, each chunk from where the last
+    # stopped, and no read is served from an earlier one
+    monkeypatch.setattr(seqmod, "_PREFIX_CHUNK", 4096)
     make = _growth_cases()[name]
-    whole = make().prefix(20000)
+    whole = make().read(0, 20000)
     seq = make()
-    calls = []
-    block = seq._block
-
-    def counting(lo, hi):
-        calls.append((lo, hi))
-        return block(lo, hi)
-
-    seq._block = counting
+    calls = _counting(seq)
     for count in (1, 8, 1008, 5107, 5107, 3, 0, 9000, 20000):
+        calls.clear()
         assert seq.prefix(count).tobytes() == whole[:count].tobytes()
-    assert calls == [(0, 1), (1, 8), (8, 1008), (1008, 5107), (5107, 9000), (9000, 20000)]
-    # cached reads go through no block call
+        assert calls == [(lo, min(lo + 4096, count)) for lo in range(0, count, 4096)]
+    calls.clear()
     assert seq.eval(4321) == whole[4321]
-    assert len(calls) == 6
+    assert calls == [(4321, 4322)]
+
+
+@pytest.mark.parametrize("spec", [nb.rudin_shapiro(), nb.rotation(math.sqrt(2) - 1)])
+def test_prefix_fills_in_chunks_of_2_16_values(spec):
+    seq = nb.make_sequence(spec)
+    calls = _counting(seq)
+    got = seq.prefix(200_000)
+    assert calls == [(0, 65536), (65536, 131072), (131072, 196608), (196608, 200000)]
+    assert got.tobytes() == nb.make_sequence(spec).read(0, 200_000).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_window_is_the_tuple_of_evals(name):
     make, _, ranges = FAMILIES[name]
     seq = make()
-    seq.prefix(30)      # windows straddle the cache end as well as lie past it
     for lo, hi in ranges:
         for W in (0, 1, 3):
             c = max((lo + hi) // 2, W)
@@ -706,10 +710,10 @@ def test_window_is_the_tuple_of_evals(name):
             assert win.provenance == {"kind": "center", "n": c}
 
 
-def test_concurrent_growth_reads_each_index_once():
-    """Threads growing one sequence's prefix and sparse support at once, as
-    callers' threads sharing a sequence may, get exact values, read every
-    index once and never shorten the cache."""
+def test_concurrent_prefixes_are_exact():
+    """Threads reading one sequence's prefix and sparse support at once, as
+    callers' threads sharing a sequence may, get exact values, and no read
+    is longer than a prefix chunk."""
     import sys
     import threading
 
@@ -746,8 +750,7 @@ def test_concurrent_growth_reads_each_index_once():
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
-            assert seq._cache.shape[0] == calls[-1][1]
+            assert max(hi - lo for lo, hi in calls) <= seqmod._PREFIX_CHUNK
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -785,24 +788,23 @@ def _counting(seq):
 
 @pytest.mark.parametrize("spec", [nb.rudin_shapiro(), nb.erdos("soft"),
                                   nb.rotation(math.sqrt(2) - 1)])
-def test_read_views_the_cache_and_reads_past_it_uncached(spec):
+def test_every_read_is_one_block_read(spec):
     whole = nb.make_sequence(spec).prefix(400)
     seq = nb.make_sequence(spec)
     calls = _counting(seq)
-    cached = seq.prefix(100)
+    first = seq.prefix(100)
     inside = seq.read(10, 50)
-    assert calls == [(0, 100)]
-    assert np.shares_memory(inside, cached)
+    assert calls == [(0, 100), (10, 50)]
+    assert not np.shares_memory(inside, first)
     assert inside.tobytes() == whole[10:50].tobytes()
     assert seq.read(100, 100).shape == (0,)
     for lo, hi in ((90, 150), (200, 400), (99, 101)):
         assert seq.read(lo, hi).tobytes() == whole[lo:hi].tobytes()
-    assert calls == [(0, 100), (90, 150), (200, 400), (99, 101)]
-    # the past-the-cache reads left the cache where it was
+    assert calls[2:] == [(100, 100), (90, 150), (200, 400), (99, 101)]
     assert seq.prefix(120).tobytes() == whole[:120].tobytes()
-    assert calls[-1] == (100, 120)
+    assert calls[-1] == (0, 120)
     assert seq.eval(7) == whole[7] and seq.eval(300) == whole[300]
-    assert calls[-1] == (300, 301)
+    assert calls[-2:] == [(7, 8), (300, 301)]
 
 
 def test_read_range_errors():
@@ -1034,10 +1036,12 @@ def test_csv_windows_are_byte_identical_to_the_row_loop(name, chunk):
 
 
 def test_csv_file_on_disk_is_byte_identical_and_leaves_the_cache_empty(tmp_path):
+    # the writer reads a CSV chunk at a time, so its memory stays bounded
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     seq = nb.make_sequence(_WRITE_SPECS["explicit-17-digits"])
+    calls = _counting(seq)
     nb.write_sequence_csv(str(new), seq, 9000)
-    assert seq._cache.shape[0] == 0     # reads went through read(), not prefix()
+    assert max(hi - lo for lo, hi in calls) <= seqmod._CSV_CHUNK
     rowwise_write_rows(str(old), range(9000), seq.prefix(9000))
     assert new.read_bytes() == old.read_bytes()
 
@@ -1127,10 +1131,15 @@ def _outcome(read, text):
 
 
 def _assert_same_reads(text):
-    assert (_outcome(nb.read_sequence_csv, text)
-            == _outcome(rowwise_read_sequence_csv, text))
-    assert (_outcome(nb.read_window_csv, text)
-            == _outcome(rowwise_read_window_csv, text))
+    for read, oracle in ((nb.read_sequence_csv, rowwise_read_sequence_csv),
+                         (nb.read_window_csv, rowwise_read_window_csv)):
+        got, want = _outcome(read, text), _outcome(oracle, text)
+        if want[:2] == ("error", csv.Error):
+            # a line the csv module rejects is a SequenceError naming the line
+            assert got[:2] == ("error", SequenceError)
+            assert re.fullmatch(r"CSV file stream, line \d+: " + re.escape(want[2]), got[2])
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("name", sorted(_READ_CASES))
@@ -1191,10 +1200,13 @@ def test_csv_reader_matches_the_row_loop_on_written_files(chunk):
 
 def test_csv_reader_keeps_one_read_only_array():
     seq = nb.read_sequence_csv(io.StringIO("n,re,im\n0,1,0\n1,2,0\n"))
+    with pytest.raises(ValueError):
+        seq._block(0, 2)[0] = 5
     arr = seq.read(0, 2)
     assert arr.dtype == complex
-    with pytest.raises(ValueError):
-        seq.prefix(2)[0] = 5
+    arr[0] = 5
+    seq.prefix(2)[1] = 5
+    assert seq.read(0, 2).tolist() == [1, 2]
 
 
 def test_bad_utf8_offset_counts_from_the_start_of_the_file(tmp_path):
