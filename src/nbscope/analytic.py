@@ -416,29 +416,126 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _czt(coeffs: np.ndarray, r: float, phi0: float, step: float, m: int) -> np.ndarray:
-    """sum_k coeffs[k] z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m.
+# The arc transform sums blocks of max(_BLOCK, nodes) coefficients and reads
+# at most _GROUP coefficients (or one block, if longer) at a time.
+_BLOCK = 1 << 15
+_GROUP = 1 << 18
 
-    Bluestein's chirp z-transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
-    sums become one linear convolution of the chirp-weighted coefficients
-    with the conjugate chirp, done by FFT at a 5-smooth length, in
-    O((N+M) log(N+M)) time.  Every phase is formed from float k directly
-    (no repeated complex powers), so rounding does not compound with k.
+# 2*pi = _C1 + _C2 + _C3 (Cody and Waite), _C1 and _C2 of at most 23
+# significant bits, so their products with integers below 2^30 are exact
+_C1 = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 20)), -20)
+_C2 = math.ldexp(math.floor(math.ldexp(2.0 * math.pi - _C1, 43)), -43)
+_C3 = (2.0 * math.pi - _C1 - _C2) + 2.4492935982947064e-16   # + 2*pi - float(2*pi)
+
+
+def _split(x):
+    """(head, tail) with head + tail == x exactly and each part of at most
+    26 significant bits, so its product with an integer below 2^27 is exact
+    (Veltkamp's split; elementwise for arrays)."""
+    c = 134217729.0 * x                  # 2^27 + 1
+    head = c - (c - x)
+    return head, x - head
+
+
+def _mod_two_pi(x):
+    """x minus the nearest whole multiple of 2*pi, within a few ulps of 2*pi
+    for |x| < 2^32 (the multiple's first two parts are subtracted exactly)."""
+    q = np.rint(x * (0.5 / math.pi))
+    return ((x - q * _C1) - q * _C2) - q * _C3
+
+
+def _phase(x, j):
+    """j * x minus a whole multiple of 2*pi, for floats x and integers
+    0 <= j < 2^27 with |j * x| < 2^32 (elementwise), within a few ulps of
+    2*pi: no rounding error grows with j * x."""
+    head, tail = _split(x)
+    return _mod_two_pi(j * head) + j * tail
+
+
+def _phase2(x, a, b):
+    """a * b * x minus a whole multiple of 2*pi, as :func:`_phase`, for
+    integers 0 <= a, b < 2^27 (a * x splits into two exact products)."""
+    head, tail = _split(x)
+    return _phase(head * a, b) + _phase(tail * a, b)
+
+
+def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np.ndarray:
+    """sum_{k<n} a_k z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m, where
+    ``read(lo, hi)`` returns a_lo .. a_{hi-1}.
+
+    Bluestein's chirp z-transform, one block of L = max(_BLOCK, m)
+    coefficients at a time (L = n when n <= L): f(z_j) = sum_b z_j^(bL)
+    B_b(z_j), where B_b sums the b-th block.  With jl = (j^2 + l^2 -
+    (j-l)^2)/2 each B_b(z_j) is a linear convolution of the block, times
+    the pre-weight r^l e^{i(phi0*l + step*l^2/2)} that every block shares,
+    with the conjugate chirp, done by FFT at a 5-smooth length >= L + m - 1;
+    so chirp phases stay below (L + m)^2 * step / 2 whatever n is.  The
+    blocks are combined by Horner's rule in z_j^L, highest first, as the
+    reads go: a group of at most _GROUP coefficients at a time, from the
+    top, so time is O(n log(L + m)) and memory does not grow with n.  A
+    block of zeros skips its transforms (they would be zero).  With one
+    block this is exactly the whole-prefix transform.
     """
-    n = len(coeffs)
     if n == 0:
         return np.zeros(m, dtype=complex)
+    length = min(n, max(_BLOCK, m))
+    n_blocks = -(-n // length)
     half = step / 2.0
-    k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(1j * half * k * k)
-    kn = k[:n]
-    weighted = coeffs * np.exp(kn * math.log(r) + 1j * (phi0 * kn + half * kn * kn))
-    size = _fast_len(n + m - 1)
+    k = np.arange(max(length, m), dtype=float)
+    kl = k[:length]
+    if n_blocks == 1:
+        # the whole-prefix transform's phases, bit for bit
+        chirp = np.exp(1j * half * k * k)
+        pre_exponent = kl * math.log(r) + 1j * (phi0 * kl + half * kl * kl)
+    else:
+        # every block repeats these phases, so they are reduced mod 2*pi in
+        # exact pieces: a rounding error shared by all blocks would add up
+        # across them.  z_j^L comes from one phase L * (phi0 + j*step) per
+        # node the same way, not from powers of z_j.
+        square = _phase2(half, k, k)
+        chirp = np.exp(1j * square)
+        weights = np.exp(kl * math.log(r) + 1j * (_phase(phi0, kl) + square[:length]))
+        j = np.arange(m, dtype=float)
+        powers = np.exp(length * math.log(r)
+                        + 1j * (_phase(phi0, length) + _phase2(step, length, j)))
+    size = _fast_len(length + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(kernel))
-    return conv[:m] * chirp[:m]
+    kernel[size - length + 1:] = chirp[length - 1:0:-1].conj()
+    kernel = np.fft.fft(kernel)
+
+    per_group = max(1, _GROUP // length)
+    acc = None
+    for first in range((n_blocks - 1) // per_group * per_group, -1, -per_group):
+        lo = first * length
+        hi = min(n, lo + per_group * length)
+        count = -(-(hi - lo) // length)
+        coeffs = read(lo, hi)
+        if count * length > hi - lo:            # the top block is short
+            coeffs = np.concatenate(
+                (coeffs, np.zeros(count * length - (hi - lo), dtype=complex)))
+        blocks = coeffs.reshape(count, length)
+        live = blocks.any(axis=1)
+        rows = iter(())
+        if live.any():
+            if n_blocks == 1:
+                # the whole-prefix transform's own product, bit for bit
+                # (numpy's complex product is not bitwise commutative, and
+                # numpy may evaluate a large `a * <temporary>` in place with
+                # its operands swapped)
+                weighted = blocks[0] * np.exp(pre_exponent)
+            else:
+                weighted = (blocks if live.all() else blocks[live]) * weights
+            conv = np.fft.ifft(np.fft.fft(weighted, size, axis=-1) * kernel, axis=-1)
+            rows = iter(conv[..., :m].reshape(-1, m)[::-1])
+        for alive in live[::-1].tolist():
+            if acc is None:
+                acc = next(rows) if alive else np.zeros(m, dtype=complex)
+            elif alive:
+                acc = acc * powers + next(rows)
+            else:
+                acc = acc * powers
+    return acc * chirp[:m]
 
 
 def _nodes_eval_sparse(exps, fill, r, arc: ArcSpec, m: int) -> np.ndarray:
@@ -471,7 +568,7 @@ def _scan_one_radius(seq, arc, r, m, tol):
     else:
         # one transform on the quarter-step grid alpha + i*width/(4m) holds
         # the m-node midpoints at i = 2 mod 4 and the 2m-node ones at odd i
-        fine = _czt(seq.prefix(n_terms), r, arc.alpha, arc.width / (4 * m), 4 * m)
+        fine = _blocked_czt(seq.read, n_terms, r, arc.alpha, arc.width / (4 * m), 4 * m)
         vals_half, vals_full = fine[2::4], fine[1::2]
     i_half = float(np.mean(np.abs(vals_half))) * weight
     i_full = float(np.mean(np.abs(vals_full))) * weight
@@ -624,8 +721,10 @@ def decay_rule_check(win: TwoSidedWindow, side: str, c: float, d: float,
     """
     if side not in ("positive", "negative"):
         raise AnalyticError("side must be 'positive' or 'negative'")
-    if c <= 0 or d <= 0:
-        raise AnalyticError("decay constants must be positive")
+    for name, value in (("decay constant c", c), ("decay constant d", d),
+                        ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise AnalyticError(f"{name} must be finite and > 0, got {value}")
     W = win.radius
     ks = range(1, W + 1) if side == "positive" else range(-W, 0)
     violations = [k for k in ks

@@ -489,10 +489,6 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
 _KEY_CHUNK = 4096
 # Centers per block of a key chunk: the walk checks for its stop after each.
 _WALK_BLOCK = 128
-# The one cell of every nan cell value, as numpy groups them (a cell value
-# is nan only when eps is so small next to the values that value/eps
-# overflows); one object, so that it finds itself as a dict key.
-_NAN_CELL = math.nan
 
 
 def _pair_walk(seq, width, off, eps, delta, start, stop, end):
@@ -568,8 +564,6 @@ def _pair_walk(seq, width, off, eps, delta, start, stop, end):
         spill = stop            # least center that found its cell full
         for blk_no, count in enumerate(np.bincount(blk).tolist()):
             for i, j, bk, ck in islice(runs, count):
-                if ck != ck:
-                    ck = _NAN_CELL      # one cell, as numpy groups nan
                 bucket = buckets.get(bk)
                 if bucket is None:
                     bucket = buckets[bk] = {}

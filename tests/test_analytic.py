@@ -467,7 +467,7 @@ def test_probe_rejects_node_counts_over_the_cap_before_allocating(spec, monkeypa
     def never(*args):
         raise AssertionError("the transform ran")
 
-    monkeypatch.setattr(analytic, "_czt", never)
+    monkeypatch.setattr(analytic, "_blocked_czt", never)
     monkeypatch.setattr(analytic, "_nodes_eval_sparse", never)
     seq = nb.make_sequence(spec)
     for points in (analytic.TERM_CAP // 4 + 1, 10 ** 11):
@@ -586,6 +586,20 @@ def test_decay_rule_rejects_violated_hypothesis():
     with pytest.raises(AnalyticError) as exc:
         decay_rule_check(win, "positive", 0.5, 1.0, 0.5)
     assert "offsets" in str(exc.value)
+
+
+@pytest.mark.parametrize("c, d, delta, named", [
+    (math.nan, 1.0, 0.5, "decay constant c"), (math.inf, 1.0, 0.5, "decay constant c"),
+    (0.0, 1.0, 0.5, "decay constant c"), (1.0, math.nan, 0.5, "decay constant d"),
+    (1.0, -math.inf, 0.5, "decay constant d"), (1.0, -1.0, 0.5, "decay constant d"),
+    (1.0, 1.0, math.nan, "delta"), (1.0, 1.0, math.inf, "delta"), (1.0, 1.0, 0.0, "delta"),
+])
+def test_decay_rule_rejects_constants_that_are_not_finite_and_positive(c, d, delta, named):
+    # nan passed `c <= 0`, and nan c or d then failed every decay check
+    # while a nan delta matched no value
+    win = nb.TwoSidedWindow((1.0, 0.0, 0.0), 1, {"kind": "test"})
+    with pytest.raises(AnalyticError, match=f"{named} must be finite and > 0, got "):
+        decay_rule_check(win, "positive", c, d, delta)
 
 
 def test_shift_rejects_underflowing_power():

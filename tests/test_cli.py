@@ -147,6 +147,22 @@ def test_reflectionless_decay_mode(capsys, tmp_path):
     assert rep["outcome"] == "not-reflectionless" and rep["witness"] == -1
 
 
+@pytest.mark.parametrize("option, named", [
+    ("--decay-c", "decay constant c"), ("--decay-d", "decay constant d"), ("--delta", "delta"),
+])
+def test_reflectionless_decay_rule_nan_exits_2_naming_it(capsys, tmp_path, option, named):
+    # a nan --decay-c or --decay-d reported not-reflectionless and a nan
+    # --delta consistent-with-zero, each with exit 0
+    win = tmp_path / "win.csv"
+    win.write_text("n,re,im\n-1,1,0\n0,0,0\n1,0,0\n")
+    argv = {"--decay-c": "1", "--decay-d": "1", "--delta": "0.5", option: "nan"}
+    code, out, err = run(capsys, "reflectionless", "--window-csv", str(win),
+                         "--decay-side", "positive", *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert not out
+    assert f"{named} must be finite and > 0, got nan" in err
+
+
 def test_montecarlo_deterministic(capsys):
     argv = ["montecarlo", "--process", "iid", "--values", "0,1",
             "--probs", "0.5,0.5", "--trials", "3", "--window", "3",
@@ -553,7 +569,7 @@ def test_probe_node_count_over_cap_exits_3_without_allocating(capsys, monkeypatc
     def never(*args):
         raise AssertionError("the transform ran")
 
-    monkeypatch.setattr(analytic, "_czt", never)
+    monkeypatch.setattr(analytic, "_blocked_czt", never)
     monkeypatch.setattr(analytic, "_nodes_eval_sparse", never)
     code, out, err = run(capsys, "probe", "--family", "rudin-shapiro", "--full",
                          "--radii", "0.5", "--quad-points", "100000000000")

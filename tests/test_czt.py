@@ -1,5 +1,6 @@
-"""The numpy chirp z-transform behind the arc scan, against scipy's czt
-(a test-only oracle) and against extended-precision Horner sums."""
+"""The blocked chirp z-transform behind the arc scan, against the
+whole-prefix transform it replaced, scipy's czt (a test-only oracle) and
+extended-precision Horner sums."""
 
 import cmath
 import math
@@ -8,7 +9,42 @@ import numpy as np
 import pytest
 
 import nbscope as nb
-from nbscope.analytic import ArcSpec, _czt, _fast_len, boundary_l1_scan, truncation_length
+from nbscope import analytic
+from nbscope.analytic import ArcSpec, _blocked_czt, _fast_len, boundary_l1_scan, truncation_length
+
+
+# The whole-prefix transform the arc scan used before it read blocks, kept
+# verbatim as the oracle of the blocked one.
+def _czt(coeffs: np.ndarray, r: float, phi0: float, step: float, m: int) -> np.ndarray:
+    """sum_k coeffs[k] z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m.
+
+    Bluestein's chirp z-transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
+    sums become one linear convolution of the chirp-weighted coefficients
+    with the conjugate chirp, done by FFT at a 5-smooth length, in
+    O((N+M) log(N+M)) time.  Every phase is formed from float k directly
+    (no repeated complex powers), so rounding does not compound with k.
+    """
+    n = len(coeffs)
+    if n == 0:
+        return np.zeros(m, dtype=complex)
+    half = step / 2.0
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(1j * half * k * k)
+    kn = k[:n]
+    weighted = coeffs * np.exp(kn * math.log(r) + 1j * (phi0 * kn + half * kn * kn))
+    size = _fast_len(n + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(kernel))
+    return conv[:m] * chirp[:m]
+
+
+def _czt_blocks(coeffs, r, phi0, step, m):
+    """The blocked transform over an array of coefficients."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return _blocked_czt(lambda lo, hi: coeffs[lo:hi], len(coeffs), r, phi0, step, m)
+
 
 def horner_clongdouble(coeffs, r, phi0, step, m):
     """sum_k coeffs[k] z_j^k by Horner's rule in np.clongdouble."""
@@ -54,7 +90,7 @@ def test_fast_len_is_least_5_smooth():
 def test_czt_matches_extended_precision_horner(n, m):
     rng = np.random.default_rng(1000 + n)
     coeffs, r, phi0, step = _seeded_case(rng, n)
-    got = _czt(coeffs, r, phi0, step, m)
+    got = _czt_blocks(coeffs, r, phi0, step, m)
     assert got.shape == (m,)
     if n == 0:
         assert not np.any(got)
@@ -69,7 +105,7 @@ def test_czt_matches_scipy(n, m):
     signal = pytest.importorskip("scipy.signal")
     rng = np.random.default_rng(n * 7 + m)
     coeffs, r, phi0, step = _seeded_case(rng, n)
-    got = _czt(coeffs, r, phi0, step, m)
+    got = _czt_blocks(coeffs, r, phi0, step, m)
     want = signal.czt(coeffs, m=m, w=cmath.exp(1j * step),
                       a=(1.0 / r) * cmath.exp(-1j * phi0))
     # scipy forms its chirp as complex powers w**(k**2/2), whose error grows
@@ -84,9 +120,9 @@ def test_quarter_grid_holds_both_richardson_levels(alpha, beta, m):
     coeffs = rng.uniform(-1, 1, 3000).astype(complex)
     r = 0.998
     arc = ArcSpec(alpha, beta) if beta - alpha < 2 * math.pi else ArcSpec.full_circle()
-    fine = _czt(coeffs, r, arc.alpha, arc.width / (4 * m), 4 * m)
+    fine = _czt_blocks(coeffs, r, arc.alpha, arc.width / (4 * m), 4 * m)
     # separate transforms at the m and 2m midpoints alpha + (j + 1/2) * h
-    half, full = (_czt(coeffs, r, arc.alpha + h / 2, h, nodes)
+    half, full = (_czt_blocks(coeffs, r, arc.alpha + h / 2, h, nodes)
                   for nodes, h in ((m, arc.width / m), (2 * m, arc.width / (2 * m))))
     scale = _mass(coeffs, r)
     assert float(np.max(np.abs(fine[2::4] - half))) <= 1e-12 * scale
@@ -99,13 +135,124 @@ def test_scan_reports_both_richardson_levels():
     seq = nb.make_sequence(nb.rudin_shapiro())
     arc, r, m, tol = ArcSpec(0.3, 2.1), 0.999, 64, 1e-6
     rep = boundary_l1_scan(seq, arc, [r], quad_points=m, tol=tol)
-    coeffs = seq.prefix(truncation_length(seq.bound, r, tol))
+    n = truncation_length(seq.bound, r, tol)
     weight = arc.width / (2 * math.pi)
     levels = []
     for nodes in (m, 2 * m):
         h = arc.width / nodes
-        vals = _czt(coeffs, r, arc.alpha + h / 2, h, nodes)
+        vals = _blocked_czt(seq.read, n, r, arc.alpha + h / 2, h, nodes)
         levels.append(float(np.mean(np.abs(vals))) * weight)
     assert abs(levels[1] - levels[0]) > 1e-3 * levels[1]
     assert rep.integrals[0] == pytest.approx(levels[1], rel=1e-12)
     assert rep.quad_errors[0] == pytest.approx(abs(levels[1] - levels[0]), rel=1e-6)
+
+
+@pytest.mark.parametrize("n, m, kind", [
+    (1, 64, "complex"), (63, 64, "real"), (2000, 256, "complex"),
+    # past numpy's in-place evaluation of large temporaries
+    (20000, 4096, "complex"), (20000, 4096, "real"),
+    (analytic._BLOCK, 4096, "complex"), (5, 4096, "complex"), (300, 64, "zeros"),
+])
+def test_one_block_is_the_whole_prefix_transform_bit_for_bit(n, m, kind):
+    rng = np.random.default_rng(n + m)
+    coeffs, r, phi0, step = _seeded_case(rng, n)
+    if kind == "real":
+        coeffs = coeffs.real.astype(complex)
+    elif kind == "zeros":
+        coeffs = np.zeros(n, dtype=complex)
+    assert n <= max(analytic._BLOCK, m)
+    assert np.array_equal(_czt_blocks(coeffs, r, phi0, step, m),
+                          _czt(coeffs, r, phi0, step, m))
+
+
+def test_scan_radii_within_one_block_are_unchanged(monkeypatch):
+    # the ladder's radii below the top need at most _BLOCK terms, the top
+    # one (0.9999) eight blocks
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    arc, radii = ArcSpec(0.3, 1.7), [0.9, 0.99, 0.995, 0.999, 0.9999]
+    rep = boundary_l1_scan(seq, arc, radii, quad_points=256)
+    monkeypatch.setattr(analytic, "_blocked_czt",
+                        lambda read, n, r, phi0, step, m: _czt(read(0, n), r, phi0, step, m))
+    old = boundary_l1_scan(seq, arc, radii, quad_points=256)
+    within = [truncation_length(seq.bound, r, rep.tol) <= analytic._BLOCK for r in radii]
+    assert within == [True] * 4 + [False]
+    for i, one_block in enumerate(within):
+        if one_block:
+            assert (rep.integrals[i], rep.quad_errors[i]) == (old.integrals[i], old.quad_errors[i])
+        else:
+            assert rep.integrals[i] == pytest.approx(old.integrals[i], rel=1e-12)
+
+
+@pytest.mark.parametrize("block, group, m", [
+    (1, 1, 1), (1, 5, 1), (7, 7, 5), (7, 30, 5), (7, 30, 64),
+    (64, 64, 16), (64, 1000, 16), (64, 200, 100),
+])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_small_blocks_match_extended_precision_horner(monkeypatch, block, group, m, kind):
+    monkeypatch.setattr(analytic, "_BLOCK", block)
+    monkeypatch.setattr(analytic, "_GROUP", group)
+    n = 1003                    # a multiple of none of the block lengths
+    length = max(block, m)
+    rng = np.random.default_rng(block * 1000 + group + m)
+    coeffs, r, phi0, step = _seeded_case(rng, n)
+    if kind == "real":
+        coeffs = coeffs.real.astype(complex)
+    # two whole blocks of zeros (whole groups when a group is one block),
+    # and a top block of zeros, where the Horner sum starts
+    coeffs[length:3 * length] = 0
+    coeffs[(n - 1) // length * length:] = 0
+    assert n // length >= 4 and (n % length or length == 1)
+    got = _czt_blocks(coeffs, r, phi0, step, m)
+    want = horner_clongdouble(coeffs, r, phi0, step, m)
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * _mass(coeffs, r)
+
+
+@pytest.mark.parametrize("pattern, alpha, width", [
+    ([1, -1, 1, 1j, -1, -1, 1], 0.3, 1.4), ([1, 1, -1], -2.9, 0.7),
+])
+def test_nodes_at_radius_0_99999_match_the_closed_form_periodic_sum(pattern, alpha, width):
+    # 2.5 million terms, 78 blocks: the whole-prefix transform formed chirp
+    # phases of about 1e9 rad here and missed by about 2e-11 * mass.  The
+    # blocked one measures about 3e-17 * mass; phases phi0*l or z_j^L formed
+    # without the exact reduction measure 1e-14 to 2e-13 * mass, so the
+    # bound is 1e-15 * mass, well inside the 1e-13 * mass of the other tests
+    seq = nb.make_sequence(nb.periodic(pattern))
+    r, m = 0.99999, 4096
+    n = truncation_length(seq.bound, r, 1e-6)
+    assert n == 2_532_831
+    got = _blocked_czt(seq.read, n, r, alpha, width / m, m)
+
+    theta = np.longdouble(alpha) + np.arange(m, dtype=np.longdouble) * np.longdouble(width / m)
+    z = np.longdouble(r) * (np.cos(theta) + 1j * np.sin(theta)).astype(np.clongdouble)
+    p = len(pattern)
+    q, rest = divmod(n, p)
+
+    def poly(cs):
+        acc = np.zeros(m, dtype=np.clongdouble)
+        for c in cs[::-1]:
+            acc = acc * z + c
+        return acc
+
+    zqp = np.exp(np.longdouble(q * p) * (np.log(np.longdouble(r)) + 1j * theta))
+    want = poly(pattern) * (1 - zqp) / (1 - z ** p) + zqp * poly(pattern[:rest])
+    mass = (1 - r ** n) / (1 - r)
+    assert float(np.max(np.abs(got - want))) <= 1e-15 * mass
+
+
+def test_phase_reduction_matches_exact_arithmetic():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-7, 7, 200), rng.uniform(0, 1e-3, 200)])
+    j = rng.integers(0, 2 ** 27, 400).astype(float)
+    j[:4] = [0, 1, 2 ** 27 - 1, 12345]
+    a, b = j % 4096, j % 8191
+    assert np.all(np.abs(j * x) < 2 ** 32)
+    got = analytic._phase(x, j)
+    got2 = analytic._phase2(x * 1e-4, a, b)
+    with mpmath.workprec(200):
+        two_pi = 2 * mpmath.pi
+        for exact, val in [(mpmath.mpf(xi) * int(ji), g) for xi, ji, g in zip(x, j, got)] + \
+                [(mpmath.mpf(xi * 1e-4) * int(ai) * int(bi), g)
+                 for xi, ai, bi, g in zip(x, a, b, got2)]:
+            off = exact - mpmath.mpf(float(val))
+            assert abs(off - two_pi * mpmath.nint(off / two_pi)) <= 1e-15

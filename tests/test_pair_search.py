@@ -726,18 +726,6 @@ def test_walk_stop_counts_only_pairs_of_finished_blocks(monkeypatch):
                                          1025, 1027, 1029, 1031]
 
 
-def test_walk_matches_reference_when_cells_are_nan():
-    # 1/eps overflows: a zero value's cell is 0 * inf = nan, and numpy's
-    # grouping and the walk both make every nan cell one cell
-    real = nb.make_sequence(nb.explicit(_float_noise(12, 4001).read(0, 4001).real
-                                        * (np.arange(4001) % 3 != 0)))
-    cplx = SEQUENCES["complex-explicit"]()
-    with np.errstate(all="ignore"):
-        for seq in (real, cplx):
-            for side in ("backward", "forward"):
-                _assert_walks_agree(seq, 1, 4000, 1e-310, 0.5, side)
-
-
 def _abs_split(seed, near, scale, keep):
     """A complex pair (a, b) within ``scale`` of ``near`` and of each other
     for which np.abs(a - b) differs in the last bit from Python's
