@@ -32,7 +32,9 @@ from .sequences import (
     SequenceError,
     TwoSidedSequence,
     TwoSidedWindow,
+    _chunks,
     periodic_extension,
+    window_extension,
 )
 
 __all__ = [
@@ -179,37 +181,25 @@ def _truncation(seq: OneSidedSequence, r: float, tol: float, start: int = 0,
 # Series summation helpers
 
 
-_CHUNK = 1 << 16
-
-
-def _sum_series_with_mass(coeffs: np.ndarray, z: complex,
-                          start_exponent: int = 0):
-    """(sum, mass) of sum_i coeffs[i] * z^(start_exponent + i), with
-    compensated chunk accumulation; mass = sum of |term| for rounding
+def _sum_series_with_mass(seq: OneSidedSequence, lo: int, hi: int, z: complex,
+                          starts=(0,)):
+    """[(sum, mass)] for each start exponent s of ``starts``: the sum of
+    a_n z^(s + n - lo) over lo <= n < hi, compensated over the reader's
+    chunks (edges at lo + k * _CHUNK), and mass = sum of |term| for rounding
     bounds.  Powers advance by sequential multiplication, so exact dyadic
     inputs (e.g. z = 1/2 with integer coefficients) stay exact."""
-    n = len(coeffs)
-    if n == 0:
-        return 0j, 0.0
-    partials = []
-    mass = 0.0
-    power = ipow(z, start_exponent)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        steps = np.empty(hi - lo, dtype=complex)
-        steps[0] = power
-        if hi - lo > 1:
+    sums = [[ipow(z, s), [], 0.0] for s in starts]     # power, partials, mass
+    for _, coeffs in _chunks(seq, lo, hi):
+        for acc in sums:
+            steps = np.empty(len(coeffs), dtype=complex)
+            steps[0] = acc[0]
             steps[1:] = z
-        pw = np.cumprod(steps)
-        terms = coeffs[lo:hi] * pw
-        partials.append(complex(np.sum(terms)))
-        mass += float(np.sum(np.abs(terms)))
-        power = complex(pw[-1]) * z
-    return kahan_complex_sum(partials), mass
-
-
-def _sum_series(coeffs: np.ndarray, z: complex, start_exponent: int = 0) -> complex:
-    return _sum_series_with_mass(coeffs, z, start_exponent)[0]
+            pw = np.cumprod(steps)
+            terms = coeffs * pw
+            acc[1].append(complex(np.sum(terms)))
+            acc[2] += float(np.sum(np.abs(terms)))
+            acc[0] = complex(pw[-1]) * z
+    return [(kahan_complex_sum(partials), mass) for _, partials, mass in sums]
 
 
 def _gap_support(seq: OneSidedSequence, count: int):
@@ -242,8 +232,9 @@ def _eval_series(seq: OneSidedSequence, z: complex, r: float, tol: float,
     if sparse is not None:
         exps, fill = sparse
         val = kahan_complex_sum(fill * ipow(z, int(e) + offset) for e in exps)
-        return EvalResult(val, bound, n_terms)
-    return EvalResult(_sum_series(seq.prefix(n_terms), z, offset), bound, n_terms)
+    else:
+        val = _sum_series_with_mass(seq, 0, n_terms, z, (offset,))[0][0]
+    return EvalResult(val, bound, n_terms)
 
 
 def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
@@ -270,13 +261,10 @@ def eval_shift_pair(seq: OneSidedSequence, shift: int, z: complex,
             f"|z|^shift underflows (|z| = {r}, shift = {shift}); use a "
             f"smaller shift or a larger |z|")
 
-    all_coeffs = seq.prefix(shift + m_terms)
-    head, tail = all_coeffs[:shift], all_coeffs[shift:]
-
-    fplus_val, fplus_mass = _sum_series_with_mass(tail, z, 0)
-    fminus_val, fminus_mass = _sum_series_with_mass(head, z, -shift)
-    head_val, head_mass = _sum_series_with_mass(head, z, 0)
-    tail_val, tail_mass = _sum_series_with_mass(tail, z, shift)
+    (fminus_val, fminus_mass), (head_val, head_mass) = _sum_series_with_mass(
+        seq, 0, shift, z, (-shift, 0))
+    (fplus_val, fplus_mass), (tail_val, tail_mass) = _sum_series_with_mass(
+        seq, shift, shift + m_terms, z, (0, shift))
     f_val = head_val + tail_val
 
     lhs = fplus_val + fminus_val
@@ -318,11 +306,10 @@ def eval_two_sided(source, z: complex, tol: float = 1e-10) -> EvalResult:
     if r == 1.0:
         raise AnalyticError("two-sided evaluation is undefined on |z| = 1")
     if isinstance(source, TwoSidedWindow):
-        W = source.radius
-        vals = source.as_array()
-        if r < 1.0:
-            return EvalResult(_sum_series(vals[W:], z, 0), 0.0, W + 1)
-        return EvalResult(_sum_series(vals[:W][::-1], 1.0 / z, 1), 0.0, W)
+        ext, W = window_extension(source), source.radius
+        side, w, n, start = ((ext.inside, z, W + 1, 0) if r < 1.0
+                             else (ext.outside, 1.0 / z, W, 1))
+        return EvalResult(_sum_series_with_mass(side, 0, n, w, (start,))[0][0], 0.0, n)
     if not isinstance(source, TwoSidedSequence):
         raise AnalyticError(
             "source must be a TwoSidedWindow or TwoSidedSequence")
@@ -539,7 +526,8 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
 
 
 def _nodes_eval_sparse(exps, fill, r, arc: ArcSpec, m: int) -> np.ndarray:
-    """Direct sparse summation: sum_e fill * (r e^{i theta_j})^e."""
+    """Direct sparse summation: sum_e fill * (r e^{i theta_j})^e, each phase
+    e * theta_j reduced exactly by :func:`_phase` (e < TERM_CAP < 2^27)."""
     h = arc.width / m
     theta = arc.alpha + (np.arange(m) + 0.5) * h
     out = np.zeros(m, dtype=complex)
@@ -547,7 +535,7 @@ def _nodes_eval_sparse(exps, fill, r, arc: ArcSpec, m: int) -> np.ndarray:
     for lo in range(0, len(exps), 64):
         chunk = exps[lo:lo + 64].astype(float)
         radial = np.exp(chunk * logr)
-        phase = np.exp(1j * (chunk[:, None] * theta[None, :] % (2 * math.pi)))
+        phase = np.exp(1j * _phase(theta[None, :], chunk[:, None]))
         out += (radial[:, None] * phase).sum(axis=0)
     return fill * out
 

@@ -37,12 +37,14 @@ from operator import sub
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import ratform
+from . import ratform, sequences
 from .sequences import (
     OneSidedSequence,
     SequenceError,
     TwoSidedWindow,
     VerificationError,
+    _chunks,
+    _gather,
     default_eps,
 )
 
@@ -67,10 +69,6 @@ __all__ = [
 _CLUSTER_CAP = 10 ** 6
 _BUCKET_CAP = 64
 _PAIR_CAP = 256
-# Values per read of the gap and periodicity scans and of a certificate
-# check: they read fixed chunks through ``read``, so their memory does not
-# grow with the horizon.
-_READ_CHUNK = 2 ** 16
 # A certificate check reads two neighbouring witnesses together when they
 # are at most this many indices apart: a separate read costs about as much
 # as reading that many more values.
@@ -118,9 +116,9 @@ def _span_rows(seq, centers, offsets):
     """a_{c+o} for each center c (a row) and ascending offset o (a column).
 
     Nearby centers are read together: one read per group of centers at
-    most ``_WITNESS_GAP`` apart whose span is at most ``_READ_CHUNK``
-    values (a lone center's span may be longer), so far-apart witnesses
-    never read the indices between them."""
+    most ``_WITNESS_GAP`` apart whose span is at most one reader chunk
+    (a lone center's span may be longer), so far-apart witnesses never
+    read the indices between them."""
     out = np.empty((len(centers), len(offsets)), dtype=complex)
     o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
     order = sorted(range(len(centers)), key=centers.__getitem__)
@@ -129,7 +127,7 @@ def _span_rows(seq, centers, offsets):
     while i < len(srt):
         j = i + 1
         while (j < len(srt) and srt[j] - srt[j - 1] <= _WITNESS_GAP
-               and srt[j] - srt[i] + span <= _READ_CHUNK):
+               and srt[j] - srt[i] + span <= sequences._CHUNK):
             j += 1
         lo = srt[i] + o0
         vals = seq.read(lo, srt[j - 1] + o0 + span)
@@ -205,10 +203,8 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     if h < 10 * width:
         raise SequenceError(f"horizon {h} too small; need >= {10 * width}")
     eps = _resolve_eps(seq, eps)
-    arr = seq.prefix(h + 1)
+    data = _gather(seq, h + 1)
     D = 2 * width + 1
-
-    data = np.ascontiguousarray(arr.real) if seq.real_valued else arr
     wins = sliding_window_view(data, D)
     groups, first, _ = _group_rows(wins)
     # distinct windows in order of first occurrence, then each window's
@@ -220,7 +216,7 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     kept = np.flatnonzero(cid >= 0)
     centers = (kept[np.argsort(cid[kept], kind="stable")] + width).tolist()
     ends = np.cumsum(np.bincount(cid[kept])).tolist()
-    clusters = [(arr[f:f + D], centers[a:b]) for f, a, b
+    clusters = [(data[f:f + D], centers[a:b]) for f, a, b
                 in zip(starts[founders].tolist(), [0] + ends[:-1], ends)]
 
     order = sorted(range(len(clusters)),
@@ -328,10 +324,11 @@ class NonReflectionlessCertificate:
 
 
 def _check_tolerances(eps, delta):
-    if not (delta > 2 * eps):
+    # an infinite delta would separate nothing from noise: it matches nothing
+    if not (math.isfinite(delta) and delta > 2 * eps):
         raise SequenceError(
-            f"need delta > 2*eps to separate signal from tolerance noise "
-            f"(delta={delta}, eps={eps})")
+            f"need a finite delta > 2*eps to separate signal from tolerance "
+            f"noise (delta={delta}, eps={eps})")
 
 
 def _flank_thresholds(width, eps, decay):
@@ -371,8 +368,8 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     A hit at n requires |a_{n-k}| <= eps for k = 1..width (or under
     C e^{-D k} + eps when ``decay`` = (C, D) is given) and |a_n| >= delta.
     Returns a certificate iff at least ``min_recurrence`` hits exist.
-    Centers are scanned ``_READ_CHUNK`` at a time, each chunk read with
-    the ``width`` flank values before it.
+    Centers are scanned a reader chunk at a time, each chunk read with the
+    ``width`` flank values before it.
     """
     if width < 1:
         raise SequenceError("flank width must be >= 1")
@@ -386,16 +383,13 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
 
     hits = []
     separation = math.inf
-    for lo in range(width, h + 1, _READ_CHUNK):
-        hi = min(lo + _READ_CHUNK, h + 1)
+    for lo, seg in _chunks(seq, width, h + 1, pad=(width, 0)):
         # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
-        # flank offset -k at n-lo+width-k (on real values |x| is bit for
-        # bit the complex modulus of x + 0j, and cheaper)
-        seg = seq.read(lo - width, hi)
-        ab = np.abs(seg.real if seq.real_valued else seg)
+        # flank offset -k at n-lo+width-k
+        ab = np.abs(seg)
         ok = ab[width:] >= delta
         for k in range(1, width + 1):
-            ok &= ab[width - k:hi - lo + width - k] <= thr[k - 1]
+            ok &= ab[width - k:len(ab) - k] <= thr[k - 1]
         found = np.flatnonzero(ok)
         if found.size:
             hits += (found + lo).tolist()
@@ -467,7 +461,7 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
         off, start, stop = -width, width, h + 1
     else:
         off, start, stop = 1, 0, h + 1 - width
-    pairs, notes, vals = _pair_walk(seq, width, off, eps, delta, start, stop, h + 1)
+    pairs, notes, vals = _pair_walk(seq, width, off, eps, delta, start, stop)
 
     if len(pairs) < min_recurrence:
         return None
@@ -491,9 +485,9 @@ _KEY_CHUNK = 4096
 _WALK_BLOCK = 128
 
 
-def _pair_walk(seq, width, off, eps, delta, start, stop, end):
-    """Sequential pair selection over centers start..stop-1 of a sequence
-    read below ``end``; the flank of center m is a_{m+off} .. a_{m+off+width-1}.
+def _pair_walk(seq, width, off, eps, delta, start, stop):
+    """Sequential pair selection over centers start..stop-1; the flank of
+    center m is a_{m+off} .. a_{m+off+width-1} (off = -width or 1).
 
     The rule: centers are taken in ascending order.  Each center m is
     paired with the least n, over the other center cells of m's flank
@@ -518,13 +512,11 @@ def _pair_walk(seq, width, off, eps, delta, start, stop, end):
 
     Keys are computed chunk by chunk as the scan reaches them, from one
     read of the chunk's centers and flanks, because the search usually
-    stops at ``_PAIR_CAP`` long before the horizon.  The values are real
-    floats when the sequence says it is real, else complex (on real data
-    complex values make the same decisions: abs(complex(x, 0)) == abs(x),
-    and the keys partition alike), fixed before the first read so that
-    every chunk keys alike.  Returns (pairs, notes, vals): vals holds
-    a_0 .. as Python scalars, as far as the scan read when it last met a
-    center that could pair (so past every center of ``pairs``).
+    stops at ``_PAIR_CAP`` long before the horizon; they come in the
+    sequence's own layout, so every chunk keys alike.  Returns (pairs,
+    notes, vals): vals holds a_0 .. as Python scalars, as far as the scan
+    read when it last met a center that could pair (so past every center
+    of ``pairs``).
     """
     end_off = off + width
     exact = eps == 0.0
@@ -537,12 +529,10 @@ def _pair_walk(seq, width, off, eps, delta, start, stop, end):
     vals: list = []             # a_0 .. as Python scalars, for the candidate test
     unconverted = []            # numpy segments read since, converted only
     read_end = 0                # when a center that can pair arrives
-    for c0 in range(start, stop, _KEY_CHUNK):
-        c1 = min(c0 + _KEY_CHUNK, stop)
-        lo = c0 + min(off, 0)
-        seg = seq.read(lo, min(c1 + width, end))
-        if seq.real_valued:
-            seg = np.ascontiguousarray(seg.real)
+    pad = (width, 0) if off < 0 else (0, width)
+    for c0, seg in _chunks(seq, start, stop, _KEY_CHUNK, pad):
+        lo = c0 - pad[0]
+        c1 = lo + len(seg) - pad[1]
         bids, cells, order = _chunk_keys(seg, width, off, eps, c0 - lo, c1 - lo,
                                          bucket_ids)
         unconverted.append(seg[read_end - lo:])
@@ -784,26 +774,39 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
     than the horizon provides are skipped with a note.  If any length lacks
     a witness the sequence is re-examined for eventual periodicity.
     """
+    report = _block_witnesses(seq, p_max, horizon)
+    if report.overall == "mismatch-at-every-p":
+        return report
+    h = report.horizon
+    mp = min(max_period, max(1, h // 3))
+    mpp = min(max_preperiod, max(0, h - 2 * mp))
+    found = detect_eventual_periodicity(seq, mp, mpp, h, tol=0.0)
+    if found is not None:
+        report.overall, report.periodicity = "eventually-periodic", found
+    return report
+
+
+def _block_witnesses(seq, p_max, horizon) -> SzegoReport:
+    """The witness search of :func:`szego_block_analysis`, without its
+    periodicity rerun: overall is ``mismatch-at-every-p`` when every
+    length has a witness, else ``horizon-exhausted``."""
     if not seq.exact:
         raise SequenceError(
             "block analysis needs exact-valued input (finite value set)")
     if p_max < 1:
         raise SequenceError(f"p_max must be >= 1, got {p_max}")
     h = seq.clamp_horizon(horizon)
-    arr = seq.prefix(h + 1)
-    values = np.unique(arr).tolist()        # complex order: real, then imag
+    data = _gather(seq, h + 1)
+    values = tuple(complex(v) for v in np.unique(data).tolist())  # by re, then im
     nv = len(values)
-    data = np.ascontiguousarray(arr.real) if seq.real_valued else arr
 
     per_p: dict = {}
-    all_witness = True
     for p in range(1, p_max + 1):
         blocks = (h + 1) // p
         needed = nv ** p + 1
         if blocks < needed:
             per_p[p] = (f"skipped: {blocks} aligned blocks available, "
                         f"{needed} needed to guarantee recurrence")
-            all_witness = False
             continue
         # least pair: the repeated group whose first member (the least index,
         # since the lexsort is stable) is smallest, with its second member
@@ -815,23 +818,11 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
         j = int(np.flatnonzero(groups == groups[i])[1])
         P, Q = i * p, j * p
         off = np.flatnonzero(data[P + p:P + h + 1 - Q] != data[Q + p:h + 1])
-        witness = SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size else None
-        if witness is None:
-            per_p[p] = "no mismatch within horizon"
-            all_witness = False
-        else:
-            per_p[p] = witness
-
-    if all_witness:
-        return SzegoReport(per_p, "mismatch-at-every-p", None,
-                           tuple(values), h)
-    mp = min(max_period, max(1, h // 3))
-    mpp = min(max_preperiod, max(0, h - 2 * mp))
-    found = detect_eventual_periodicity(seq, mp, mpp, h, tol=0.0)
-    if found is not None:
-        return SzegoReport(per_p, "eventually-periodic", found,
-                           tuple(values), h)
-    return SzegoReport(per_p, "horizon-exhausted", None, tuple(values), h)
+        per_p[p] = (SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size
+                    else "no mismatch within horizon")
+    every = all(isinstance(w, SzegoWitness) for w in per_p.values())
+    return SzegoReport(per_p, "mismatch-at-every-p" if every else "horizon-exhausted",
+                       None, values, h)
 
 
 def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
@@ -843,8 +834,8 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
     A candidate is valid when |a_{n+period} - a_n| <= tol for every n from
     the preperiod through horizon - period.  ``tol`` must be finite and
     >= 0.  The head [0, max_preperiod + max_period) is read once, the rest
-    from the top down in chunks that double up to ``_READ_CHUNK`` values,
-    each read once and checked for every period.
+    from the top down in chunks that double up to one reader chunk, each
+    read once, in the sequence's own layout, and checked for every period.
     """
     if max_period < 1:
         raise SequenceError("max_period must be >= 1")
@@ -862,7 +853,7 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
             f"{max_preperiod + 2 * max_period}")
     # the preperiod a valid T needs comes from the head alone; the scan
     # past the head only decides which T are valid
-    head = seq.read(0, max_preperiod + max_period)
+    head = seq._read(0, max_preperiod + max_period)
     cands = {}
     for T in range(1, max_period + 1):
         viol = np.flatnonzero(np.abs(head[T:T + max_preperiod]
@@ -880,15 +871,13 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
     step = dict.fromkeys(cands, max_period)
     above = np.empty(0)
     c1 = h + 1
-    size = min(_KEY_CHUNK, _READ_CHUNK)
+    size = min(_KEY_CHUNK, sequences._CHUNK)
     while c1 > max_preperiod:
         c0 = max(max_preperiod, c1 - size)
         # a_{c0} .. a_{c1+max_period-1}: the top max_period values come
         # from the chunk above, so each index is read once (real values
         # compare and subtract as their complex forms do)
-        chunk = seq.read(c0, c1)
-        buf = np.concatenate((chunk.real if seq.real_valued else chunk,
-                              above[:max_period]))
+        buf = np.concatenate((seq._read(c0, c1), above[:max_period]))
         if live is None:
             if c1 == h + 1:
                 last = buf[-1]
@@ -917,7 +906,7 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
                 live[T] = hi
         if live == {}:
             return None
-        above, c1, size = buf, c0, min(2 * size, _READ_CHUNK)
+        above, c1, size = buf, c0, min(2 * size, sequences._CHUNK)
     return min(cands[T] for T in (cands if live is None else live))
 
 
@@ -1011,9 +1000,8 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
                        probes=probes)
 
     if seq.exact:
-        report = szego_block_analysis(seq, cfg.p_max, h,
-                                      max_period=cfg.max_period,
-                                      max_preperiod=cfg.max_preperiod)
+        # step 1 ran the periodicity scan, so the analysis's rerun is skipped
+        report = _block_witnesses(seq, cfg.p_max, h)
         probes.append(f"szego(p_max={cfg.p_max})")
         if report.overall == "mismatch-at-every-p":
             for p, w in report.per_p.items():

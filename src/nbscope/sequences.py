@@ -74,8 +74,8 @@ _BOUND_SLACK = 1e-9
 # in the block functions.
 _INDEX_END = 2 ** 63
 
-# prefix() fills its result through reads of at most this many values.
-_PREFIX_CHUNK = 2 ** 16
+# The chunked reader (_chunks) reads at most this many values at a time.
+_CHUNK = 2 ** 16
 
 
 class SequenceError(ValueError):
@@ -190,7 +190,7 @@ class OneSidedSequence:
     returns a_lo..a_{hi-1} for 0 <= lo <= hi.  The sequence keeps no state
     between queries: :meth:`read` (any range), :meth:`eval` and
     :meth:`window` are single block reads, and :meth:`prefix` fills the
-    first ``count`` values through :meth:`read` a chunk at a time.  Each
+    first ``count`` values from the chunked reader :func:`_chunks`.  Each
     read returns a fresh array, canonicalises signed zeros to +0.0, so
     bit-pattern keys over values mean value equality, and checks what it
     read against the bound.
@@ -204,9 +204,9 @@ class OneSidedSequence:
     their horizons accordingly.
 
     ``real_valued`` is True when every value is known to be real before
-    any is read (the family constructors set it), so a search can fix its
-    real-or-complex arithmetic up front; False, the default, means the
-    sequence cannot say.
+    any is read (the family constructors set it): the sequence's own
+    layout, in which the chunked reader hands out values, is then float64;
+    False, the default, means complex.
     """
 
     def __init__(self, block, bound, family, params=None, value_kind="float",
@@ -226,14 +226,21 @@ class OneSidedSequence:
         return self.value_kind in ("exact-integer", "exact-rational")
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        """a_lo..a_{hi-1} as a fresh array: one block read."""
+        """a_lo..a_{hi-1} as a fresh complex array: one block read."""
+        return self._read(lo, hi).astype(complex, copy=False)
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        """a_lo..a_{hi-1} as a fresh array in the sequence's own layout, one
+        block read checked against the bound on that layout (on real values
+        |x| is bit for bit the modulus of x + 0j)."""
         lo, hi = operator.index(lo), operator.index(hi)
         if hi < lo:
             raise SequenceError(f"read range [{lo}, {hi}) ends before it starts")
         if lo < 0:
             raise SequenceError(f"index must be >= 0, got {lo}")
         self._check_count(hi)
-        arr = np.asarray(self._block(lo, hi), dtype=complex) + 0j
+        arr = np.asarray(self._block(lo, hi))
+        arr = arr.real + 0.0 if self.real_valued else arr.astype(complex, copy=False) + 0j
         ok = np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK
         if not ok.all():
             i = int(np.argmin(ok))
@@ -245,15 +252,10 @@ class OneSidedSequence:
         return complex(self.read(n, n + 1)[0])
 
     def prefix(self, count: int) -> np.ndarray:
-        """First ``count`` values as a fresh complex array, filled through
-        :meth:`read` in chunks of ``_PREFIX_CHUNK``, so no block's
-        temporaries grow with ``count``."""
+        """First ``count`` values as a fresh complex array, filled from the
+        chunked reader, so no block's temporaries grow with ``count``."""
         self._check_count(count)
-        out = np.empty(count, dtype=complex)
-        for lo in range(0, count, _PREFIX_CHUNK):
-            hi = min(lo + _PREFIX_CHUNK, count)
-            out[lo:hi] = self.read(lo, hi)
-        return out
+        return _gather(self, count, complex)
 
     def _check_count(self, count: int) -> None:
         """Reject a prefix count below 0 or past the last index."""
@@ -277,6 +279,26 @@ class OneSidedSequence:
     def __repr__(self):
         return (f"OneSidedSequence(family={self.family!r}, bound={self.bound}, "
                 f"value_kind={self.value_kind!r}, length={self.length})")
+
+
+def _chunks(seq: OneSidedSequence, lo: int, hi: int, size: int | None = None,
+            pad: tuple = (0, 0)):
+    """The one chunked reader: (c0, values) for c0 = lo, lo + size, ...
+    below ``hi`` (``size`` defaults to ``_CHUNK``); ``values`` is one read
+    of a_{c0 - pad[0]} .. a_{c1 + pad[1] - 1}, c1 = min(c0 + size, hi), in
+    the sequence's own layout, so memory stays bounded by one chunk."""
+    size = size or _CHUNK
+    for c0 in range(lo, hi, size):
+        yield c0, seq._read(c0 - pad[0], min(c0 + size, hi) + pad[1])
+
+
+def _gather(seq: OneSidedSequence, count: int, dtype=None) -> np.ndarray:
+    """a_0 .. a_{count-1} as one array filled from the chunked reader, in
+    the sequence's own layout unless ``dtype`` is given."""
+    out = np.empty(count, dtype or (float if seq.real_valued else complex))
+    for lo, vals in _chunks(seq, 0, count):
+        out[lo:lo + len(vals)] = vals
+    return out
 
 
 @dataclass(frozen=True)
@@ -721,34 +743,34 @@ _CSV_ROW = "%d,%.17g,%.17g\r\n"
 
 
 def write_sequence_csv(dest, seq: OneSidedSequence, count: int) -> None:
-    """Write a_0..a_{count-1}; reads go through :meth:`OneSidedSequence.read`
-    a chunk at a time, so memory does not grow with ``count``."""
+    """Write a_0..a_{count-1}; values come from the chunked reader, so
+    memory does not grow with ``count``."""
     count = operator.index(count)
     seq._check_count(count)
-    _write_rows(dest, 0, count, seq.read)
+    _write_rows(dest, 0, (vals for _, vals in _chunks(seq, 0, count, _CSV_CHUNK)))
 
 
 def write_window_csv(dest, win: TwoSidedWindow) -> None:
-    W = win.radius
-    vals = np.asarray(win.values, dtype=complex)
-    _write_rows(dest, -W, 2 * W + 1, lambda lo, hi: vals[lo:hi])
+    vals = win.as_array()
+    _write_rows(dest, -win.radius,
+                np.split(vals, range(_CSV_CHUNK, vals.size, _CSV_CHUNK)))
 
 
-def _write_rows(dest, first, count, read) -> None:
-    """Header, then rows n = first..first+count-1; ``read(lo, hi)`` gives
-    the values of rows lo..hi-1, counted from the first row."""
+def _write_rows(dest, first, chunks) -> None:
+    """Header, then one row per value of the arrays ``chunks``, numbered
+    on from ``first``."""
     own = isinstance(dest, (str, bytes))
     f = open(dest, "w", newline="") if own else dest
     try:
         f.write("n,re,im\r\n")
-        for lo in range(0, count, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, count)
-            vals = read(lo, hi)
-            fields = [None] * (3 * (hi - lo))
-            fields[0::3] = range(first + lo, first + hi)
+        for vals in chunks:
+            k = len(vals)
+            fields = [None] * (3 * k)
+            fields[0::3] = range(first, first + k)
             fields[1::3] = vals.real.tolist()
             fields[2::3] = vals.imag.tolist()
-            f.write(_CSV_ROW * (hi - lo) % tuple(fields))
+            f.write(_CSV_ROW * k % tuple(fields))
+            first += k
     finally:
         if own:
             f.close()

@@ -335,8 +335,30 @@ def loop_periodic_extension(pattern):
     return LoopTwoSided(lambda n: pat[n % p], bound)
 
 
+def _sum_series(coeffs, z, start_exponent=0, chunk=1 << 16):
+    """sum_i coeffs[i] * z^(start_exponent + i) as the library summed a
+    whole coefficient array, verbatim."""
+    from nbscope._util import ipow, kahan_complex_sum
+
+    n = len(coeffs)
+    if n == 0:
+        return 0j
+    partials = []
+    power = ipow(z, start_exponent)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        steps = np.empty(hi - lo, dtype=complex)
+        steps[0] = power
+        if hi - lo > 1:
+            steps[1:] = z
+        pw = np.cumprod(steps)
+        partials.append(complex(np.sum(coeffs[lo:hi] * pw)))
+        power = complex(pw[-1]) * z
+    return kahan_complex_sum(partials)
+
+
 def loop_eval_two_sided(source, z, tol=1e-10):
-    from nbscope.analytic import _INSIDE_MARGIN, TERM_CAP, _sum_series
+    from nbscope.analytic import _INSIDE_MARGIN, TERM_CAP
 
     z = complex(z)
     r = abs(z)
@@ -458,6 +480,42 @@ def test_probe_rejects_bad_radii():
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.99, 0.9])
     with pytest.raises(AnalyticError):
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5], quad_points=32)
+
+
+def _sparse_nodes_oracle(exps, fill, r, arc, m):
+    """sum_e fill * (r e^{i theta_j})^e in long double, each phase e * theta_j
+    reduced mod 2*pi exactly in integers (2*pi to 200 bits) and rounded to
+    2^-61 rad."""
+    S = 200
+    with mpmath.workdps(80):
+        two_pi = int(mpmath.floor(2 * mpmath.pi * mpmath.mpf(2) ** S))
+    theta = arc.alpha + (np.arange(m) + 0.5) * (arc.width / m)
+    radial = np.exp(np.asarray(exps, dtype=np.longdouble) * np.log(np.longdouble(r)))
+    out = np.zeros(m, dtype=np.clongdouble)
+    for j, th in enumerate(theta.tolist()):
+        num, den = th.as_integer_ratio()
+        shift = S - (den.bit_length() - 1)
+        ang = np.array([((int(e) * num << shift) % two_pi) >> (S - 61) for e in exps],
+                       dtype=np.uint64).astype(np.longdouble) * np.longdouble(2.0) ** -61
+        out[j] = np.sum(radial * (np.cos(ang) + 1j * np.sin(ang)))
+    return out * fill
+
+
+def test_sparse_nodes_reduce_each_phase_exactly():
+    # squares at r = 0.99999 need 2.5 million terms, past the sparse cutoff;
+    # a phase formed as one float product e * theta missed the long-double
+    # sum by about 3e-13 * mass here
+    from nbscope import analytic
+
+    seq = nb.make_sequence(nb.gap_powers("squares"))
+    r, arc = 0.99999, ArcSpec(0.3, 1.7)
+    n_terms, _ = analytic._truncation(seq, r, 1e-6)
+    assert n_terms > analytic._SPARSE_NODE_CUTOFF
+    exps, fill = analytic._gap_support(seq, n_terms)
+    mass = float(np.sum(np.exp(exps * math.log(r))))
+    got = analytic._nodes_eval_sparse(exps, fill, r, arc, 64)
+    want = _sparse_nodes_oracle(exps, fill, r, arc, 64)
+    assert float(np.abs(got.astype(np.clongdouble) - want).max()) <= 3e-16 * mass
 
 
 @pytest.mark.parametrize("spec", [nb.periodic([1]), nb.gap_powers("factorials")])

@@ -309,6 +309,19 @@ def test_invalid_eps_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # each exited 1 ("no finding"): an infinite delta passed delta > 2*eps
+    ("certificate", "--family", "rudin-shapiro", "--kind", "pair", "--delta", "inf"),
+    ("certificate", "--family", "rudin-shapiro", "--kind", "gap", "--delta", "inf"),
+    ("verdict", "--family", "rudin-shapiro", "--delta", "inf"),
+])
+def test_non_finite_delta_exits_2_naming_it(capsys, argv):
+    code, out, err = run(capsys, *argv, "--horizon", "2000")
+    assert code == 2
+    assert not out
+    assert "need a finite delta" in err and "(delta=inf" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("verdict", "--family", "rudin-shapiro", "--min-recurrence", "100000",
      "--pmax", "0"),
     ("szego", "--family", "rudin-shapiro", "--pmax", "0"),

@@ -10,6 +10,7 @@ import pytest
 
 import nbscope as nb
 from nbscope import rightlimits as rl
+from nbscope import sequences as seqmod
 
 
 def reference_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
@@ -465,7 +466,7 @@ def _same_gap(seq, width, horizon, **kw):
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_gap_search_matches_whole_prefix(chunk, monkeypatch):
-    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     horizon = 1500 if chunk == 1 else 9000
     for spec in FAMILY_SPECS.values():
         seq = nb.make_sequence(spec)
@@ -489,7 +490,7 @@ def _same_chunked_periodicity(seq, max_period, max_preperiod, horizon, tol=None)
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_periodicity_matches_whole_prefix_on_families(chunk, monkeypatch):
-    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     horizon = 700 if chunk == 1 else 20_000
     for spec in FAMILY_SPECS.values():
         seq = nb.make_sequence(spec)
@@ -503,7 +504,7 @@ def test_chunked_periodicity_edges_tails_and_divisors(chunk, monkeypatch):
     # defects, and the start of a constant tail, land on and beside them;
     # periods 2 and 3 have live multiples, which exact equality vouches for
     # while a divisor lives and which are checked again once it dies
-    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     found = set()
     for period in (1, 2, 3, 6):
@@ -525,7 +526,7 @@ def test_chunked_periodicity_edges_tails_and_divisors(chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_periodicity_float_tolerance(chunk, monkeypatch):
-    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     rng = np.random.default_rng(31)
     block = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
     base = np.resize(block, 400)
@@ -565,7 +566,7 @@ def _counted(spec):
 def test_periodicity_reads_each_index_once(chunk, monkeypatch):
     # the head [0, mpp + mp) is read once; the chunks from the top down
     # overlap it by max_period values and each other not at all
-    monkeypatch.setattr(rl, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     mp, mpp = 16, 10
     for spec, horizon in ((nb.gap_powers("factorials"), 20_000),
                           (nb.periodic([1, 0, 0, -1]), 3000),
@@ -608,4 +609,4 @@ def test_verdict_certificates_leave_the_prefix_cache_empty():
         v = nb.verdict(seq, nb.AnalysisConfig(horizon=horizon))
         assert v.certificate is not None
         # no read is longer than a chunk plus the flanks around it
-        assert max(hi - lo for lo, hi in reads) <= rl._READ_CHUNK + 64
+        assert max(hi - lo for lo, hi in reads) <= seqmod._CHUNK + 64

@@ -4,6 +4,7 @@ the chunk-reading pair search against the whole-prefix walk it replaced,
 and of the bucket-by-bucket pair walk against the walk that visited every
 center."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import nbscope as nb
 from nbscope import rightlimits as rl
+from nbscope import sequences as seqmod
 from nbscope.sequences import _frac_shift_block, _frac_shift_exact
 
 
@@ -554,7 +556,7 @@ def test_pair_verdicts_leave_the_prefix_cache_empty():
         seq, reads = _counted(SEQUENCES[name])
         v = nb.verdict(seq, nb.AnalysisConfig(horizon=4000))
         assert v.certificate is not None and v.certificate.kind == "PairMismatch"
-        assert max(hi - lo for lo, hi in reads) <= rl._READ_CHUNK + 64
+        assert max(hi - lo for lo, hi in reads) <= seqmod._CHUNK + 64
 
 
 def test_group_rows_partitions_like_brute_force():
@@ -632,7 +634,7 @@ def _assert_walks_agree(seq, width, horizon, eps, delta, side):
     """The walk and its oracle pick the same pairs in the same order, with
     the same notes and the same separation."""
     args = _walk_args(seq, width, horizon, side)
-    pairs, notes, vals = rl._pair_walk(seq, width, args[0], eps, delta, *args[1:])
+    pairs, notes, vals = rl._pair_walk(seq, width, args[0], eps, delta, *args[1:3])
     want, want_notes, want_vals = reference_pair_walk(seq, width, args[0], eps,
                                                       delta, *args[1:])
     assert pairs == want
@@ -641,6 +643,36 @@ def _assert_walks_agree(seq, width, horizon, eps, delta, side):
         assert (min(abs(vals[n] - vals[m]) for n, m in pairs)
                 == min(abs(want_vals[n] - want_vals[m]) for n, m in want))
     return notes
+
+
+# the families of the reader's differential tests: two real, two complex
+READER_FAMILIES = {
+    "rudin-shapiro": SEQUENCES["rudin-shapiro"],
+    "rotation-frac": SEQUENCES["rotation-frac"],
+    "periodic-1j": lambda: nb.make_sequence(nb.periodic([1, 1j, 0, -1, 1j, 1j, 0])),
+    "rotation-complex": lambda: nb.make_sequence(nb.rotation(
+        math.sqrt(3) - 1, 0.1, (lambda x: cmath.exp(2j * math.pi * x) * (x < 0.7), 1.0))),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("name", sorted(READER_FAMILIES))
+def test_walk_takes_its_key_chunks_from_the_reader(name, chunk, monkeypatch):
+    # each key chunk is one read with only the flank it needs: width values
+    # before it (backward) or after it (forward)
+    monkeypatch.setattr(rl, "_KEY_CHUNK", chunk)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    horizon = 300 if chunk == 1 else 3000
+    for side, pad in (("backward", (3, 0)), ("forward", (0, 3))):
+        for eps, delta in ((0.0, 0.5), (0.05, 0.5), (0.2, 0.65)):
+            seq, reads = _counted(READER_FAMILIES[name])
+            _assert_walks_agree(seq, 3, horizon, eps, delta, side)
+            reads.clear()
+            off, start, stop, _ = _walk_args(seq, 3, horizon, side)
+            rl._pair_walk(seq, 3, off, eps, delta, start, stop)
+            want = [(c - pad[0], min(c + chunk, stop) + pad[1])
+                    for c in range(start, stop, chunk)]
+            assert reads == want[:len(reads)] and reads
 
 
 def test_adversarial_streams_have_their_shape():
@@ -701,7 +733,7 @@ def test_walk_stops_late_in_a_chunk(monkeypatch):
             assert "pair collection capped at 100" in _assert_walks_agree(
                 seq, 2, 4000, eps, 0.5, side)
             off, start, stop, end = _walk_args(seq, 2, 4000, side)
-            pairs = rl._pair_walk(seq, 2, off, eps, 0.5, start, stop, end)[0]
+            pairs = rl._pair_walk(seq, 2, off, eps, 0.5, start, stop)[0]
             assert 1536 <= pairs[-1][1] < 2048
 
 
@@ -721,7 +753,7 @@ def test_walk_stop_counts_only_pairs_of_finished_blocks(monkeypatch):
     seq = nb.make_sequence(nb.explicit(vals))
     for eps in (0.0, 0.05):
         _assert_walks_agree(seq, 1, 4000, eps, 0.5, "backward")
-        pairs = rl._pair_walk(seq, 1, -1, eps, 0.5, 1, 4001, 4001)[0]
+        pairs = rl._pair_walk(seq, 1, -1, eps, 0.5, 1, 4001)[0]
         assert [m for _, m in pairs] == [1001, 1005, 1009, 1013, 1017, 1021,
                                          1025, 1027, 1029, 1031]
 

@@ -641,6 +641,35 @@ def test_verdict_inconclusive_short_float():
     assert v.probes
 
 
+def test_verdict_runs_the_periodicity_scan_once(monkeypatch):
+    # no certificate (delta 3 exceeds |a - b| for +-1 values) and some
+    # block length without a witness: the analysis would rerun the scan,
+    # whose answer the verdict threw away
+    calls = []
+    scan = rightlimits.detect_eventual_periodicity
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:4])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(rightlimits, "detect_eventual_periodicity", counting)
+    v = nb.verdict(nb.make_sequence(nb.rudin_shapiro()),
+                   AnalysisConfig(horizon=2000, delta=3.0))
+    assert calls == [(64, 64, 2000)]
+    assert v.to_json_dict() == {
+        "kind": "Inconclusive", "certificate": None, "szego": None,
+        "periodicity": None, "rational_form": None,
+        "reason": "no certificate found and no periodicity detected within "
+                  "the configured horizon",
+        "probes": ["periodicity(max_period=64, max_preperiod=64)",
+                   "gap-certificate(backward)", "pair-certificate(backward)",
+                   "pair-certificate(forward)", "szego(p_max=8)"]}
+    # the public analysis still reruns it
+    calls.clear()
+    report = nb.szego_block_analysis(nb.make_sequence(nb.rudin_shapiro()), 8, 2000)
+    assert report.overall == "horizon-exhausted" and calls == [(64, 64, 2000)]
+
+
 def test_certificate_json_stable_fields():
     seq = nb.make_sequence(nb.gap_powers("factorials", 1))
     cert = nb.find_gap_certificate(seq, 4, 1000, eps=0.0, delta=0.5)

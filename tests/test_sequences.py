@@ -671,7 +671,7 @@ def _growth_cases():
 def test_prefix_grows_from_where_it_stopped(name, monkeypatch):
     # every prefix reads from 0 again, each chunk from where the last
     # stopped, and no read is served from an earlier one
-    monkeypatch.setattr(seqmod, "_PREFIX_CHUNK", 4096)
+    monkeypatch.setattr(seqmod, "_CHUNK", 4096)
     make = _growth_cases()[name]
     whole = make().read(0, 20000)
     seq = make()
@@ -750,7 +750,7 @@ def test_concurrent_prefixes_are_exact():
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert max(hi - lo for lo, hi in calls) <= seqmod._PREFIX_CHUNK
+            assert max(hi - lo for lo, hi in calls) <= seqmod._CHUNK
     finally:
         sys.setswitchinterval(old_interval)
 
