@@ -204,10 +204,9 @@ def _sum_series_with_mass(seq: OneSidedSequence, lo: int, hi: int, z: complex,
 
 def _gap_support(seq: OneSidedSequence, count: int):
     """(exponents, fill) for a sparse gap-power family, else None."""
-    support = getattr(seq, "gap_support", None)
-    if support is None:
+    if seq.gap_support is None:
         return None
-    exps, fill = support(count)
+    exps, fill = seq.gap_support(count)
     return np.asarray(exps, dtype=np.int64), complex(fill)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analytic, randomseries, rightlimits, sequences
@@ -88,11 +89,21 @@ def _build_sequence(args):
     raise sequences.SequenceError(f"unknown family {fam!r}")
 
 
+def _nan_to_null(obj):
+    """``obj`` with every float NaN in it replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _nan_to_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_to_null(v) for v in obj]
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
+
+
 def _emit_json(dest, command, report):
-    """Write the JSON envelope to the path ``dest``, or stdout if None."""
+    """Write the JSON envelope as strict JSON (NaN as null) to the path
+    ``dest``, or stdout if None."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command,
-               "report": report}
-    text = json.dumps(payload, indent=2, allow_nan=True)
+               "report": _nan_to_null(report)}
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if dest:
         with open(dest, "w") as f:
             f.write(text + "\n")
@@ -105,10 +116,7 @@ def _emit_json(dest, command, report):
 
 def _cmd_generate(args):
     seq = _build_sequence(args)
-    if args.out:
-        sequences.write_sequence_csv(args.out, seq, args.count)
-    else:
-        sequences.write_sequence_csv(sys.stdout, seq, args.count)
+    sequences.write_sequence_csv(args.out or sys.stdout, seq, args.count)
     return EXIT_OK
 
 
@@ -194,10 +202,7 @@ def _cmd_probe(args):
     report = analytic.boundary_l1_scan(seq, arc, args.radii,
                                        quad_points=args.quad_points,
                                        tol=args.tol)
-    if args.out:
-        report.write_csv(args.out)
-    else:
-        report.write_csv(sys.stdout)
+    report.write_csv(args.out or sys.stdout)
     if args.json:
         _emit_json(args.json, "probe", report.to_json_dict())
     if all(report.skipped):
@@ -383,10 +388,7 @@ def main(argv=None) -> int:
     except analytic.NumericCapError as e:
         print(f"numeric cap: {e}", file=sys.stderr)
         return EXIT_NUMERIC_CAP
-    except (sequences.SequenceError, analytic.AnalyticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (sequences.SequenceError, analytic.AnalyticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except sequences.VerificationError as e:

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import TERM_CAP, NumericCapError
 from .rightlimits import find_pair_certificate
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
-                        VerificationError, _check_finite, _exact_kind, make_sequence)
+                        VerificationError, _check_finite, _exact_kind, _gather,
+                        make_sequence)
 
 __all__ = [
     "ProcessSpec",
@@ -118,23 +120,23 @@ def _rng_for(spec: ProcessSpec, trial=None):
     return np.random.default_rng(ss)
 
 
-def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequence:
-    """Draw one path of the process as an explicit sequence.
-
-    The path is a deterministic function of (spec, seed, trial): repeated
-    calls reproduce it bit for bit.
-    """
+def _draw(spec: ProcessSpec, length: int, trial=None):
+    """One path of the process as (values, value kind): its ``length``
+    values in one complex array, signed zeros as +0 as a read gives them.
+    A length over TERM_CAP is refused before anything is drawn."""
     if length < 1:
         raise SequenceError("path length must be >= 1")
+    if length > TERM_CAP:
+        raise NumericCapError(
+            length, f"path length {length} exceeds the cap {TERM_CAP}")
     if spec.kind == "iid":
         rng = _rng_for(spec, trial)
-        vals = np.asarray(spec.params["values"], dtype=complex)
+        vals = np.asarray(spec.params["values"], dtype=complex) + 0j
         idx = rng.choice(len(vals), size=length, p=spec.params["probs"])
-        path = vals[idx]
-        kind = _exact_kind(spec.params["values"])
-    elif spec.kind == "markov":
+        return vals[idx], _exact_kind(spec.params["values"])
+    if spec.kind == "markov":
         rng = _rng_for(spec, trial)
-        em = np.asarray(spec.params["emissions"], dtype=complex)
+        em = np.asarray(spec.params["emissions"], dtype=complex) + 0j
         tr = np.asarray(spec.params["transition"], dtype=float)
         k = len(em)
         state = int(rng.choice(k, p=spec.params["initial"]))
@@ -148,21 +150,29 @@ def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequen
         for i in range(length - 1):
             state = step_to[state][i]
             states.append(state)
-        path = em[np.array(states, dtype=np.int64)]
-        kind = _exact_kind(spec.params["emissions"])
-    elif spec.kind == "rotation-driven":
+        return em[np.array(states, dtype=np.int64)], _exact_kind(spec.params["emissions"])
+    if spec.kind == "rotation-driven":
         gen = make_sequence(GeneratorSpec("rotation", dict(spec.params)))
-        path = gen.prefix(length)
-        kind = "float"
-    else:
-        raise SequenceError(f"unknown process kind {spec.kind!r}")
+        return _gather(gen, length, complex), "float"
+    raise SequenceError(f"unknown process kind {spec.kind!r}")
 
-    seq = OneSidedSequence(
+
+def _path_sequence(spec: ProcessSpec, path: np.ndarray, kind: str,
+                   trial=None) -> OneSidedSequence:
+    """The drawn ``path`` as an explicit sequence, reading the array itself."""
+    return OneSidedSequence(
         lambda lo, hi: path[lo:hi], spec.bound, f"stochastic-{spec.kind}",
         {"seed": spec.seed, "trial": trial, "kind": spec.kind},
-        value_kind=kind, length=length)
-    seq.real_valued = not np.any(path.imag)
-    return seq
+        value_kind=kind, length=len(path), real_valued=not np.any(path.imag))
+
+
+def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequence:
+    """Draw one path of the process as an explicit sequence.
+
+    The path is a deterministic function of (spec, seed, trial): repeated
+    calls reproduce it bit for bit.
+    """
+    return _path_sequence(spec, *_draw(spec, length, trial), trial)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +224,7 @@ def variance_window(spec: ProcessSpec, index_set, samples: int,
     length = indices[-1] + 1
     draws = np.empty((samples, len(indices)), dtype=complex)
     for s in range(samples):
-        path = sample_process(spec, length, trial=trial_base + s)
-        vals = path.prefix(length)
-        draws[s] = vals[indices]
+        draws[s] = _draw(spec, length, trial_base + s)[0][indices]
     out = []
     for j, idx in enumerate(indices):
         var, se = _variance_with_se(draws[:, j])
@@ -414,7 +422,7 @@ def _distribution_of(spec: ProcessSpec, calib_len: int = 4096):
         mean = np.sum(values * probs)
         sigma = float(np.sum(probs * np.abs(values) ** 2) - abs(mean) ** 2)
         return (values, probs), sigma
-    path = sample_process(spec, calib_len, trial=None).prefix(calib_len)
+    path = _draw(spec, calib_len)[0]
     mean = path.mean()
     sigma = float(np.mean(np.abs(path - mean) ** 2))
     return path, sigma
@@ -449,8 +457,9 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
             f"achieved separation {sep.separation}")
 
     def run(trial):
-        path = sample_process(spec, horizon + 1, trial=trial)
-        var, se = _variance_with_se(path.prefix(horizon + 1))
+        vals, kind = _draw(spec, horizon + 1, trial)
+        var, se = _variance_with_se(vals)
+        path = _path_sequence(spec, vals, kind, trial)
         for side in ("backward", "forward"):
             cert = find_pair_certificate(path, width, horizon, eps=eps,
                                          delta=delta, flank_side=side,

@@ -204,20 +204,25 @@ class OneSidedSequence:
     their horizons accordingly.
 
     ``real_valued`` is True when every value is known to be real before
-    any is read (the family constructors set it): the sequence's own
+    any is read (each family constructor passes it): the sequence's own
     layout, in which the chunked reader hands out values, is then float64;
     False, the default, means complex.
+
+    ``gap_support`` is ``None`` except on sparse gap families, where
+    ``gap_support(count)`` gives (the exponents below ``count``, fill), so
+    evaluators can sum over the support without reading coefficients.
     """
 
     def __init__(self, block, bound, family, params=None, value_kind="float",
-                 length=None):
+                 length=None, real_valued=False, gap_support=None):
         self._block = block
         self.bound = float(bound)
         self.family = family
         self.params = dict(params or {})
         self.value_kind = value_kind
         self.length = length
-        self.real_valued = False
+        self.real_valued = real_valued
+        self.gap_support = gap_support
 
     # -- queries ----------------------------------------------------------
 
@@ -372,10 +377,9 @@ def _make_periodic(params) -> OneSidedSequence:
         # the pattern rotated to start at phase lo mod p
         return np.tile(np.roll(arr, -(lo % p)), (hi - lo) // p + 1)[:hi - lo]
 
-    seq = OneSidedSequence(block, bound, "periodic", {"pattern": pattern},
-                           value_kind=_exact_kind(arr))
-    seq.real_valued = not np.any(arr.imag)
-    return seq
+    return OneSidedSequence(block, bound, "periodic", {"pattern": pattern},
+                            value_kind=_exact_kind(arr),
+                            real_valued=not np.any(arr.imag))
 
 
 # k! for k = 1..20: 20! < 2^63 < 21!, and reads stop at 2^63
@@ -428,14 +432,11 @@ def _make_gap_powers(params) -> OneSidedSequence:
         arr[np.asarray(between(lo, hi), dtype=np.int64) - lo] = fill
         return arr
 
-    seq = OneSidedSequence(block, bound, "gap-powers",
-                           {"exponents": label, "fill": fill},
-                           value_kind=_exact_kind([fill]))
-    seq.real_valued = fill.imag == 0
-    # sparse support handle: lets evaluators sum over the exponent set
-    # without materializing coefficient arrays (horizons up to 1e9)
-    seq.gap_support = lambda count: (between(0, count), fill)
-    return seq
+    return OneSidedSequence(block, bound, "gap-powers",
+                            {"exponents": label, "fill": fill},
+                            value_kind=_exact_kind([fill]),
+                            real_valued=fill.imag == 0,
+                            gap_support=lambda count: (between(0, count), fill))
 
 
 def _rs_block(lo, hi):
@@ -445,10 +446,8 @@ def _rs_block(lo, hi):
 
 
 def _make_rudin_shapiro(params) -> OneSidedSequence:
-    seq = OneSidedSequence(_rs_block, 1.0, "rudin-shapiro", {},
-                           value_kind="exact-integer")
-    seq.real_valued = True
-    return seq
+    return OneSidedSequence(_rs_block, 1.0, "rudin-shapiro", {},
+                            value_kind="exact-integer", real_valued=True)
 
 
 def _check_irrational(q: float):
@@ -534,11 +533,10 @@ def _make_rotation(params) -> OneSidedSequence:
     def block(lo, hi):
         return vfunc(_frac_shift_block(q, theta, lo, hi))
 
-    seq = OneSidedSequence(block, float(sup), "rotation",
-                           {"q": q, "theta": theta, "boundary_fn": label},
-                           value_kind="float")
-    seq.real_valued = isinstance(bf, str)   # a custom function may be complex
-    return seq
+    # a custom boundary function may be complex
+    return OneSidedSequence(block, float(sup), "rotation",
+                            {"q": q, "theta": theta, "boundary_fn": label},
+                            value_kind="float", real_valued=isinstance(bf, str))
 
 
 def _erdos_ramp(g: int, f: int, a: int, b: int) -> np.ndarray:
@@ -570,10 +568,9 @@ def _make_erdos(params) -> OneSidedSequence:
     edge = params.get("edge", "hard")
     hard = edge == "hard"
     kind = "exact-integer" if hard else "float"
-    seq = OneSidedSequence(lambda lo, hi: _erdos_block(hard, lo, hi), 1.0,
-                           "erdos", {"edge": edge}, value_kind=kind)
-    seq.real_valued = True
-    return seq
+    return OneSidedSequence(lambda lo, hi: _erdos_block(hard, lo, hi), 1.0,
+                            "erdos", {"edge": edge}, value_kind=kind,
+                            real_valued=True)
 
 
 def _make_explicit(params) -> OneSidedSequence:
@@ -584,11 +581,10 @@ def _make_explicit(params) -> OneSidedSequence:
     bound = float(np.max(np.abs(arr)))
     kind = params.get("value_kind") or _exact_kind(arr)
     count = arr.shape[0]
-    seq = OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
-                           params.get("family_label", "explicit"),
-                           {"count": count}, value_kind=kind, length=count)
-    seq.real_valued = not np.any(arr.imag)
-    return seq
+    return OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
+                            params.get("family_label", "explicit"),
+                            {"count": count}, value_kind=kind, length=count,
+                            real_valued=not np.any(arr.imag))
 
 
 def make_sequence(spec: GeneratorSpec) -> OneSidedSequence:
@@ -634,62 +630,55 @@ def default_eps(seq: OneSidedSequence) -> float:
 
 def snap_to_limit_points(seq: OneSidedSequence, points: Sequence[complex],
                          onset_tol: float, scan_horizon: int = 10_000) -> OneSidedSequence:
-    """Replace each a_n by the nearest member of the finite set ``points``.
+    """Replace each a_n by the nearest member of the finite set ``points``
+    (the first of equally near points in enumeration order); every read
+    snaps the source values it reads.
 
     A bounded sequence whose values accumulate only at finitely many points
     eventually stays within gamma = half the minimal pairwise distance of
     the nearest point; the returned sequence records in ``params`` the first
     index (within ``scan_horizon``) from which |a_n - snapped_n| <= gamma
     holds through the end of the scan, plus any indices where the two
-    nearest points were closer than ``onset_tol`` apart in distance (ties,
-    broken by enumeration order of ``points``).
+    nearest points were closer than ``onset_tol`` apart in distance (ties).
     """
     pts = [complex(p) for p in points]
     if not pts:
         raise SequenceError("need at least one limit point")
-    if len(pts) > 1:
-        min_dist = min(abs(a - b) for i, a in enumerate(pts)
-                       for b in pts[i + 1:])
-        if min_dist <= 2 * onset_tol:
-            raise SequenceError(
-                f"limit points must be pairwise farther apart than "
-                f"2*onset_tol = {2 * onset_tol}")
-        gamma = 0.5 * min_dist
-    else:
-        gamma = math.inf
+    parr = np.asarray(pts, dtype=complex)
+    _check_finite(parr, "limit points")
+    if not (math.isfinite(onset_tol) and onset_tol >= 0):
+        raise SequenceError(f"onset_tol must be finite and >= 0, got {onset_tol}")
+    min_dist = min((abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]),
+                   default=math.inf)
+    if min_dist <= 2 * onset_tol:
+        raise SequenceError(
+            f"limit points must be pairwise farther apart than "
+            f"2*onset_tol = {2 * onset_tol}")
+    gamma = 0.5 * min_dist
+
+    def distances(vals):
+        return np.abs(vals[:, None] - parr[None, :])
 
     horizon = seq.clamp_horizon(scan_horizon)
-    raw = seq.prefix(horizon + 1)
-    parr = np.asarray(pts, dtype=complex)
-    dists = np.abs(raw[:, None] - parr[None, :])
-    idx = np.argmin(dists, axis=1)
-    snapped = parr[idx]
-
-    ties = []
-    if len(pts) > 1:
-        part = np.partition(dists, 1, axis=1)
-        close = np.nonzero(part[:, 1] - part[:, 0] <= onset_tol)[0]
-        ties = [int(i) for i in close]
-
-    dev = np.abs(raw - snapped)
-    viol = np.nonzero(dev > gamma)[0]
-    onset = int(viol[-1]) + 1 if viol.size else 0
+    ties, onset = [], 0
+    for lo, vals in _chunks(seq, 0, horizon + 1):
+        dists = distances(vals)
+        if len(pts) > 1:
+            part = np.partition(dists, 1, axis=1)
+            ties += (np.flatnonzero(part[:, 1] - part[:, 0] <= onset_tol) + lo).tolist()
+        viol = np.flatnonzero(dists.min(axis=1) > gamma)
+        if viol.size:
+            onset = lo + int(viol[-1]) + 1
 
     def block(lo, hi):
-        # stored values up to the scan horizon, nearest points past it
-        # (argmin keeps the first of equally near points, as min() does)
-        past = seq.read(max(lo, horizon + 1), max(hi, horizon + 1))
-        near = parr[np.argmin(np.abs(past[:, None] - parr[None, :]), axis=1)]
-        return np.concatenate((snapped[lo:hi], near))
+        return parr[np.argmin(distances(seq.read(lo, hi)), axis=1)]
 
-    bound = max(abs(p) for p in pts)
-    out = OneSidedSequence(
-        block, bound, "snapped",
+    return OneSidedSequence(
+        block, max(abs(p) for p in pts), "snapped",
         {"points": tuple(pts), "gamma": gamma, "onset_index": onset,
          "ties": tuple(ties), "scan_horizon": horizon, "source": seq.family},
-        value_kind=_exact_kind(pts), length=seq.length)
-    out.real_valued = not np.any(parr.imag)
-    return out
+        value_kind=_exact_kind(pts), length=seq.length,
+        real_valued=not np.any(parr.imag))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from nbscope import cli
 from nbscope.cli import main
 
 
@@ -506,6 +507,20 @@ def test_montecarlo_negative_horizon_exits_2_naming_it(capsys):
     assert "horizon must be >= 0, got -5" in err
 
 
+@pytest.mark.parametrize("process", [
+    ("--process", "iid"),
+    ("--process", "markov", "--transition", "0.5,0.5;0.5,0.5"),
+    ("--process", "rotation", "--q", "0.41421356237309515", "--delta", "0.2"),
+])
+def test_montecarlo_huge_horizon_exits_3_naming_the_cap(capsys, process):
+    # used to end in a numpy _ArrayMemoryError traceback with exit 1; the
+    # refusal comes before the trial path is allocated
+    code, out, err = run(capsys, "montecarlo", *process, "--horizon", "100000000000")
+    assert code == 3
+    assert not out
+    assert err == "numeric cap: path length 100000000001 exceeds the cap 100000000\n"
+
+
 def test_generate_periodic_non_finite_pattern_exits_2(capsys):
     # used to exit 4 with "exceeds certified bound nan"
     code, out, err = run(capsys, "generate", "--family", "periodic",
@@ -533,18 +548,52 @@ def test_montecarlo_non_finite_inputs_exit_2(capsys, argv, message):
     assert message in err
 
 
-def test_reflectionless_full_emits_strict_json(capsys):
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reflectionless_full_emits_strict_json(capsys, tmp_path):
     # the nan defect of a check that ran no confirmation used to print NaN
     code, out, _ = run(capsys, "reflectionless", "--pattern", "1,2", "--full",
                        "--arc", "0.1", "0.5")
     assert code == 1
-
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    report = json.loads(out, parse_constant=reject)["report"]
+    report = _strict_json(out)["report"]
     assert report["passed"] is False
     assert report["max_confirmation_defect"] is None
+    # every subcommand that writes JSON writes it strictly, NaN and
+    # Infinity rejected
+    probe_json = tmp_path / "probe.json"
+    for argv in (
+            ("rightlimits", "--family", "erdos-soft", "--window", "2", "--horizon", "2000"),
+            ("certificate", "--family", "gap-factorial", "--horizon", "2000"),
+            ("certificate", "--family", "periodic", "--pattern", "1,0", "--horizon", "500"),
+            ("szego", "--family", "rudin-shapiro", "--horizon", "2000"),
+            ("periodicity", "--family", "periodic", "--pattern", "1,2,3", "--horizon", "500"),
+            ("periodicity", "--family", "rudin-shapiro", "--horizon", "500"),
+            ("reflectionless", "--pattern", "1,1j", "--arc", "0.1", "0.5"),
+            ("montecarlo", "--trials", "2", "--horizon", "1000", "--delta", "0.9"),
+            ("verdict", "--family", "erdos-soft", "--horizon", "2000"),
+            ("verdict", "--family", "rotation", "--q", "0.41421356237309515",
+             "--horizon", "2000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+        assert _strict_json(out)["command"] == argv[0]
+    code, _, _ = run(capsys, "probe", "--family", "rudin-shapiro", "--arc", "0.3", "1.7",
+                     "--radii", "0.5,0.9", "--quad-points", "64", "--json", str(probe_json))
+    assert code == 0
+    assert _strict_json(probe_json.read_text())["command"] == "probe"
+
+
+def test_emitted_nan_is_null(capsys):
+    nan = math.nan
+    cli._emit_json(None, "test", {"a": [1.5, nan, (nan, -0.0)], "b": {"c": nan},
+                                  "d": "NaN", "e": None})
+    assert _strict_json(capsys.readouterr().out)["report"] == {
+        "a": [1.5, None, [None, -0.0]], "b": {"c": None}, "d": "NaN", "e": None}
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import nbscope as nb
-from nbscope.randomseries import _rng_for
-from nbscope.sequences import SequenceError
+from nbscope import randomseries
+from nbscope.analytic import TERM_CAP, NumericCapError
+from nbscope.randomseries import _distribution_of, _rng_for, _variance_with_se
+from nbscope.sequences import SequenceError, _exact_kind
 
 
 def test_seeded_reproducibility():
@@ -217,3 +219,164 @@ def test_process_specs_reject_non_finite_inputs(make, message):
     # nan values or probabilities ended in a numpy ValueError
     with pytest.raises(SequenceError, match=message):
         make()
+
+
+# --- the prefix-based random-series code that reading the drawn path replaced,
+# kept as the oracle (verbatim except that the layout is passed to the
+# constructor)
+
+def old_sample_process(spec, length, trial=None):
+    if length < 1:
+        raise SequenceError("path length must be >= 1")
+    if spec.kind == "iid":
+        rng = _rng_for(spec, trial)
+        vals = np.asarray(spec.params["values"], dtype=complex)
+        idx = rng.choice(len(vals), size=length, p=spec.params["probs"])
+        path = vals[idx]
+        kind = _exact_kind(spec.params["values"])
+    elif spec.kind == "markov":
+        rng = _rng_for(spec, trial)
+        em = np.asarray(spec.params["emissions"], dtype=complex)
+        tr = np.asarray(spec.params["transition"], dtype=float)
+        k = len(em)
+        state = int(rng.choice(k, p=spec.params["initial"]))
+        u = rng.random(length - 1)
+        cdf = np.cumsum(tr, axis=1)
+        step_to = [np.minimum(np.searchsorted(row, u, side="right"), k - 1).tolist()
+                   for row in cdf]
+        states = [state]
+        for i in range(length - 1):
+            state = step_to[state][i]
+            states.append(state)
+        path = em[np.array(states, dtype=np.int64)]
+        kind = _exact_kind(spec.params["emissions"])
+    elif spec.kind == "rotation-driven":
+        gen = nb.make_sequence(nb.GeneratorSpec("rotation", dict(spec.params)))
+        path = gen.prefix(length)
+        kind = "float"
+    else:
+        raise SequenceError(f"unknown process kind {spec.kind!r}")
+    return nb.OneSidedSequence(
+        lambda lo, hi: path[lo:hi], spec.bound, f"stochastic-{spec.kind}",
+        {"seed": spec.seed, "trial": trial, "kind": spec.kind},
+        value_kind=kind, length=length, real_valued=not np.any(path.imag))
+
+
+def old_variance_window(spec, index_set, samples, trial_base=1_000_000):
+    indices = sorted(int(i) for i in index_set)
+    length = indices[-1] + 1
+    draws = np.empty((samples, len(indices)), dtype=complex)
+    for s in range(samples):
+        path = old_sample_process(spec, length, trial=trial_base + s)
+        vals = path.prefix(length)
+        draws[s] = vals[indices]
+    out = []
+    for j, idx in enumerate(indices):
+        var, se = _variance_with_se(draws[:, j])
+        out.append(randomseries.IndexVariance(idx, var, se, samples))
+    return out
+
+
+def old_distribution_of(spec, calib_len=4096):
+    if spec.kind == "iid":
+        values = np.asarray(spec.params["values"], dtype=complex)
+        probs = np.asarray(spec.params["probs"], dtype=float)
+        mean = np.sum(values * probs)
+        sigma = float(np.sum(probs * np.abs(values) ** 2) - abs(mean) ** 2)
+        return (values, probs), sigma
+    path = old_sample_process(spec, calib_len, trial=None).prefix(calib_len)
+    mean = path.mean()
+    sigma = float(np.mean(np.abs(path - mean) ** 2))
+    return path, sigma
+
+
+def old_experiment(spec, trials, width, horizon, eps, delta, min_recurrence=3,
+                   cover_m=8):
+    dist, sigma = old_distribution_of(spec)
+    sep = nb.separated_values(dist, cover_m, sigma, bound=spec.bound)
+
+    def run(trial):
+        path = old_sample_process(spec, horizon + 1, trial=trial)
+        var, se = _variance_with_se(path.prefix(horizon + 1))
+        for side in ("backward", "forward"):
+            cert = nb.find_pair_certificate(path, width, horizon, eps=eps,
+                                            delta=delta, flank_side=side,
+                                            min_recurrence=min_recurrence)
+            if cert is not None:
+                assert cert.verify(path)
+                return randomseries.TrialResult(trial, True, cert.pairs, side, var, se)
+        return randomseries.TrialResult(trial, False, (), None, var, se)
+
+    results = [run(trial) for trial in range(trials)]
+    found = sum(1 for r in results if r.found)
+    return randomseries.MonteCarloReport(
+        trials=trials, found_count=found, results=results, separation=sep,
+        delta=delta, width=width, horizon=horizon, eps=eps,
+        params={"kind": spec.kind, "seed": spec.seed,
+                "min_recurrence": min_recurrence})
+
+
+# signed zeros among the atoms: a sequence read gives them as +0, and so
+# must the drawn path
+_PROCESSES = {
+    "iid": nb.iid_process([-0.0, 1, complex(-0.0, 1), 0.5], [0.3, 0.3, 0.2, 0.2], seed=3),
+    "iid-real": nb.iid_process([-0.0, 1.0, -1.0], seed=4),
+    "markov": nb.markov_process([complex(-0.0, -0.0), 1, 0.5j],
+                                [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.4, 0.0, 0.6]],
+                                seed=5),
+    "rotation-driven": nb.rotation_process(math.sqrt(2) - 1, 0.25, seed=6),
+    "rotation-driven-half": nb.rotation_process(math.sqrt(5) % 1, 0.0,
+                                                "half-indicator", seed=7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROCESSES))
+def test_path_consumers_match_the_prefix_based_code(name):
+    spec = _PROCESSES[name]
+    for length, trial in ((1, None), (4097, 2)):
+        new, old = nb.sample_process(spec, length, trial), old_sample_process(spec, length, trial)
+        assert new.prefix(length).tobytes() == old.prefix(length).tobytes()
+        assert (new.family, new.params, new.bound, new.value_kind, new.length,
+                new.real_valued) == (old.family, old.params, old.bound,
+                                     old.value_kind, old.length, old.real_valued)
+    assert (nb.variance_window(spec, [0, 7, 300], samples=120)
+            == old_variance_window(spec, [0, 7, 300], samples=120))
+    (got, got_sigma), (want, want_sigma) = _distribution_of(spec), old_distribution_of(spec)
+    assert got_sigma == want_sigma
+    if spec.kind == "iid":
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    else:
+        assert got.tobytes() == want.tobytes()
+    eps = 0.0 if spec.kind != "rotation-driven" else 0.05
+    delta = 0.5 * nb.separated_values(want, 8, want_sigma, bound=spec.bound).separation
+    args = dict(trials=3, width=3, horizon=3000, eps=eps, delta=delta)
+    new = nb.certificate_rate_experiment(spec, **args)
+    old = old_experiment(spec, **args)
+    assert json.dumps(new.to_json_dict()) == json.dumps(old.to_json_dict())
+    assert new.found_count > 0 or spec.kind == "rotation-driven"
+
+
+def test_huge_path_length_is_refused_before_anything_is_drawn(monkeypatch):
+    def never(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(randomseries, "_rng_for", never)
+    monkeypatch.setattr(randomseries, "_gather", never)
+    for spec in _PROCESSES.values():
+        for call in (lambda: nb.sample_process(spec, 10 ** 11),
+                     lambda: randomseries._draw(spec, TERM_CAP + 1),
+                     lambda: nb.variance_window(spec, [TERM_CAP], samples=100)):
+            with pytest.raises(NumericCapError) as exc:
+                call()
+            assert str(TERM_CAP) in str(exc.value)
+    with pytest.raises(NumericCapError, match="path length 100000000001 exceeds the cap"):
+        nb.certificate_rate_experiment(_PROCESSES["iid"], trials=2, width=3,
+                                       horizon=10 ** 11, eps=0.0, delta=0.5)
+
+
+def test_path_length_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(randomseries, "TERM_CAP", 50)
+    spec = _PROCESSES["markov"]
+    assert randomseries._draw(spec, 50)[0].size == 50
+    with pytest.raises(NumericCapError, match="path length 51 exceeds the cap 50"):
+        randomseries._draw(spec, 51)

@@ -735,7 +735,7 @@ def test_concurrent_prefixes_are_exact():
                     for count in rng.integers(0, 200_001, size=40).tolist():
                         if seq.prefix(count).tobytes() != want[:count].tobytes():
                             errors.append(("prefix", count))
-                        if hasattr(seq, "gap_support"):
+                        if seq.gap_support is not None:
                             exps, _ = seq.gap_support(count * 50 + 1)
                             if exps != [i * i for i in range(math.isqrt(count * 50) + 1)]:
                                 errors.append(("support", count))
@@ -1264,3 +1264,132 @@ def test_explicit_does_not_alias_a_writable_array():
     seq = nb.make_sequence(nb.explicit(values))
     values[0] = 99
     assert seq.eval(0) == 1
+
+
+# --- snapping: the whole-prefix snap it replaced, as the oracle -------------
+
+def old_snap_to_limit_points(seq, points, onset_tol, scan_horizon=10_000):
+    """The whole-prefix snap that the chunked scan replaced, verbatim except
+    that the layout is passed to the constructor."""
+    pts = [complex(p) for p in points]
+    if not pts:
+        raise SequenceError("need at least one limit point")
+    if len(pts) > 1:
+        min_dist = min(abs(a - b) for i, a in enumerate(pts)
+                       for b in pts[i + 1:])
+        if min_dist <= 2 * onset_tol:
+            raise SequenceError(
+                f"limit points must be pairwise farther apart than "
+                f"2*onset_tol = {2 * onset_tol}")
+        gamma = 0.5 * min_dist
+    else:
+        gamma = math.inf
+
+    horizon = seq.clamp_horizon(scan_horizon)
+    raw = seq.prefix(horizon + 1)
+    parr = np.asarray(pts, dtype=complex)
+    dists = np.abs(raw[:, None] - parr[None, :])
+    idx = np.argmin(dists, axis=1)
+    snapped = parr[idx]
+
+    ties = []
+    if len(pts) > 1:
+        part = np.partition(dists, 1, axis=1)
+        close = np.nonzero(part[:, 1] - part[:, 0] <= onset_tol)[0]
+        ties = [int(i) for i in close]
+
+    dev = np.abs(raw - snapped)
+    viol = np.nonzero(dev > gamma)[0]
+    onset = int(viol[-1]) + 1 if viol.size else 0
+
+    def block(lo, hi):
+        past = seq.read(max(lo, horizon + 1), max(hi, horizon + 1))
+        near = parr[np.argmin(np.abs(past[:, None] - parr[None, :]), axis=1)]
+        return np.concatenate((snapped[lo:hi], near))
+
+    bound = max(abs(p) for p in pts)
+    return nb.OneSidedSequence(
+        block, bound, "snapped",
+        {"points": tuple(pts), "gamma": gamma, "onset_index": onset,
+         "ties": tuple(ties), "scan_horizon": horizon, "source": seq.family},
+        value_kind=seqmod._exact_kind(pts), length=seq.length,
+        real_valued=not np.any(parr.imag))
+
+
+def _planted(base, points, at):
+    """``base`` (a complex array) with, at each index of ``at``, a tie (the
+    midpoint of the first two points) and right after it a violation (a
+    value 1.5 gamma-widths past the first point, away from the second)."""
+    vals = base.copy()
+    p, q = points[0], points[1]
+    for i in at:
+        vals[i] = (p + q) / 2
+        if i + 1 < vals.size:
+            vals[i + 1] = p + 0.75 * (p - q)
+    return vals
+
+
+_EDGES = [0, 6, 7, 13, 14, 4094, 4095, 4096, 4097, 8190, 8191]
+
+
+def _snap_cases():
+    rng = np.random.default_rng(17)
+    n = 9000
+    pm = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    real = _planted(pm + rng.uniform(-0.2, 0.2, n), [-1, 1], _EDGES + [8990])
+    quad = np.array([1, 1j, -1, -1j])
+    cplx = quad[rng.integers(0, 4, n)] + 0.1 * (rng.uniform(-1, 1, n)
+                                                + 1j * rng.uniform(-1, 1, n))
+    cplx = _planted(cplx, [1j, -1], _EDGES + [8993])
+    ex = lambda v: nb.make_sequence(nb.explicit(v))
+    rot = nb.make_sequence(nb.rotation(math.sqrt(2) - 1, 0.3))
+    crot = nb.make_sequence(nb.rotation(math.sqrt(2) - 1, 0.3,
+                                        (lambda x: cmath.exp(2j * math.pi * x), 1.0)))
+    return {
+        # onset in the last chunk; horizons not a multiple of 7 or 4096
+        "real-explicit": (ex(real), [-1, 1], 0.05, 8999),
+        "real-explicit-short-scan": (ex(real), [-1, 1], 0.05, 4100),
+        "complex-explicit": (ex(cplx), [1j, -1, 1, -1j], 0.05, 8999),
+        "real-rotation": (rot, [0.0, 0.5, 1.0], 0.01, 8195),
+        "complex-rotation": (crot, [1, 1j, -1, -1j], 0.02, 4103),
+        "rudin-shapiro": (nb.make_sequence(nb.rudin_shapiro()), [-1, 1], 0.01, 8200),
+        "one-point": (ex(real), [0.5], 0.0, 8999),
+    }
+
+
+_SNAP_CASES = _snap_cases()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("name", sorted(_SNAP_CASES))
+def test_chunked_snap_matches_the_whole_prefix_snap(name, chunk, monkeypatch):
+    seq, points, tol, horizon = _SNAP_CASES[name]
+    old = old_snap_to_limit_points(seq, points, tol, horizon)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    new = nb.snap_to_limit_points(seq, points, tol, horizon)
+    assert new.params == old.params
+    assert (new.bound, new.value_kind, new.length, new.real_valued) == \
+        (old.bound, old.value_kind, old.length, old.real_valued)
+    end = horizon + 40 if seq.length is None else seq.length
+    for lo, hi in ((0, end), (horizon - 3, end), (horizon + 1, end), (5, 5)):
+        assert new._read(lo, hi).tobytes() == old._read(lo, hi).tobytes()
+    if name.endswith("explicit") and chunk == 7:
+        # the planted ties and violations sit on chunk edges and are found
+        assert set(_EDGES) <= set(new.params["ties"])
+        assert new.params["onset_index"] > horizon - 10
+
+
+@pytest.mark.parametrize("points,tol,named", [
+    ([0, math.nan], 0.01, "limit points must be finite, got (nan+0j)"),
+    ([0, complex(1, math.inf)], 0.01, "limit points must be finite, got (1+infj)"),
+    ([0, 1], math.nan, "onset_tol must be finite and >= 0, got nan"),
+    ([0, 1], -1, "onset_tol must be finite and >= 0, got -1"),
+    ([0.5], math.inf, "onset_tol must be finite and >= 0, got inf"),
+])
+def test_snap_rejects_bad_input_naming_the_value(points, tol, named):
+    # a nan point used to give a nan bound, so every read raised
+    # VerificationError; a nan or negative onset_tol flagged no ties
+    seq = nb.make_sequence(nb.explicit([0.0, 1.0, 0.5]))
+    with pytest.raises(SequenceError) as exc:
+        nb.snap_to_limit_points(seq, points, onset_tol=tol, scan_horizon=2)
+    assert named in str(exc.value)
