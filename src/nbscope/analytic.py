@@ -447,7 +447,7 @@ def _phase2(x, a, b):
 
 def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np.ndarray:
     """sum_{k<n} a_k z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m, where
-    ``read(lo, hi)`` returns a_lo .. a_{hi-1}.
+    ``read(lo, hi)`` returns a_lo .. a_{hi-1} as a float64 or complex array.
 
     Bluestein's chirp z-transform, one block of L = max(_BLOCK, m)
     coefficients at a time (L = n when n <= L): f(z_j) = sum_b z_j^(bL)
@@ -458,9 +458,11 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
     so chirp phases stay below (L + m)^2 * step / 2 whatever n is.  The
     blocks are combined by Horner's rule in z_j^L, highest first, as the
     reads go: a group of at most _GROUP coefficients at a time, from the
-    top, so time is O(n log(L + m)) and memory does not grow with n.  A
-    block of zeros skips its transforms (they would be zero).  With one
-    block this is exactly the whole-prefix transform.
+    top, so time is O(n log(L + m)) and memory does not grow with n.  The
+    live blocks of a group are weighted into the rows of one buffer, made
+    once per call, and transformed there in place; a block of zeros skips
+    its transforms (they would be zero).  With one block this is exactly
+    the whole-prefix transform.
     """
     if n == 0:
         return np.zeros(m, dtype=complex)
@@ -488,37 +490,47 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - length + 1:] = chirp[length - 1:0:-1].conj()
-    kernel = np.fft.fft(kernel)
+    np.fft.fft(kernel, out=kernel)
 
+    # one buffer row per block of a group, reused by every group: each live
+    # block's weighted coefficients and zero pad, transformed in place
     per_group = max(1, _GROUP // length)
+    buf = np.empty((min(per_group, n_blocks), size), dtype=complex)
     acc = None
     for first in range((n_blocks - 1) // per_group * per_group, -1, -per_group):
         lo = first * length
         hi = min(n, lo + per_group * length)
-        count = -(-(hi - lo) // length)
         coeffs = read(lo, hi)
-        if count * length > hi - lo:            # the top block is short
-            coeffs = np.concatenate(
-                (coeffs, np.zeros(count * length - (hi - lo), dtype=complex)))
-        blocks = coeffs.reshape(count, length)
-        live = blocks.any(axis=1)
-        rows = iter(())
-        if live.any():
+        live, rows = [], 0
+        for s in range(0, hi - lo, length):
+            block = coeffs[s:s + length]        # the top block may be short
+            live.append(bool(block.any()))
+            if not live[-1]:
+                continue
+            row = buf[rows]
             if n_blocks == 1:
                 # the whole-prefix transform's own product, bit for bit
                 # (numpy's complex product is not bitwise commutative, and
                 # numpy may evaluate a large `a * <temporary>` in place with
                 # its operands swapped)
-                weighted = blocks[0] * np.exp(pre_exponent)
+                row[:length] = block * np.exp(pre_exponent)
             else:
-                weighted = (blocks if live.all() else blocks[live]) * weights
-            conv = np.fft.ifft(np.fft.fft(weighted, size, axis=-1) * kernel, axis=-1)
-            rows = iter(conv[..., :m].reshape(-1, m)[::-1])
-        for alive in live[::-1].tolist():
+                np.multiply(block, weights[:len(block)], out=row[:len(block)])
+            row[len(block):] = 0
+            rows += 1
+        if rows:
+            conv = buf[:rows]
+            np.fft.fft(conv, axis=-1, out=conv)
+            conv *= kernel
+            np.fft.ifft(conv, axis=-1, out=conv)
+        for alive in reversed(live):
+            if alive:
+                rows -= 1
             if acc is None:
-                acc = next(rows) if alive else np.zeros(m, dtype=complex)
+                # a copy: the next group overwrites the buffer
+                acc = buf[rows, :m].copy() if alive else np.zeros(m, dtype=complex)
             elif alive:
-                acc = acc * powers + next(rows)
+                acc = acc * powers + buf[rows, :m]
             else:
                 acc = acc * powers
     return acc * chirp[:m]
@@ -555,7 +567,7 @@ def _scan_one_radius(seq, arc, r, m, tol):
     else:
         # one transform on the quarter-step grid alpha + i*width/(4m) holds
         # the m-node midpoints at i = 2 mod 4 and the 2m-node ones at odd i
-        fine = _blocked_czt(seq.read, n_terms, r, arc.alpha, arc.width / (4 * m), 4 * m)
+        fine = _blocked_czt(seq._read, n_terms, r, arc.alpha, arc.width / (4 * m), 4 * m)
         vals_half, vals_full = fine[2::4], fine[1::2]
     i_half = float(np.mean(np.abs(vals_half))) * weight
     i_full = float(np.mean(np.abs(vals_full))) * weight
@@ -575,7 +587,9 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
     for the Richardson error estimate); per-node series truncation within
     ``tol``.  The growth fit regresses I(r) on log(1/(1-r)).  Raises
     NumericCapError, before allocating, when the 4 * ``quad_points`` nodes
-    of the transform exceed TERM_CAP.
+    of the transform exceed TERM_CAP, and AnalyticError, before any
+    transform, when the sequence's bound times the block length times the
+    FFT length is not finite.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -591,6 +605,14 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
         raise NumericCapError(4 * quad_points,
                               f"{quad_points} quadrature points need "
                               f"{4 * quad_points} nodes (cap {TERM_CAP})")
+    # the transform's FFTs sum up to L coefficients of modulus at most the
+    # bound, times a kernel of FFT length unit terms: a bound whose sums
+    # could overflow is refused before any transform runs
+    length = max(_BLOCK, 4 * quad_points)
+    size = _fast_len(length + 4 * quad_points - 1)
+    if not math.isfinite(seq.bound * length * size):
+        raise AnalyticError(f"bound {seq.bound} times block length {length} times "
+                            f"FFT length {size} overflows the arc transform")
 
     integrals, quad_errors, trunc_errors, skipped, notes = [], [], [], [], []
     for r in radii:

@@ -16,6 +16,7 @@ trial index), and trials run and are aggregated in trial order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,8 @@ def iid_process(values, probs=None, seed: int = 0) -> ProcessSpec:
     if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > _ROW_SUM_TOL:
         raise SequenceError("probs must be nonnegative and sum to 1")
     bound = max(abs(v) for v in vals)
-    return ProcessSpec("iid", {"values": vals, "probs": probs}, bound, seed)
+    return ProcessSpec("iid", {"values": vals, "probs": probs}, bound,
+                       _check_seed(seed))
 
 
 def markov_process(emissions, transition, initial=None, seed: int = 0) -> ProcessSpec:
@@ -98,7 +100,7 @@ def markov_process(emissions, transition, initial=None, seed: int = 0) -> Proces
     return ProcessSpec("markov",
                        {"emissions": em, "transition": tr.tolist(),
                         "initial": initial},
-                       bound, seed)
+                       bound, _check_seed(seed))
 
 
 def rotation_process(q: float, theta: float = 0.0,
@@ -109,7 +111,15 @@ def rotation_process(q: float, theta: float = 0.0,
     return ProcessSpec("rotation-driven",
                        {"q": q, "theta": theta,
                         "boundary_fn": spec.params["boundary_fn"]},
-                       probe.bound, seed)
+                       probe.bound, _check_seed(seed))
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int; SequenceError naming it unless it is an integer
+    >= 0, the seeds np.random.SeedSequence takes."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise SequenceError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def _rng_for(spec: ProcessSpec, trial=None):
@@ -306,6 +316,8 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
         raise SequenceError("cover parameter m must be >= 1")
     if sigma < 0:
         raise SequenceError("sigma must be >= 0")
+    if not math.isfinite(sigma):
+        raise SequenceError(f"sigma must be finite, got {sigma}")
     if isinstance(distribution, tuple) and len(distribution) == 2:
         points = np.asarray(distribution[0], dtype=complex)
         weights = np.asarray(distribution[1], dtype=float)
@@ -324,6 +336,8 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
         return None
     K = float(bound) if bound is not None else float(np.max(np.abs(points)))
     K = max(K, 1e-12)
+    if not math.isfinite(K):
+        raise SequenceError(f"cover radius K must be finite, got {K}")
     threshold = math.sqrt(sigma / 2.0)
     m_eff = max(int(m), int(math.ceil(1.0 / threshold)))
     radius = 1.0 / m_eff
@@ -416,15 +430,19 @@ class MonteCarloReport:
 
 
 def _distribution_of(spec: ProcessSpec, calib_len: int = 4096):
+    """(distribution, sigma) for :func:`separated_values`; a sigma that
+    overflows comes back inf or nan, without a warning, to be refused there."""
     if spec.kind == "iid":
         values = np.asarray(spec.params["values"], dtype=complex)
         probs = np.asarray(spec.params["probs"], dtype=float)
-        mean = np.sum(values * probs)
-        sigma = float(np.sum(probs * np.abs(values) ** 2) - abs(mean) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.sum(values * probs)
+            sigma = float(np.sum(probs * np.abs(values) ** 2) - abs(mean) ** 2)
         return (values, probs), sigma
     path = _draw(spec, calib_len)[0]
-    mean = path.mean()
-    sigma = float(np.mean(np.abs(path - mean) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = path.mean()
+        sigma = float(np.mean(np.abs(path - mean) ** 2))
     return path, sigma
 
 

@@ -521,6 +521,31 @@ def test_montecarlo_huge_horizon_exits_3_naming_the_cap(capsys, process):
     assert err == "numeric cap: path length 100000000001 exceeds the cap 100000000\n"
 
 
+@pytest.mark.parametrize("process", [
+    ("--process", "iid"),
+    ("--process", "markov", "--transition", "0.5,0.5;0.5,0.5"),
+    ("--process", "rotation", "--q", "0.41421356237309515", "--delta", "0.2"),
+])
+def test_montecarlo_negative_seed_exits_2_naming_the_seed(capsys, process):
+    # used to end in a ValueError traceback from np.random.SeedSequence with exit 1
+    code, out, err = run(capsys, "montecarlo", *process, "--seed", "-1")
+    assert code == 2
+    assert not out
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
+def test_probe_whose_transform_would_overflow_exits_2_naming_the_bound(capsys, tmp_path):
+    # used to exit 0 with every integral null and numpy overflow warnings
+    code, out, err = run(capsys, "probe", "--family", "periodic", "--pattern", "1e308",
+                         "--full", "--radii", "0.5,0.999", "--quad-points", "64",
+                         "--json", str(tmp_path / "out.json"))
+    assert code == 2
+    assert not out
+    assert err == ("error: bound 1e+308 times block length 32768 times FFT length 33750 "
+                   "overflows the arc transform\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_generate_periodic_non_finite_pattern_exits_2(capsys):
     # used to exit 4 with "exceeds certified bound nan"
     code, out, err = run(capsys, "generate", "--family", "periodic",
@@ -539,6 +564,11 @@ def test_generate_periodic_non_finite_pattern_exits_2(capsys):
      "iid probabilities must be finite, got nan"),
     (("--process", "iid", "--values", "0,nan"),
      "iid values must be finite, got (nan+0j)"),
+    # sigma overflowed: ended in a NaN and an infinity traceback with exit 1
+    (("--process", "iid", "--values", "1e200,0"), "sigma must be finite, got nan"),
+    (("--process", "iid", "--values", "1e308,-1e308"), "sigma must be finite, got inf"),
+    (("--process", "markov", "--values", "1e200,0", "--transition", "0.5,0.5;0.5,0.5"),
+     "sigma must be finite, got inf"),
 ])
 def test_montecarlo_non_finite_inputs_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "montecarlo", *argv, "--trials", "2",

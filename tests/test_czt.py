@@ -4,6 +4,8 @@ extended-precision Horner sums."""
 
 import cmath
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -256,3 +258,191 @@ def test_phase_reduction_matches_exact_arithmetic():
                  for xi, ai, bi, g in zip(x, a, b, got2)]:
             off = exact - mpmath.mpf(float(val))
             assert abs(off - two_pi * mpmath.nint(off / two_pi)) <= 1e-15
+
+
+# The blocked transform before it worked in place (it padded a short top
+# block with np.concatenate, copied out the live blocks and took complex
+# reads only), kept verbatim but for module-qualified names, as the oracle
+# of the in-place one.
+def _old_blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np.ndarray:
+    """sum_{k<n} a_k z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m, where
+    ``read(lo, hi)`` returns a_lo .. a_{hi-1}.
+
+    Bluestein's chirp z-transform, one block of L = max(_BLOCK, m)
+    coefficients at a time (L = n when n <= L): f(z_j) = sum_b z_j^(bL)
+    B_b(z_j), where B_b sums the b-th block.  With jl = (j^2 + l^2 -
+    (j-l)^2)/2 each B_b(z_j) is a linear convolution of the block, times
+    the pre-weight r^l e^{i(phi0*l + step*l^2/2)} that every block shares,
+    with the conjugate chirp, done by FFT at a 5-smooth length >= L + m - 1;
+    so chirp phases stay below (L + m)^2 * step / 2 whatever n is.  The
+    blocks are combined by Horner's rule in z_j^L, highest first, as the
+    reads go: a group of at most _GROUP coefficients at a time, from the
+    top, so time is O(n log(L + m)) and memory does not grow with n.  A
+    block of zeros skips its transforms (they would be zero).  With one
+    block this is exactly the whole-prefix transform.
+    """
+    if n == 0:
+        return np.zeros(m, dtype=complex)
+    length = min(n, max(analytic._BLOCK, m))
+    n_blocks = -(-n // length)
+    half = step / 2.0
+    k = np.arange(max(length, m), dtype=float)
+    kl = k[:length]
+    if n_blocks == 1:
+        # the whole-prefix transform's phases, bit for bit
+        chirp = np.exp(1j * half * k * k)
+        pre_exponent = kl * math.log(r) + 1j * (phi0 * kl + half * kl * kl)
+    else:
+        # every block repeats these phases, so they are reduced mod 2*pi in
+        # exact pieces: a rounding error shared by all blocks would add up
+        # across them.  z_j^L comes from one phase L * (phi0 + j*step) per
+        # node the same way, not from powers of z_j.
+        square = analytic._phase2(half, k, k)
+        chirp = np.exp(1j * square)
+        weights = np.exp(kl * math.log(r) + 1j * (analytic._phase(phi0, kl) + square[:length]))
+        j = np.arange(m, dtype=float)
+        powers = np.exp(length * math.log(r)
+                        + 1j * (analytic._phase(phi0, length)
+                                + analytic._phase2(step, length, j)))
+    size = _fast_len(length + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - length + 1:] = chirp[length - 1:0:-1].conj()
+    kernel = np.fft.fft(kernel)
+
+    per_group = max(1, analytic._GROUP // length)
+    acc = None
+    for first in range((n_blocks - 1) // per_group * per_group, -1, -per_group):
+        lo = first * length
+        hi = min(n, lo + per_group * length)
+        count = -(-(hi - lo) // length)
+        coeffs = read(lo, hi)
+        if count * length > hi - lo:            # the top block is short
+            coeffs = np.concatenate(
+                (coeffs, np.zeros(count * length - (hi - lo), dtype=complex)))
+        blocks = coeffs.reshape(count, length)
+        live = blocks.any(axis=1)
+        rows = iter(())
+        if live.any():
+            if n_blocks == 1:
+                # the whole-prefix transform's own product, bit for bit
+                # (numpy's complex product is not bitwise commutative, and
+                # numpy may evaluate a large `a * <temporary>` in place with
+                # its operands swapped)
+                weighted = blocks[0] * np.exp(pre_exponent)
+            else:
+                weighted = (blocks if live.all() else blocks[live]) * weights
+            conv = np.fft.ifft(np.fft.fft(weighted, size, axis=-1) * kernel, axis=-1)
+            rows = iter(conv[..., :m].reshape(-1, m)[::-1])
+        for alive in live[::-1].tolist():
+            if acc is None:
+                acc = next(rows) if alive else np.zeros(m, dtype=complex)
+            elif alive:
+                acc = acc * powers + next(rows)
+            else:
+                acc = acc * powers
+    return acc * chirp[:m]
+
+
+
+def _planted(rng, n, length, kind):
+    """n seeded coefficients (float64 when real) with blocks of zeros: the
+    second and third whole blocks, and the top block, which may be short."""
+    coeffs = rng.choice([-1.0, 1.0], n)
+    if kind == "complex":
+        coeffs = coeffs + 1j * rng.uniform(-1, 1, n)
+    coeffs[length:3 * length] = 0
+    coeffs[(n - 1) // length * length:] = 0
+    return coeffs
+
+
+def _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m):
+    """The in-place transform of ``coeffs`` read in their own layout and of
+    their complex copy, against the oracle on the complex copy, bit for bit."""
+    n, copy = len(coeffs), coeffs.astype(complex)
+    want = _old_blocked_czt(lambda lo, hi: copy[lo:hi].copy(), n, r, phi0, step, m)
+    for src in (coeffs, copy):
+        got = _blocked_czt(lambda lo, hi: src[lo:hi].copy(), n, r, phi0, step, m)
+        assert got.dtype == complex and got.shape == (m,)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, planted", [
+    (0, False), (300, False), (5000, False), (analytic._BLOCK, False),
+    (analytic._BLOCK + 1, False), (230_247, False), (230_247, True),
+    # 19 blocks in three groups, so the buffer is reused
+    (600_000, False), (600_000, True),
+])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_in_place_transform_matches_the_copying_one_bit_for_bit(n, planted, kind):
+    m = 4096
+    rng = np.random.default_rng(n + planted)
+    coeffs, r, phi0, step = _seeded_case(rng, n)
+    if planted:
+        coeffs = _planted(rng, n, max(analytic._BLOCK, m), kind)
+    elif kind == "real":
+        coeffs = coeffs.real.copy()
+    assert coeffs.dtype == (float if kind == "real" else complex)
+    _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m)
+    if n == 300:
+        _assert_same_bits_as_the_oracle(np.zeros(n, dtype=coeffs.dtype), r, phi0, step, m)
+
+
+@pytest.mark.parametrize("block, group", [
+    (1, 1), (1, 7), (1, 64), (7, 7), (7, 64), (64, 7), (64, 64),
+])
+@pytest.mark.parametrize("m", [1, 5, 16, 100])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_in_place_transform_with_small_blocks_matches_bit_for_bit(monkeypatch, block, group,
+                                                                  m, kind):
+    monkeypatch.setattr(analytic, "_BLOCK", block)
+    monkeypatch.setattr(analytic, "_GROUP", group)
+    n = 1003                    # a multiple of none of the block lengths
+    rng = np.random.default_rng(block * 1000 + group + m)
+    _, r, phi0, step = _seeded_case(rng, n)
+    for planted in (False, True):
+        coeffs = _planted(rng, n, max(block, m), kind)
+        if not planted:
+            coeffs = coeffs + (1.0 if kind == "real" else 1j)
+        _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m)
+
+
+def test_scan_top_rung_reads_the_own_layout_bit_for_bit():
+    # the probe bench's top rung: 230 247 Rudin-Shapiro terms, 8 blocks, read
+    # as float64 by the scan and as complex by the oracle
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    r, m = 0.9999, 4096
+    n = truncation_length(seq.bound, r, 1e-6)
+    assert n == 230_247 and seq._read(0, 8).dtype == float
+    want = _old_blocked_czt(seq.read, n, r, 0.3, 1.4 / m, m)
+    assert _blocked_czt(seq._read, n, r, 0.3, 1.4 / m, m).tobytes() == want.tobytes()
+    assert _blocked_czt(seq.read, n, r, 0.3, 1.4 / m, m).tobytes() == want.tobytes()
+
+
+def _overflow_edge(quad_points):
+    """(largest bound the scan takes, least bound it refuses) at ``quad_points``:
+    where bound * block length * FFT length stops being finite."""
+    m = 4 * quad_points
+    length = max(analytic._BLOCK, m)
+    size = _fast_len(length + m - 1)
+    inside = sys.float_info.max / length / size
+    while not math.isfinite(inside * length * size):
+        inside = math.nextafter(inside, 0.0)
+    past = math.nextafter(inside, math.inf)
+    while math.isfinite(past * length * size):
+        past = math.nextafter(past, math.inf)
+    return inside, past
+
+
+def test_scan_refuses_a_bound_whose_transform_would_overflow(monkeypatch):
+    # a pattern of 1e308 used to give every integral nan with numpy overflow
+    # warnings, reported as a success; the RuntimeWarning filter of the test
+    # configuration turns any such warning into a failure here
+    inside, past = _overflow_edge(64)
+    arc, radii = ArcSpec.full_circle(), [0.5, 0.999]
+    rep = boundary_l1_scan(nb.make_sequence(nb.periodic([inside])), arc, radii, quad_points=64)
+    assert all(math.isfinite(x) and x > 0 for x in rep.integrals + rep.quad_errors)
+    monkeypatch.setattr(analytic, "_blocked_czt", lambda *a: pytest.fail("transform ran"))
+    message = re.escape(f"bound {past} times block length")
+    with pytest.raises(analytic.AnalyticError, match=message):
+        boundary_l1_scan(nb.make_sequence(nb.periodic([past])), arc, radii, quad_points=64)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,37 @@ def test_process_specs_reject_non_finite_inputs(make, message):
     # nan values or probabilities ended in a numpy ValueError
     with pytest.raises(SequenceError, match=message):
         make()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("make", [
+    lambda seed: nb.iid_process([0.0, 1.0], seed=seed),
+    lambda seed: nb.markov_process([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], seed=seed),
+    lambda seed: nb.rotation_process(0.41421356237309515, seed=seed),
+])
+def test_process_specs_reject_bad_seeds_naming_them(make, seed):
+    # a negative seed used to reach np.random.SeedSequence and end in a
+    # ValueError at the first draw
+    message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+    with pytest.raises(SequenceError, match=message):
+        make(seed)
+    assert make(np.int64(7)).seed == 7 and type(make(np.int64(7)).seed) is int
+
+
+@pytest.mark.parametrize("sigma, bound, message", [
+    (math.nan, None, "sigma must be finite, got nan"),
+    (math.inf, None, "sigma must be finite, got inf"),
+    (0.25, math.inf, "cover radius K must be finite, got inf"),
+    # |1.5e308 + 1.5e308j| overflows to inf
+    (0.25, None, "cover radius K must be finite, got inf"),
+])
+def test_separated_values_refuses_non_finite_sigma_or_cover_radius(monkeypatch, sigma,
+                                                                   bound, message):
+    # each ended in a traceback from _hex_cover; the refusal comes before it
+    monkeypatch.setattr(randomseries, "_hex_cover", lambda *a: pytest.fail("cover built"))
+    atoms = (np.array([0, 1.5e308 + 1.5e308j]), np.array([0.5, 0.5]))
+    with pytest.raises(SequenceError, match=message):
+        nb.separated_values(atoms, 4, sigma, bound=bound)
 
 
 # --- the prefix-based random-series code that reading the drawn path replaced,
