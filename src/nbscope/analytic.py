@@ -22,6 +22,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -430,6 +431,21 @@ def _mod_two_pi(x):
     return ((x - q * _C1) - q * _C2) - q * _C3
 
 
+# 2*pi to 256 bits (below it by less than 2^-253)
+_TWO_PI = Fraction(0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22,
+                   2 ** 253)
+
+
+def _reduce_angle(x):
+    """x minus the nearest whole multiple of 2*pi, rounded once for |x| <
+    2^60 (an arc's start has |x| < 2^55, as its width is below 2*pi); x
+    itself on [-pi, pi]."""
+    if abs(x) <= math.pi:
+        return x
+    x = Fraction(x)
+    return float(x - round(x / _TWO_PI) * _TWO_PI)
+
+
 def _phase(x, j):
     """j * x minus a whole multiple of 2*pi, for floats x and integers
     0 <= j < 2^27 with |j * x| < 2^32 (elementwise), within a few ulps of
@@ -538,9 +554,10 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
 
 def _nodes_eval_sparse(exps, fill, r, arc: ArcSpec, m: int) -> np.ndarray:
     """Direct sparse summation: sum_e fill * (r e^{i theta_j})^e, each phase
-    e * theta_j reduced exactly by :func:`_phase` (e < TERM_CAP < 2^27)."""
+    e * theta_j reduced exactly by :func:`_phase` (e < TERM_CAP < 2^27; the
+    arc is moved whole turns to start in [-pi, pi], so |e * theta_j| < 2^32)."""
     h = arc.width / m
-    theta = arc.alpha + (np.arange(m) + 0.5) * h
+    theta = _reduce_angle(arc.alpha) + (np.arange(m) + 0.5) * h
     out = np.zeros(m, dtype=complex)
     logr = math.log(r)
     for lo in range(0, len(exps), 64):
@@ -566,8 +583,10 @@ def _scan_one_radius(seq, arc, r, m, tol):
         vals_full = _nodes_eval_sparse(sparse[0], sparse[1], r, arc, 2 * m)
     else:
         # one transform on the quarter-step grid alpha + i*width/(4m) holds
-        # the m-node midpoints at i = 2 mod 4 and the 2m-node ones at odd i
-        fine = _blocked_czt(seq._read, n_terms, r, arc.alpha, arc.width / (4 * m), 4 * m)
+        # the m-node midpoints at i = 2 mod 4 and the 2m-node ones at odd i;
+        # alpha moved whole turns into [-pi, pi] keeps its phases small
+        fine = _blocked_czt(seq._read, n_terms, r, _reduce_angle(arc.alpha),
+                            arc.width / (4 * m), 4 * m)
         vals_half, vals_full = fine[2::4], fine[1::2]
     i_half = float(np.mean(np.abs(vals_half))) * weight
     i_full = float(np.mean(np.abs(vals_full))) * weight

@@ -70,23 +70,21 @@ def _build_sequence(args):
     if fam == "periodic":
         if not args.pattern:
             raise sequences.SequenceError("periodic family needs --pattern")
-        return sequences.make_sequence(sequences.periodic(args.pattern))
-    if fam == "gap-factorial":
-        return sequences.make_sequence(sequences.gap_powers("factorials", args.fill))
-    if fam == "gap-squares":
-        return sequences.make_sequence(sequences.gap_powers("squares", args.fill))
-    if fam == "rudin-shapiro":
-        return sequences.make_sequence(sequences.rudin_shapiro())
-    if fam == "rotation":
+        spec = sequences.periodic(args.pattern)
+    elif fam == "rotation":
         if args.q is None:
             raise sequences.SequenceError("rotation family needs --q")
-        return sequences.make_sequence(
-            sequences.rotation(args.q, args.theta, args.boundary))
-    if fam == "erdos-hard":
-        return sequences.make_sequence(sequences.erdos("hard"))
-    if fam == "erdos-soft":
-        return sequences.make_sequence(sequences.erdos("soft"))
-    raise sequences.SequenceError(f"unknown family {fam!r}")
+        spec = sequences.rotation(args.q, args.theta, args.boundary)
+    elif fam in ("gap-factorial", "gap-squares"):
+        spec = sequences.gap_powers("factorials" if fam == "gap-factorial" else "squares",
+                                    args.fill)
+    elif fam == "rudin-shapiro":
+        spec = sequences.rudin_shapiro()
+    elif fam in ("erdos-hard", "erdos-soft"):
+        spec = sequences.erdos(fam[len("erdos-"):])
+    else:
+        raise sequences.SequenceError(f"unknown family {fam!r}")
+    return sequences.make_sequence(spec)
 
 
 def _nan_to_null(obj):
@@ -141,39 +139,20 @@ def _cmd_rightlimits(args):
 
 def _cmd_certificate(args):
     seq = _build_sequence(args)
-    decay = tuple(args.decay) if args.decay else None
-    found = []
-    if args.kind in ("gap", "both"):
-        cert = rightlimits.find_gap_certificate(
-            seq, args.window, args.horizon, eps=args.eps, delta=args.delta,
-            decay=decay, min_recurrence=args.min_recurrence)
-        if cert:
-            found.append(cert)
-    if args.kind in ("pair", "both") and not found:
-        sides = ["backward", "forward"] if args.flank == "both" else [args.flank]
-        for side in sides:
-            cert = rightlimits.find_pair_certificate(
-                seq, args.window, args.horizon, eps=args.eps,
-                delta=args.delta, flank_side=side,
-                min_recurrence=args.min_recurrence)
-            if cert:
-                found.append(cert)
-                break
-    for cert in found:
-        if not cert.verify(seq):
-            raise sequences.VerificationError("certificate failed re-verification")
-    report = {"certificates": [c.to_json_dict() for c in found]}
-    _emit_json(args.out, "certificate", report)
-    return EXIT_OK if found else EXIT_NO_FINDING
+    sides = ("backward", "forward") if args.flank == "both" else (args.flank,)
+    cert, _ = rightlimits._first_certificate(
+        seq, args.window, args.horizon, args.eps, args.delta, args.min_recurrence,
+        gap=args.kind != "pair", sides=() if args.kind == "gap" else sides,
+        decay=tuple(args.decay) if args.decay else None)
+    _emit_json(args.out, "certificate",
+               {"certificates": [] if cert is None else [cert.to_json_dict()]})
+    return EXIT_NO_FINDING if cert is None else EXIT_OK
 
 
 def _cmd_szego(args):
     seq = _build_sequence(args)
     rep = rightlimits.szego_block_analysis(seq, args.pmax, args.horizon)
-    for p, w in rep.per_p.items():
-        if isinstance(w, rightlimits.SzegoWitness) and not w.verify(seq):
-            raise sequences.VerificationError(
-                f"block-mismatch witness for p = {p} failed re-verification")
+    rightlimits._verify_szego(seq, rep)
     _emit_json(args.out, "szego", rep.to_json_dict())
     return EXIT_OK
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import TERM_CAP, NumericCapError
-from .rightlimits import find_pair_certificate
+from .rightlimits import _first_certificate
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
-                        VerificationError, _check_finite, _exact_kind, _gather,
-                        make_sequence)
+                        _check_finite, _exact_kind, _gather, make_sequence)
 
 __all__ = [
     "ProcessSpec",
@@ -43,6 +42,8 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+# lattice points that separated_values may scan for its disk cover
+_COVER_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,8 @@ def _check_seed(seed) -> int:
 
 
 def _rng_for(spec: ProcessSpec, trial=None):
-    if trial is None:
-        ss = np.random.SeedSequence(spec.seed)
-    else:
-        ss = np.random.SeedSequence(spec.seed, spawn_key=(int(trial),))
-    return np.random.default_rng(ss)
+    key = () if trial is None else (int(trial),)
+    return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=key))
 
 
 def _draw(spec: ProcessSpec, length: int, trial=None):
@@ -341,6 +339,13 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
     threshold = math.sqrt(sigma / 2.0)
     m_eff = max(int(m), int(math.ceil(1.0 / threshold)))
     radius = 1.0 / m_eff
+    # _hex_cover scans (2 rows + 1)(2 cols + 1) points, rows <= 2Rm/3 + 2
+    # and cols <= Rm/sqrt(3) + 2 with R = K + 1/m
+    R = K + radius
+    scanned = (4 * R * m_eff / 3 + 5) * (2 * R * m_eff / math.sqrt(3) + 5)
+    if scanned > _COVER_CAP:
+        raise SequenceError(f"cover of the radius-{K} disk by disks of radius 1/{m_eff} "
+                            f"scans up to {scanned:.3g} lattice points (cap {_COVER_CAP})")
 
     centers = _hex_cover(K, m_eff)
     n_cover = len(centers)
@@ -478,15 +483,11 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
         vals, kind = _draw(spec, horizon + 1, trial)
         var, se = _variance_with_se(vals)
         path = _path_sequence(spec, vals, kind, trial)
-        for side in ("backward", "forward"):
-            cert = find_pair_certificate(path, width, horizon, eps=eps,
-                                         delta=delta, flank_side=side,
-                                         min_recurrence=min_recurrence)
-            if cert is not None:
-                if not cert.verify(path):
-                    raise VerificationError("witness failed path re-verification")
-                return TrialResult(trial, True, cert.pairs, side, var, se)
-        return TrialResult(trial, False, (), None, var, se)
+        cert, _ = _first_certificate(path, width, horizon, eps, delta,
+                                     min_recurrence, gap=False)
+        if cert is None:
+            return TrialResult(trial, False, (), None, var, se)
+        return TrialResult(trial, True, cert.pairs, cert.flank_side, var, se)
 
     results = [run(trial) for trial in range(trials)]
 

@@ -168,11 +168,8 @@ def _reduce_exact(num_coeffs, T, pp):
     for d in survivors:
         den = _polymul(den, cyc[d])
 
-    poles = []
-    for d in survivors:
-        for k in range(d):
-            if math.gcd(k, d) == 1:
-                poles.append(RootOfUnityPole(k, d))
+    poles = [RootOfUnityPole(k, d) for d in survivors for k in range(d)
+             if math.gcd(k, d) == 1]
     poles.sort(key=lambda p: (p.angle, p.den))
     num_tuple = ((0j,) if is_zero else
                  tuple(complex(float(a), float(b)) for a, b in zip(*quotient)))
@@ -207,10 +204,8 @@ def _reduce_numeric(num_coeffs, T, pp):
     den = np.ones(1, dtype=complex)
     for k in surviving:
         den = np.convolve(den, np.array([-roots[k], 1.0]))
-    poles = []
-    for k in surviving:
-        g = math.gcd(k, T) if k else T
-        poles.append(RootOfUnityPole((k // g) % (T // g) if k else 0, T // g))
+    # k / T in lowest terms (gcd(0, T) = T gives 0 / 1)
+    poles = [RootOfUnityPole(k // math.gcd(k, T), T // math.gcd(k, T)) for k in surviving]
     poles.sort(key=lambda p: (p.angle, p.den))
     return RationalForm(tuple(complex(c) for c in red),
                         tuple(complex(c) for c in den),

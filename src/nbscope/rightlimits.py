@@ -121,19 +121,20 @@ def _span_rows(seq, centers, offsets):
     read the indices between them."""
     out = np.empty((len(centers), len(offsets)), dtype=complex)
     o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
-    order = sorted(range(len(centers)), key=centers.__getitem__)
-    srt = [int(centers[k]) for k in order]
+    order = np.argsort(centers, kind="stable")
+    srt = np.asarray(centers, dtype=np.int64)[order]
+    # runs of neighbours at most _WITNESS_GAP apart, each cut into groups
+    # that end at the last center within a chunk's reach of their first
+    run_ends = np.append(np.flatnonzero(np.diff(srt) > _WITNESS_GAP) + 1, len(srt))
+    reach = np.searchsorted(srt, srt + (sequences._CHUNK - span), side="right")
     i = 0
-    while i < len(srt):
-        j = i + 1
-        while (j < len(srt) and srt[j] - srt[j - 1] <= _WITNESS_GAP
-               and srt[j] - srt[i] + span <= sequences._CHUNK):
-            j += 1
-        lo = srt[i] + o0
-        vals = seq.read(lo, srt[j - 1] + o0 + span)
-        rel = np.asarray(srt[i:j], dtype=np.int64) - lo
-        out[order[i:j]] = vals[rel[:, None] + offsets]
-        i = j
+    for end in run_ends.tolist():
+        while i < end:
+            j = min(end, max(i + 1, int(reach[i])))
+            lo = int(srt[i]) + o0
+            vals = seq.read(lo, int(srt[j - 1]) + o0 + span)
+            out[order[i:j]] = vals[(srt[i:j] - lo)[:, None] + offsets]
+            i = j
     return out
 
 
@@ -947,14 +948,34 @@ class Verdict:
         }
 
 
-def _periodic_verdict(seq, found, reason, probes):
-    """EventuallyPeriodic verdict with the reduced rational form of the
-    (preperiod, period) pair ``found``."""
-    pre, per = found
-    arr = seq.read(0, pre + per)
-    form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:pre + per])
-    return Verdict(kind="EventuallyPeriodic", periodicity=found,
-                   rational_form=form, reason=reason, probes=probes)
+def _first_certificate(seq, width, horizon, eps, delta, min_recurrence,
+                       gap=True, sides=("backward", "forward"), decay=None):
+    """(first certificate or None, searches run) of the zero-flank search
+    if ``gap``, then the pair search on each of ``sides``; the certificate
+    is re-verified against raw reads (VerificationError if it fails)."""
+    cert, probes = None, []
+    if gap:
+        cert = find_gap_certificate(seq, width, horizon, eps=eps, delta=delta,
+                                    decay=decay, min_recurrence=min_recurrence)
+        probes.append("gap-certificate(backward)")
+    for side in sides:
+        if cert is not None:
+            break
+        cert = find_pair_certificate(seq, width, horizon, eps=eps, delta=delta,
+                                     flank_side=side, min_recurrence=min_recurrence)
+        probes.append(f"pair-certificate({side})")
+    if cert is not None and not cert.verify(seq):
+        raise VerificationError("certificate failed re-verification")
+    return cert, probes
+
+
+def _verify_szego(seq, report):
+    """Re-check every block-mismatch witness of ``report`` against raw
+    reads; raises VerificationError naming the first that fails."""
+    for p, w in report.per_p.items():
+        if isinstance(w, SzegoWitness) and not w.verify(seq):
+            raise VerificationError(
+                f"block-mismatch witness for p = {p} failed re-verification")
 
 
 def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verdict:
@@ -968,32 +989,24 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
     Certificates embedded in the verdict are re-verified against raw reads.
     """
     cfg = config or AnalysisConfig()
-    probes = []
     h = seq.clamp_horizon(cfg.horizon)
 
     mp = min(cfg.max_period, max(1, h // 3))
     mpp = min(cfg.max_preperiod, max(0, h - 2 * mp))
     found = detect_eventual_periodicity(seq, mp, mpp, h, tol=cfg.periodicity_tol)
-    probes.append(f"periodicity(max_period={mp}, max_preperiod={mpp})")
+    probes = [f"periodicity(max_period={mp}, max_preperiod={mpp})"]
     if found is not None:
-        return _periodic_verdict(seq, found, f"period {found[1]} after preperiod "
-                                 f"{found[0]}, verified on horizon {h}", probes)
+        pre, per = found
+        arr = seq.read(0, pre + per)
+        form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:])
+        return Verdict(kind="EventuallyPeriodic", periodicity=found, rational_form=form,
+                       reason=f"period {per} after preperiod {pre}, verified on "
+                              f"horizon {h}", probes=probes)
 
-    cert = find_gap_certificate(seq, cfg.width, h, eps=cfg.eps,
-                                delta=cfg.delta,
-                                min_recurrence=cfg.min_recurrence)
-    probes.append("gap-certificate(backward)")
-    if cert is None:
-        for side in ("backward", "forward"):
-            cert = find_pair_certificate(seq, cfg.width, h, eps=cfg.eps,
-                                         delta=cfg.delta, flank_side=side,
-                                         min_recurrence=cfg.min_recurrence)
-            probes.append(f"pair-certificate({side})")
-            if cert is not None:
-                break
+    cert, searched = _first_certificate(seq, cfg.width, h, cfg.eps, cfg.delta,
+                                        cfg.min_recurrence)
+    probes += searched
     if cert is not None:
-        if not cert.verify(seq):
-            raise VerificationError("certificate failed re-verification")
         return Verdict(kind="StrongNaturalBoundaryEvidence",
                        certificate=cert,
                        reason=f"{cert.kind} with {len(cert.witnesses)} witnesses",
@@ -1004,10 +1017,7 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
         report = _block_witnesses(seq, cfg.p_max, h)
         probes.append(f"szego(p_max={cfg.p_max})")
         if report.overall == "mismatch-at-every-p":
-            for p, w in report.per_p.items():
-                if not (isinstance(w, SzegoWitness) and w.verify(seq)):
-                    raise VerificationError(
-                        f"block-mismatch witness for p = {p} failed re-verification")
+            _verify_szego(seq, report)
             return Verdict(kind="StrongNaturalBoundaryEvidence",
                            szego=report,
                            reason=f"block mismatch at every p <= {cfg.p_max}",

@@ -587,6 +587,11 @@ def _make_explicit(params) -> OneSidedSequence:
                             real_valued=not np.any(arr.imag))
 
 
+_MAKERS = {"periodic": _make_periodic, "gap-powers": _make_gap_powers,
+           "rudin-shapiro": _make_rudin_shapiro, "rotation": _make_rotation,
+           "erdos": _make_erdos, "explicit": _make_explicit}
+
+
 def make_sequence(spec: GeneratorSpec) -> OneSidedSequence:
     """Build the sequence described by ``spec``.
 
@@ -595,18 +600,8 @@ def make_sequence(spec: GeneratorSpec) -> OneSidedSequence:
     ramped-gap families, sup of the boundary function for rotations.
     """
     family = spec.family
-    if family == "periodic":
-        return _make_periodic(spec.params)
-    if family == "gap-powers":
-        return _make_gap_powers(spec.params)
-    if family == "rudin-shapiro":
-        return _make_rudin_shapiro(spec.params)
-    if family == "rotation":
-        return _make_rotation(spec.params)
-    if family == "erdos":
-        return _make_erdos(spec.params)
-    if family == "explicit":
-        return _make_explicit(spec.params)
+    if family in _MAKERS:
+        return _MAKERS[family](spec.params)
     if family == "stochastic":
         from . import randomseries
 

@@ -518,6 +518,41 @@ def test_sparse_nodes_reduce_each_phase_exactly():
     assert float(np.abs(got.astype(np.clongdouble) - want).max()) <= 3e-16 * mass
 
 
+def _turns_removed(x):
+    """x minus the nearest whole multiple of 2*pi, from 300-bit arithmetic."""
+    with mpmath.workprec(300):
+        return float(mpmath.mpf(x) - 2 * mpmath.pi * mpmath.nint(mpmath.mpf(x) / (2 * mpmath.pi)))
+
+
+def test_reduce_angle_is_exact_and_the_identity_on_minus_pi_to_pi():
+    from nbscope import analytic
+
+    with mpmath.workprec(300):
+        assert analytic._TWO_PI == mpmath.floor(2 * mpmath.pi * mpmath.mpf(2) ** 253) / 2 ** 253
+    inside = [math.pi, -math.pi, 0.0, -0.0, 1e-300, 3.0, -2.5]
+    for x in inside:
+        y = analytic._reduce_angle(x)
+        assert y == x and math.copysign(1, y) == math.copysign(1, x)
+    rng = np.random.default_rng(5)
+    for x in np.concatenate([rng.uniform(-1e3, 1e3, 200), rng.uniform(-2.0 ** 55, 2.0 ** 55, 200),
+                             [np.nextafter(math.pi, 4), 2 * math.pi, 2000.0, 2.0 ** 54]]).tolist():
+        assert analytic._reduce_angle(x) == _turns_removed(x)
+
+
+@pytest.mark.parametrize("alpha", [2.0 ** 40, -2.0 ** 50])
+@pytest.mark.parametrize("spec, r", [(nb.gap_powers("squares"), 0.999999),   # sparse nodes
+                                     (nb.rudin_shapiro(), 0.99),            # one block
+                                     (nb.rudin_shapiro(), 0.9999)])         # many blocks
+def test_scan_of_an_arc_moved_by_whole_turns_agrees(spec, r, alpha):
+    # node phases were formed from the unreduced alpha: on these arcs the
+    # scans missed the same arc near 0 by more than their quadrature error
+    seq = nb.make_sequence(spec)
+    near = _turns_removed(alpha)
+    base = boundary_l1_scan(seq, ArcSpec(near, near + 1.0), [r], quad_points=1024)
+    moved = boundary_l1_scan(seq, ArcSpec(alpha, alpha + 1.0), [r], quad_points=1024)
+    assert abs(moved.integrals[0] - base.integrals[0]) <= base.quad_errors[0]
+
+
 @pytest.mark.parametrize("spec", [nb.periodic([1]), nb.gap_powers("factorials")])
 def test_probe_rejects_node_counts_over_the_cap_before_allocating(spec, monkeypatch):
     from nbscope import analytic

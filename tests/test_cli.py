@@ -392,6 +392,30 @@ def test_certificate_reverifies_before_emitting(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_certificate_both_kinds_forward_flank_reverifies(capsys, monkeypatch):
+    import nbscope as nb
+    from nbscope import rightlimits
+
+    # Rudin-Shapiro values are +-1: no zero flank, and no pair 3 apart
+    forged = nb.NonReflectionlessCertificate(
+        kind="PairMismatch", witnesses=(10,), flank_side="forward", flank_width=3,
+        eps=0.0, delta=3.0, separation=3.0, pairs=((10, 11), (20, 21), (30, 31)))
+    sides = []
+
+    def forge(*a, flank_side, **k):
+        sides.append(flank_side)
+        return forged
+
+    monkeypatch.setattr(rightlimits, "find_pair_certificate", forge)
+    code, out, err = run(capsys, "certificate", "--family", "rudin-shapiro",
+                         "--kind", "both", "--flank", "forward", "--window", "3",
+                         "--horizon", "200")
+    assert code == 4
+    assert not out
+    assert "verification failed" in err
+    assert sides == ["forward"]
+
+
 def test_szego_reverifies_before_emitting(capsys, monkeypatch):
     from nbscope import rightlimits
 

@@ -600,6 +600,50 @@ def test_gap_check_reads_only_near_its_witnesses():
     assert reads == [(3, 721)] + [(n - 3, n + 1) for n in (5040, 40320, 362880)]
 
 
+def old_span_rows(seq, centers, offsets):
+    """_span_rows as it grouped centers in a Python loop, verbatim."""
+    out = np.empty((len(centers), len(offsets)), dtype=complex)
+    o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    srt = [int(centers[k]) for k in order]
+    i = 0
+    while i < len(srt):
+        j = i + 1
+        while (j < len(srt) and srt[j] - srt[j - 1] <= rl._WITNESS_GAP
+               and srt[j] - srt[i] + span <= seqmod._CHUNK):
+            j += 1
+        lo = srt[i] + o0
+        vals = seq.read(lo, srt[j - 1] + o0 + span)
+        rel = np.asarray(srt[i:j], dtype=np.int64) - lo
+        out[order[i:j]] = vals[rel[:, None] + offsets]
+        i = j
+    return out
+
+
+@pytest.mark.parametrize("chunk, gap", [(7, 1), (16, 3), (64, 8), (4096, 1024)])
+@pytest.mark.parametrize("offsets", [np.arange(-3, 1), np.arange(4), np.arange(12)])
+def test_span_rows_matches_the_loop_it_replaced(monkeypatch, chunk, gap, offsets):
+    # steps of 0 (duplicates), at and either side of the gap, and at and
+    # either side of a chunk's reach (chunk - span, which is negative when
+    # the span is longer than a chunk), shuffled
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    monkeypatch.setattr(rl, "_WITNESS_GAP", gap)
+    reach = abs(chunk - len(offsets))
+    steps = sorted({0, 1, gap - 1, gap, gap + 1, 2 * gap, reach - 1, reach, reach + 1})
+    rng = np.random.default_rng(chunk * 100 + len(offsets))
+    for _ in range(20):
+        centers = 3 + np.cumsum(rng.choice(steps, size=int(rng.integers(0, 40))))
+        centers = [int(c) for c in rng.permutation(centers)]
+        got_seq, got_reads = _counted(nb.rudin_shapiro())
+        want_seq, want_reads = _counted(nb.rudin_shapiro())
+        got = rl._span_rows(got_seq, centers, offsets)
+        want = old_span_rows(want_seq, centers, offsets)
+        assert got_reads == want_reads
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert all(np.array_equal(got[k], want_seq.read(c + offsets[0], c + offsets[-1] + 1))
+                   for k, c in enumerate(centers))
+
+
 def test_verdict_certificates_leave_the_prefix_cache_empty():
     for spec, horizon in ((nb.gap_powers("factorials"), 10 ** 6),
                           (nb.gap_powers("squares", 1 + 1j), 10 ** 5),

@@ -243,6 +243,11 @@ def test_process_specs_reject_bad_seeds_naming_them(make, seed):
     (0.25, math.inf, "cover radius K must be finite, got inf"),
     # |1.5e308 + 1.5e308j| overflows to inf
     (0.25, None, "cover radius K must be finite, got inf"),
+    # atoms 1e100 and 0: about 10^200 lattice points
+    (2.5e199, 1e100, r"radius-1e\+100 disk .* up to .* lattice points \(cap 1000000\)"),
+    # atoms 1 and 1.000001: m_eff about 2.8e6, about 10^13 lattice points
+    (2.5e-13, 1.000001, r"radius 1/2828428 scans up to 1.\d+e\+13 lattice points "
+                        r"\(cap 1000000\)"),
 ])
 def test_separated_values_refuses_non_finite_sigma_or_cover_radius(monkeypatch, sigma,
                                                                    bound, message):
