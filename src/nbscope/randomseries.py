@@ -442,7 +442,7 @@ def _distribution_of(spec: ProcessSpec, calib_len: int = 4096):
         probs = np.asarray(spec.params["probs"], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = np.sum(values * probs)
-            sigma = float(np.sum(probs * np.abs(values) ** 2) - abs(mean) ** 2)
+            sigma = float(np.sum(probs * np.abs(values - mean) ** 2))
         return (values, probs), sigma
     path = _draw(spec, calib_len)[0]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -38,6 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ratform, sequences
+from .analytic import TERM_CAP, NumericCapError
 from .sequences import (
     OneSidedSequence,
     SequenceError,
@@ -204,6 +205,9 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     if h < 10 * width:
         raise SequenceError(f"horizon {h} too small; need >= {10 * width}")
     eps = _resolve_eps(seq, eps)
+    if h + 1 > TERM_CAP:
+        raise NumericCapError(h + 1, f"window extraction of {h + 1} values "
+                                     f"exceeds the cap {TERM_CAP}")
     data = _gather(seq, h + 1)
     D = 2 * width + 1
     wins = sliding_window_view(data, D)
@@ -666,7 +670,8 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
     seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
     cen = data[c0:c1]
     if eps == 0.0:
-        rows = keys = sliding_window_view(seg, width)
+        ranks = _compact(np.unique(seg, return_inverse=True)[1])
+        rows, keys = sliding_window_view(seg, width), sliding_window_view(ranks, width)
         cells = cen
     else:
         inv = 1.0 / eps
@@ -681,7 +686,7 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
                                                   .astype(np.int64), width)])
             keys = _compact(rows)
             cells = cells + 1j * np.floor(cen.imag * inv)
-    # the key rows sort alike and group alike; ids come from the int64 rows
+    # key rows (value ranks, compact grids) sort and group as rows do; ids come from rows
     groups, first, order = _group_rows(keys)
     bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
                      for i in first.tolist()], dtype=np.int64)[groups]
@@ -790,35 +795,45 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
 def _block_witnesses(seq, p_max, horizon) -> SzegoReport:
     """The witness search of :func:`szego_block_analysis`, without its
     periodicity rerun: overall is ``mismatch-at-every-p`` when every
-    length has a witness, else ``horizon-exhausted``."""
+    length has a witness, else ``horizon-exhausted``.  Blocks are counted
+    by key, their value ranks in base nv (below nv^p < blocks: int64)."""
     if not seq.exact:
         raise SequenceError(
             "block analysis needs exact-valued input (finite value set)")
     if p_max < 1:
         raise SequenceError(f"p_max must be >= 1, got {p_max}")
     h = seq.clamp_horizon(horizon)
+    if h + 1 > TERM_CAP:
+        raise NumericCapError(h + 1, f"block analysis of {h + 1} values "
+                                     f"exceeds the cap {TERM_CAP}")
     data = _gather(seq, h + 1)
-    values = tuple(complex(v) for v in np.unique(data).tolist())  # by re, then im
+    uniq = np.unique(data)
+    values = tuple(complex(v) for v in uniq.tolist())  # by re, then im
     nv = len(values)
+    codes = np.searchsorted(uniq, data).astype(np.min_scalar_type(nv - 1))
+    del data
 
     per_p: dict = {}
     for p in range(1, p_max + 1):
         blocks = (h + 1) // p
-        needed = nv ** p + 1
+        needed = nv ** min(p, 100) + 1     # 2^100 exceeds any block count
         if blocks < needed:
+            count = needed if needed < 10 ** 30 else f"{nv}^{p} + 1"
             per_p[p] = (f"skipped: {blocks} aligned blocks available, "
-                        f"{needed} needed to guarantee recurrence")
+                        f"{count} needed to guarantee recurrence")
             continue
-        # least pair: the repeated group whose first member (the least index,
-        # since the lexsort is stable) is smallest, with its second member
-        groups, first, _ = _group_rows(data[:blocks * p].reshape(blocks, p))
-        repeated = first[np.bincount(groups) > 1]
-        if repeated.size == 0:
+        keys = np.zeros(blocks, dtype=np.int64)
+        for t in range(p):
+            keys *= nv
+            keys += codes[t:blocks * p:p]
+        # least pair: the least block whose key recurs, and its next occurrence
+        repeated = (np.bincount(keys) > 1)[keys]
+        i = int(repeated.argmax())
+        if not repeated[i]:
             raise VerificationError("pigeonhole guarantee violated")
-        i = int(repeated.min())
-        j = int(np.flatnonzero(groups == groups[i])[1])
+        j = i + 1 + int((keys[i + 1:] == keys[i]).argmax())
         P, Q = i * p, j * p
-        off = np.flatnonzero(data[P + p:P + h + 1 - Q] != data[Q + p:h + 1])
+        off = np.flatnonzero(codes[P + p:P + h + 1 - Q] != codes[Q + p:h + 1])
         per_p[p] = (SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size
                     else "no mismatch within horizon")
     every = all(isinstance(w, SzegoWitness) for w in per_p.values())

@@ -545,6 +545,40 @@ def test_montecarlo_huge_horizon_exits_3_naming_the_cap(capsys, process):
     assert err == "numeric cap: path length 100000000001 exceeds the cap 100000000\n"
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (("szego", "--family", "rudin-shapiro"), "block analysis"),
+    (("rightlimits", "--family", "erdos-soft", "--window", "3", "--eps", "0.1"),
+     "window extraction"),
+])
+def test_whole_prefix_commands_refuse_a_huge_horizon_before_reading(capsys, monkeypatch,
+                                                                    argv, stage):
+    # each used to end in a numpy _ArrayMemoryError traceback with exit 1
+    from nbscope import rightlimits
+    monkeypatch.setattr(rightlimits, "_gather", lambda *a: pytest.fail("prefix read"))
+    code, out, err = run(capsys, *argv, "--horizon", "100000000000")
+    assert code == 3
+    assert not out
+    assert err == (f"numeric cap: {stage} of 100000000001 values exceeds "
+                   f"the cap 100000000\n")
+
+
+def test_szego_huge_pmax_writes_long_counts_as_powers(capsys):
+    # 3^20000 + 1 has 9543 digits: its note used to end in a ValueError
+    # traceback from int-to-string conversion, with exit 1
+    code, out, _ = run(capsys, "szego", "--family", "periodic", "--pattern", "1,0,-1",
+                       "--pmax", "20000", "--horizon", "2000")
+    assert code == 0
+    per_p = json.loads(out)["report"]["per_p"]
+    assert len(per_p) == 20000
+    assert per_p["62"] == ("skipped: 32 aligned blocks available, "
+                           f"{3 ** 62 + 1} needed to guarantee recurrence")
+    assert len(str(3 ** 62 + 1)) == 30 and len(str(3 ** 63 + 1)) == 31
+    assert per_p["63"] == ("skipped: 31 aligned blocks available, "
+                           "3^63 + 1 needed to guarantee recurrence")
+    assert per_p["20000"] == ("skipped: 0 aligned blocks available, "
+                              "3^20000 + 1 needed to guarantee recurrence")
+
+
 @pytest.mark.parametrize("process", [
     ("--process", "iid"),
     ("--process", "markov", "--transition", "0.5,0.5;0.5,0.5"),
@@ -589,7 +623,8 @@ def test_generate_periodic_non_finite_pattern_exits_2(capsys):
     (("--process", "iid", "--values", "0,nan"),
      "iid values must be finite, got (nan+0j)"),
     # sigma overflowed: ended in a NaN and an infinity traceback with exit 1
-    (("--process", "iid", "--values", "1e200,0"), "sigma must be finite, got nan"),
+    # (the iid sigma, summed as p|v - mean|^2, overflows to inf, not inf - inf)
+    (("--process", "iid", "--values", "1e200,0"), "sigma must be finite, got inf"),
     (("--process", "iid", "--values", "1e308,-1e308"), "sigma must be finite, got inf"),
     (("--process", "markov", "--values", "1e200,0", "--transition", "0.5,0.5;0.5,0.5"),
      "sigma must be finite, got inf"),

@@ -1,12 +1,15 @@
-"""Differential tests of the early-exit periodicity scan, the
-lexsort-grouped block analysis and the gap search's flank loop against the
-full-array code they replaced, and of the chunked gap and periodicity
-scans against the whole-prefix code they replaced."""
+"""Differential tests of the early-exit periodicity scan, the block
+analysis and the gap search's flank loop against the full-array code they
+replaced, of the chunked gap and periodicity scans against the
+whole-prefix code they replaced, and of the counted block witnesses and
+the rank-coded exact pair keys against the lexsort grouping of raw values
+they replaced."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import nbscope as nb
 from nbscope import rightlimits as rl
@@ -92,6 +95,44 @@ def reference_szego(seq, p_max, horizon, max_period=64, max_preperiod=64):
         return rl.SzegoReport(per_p, "eventually-periodic", found,
                               tuple(values), h)
     return rl.SzegoReport(per_p, "horizon-exhausted", None, tuple(values), h)
+
+
+def lexsort_block_witnesses(seq, p_max, horizon):
+    """rightlimits._block_witnesses as it grouped the blocks of values with
+    one stable lexsort, verbatim."""
+    if not seq.exact:
+        raise nb.SequenceError(
+            "block analysis needs exact-valued input (finite value set)")
+    if p_max < 1:
+        raise nb.SequenceError(f"p_max must be >= 1, got {p_max}")
+    h = seq.clamp_horizon(horizon)
+    data = seqmod._gather(seq, h + 1)
+    values = tuple(complex(v) for v in np.unique(data).tolist())  # by re, then im
+    nv = len(values)
+
+    per_p: dict = {}
+    for p in range(1, p_max + 1):
+        blocks = (h + 1) // p
+        needed = nv ** p + 1
+        if blocks < needed:
+            per_p[p] = (f"skipped: {blocks} aligned blocks available, "
+                        f"{needed} needed to guarantee recurrence")
+            continue
+        # least pair: the repeated group whose first member (the least index,
+        # since the lexsort is stable) is smallest, with its second member
+        groups, first, _ = rl._group_rows(data[:blocks * p].reshape(blocks, p))
+        repeated = first[np.bincount(groups) > 1]
+        if repeated.size == 0:
+            raise nb.VerificationError("pigeonhole guarantee violated")
+        i = int(repeated.min())
+        j = int(np.flatnonzero(groups == groups[i])[1])
+        P, Q = i * p, j * p
+        off = np.flatnonzero(data[P + p:P + h + 1 - Q] != data[Q + p:h + 1])
+        per_p[p] = (rl.SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size
+                    else "no mismatch within horizon")
+    every = all(isinstance(w, rl.SzegoWitness) for w in per_p.values())
+    return rl.SzegoReport(per_p, "mismatch-at-every-p" if every else "horizon-exhausted",
+                          None, values, h)
 
 
 def _seq(values, kind=None):
@@ -292,6 +333,105 @@ def test_szego_matches_reference_on_streams():
         assert got.to_json_dict() == want.to_json_dict()
 
 
+# value sets of 1 to 5 values: real, with 1j, and complex only
+_ALPHABETS = [[0], [1j], [-1, 1], [1j, -1j], [0, 1, 1j], [1 + 1j, 2j, -1 - 1j],
+              [-1, 0, 1, 2], [0.5, 1j, -1j, 1 + 1j, -2]]
+
+
+def _same_block_witnesses(values, p_max):
+    seq = _seq(values)
+    h = len(values) - 1
+    got = rl._block_witnesses(seq, p_max, h)
+    assert got == lexsort_block_witnesses(seq, p_max, h)
+    return got
+
+
+def _alphabet_stream(alphabet, length, rng):
+    """Every value of the alphabet once, then seeded draws from it."""
+    picks = rng.integers(0, len(alphabet), max(0, length - len(alphabet)))
+    return (list(alphabet) + [alphabet[k] for k in picks])[:length]
+
+
+@pytest.mark.parametrize("alphabet", _ALPHABETS, ids=str)
+def test_counted_blocks_match_lexsort_when_blocks_just_suffice(alphabet):
+    # blocks = nv^p + 1 (the least count analysed, some with a spare value
+    # past the last block) and nv^p (skipped)
+    rng = np.random.default_rng(len(alphabet))
+    nv = len(alphabet)
+    for p in range(1, 11):
+        need = p * (nv ** p + 1)
+        if need > 12_000:
+            break
+        for length in (need, need + p - 1, need - 1):
+            got = _same_block_witnesses(_alphabet_stream(alphabet, length, rng), p)
+            assert len(got.value_set) == nv
+            assert str(got.per_p[p]).startswith("skipped") == (length < need)
+
+
+@pytest.mark.parametrize("alphabet", _ALPHABETS, ids=str)
+def test_counted_blocks_match_lexsort_on_seeded_streams(alphabet):
+    rng = np.random.default_rng(100 + len(alphabet))
+    for _ in range(4):
+        length = int(rng.integers(2, 12_000))
+        _same_block_witnesses(_alphabet_stream(alphabet, length, rng), 10)
+    # eventually periodic tails: no mismatch within the horizon
+    head = _alphabet_stream(alphabet, 5, rng)
+    block = _alphabet_stream(alphabet, int(rng.integers(1, 7)), rng)
+    for length in (40, 1000, 5003):
+        got = _same_block_witnesses(_eventually_periodic(head, block, length), 10)
+        assert length == 40 or "no mismatch within horizon" in got.per_p.values()
+
+
+@pytest.mark.parametrize("p", range(1, 5))
+def test_counted_blocks_least_pair_is_not_the_earliest_repeat(p):
+    # blocks A B C B A ...: B repeats first, but A is the least block that recurs
+    rng = np.random.default_rng(40 + p)
+    alphabet = [0, 1, 1j]
+    while True:
+        a, b, c = ([alphabet[k] for k in rng.integers(0, 3, p)] for _ in range(3))
+        if len({tuple(a), tuple(b), tuple(c)}) == 3:
+            break
+    vals = a + b + c + b + a + _alphabet_stream(alphabet, p * (3 ** p + 4), rng)
+    w = _same_block_witnesses(vals, p).per_p[p]
+    assert isinstance(w, rl.SzegoWitness) and (w.first, w.second) == (0, 4 * p)
+
+
+@pytest.mark.parametrize("nv", [255, 256, 257, 300])
+def test_counted_blocks_with_wide_rank_codes(nv):
+    # above 256 values the ranks need two bytes
+    rng = np.random.default_rng(nv)
+    alphabet = [complex(k % 17, k // 17) for k in range(nv)]
+    got = _same_block_witnesses(_alphabet_stream(alphabet, 5000, rng), 3)
+    assert len(got.value_set) == nv and isinstance(got.per_p[1], rl.SzegoWitness)
+
+
+def test_whole_prefix_scans_refuse_past_the_term_cap_before_reading(monkeypatch):
+    monkeypatch.setattr(rl, "_gather", lambda *a: pytest.fail("prefix read"))
+    rs, soft = nb.make_sequence(nb.rudin_shapiro()), nb.make_sequence(nb.erdos("soft"))
+    for call, stage in ((lambda h: rl._block_witnesses(rs, 3, h), "block analysis"),
+                        (lambda h: nb.szego_block_analysis(rs, 3, h), "block analysis"),
+                        (lambda h: nb.extract_right_limits(soft, 3, h, eps=0.1),
+                         "window extraction")):
+        with pytest.raises(nb.NumericCapError, match=f"{stage} of 100000000001 values "
+                                                     "exceeds the cap 100000000"):
+            call(10 ** 11)
+        with pytest.raises(nb.NumericCapError):
+            call(rl.TERM_CAP)
+
+
+def test_term_cap_on_whole_prefix_scans_is_inclusive(monkeypatch):
+    monkeypatch.setattr(rl, "TERM_CAP", 60)
+    seq = _seq([1, -1, 1, 1] * 20)
+    assert rl._block_witnesses(seq, 2, 59).horizon == 59
+    assert nb.extract_right_limits(seq, 2, 59).windows_scanned == 56
+    # a finite sequence's horizon is clamped before the cap applies
+    assert rl._block_witnesses(_seq([1, -1] * 30), 2, 10 ** 11).horizon == 59
+    for call in (lambda: rl._block_witnesses(seq, 2, 60),
+                 lambda: nb.extract_right_limits(seq, 2, 60)):
+        with pytest.raises(nb.NumericCapError, match="of 61 values exceeds the cap 60"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Gap search: one flank loop serves the plain and the decay thresholds
 
@@ -299,7 +439,6 @@ def test_szego_matches_reference_on_streams():
 def reference_gap_hits(seq, width, horizon, eps, delta):
     """Hits of the plain (decay-free) gap scan as the sliding-window maximum
     it replaced computed them, verbatim."""
-    from numpy.lib.stride_tricks import sliding_window_view
 
     h = seq.clamp_horizon(horizon)
     ab = np.abs(seq.prefix(h + 1))
@@ -654,3 +793,65 @@ def test_verdict_certificates_leave_the_prefix_cache_empty():
         assert v.certificate is not None
         # no read is longer than a chunk plus the flanks around it
         assert max(hi - lo for lo, hi in reads) <= seqmod._CHUNK + 64
+
+
+# ---------------------------------------------------------------------------
+# Exact pair keys: rank codes against the raw values they replaced
+
+
+def raw_chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
+    """rightlimits._chunk_keys at eps = 0 as it grouped the raw flank
+    values, verbatim."""
+    assert eps == 0.0
+    seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
+    cen = data[c0:c1]
+    rows = keys = sliding_window_view(seg, width)
+    cells = cen
+    groups, first, order = rl._group_rows(keys)
+    bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
+                     for i in first.tolist()], dtype=np.int64)[groups]
+    return bids, cells, order
+
+
+def _exact_pair_streams():
+    rng = np.random.default_rng(23)
+    spikes = np.zeros(3000)
+    spikes[rng.integers(0, 3000, 400)] = rng.choice([1.0, -1.0, 2.5], 400)
+    return [
+        ("rudin-shapiro", nb.make_sequence(nb.rudin_shapiro())),
+        ("real", _seq(rng.choice([-1.0, 0.0, 1.0, 2.5, -1e300], 3000))),
+        ("complex", _seq(rng.choice([0, 1, 1j, -1j, 1 + 1j], 3000))),
+        ("complex-only", _seq(rng.choice([1j, -1j, 2 + 1j], 3000))),
+        ("spikes", _seq(spikes)),   # one zero-flank bucket overflows
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_rank_coded_exact_keys_match_raw_value_grouping(chunk, width):
+    for name, seq in _exact_pair_streams():
+        data = seqmod._gather(seq, 3000)
+        for off, start, stop in ((-width, width, 3000), (1, 0, 3000 - width)):
+            got_ids, want_ids = {}, {}
+            for c0 in range(start, stop, chunk):
+                c1 = min(c0 + chunk, stop)
+                got = rl._chunk_keys(data, width, off, 0.0, c0, c1, got_ids)
+                want = raw_chunk_keys(data, width, off, 0.0, c0, c1, want_ids)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), name
+            assert got_ids == want_ids
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_exact_pair_search_matches_raw_value_keys(chunk, monkeypatch):
+    monkeypatch.setattr(rl, "_KEY_CHUNK", chunk)
+    for name, seq in _exact_pair_streams():
+        for width, side in ((1, "forward"), (3, "backward"), (5, "forward")):
+            args = (seq, width, 2999)
+            kw = dict(eps=0.0, delta=0.5, flank_side=side, min_recurrence=1)
+            got = rl.find_pair_certificate(*args, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(rl, "_chunk_keys", raw_chunk_keys)
+                want = rl.find_pair_certificate(*args, **kw)
+            assert got == want, name
+            assert got is not None and got.verify(seq)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,6 +259,35 @@ def test_separated_values_refuses_non_finite_sigma_or_cover_radius(monkeypatch, 
         nb.separated_values(atoms, 4, sigma, bound=bound)
 
 
+def _exact_sigma(values, probs):
+    """sum p |v - mean|^2, mean = sum p v, in exact rational arithmetic on
+    the float inputs."""
+    ps = [Fraction(float(p)) for p in probs]
+    re = [Fraction(complex(v).real) for v in values]
+    im = [Fraction(complex(v).imag) for v in values]
+    mr = sum(p * x for p, x in zip(ps, re))
+    mi = sum(p * y for p, y in zip(ps, im))
+    return sum(p * ((x - mr) ** 2 + (y - mi) ** 2) for p, x, y in zip(ps, re, im))
+
+
+def test_iid_sigma_matches_exact_arithmetic():
+    # E|X|^2 - |EX|^2 gave 2.498e-13 for atoms 1 and 1.000001 (exact 2.5e-13)
+    rng = np.random.default_rng(17)
+    cases = [([1.0, 1.000001], None), ([1e8, 1e8 + 1], [0.25, 0.75]),
+             ([1j, 1j + 1e-6, 1.0 + 1j], [0.2, 0.3, 0.5]),
+             ([-0.0, 1, complex(-0.0, 1), 0.5], [0.3, 0.3, 0.2, 0.2]),
+             ([0.0, 1.0], [0.5, 0.5]), ([-1.0, 1.0], None)]
+    for n in (2, 3, 7):
+        centre = complex(*rng.uniform(-10, 10, 2))
+        vals = centre + rng.uniform(-1e-6, 1e-6, n) + 1j * rng.uniform(-1e-6, 1e-6, n)
+        cases.append((vals.tolist(), rng.dirichlet(np.ones(n)).tolist()))
+    for values, probs in cases:
+        spec = nb.iid_process(values, probs, seed=1)
+        sigma = _distribution_of(spec)[1]
+        want = _exact_sigma(spec.params["values"], spec.params["probs"])
+        assert math.isclose(sigma, float(want), rel_tol=1e-12), (values, sigma, float(want))
+
+
 # --- the prefix-based random-series code that reading the drawn path replaced,
 # kept as the oracle (verbatim except that the layout is passed to the
 # constructor)
@@ -319,7 +349,9 @@ def old_distribution_of(spec, calib_len=4096):
         values = np.asarray(spec.params["values"], dtype=complex)
         probs = np.asarray(spec.params["probs"], dtype=float)
         mean = np.sum(values * probs)
-        sigma = float(np.sum(probs * np.abs(values) ** 2) - abs(mean) ** 2)
+        # the sigma of the two-pass sum that replaced E|X|^2 - |EX|^2 (see
+        # test_iid_sigma_matches_exact_arithmetic)
+        sigma = float(np.sum(probs * np.abs(values - mean) ** 2))
         return (values, probs), sigma
     path = old_sample_process(spec, calib_len, trial=None).prefix(calib_len)
     mean = path.mean()
