@@ -241,10 +241,10 @@ def _cmd_verdict(args):
 # -- parser -------------------------------------------------------------------
 
 
-def _numeric_args(p, eps_default=None):
+def _numeric_args(p):
     p.add_argument("--window", type=int, default=5,
                    help="flank/window half-width (default 5)")
-    p.add_argument("--eps", type=float, default=eps_default,
+    p.add_argument("--eps", type=float,
                    help="matching tolerance (default: 0 exact input, 0.05 float)")
     p.add_argument("--delta", type=float, default=0.5,
                    help="center separation target (default 0.5)")
@@ -345,7 +345,7 @@ def build_parser():
     p.add_argument("--boundary", default="fractional-part")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    _numeric_args(p, eps_default=0.0)
+    _numeric_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_montecarlo)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import TERM_CAP, NumericCapError
-from .rightlimits import _first_certificate
+from .rightlimits import _first_certificate, _resolve_eps
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
                         _check_finite, _exact_kind, _gather, make_sequence)
 
@@ -452,7 +452,7 @@ def _distribution_of(spec: ProcessSpec, calib_len: int = 4096):
 
 
 def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
-                                horizon: int, eps: float, delta: float,
+                                horizon: int, eps: float | None, delta: float,
                                 min_recurrence: int = 3,
                                 cover_m: int = 8) -> MonteCarloReport:
     """Sample seeded paths and search each for a pair-mismatch certificate.
@@ -461,7 +461,8 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
     achieved by :func:`separated_values` on the process distribution
     (itself >= sqrt(sigma/2)); otherwise the experiment refuses to run.
     Witness pairs are re-verified against the stored path before being
-    reported.
+    reported.  ``eps`` None takes the default of the paths' value kind (0
+    exact, 0.05 float); the report records the value used.
     """
     if trials < 1:
         raise SequenceError("need at least one trial")
@@ -480,9 +481,11 @@ def certificate_rate_experiment(spec: ProcessSpec, trials: int, width: int,
             f"achieved separation {sep.separation}")
 
     def run(trial):
+        nonlocal eps
         vals, kind = _draw(spec, horizon + 1, trial)
         var, se = _variance_with_se(vals)
         path = _path_sequence(spec, vals, kind, trial)
+        eps = _resolve_eps(path, eps)       # every path has the spec's kind
         cert, _ = _first_certificate(path, width, horizon, eps, delta,
                                      min_recurrence, gap=False)
         if cert is None:

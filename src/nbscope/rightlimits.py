@@ -850,8 +850,9 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
     A candidate is valid when |a_{n+period} - a_n| <= tol for every n from
     the preperiod through horizon - period.  ``tol`` must be finite and
     >= 0.  The head [0, max_preperiod + max_period) is read once, the rest
-    from the top down in chunks that double up to one reader chunk, each
-    read once, in the sequence's own layout, and checked for every period.
+    upward in chunks that double up to one reader chunk, each read once,
+    in the sequence's own layout; the scan stops at the first chunk that
+    leaves no period valid.
     """
     if max_period < 1:
         raise SequenceError("max_period must be >= 1")
@@ -863,67 +864,48 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
         raise SequenceError(
             f"periodicity tolerance must be finite and >= 0, got {tol}")
     h = seq.clamp_horizon(horizon)
-    if h < max_preperiod + 2 * max_period:
+    mp, mpp = max_period, max_preperiod
+    if h < mpp + 2 * mp:
         raise SequenceError(
-            f"horizon {h} < max_preperiod + 2*max_period = "
-            f"{max_preperiod + 2 * max_period}")
+            f"horizon {h} < max_preperiod + 2*max_period = {mpp + 2 * mp}")
     # the preperiod a valid T needs comes from the head alone; the scan
-    # past the head only decides which T are valid
-    head = seq._read(0, max_preperiod + max_period)
-    cands = {}
-    for T in range(1, max_period + 1):
-        viol = np.flatnonzero(np.abs(head[T:T + max_preperiod]
-                                     - head[:max_preperiod]) > tol)
-        cands[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
+    # from n = mpp on only decides which T are valid
+    head = seq._read(0, mpp + mp)
+    live = {}           # T -> (preperiod, T), in ascending T
+    for T in range(1, mp + 1):
+        viol = np.flatnonzero(np.abs(head[T:T + mpp] - head[:mpp]) > tol)
+        live[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
+    divisors = [[] for _ in range(mp + 1)]      # proper divisors, by a sieve
+    for d in range(1, mp // 2 + 1):
+        for T in range(2 * d, mp + 1, d):
+            divisors[T].append(d)
 
-    # A valid T has no violation at n >= max_preperiod.  From `tail` on the
-    # sequence is exactly constant, so every comparison there is
-    # |c - c| = 0 <= tol and cannot violate.  The chunks, which double
-    # from _KEY_CHUNK values, are first searched for the tail, then each
-    # live T is checked below it, backwards in steps that double from
-    # max_period values, so that a violation near the end (the usual case
-    # for a wrong T) costs one small step.
-    live = None         # T -> end of its still unchecked range of n
-    step = dict.fromkeys(cands, max_period)
-    above = np.empty(0)
-    c1 = h + 1
-    size = min(_KEY_CHUNK, sequences._CHUNK)
-    while c1 > max_preperiod:
-        c0 = max(max_preperiod, c1 - size)
-        # a_{c0} .. a_{c1+max_period-1}: the top max_period values come
-        # from the chunk above, so each index is read once (real values
-        # compare and subtract as their complex forms do)
-        buf = np.concatenate((seq._read(c0, c1), above[:max_period]))
-        if live is None:
-            if c1 == h + 1:
-                last = buf[-1]
-            moving = np.flatnonzero(buf[:c1 - c0] != last)
-            if moving.size:
-                tail = c0 + int(moving[-1]) + 1
-                live = {T: min(h + 1 - T, tail) for T in cands}
-        for T in list(live or ()):
-            if tol == 0 and any(T % d == 0 for d in live if d < T):
-                # exact equality chains: a live divisor d of T has
-                # a_{n+d} = a_n for every n checked so far, which gives
-                # a_{n+T} = a_n on this chunk too
-                live[T] = min(live[T], c0)
+    # buf holds a_{b0} .. a_{x1-1}, and each index x in [x0, x1) with
+    # x - T >= mpp is compared with a_{x-T}: first the head's own indices,
+    # then each chunk, which keeps the mp values below it; the first chunk
+    # holds mp^2 values (4096 at the default max_period 64)
+    buf, b0, x0, x1 = head, 0, mpp, mpp + mp
+    size = min(mp * mp, sequences._CHUNK)
+    while True:
+        for T in list(live):
+            if tol == 0 and any(d in live for d in divisors[T]):
+                # exact equality chains: a live divisor d of T (settled
+                # first, in ascending order) has a_x = a_{x-d} for every x
+                # read so far, which gives a_x = a_{x-T}
                 continue
-            hi = live[T]
-            while hi > c0:
-                lo = max(c0, hi - step[T])
-                ahead, here = buf[lo - c0 + T:hi - c0 + T], buf[lo - c0:hi - c0]
-                # at tol = 0, |x - y| > 0 exactly when x != y (finite values)
-                if (np.any(ahead != here) if tol == 0
-                        else np.any(np.abs(ahead - here) > tol)):
-                    del live[T]
-                    break
-                hi, step[T] = lo, 2 * step[T]
-            else:
-                live[T] = hi
-        if live == {}:
+            lo = max(x0, mpp + T) - b0
+            ahead, here = buf[lo:x1 - b0], buf[lo - T:x1 - b0 - T]
+            # at tol = 0, |x - y| > 0 exactly when x != y (finite values)
+            if (np.any(ahead != here) if tol == 0
+                    else np.any(np.abs(ahead - here) > tol)):
+                del live[T]
+        if not live:
             return None
-        above, c1, size = buf, c0, min(2 * size, sequences._CHUNK)
-    return min(cands[T] for T in (cands if live is None else live))
+        if x1 == h + 1:
+            return min(live.values())
+        x0, x1 = x1, min(h + 1, x1 + size)
+        buf, b0 = np.concatenate((buf[-mp:], seq._read(x0, x1))), x0 - mp
+        size = min(2 * size, sequences._CHUNK)
 
 
 # ---------------------------------------------------------------------------

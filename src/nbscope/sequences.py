@@ -271,11 +271,15 @@ class OneSidedSequence:
             raise SequenceError(f"index {count - 1} beyond the last index {end - 1}")
 
     def clamp_horizon(self, horizon: int) -> int:
-        """Largest usable index not exceeding ``horizon``, which must be >= 0."""
+        """Largest usable index not exceeding ``horizon``, which must be >= 0
+        and, on an unbounded sequence, no more than its last index."""
         if horizon < 0:
             raise SequenceError(f"horizon must be >= 0, got {horizon}")
         if self.length is not None:
             return min(horizon, self.length - 1)
+        if horizon >= _INDEX_END:
+            raise SequenceError(f"horizon {horizon} beyond the last index "
+                                f"{_INDEX_END - 1}")
         return horizon
 
     def window(self, center: int, radius: int) -> "TwoSidedWindow":

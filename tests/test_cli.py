@@ -562,6 +562,33 @@ def test_whole_prefix_commands_refuse_a_huge_horizon_before_reading(capsys, monk
                    f"the cap 100000000\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verdict",), ("certificate", "--kind", "gap"), ("certificate", "--kind", "pair"),
+    ("periodicity",), ("rightlimits",), ("szego",)])
+def test_horizon_past_the_last_index_exits_2_before_reading(capsys, monkeypatch, argv):
+    # the gap search read upward from 0 and never ended; verdict exited 2
+    # only because its periodicity scan read index 10^20 first
+    from nbscope import sequences
+    monkeypatch.setattr(sequences, "_rs_block", lambda lo, hi: pytest.fail("block read"))
+    code, out, err = run(capsys, *argv, "--family", "rudin-shapiro",
+                         "--horizon", str(10 ** 20))
+    assert code == 2
+    assert not out
+    assert err == f"error: horizon {10 ** 20} beyond the last index {2 ** 63 - 1}\n"
+
+
+@pytest.mark.parametrize("process, eps", [
+    (("--process", "iid"), 0.0),
+    (("--process", "rotation", "--q", "0.41421356237309503", "--delta", "0.2"), 0.05),
+])
+def test_montecarlo_eps_default_follows_the_value_kind(capsys, process, eps):
+    # the default was 0 for every process, so float paths ran the exact search
+    code, out, _ = run(capsys, "montecarlo", *process, "--horizon", "2000",
+                       "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["report"]["eps"] == eps
+
+
 def test_szego_huge_pmax_writes_long_counts_as_powers(capsys):
     # 3^20000 + 1 has 9543 digits: its note used to end in a ValueError
     # traceback from int-to-string conversion, with exit 1

@@ -1,8 +1,9 @@
 """Differential tests of the early-exit periodicity scan, the block
 analysis and the gap search's flank loop against the full-array code they
 replaced, of the chunked gap and periodicity scans against the
-whole-prefix code they replaced, and of the counted block witnesses and
-the rank-coded exact pair keys against the lexsort grouping of raw values
+whole-prefix code they replaced, of the upward periodicity scan against
+the top-down scan it replaced, and of the counted block witnesses and the
+rank-coded exact pair keys against the lexsort grouping of raw values
 they replaced."""
 
 import math
@@ -144,6 +145,7 @@ def _seq(values, kind=None):
 
 def _same_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
     want = reference_periodicity(seq, max_period, max_preperiod, horizon, tol)
+    assert topdown_periodicity(seq, max_period, max_preperiod, horizon, tol) == want
     got = nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
                                          horizon, tol)
     assert got == want
@@ -174,10 +176,11 @@ def test_preperiod_at_and_past_the_limit(mpp):
 
 @pytest.mark.parametrize("period", [1, 2, 5])
 def test_violations_on_chunk_boundaries(period, monkeypatch):
-    # one defect at every position in turn, with chunks of 4, 8, 16, ...: a
-    # defect at q > horizon - T violates only at q - T, so for periods T up
-    # to 40 some lone violation falls on every chunk edge of the backward scan
-    monkeypatch.setattr(rl, "_KEY_CHUNK", 4)
+    # one defect at every position in turn, with chunks of 4: a defect at
+    # q > horizon - T violates only at q - T, and one at q < mpp + T only at
+    # q + T, so for periods T up to 40 some lone violation falls on every
+    # chunk edge
+    monkeypatch.setattr(seqmod, "_CHUNK", 4)
     rng = np.random.default_rng(period)
     block = [int(v) for v in rng.integers(-2, 3, period)]
     base = _eventually_periodic([], block, 200)
@@ -189,7 +192,7 @@ def test_violations_on_chunk_boundaries(period, monkeypatch):
 
 
 def test_gap_streams_near_the_end_and_constant_streams(monkeypatch):
-    monkeypatch.setattr(rl, "_KEY_CHUNK", 8)
+    monkeypatch.setattr(seqmod, "_CHUNK", 8)
     length = 500
     for r in range(0, 40):
         for fill in (1, 1j, -2):
@@ -216,7 +219,7 @@ def test_gap_families_match_reference():
 
 @pytest.mark.parametrize("complex_data", [False, True])
 def test_float_differences_at_tol_and_one_ulp_either_side(complex_data, monkeypatch):
-    monkeypatch.setattr(rl, "_KEY_CHUNK", 32)
+    monkeypatch.setattr(seqmod, "_CHUNK", 32)
     rng = np.random.default_rng(7 + complex_data)
     block = rng.uniform(-1, 1, 6)
     if complex_data:
@@ -236,7 +239,7 @@ def test_float_differences_at_tol_and_one_ulp_either_side(complex_data, monkeypa
 
 
 def test_complex_streams_match_reference(monkeypatch):
-    monkeypatch.setattr(rl, "_KEY_CHUNK", 16)
+    monkeypatch.setattr(seqmod, "_CHUNK", 16)
     rng = np.random.default_rng(11)
     atoms = np.array([0, 1, 1j, -1j, 1 + 1j])
     for trial in range(30):
@@ -532,6 +535,82 @@ def _whole_prefix_holds_from(arr, T, lo, hi, tol):
     return True
 
 
+def topdown_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
+    """detect_eventual_periodicity as it scanned from the top down, with a
+    constant-tail search and per-period backward steps, verbatim."""
+    if max_period < 1:
+        raise nb.SequenceError("max_period must be >= 1")
+    if max_preperiod < 0:
+        raise nb.SequenceError("max_preperiod must be >= 0")
+    if tol is None:
+        tol = 0.0 if seq.exact else 1e-9
+    if not (math.isfinite(tol) and tol >= 0):
+        raise nb.SequenceError(
+            f"periodicity tolerance must be finite and >= 0, got {tol}")
+    h = seq.clamp_horizon(horizon)
+    if h < max_preperiod + 2 * max_period:
+        raise nb.SequenceError(
+            f"horizon {h} < max_preperiod + 2*max_period = "
+            f"{max_preperiod + 2 * max_period}")
+    # the preperiod a valid T needs comes from the head alone; the scan
+    # past the head only decides which T are valid
+    head = seq._read(0, max_preperiod + max_period)
+    cands = {}
+    for T in range(1, max_period + 1):
+        viol = np.flatnonzero(np.abs(head[T:T + max_preperiod]
+                                     - head[:max_preperiod]) > tol)
+        cands[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
+
+    # A valid T has no violation at n >= max_preperiod.  From `tail` on the
+    # sequence is exactly constant, so every comparison there is
+    # |c - c| = 0 <= tol and cannot violate.  The chunks, which double
+    # from _KEY_CHUNK values, are first searched for the tail, then each
+    # live T is checked below it, backwards in steps that double from
+    # max_period values, so that a violation near the end (the usual case
+    # for a wrong T) costs one small step.
+    live = None         # T -> end of its still unchecked range of n
+    step = dict.fromkeys(cands, max_period)
+    above = np.empty(0)
+    c1 = h + 1
+    size = min(rl._KEY_CHUNK, seqmod._CHUNK)
+    while c1 > max_preperiod:
+        c0 = max(max_preperiod, c1 - size)
+        # a_{c0} .. a_{c1+max_period-1}: the top max_period values come
+        # from the chunk above, so each index is read once (real values
+        # compare and subtract as their complex forms do)
+        buf = np.concatenate((seq._read(c0, c1), above[:max_period]))
+        if live is None:
+            if c1 == h + 1:
+                last = buf[-1]
+            moving = np.flatnonzero(buf[:c1 - c0] != last)
+            if moving.size:
+                tail = c0 + int(moving[-1]) + 1
+                live = {T: min(h + 1 - T, tail) for T in cands}
+        for T in list(live or ()):
+            if tol == 0 and any(T % d == 0 for d in live if d < T):
+                # exact equality chains: a live divisor d of T has
+                # a_{n+d} = a_n for every n checked so far, which gives
+                # a_{n+T} = a_n on this chunk too
+                live[T] = min(live[T], c0)
+                continue
+            hi = live[T]
+            while hi > c0:
+                lo = max(c0, hi - step[T])
+                ahead, here = buf[lo - c0 + T:hi - c0 + T], buf[lo - c0:hi - c0]
+                # at tol = 0, |x - y| > 0 exactly when x != y (finite values)
+                if (np.any(ahead != here) if tol == 0
+                        else np.any(np.abs(ahead - here) > tol)):
+                    del live[T]
+                    break
+                hi, step[T] = lo, 2 * step[T]
+            else:
+                live[T] = hi
+        if live == {}:
+            return None
+        above, c1, size = buf, c0, min(2 * size, seqmod._CHUNK)
+    return min(cands[T] for T in (cands if live is None else live))
+
+
 def whole_prefix_gap_certificate(seq, width, horizon, eps=None, delta=0.5,
                                  decay=None, min_recurrence=3):
     """find_gap_certificate as it read one whole prefix, verbatim."""
@@ -703,7 +782,7 @@ def _counted(spec):
 
 @pytest.mark.parametrize("chunk", [7, 4096])
 def test_periodicity_reads_each_index_once(chunk, monkeypatch):
-    # the head [0, mpp + mp) is read once; the chunks from the top down
+    # the head [0, mpp + mp) is read once; the chunks from the head upward
     # overlap it by max_period values and each other not at all
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     mp, mpp = 16, 10
@@ -720,6 +799,65 @@ def test_periodicity_reads_each_index_once(chunk, monkeypatch):
         assert counts[mpp:mpp + mp].max() <= 2
         # no read is longer than the head or a chunk, plus max_period
         assert max(hi - lo for lo, hi in reads) <= max(mpp, chunk) + mp
+
+
+def _same_forward(seq, max_period, max_preperiod, horizon, tol=None):
+    want = topdown_periodicity(seq, max_period, max_preperiod, horizon, tol)
+    assert nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
+                                          horizon, tol) == want
+    return want
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("mp, mpp", [(20, 6), (6, 20), (12, 12)])
+def test_forward_scan_matches_top_down_on_defects_and_tails(chunk, mp, mpp,
+                                                            monkeypatch):
+    # a defect at q, or a constant tail from q, at every index near the
+    # bottom and near the top: a defect at q kills a divisor d of T at
+    # x = q but T only at x = q + T when q - T < mpp, so d dies a chunk
+    # before the multiple it vouched for has to be checked again
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    h = 199
+    rng = np.random.default_rng(chunk + mp)
+    found = set()
+    for period in (1, 2, 3, 4):
+        block = [complex(v) for v in rng.choice([-1, 0, 1, 1j], period)]
+        block[0] = 2                # no shorter period
+        base = _eventually_periodic([3] * 4, block, h + 1)
+        for q in (*range(mpp, mpp + 2 * mp + 2), *range(h - mp - 1, h + 1)):
+            vals = list(base)
+            vals[q] = 5j if q % 2 else 5
+            found.add(_same_forward(_seq(vals), mp, mpp, h))
+            found.add(_same_forward(_seq(base[:q] + [block[0]] * (h + 1 - q)),
+                                    mp, mpp, h))
+    assert any(f is not None and f[1] > 1 for f in found)
+    assert None in found
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_forward_scan_tolerance_with_live_multiples(chunk, monkeypatch):
+    # noise under tol keeps period 3 and all its multiples live, each
+    # checked on its own (no divisor vouches when tol > 0); one step above
+    # tol at q ends them where its comparisons fall
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    tol = 1e-3
+    rng = np.random.default_rng(chunk)
+    block = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    base = np.resize(block, 300) + rng.uniform(0, tol / 2, 300)
+    assert _same_forward(_seq(base, "float"), 24, 8, 299, tol=tol) == (0, 3)
+    for q in (8, 11, 20, 31, 32, 40, 150, 280, 290, 299):
+        for step in (0.9 * tol, 1.2 * tol, 3 * tol):
+            vals = base.copy()
+            vals[q] += step
+            _same_forward(_seq(vals, "float"), 24, 8, 299, tol=tol)
+            _same_forward(_seq(vals, "float"), 8, 24, 299, tol=tol)
+
+
+def test_gap_family_periodicity_reads_the_head_and_at_most_two_chunks():
+    seq, reads = _counted(nb.gap_powers("factorials"))
+    assert nb.detect_eventual_periodicity(seq, 64, 64, 10 ** 12) is None
+    assert reads[0] == (0, 128) and len(reads) <= 3
+    assert all(hi - lo <= seqmod._CHUNK for lo, hi in reads[1:])
 
 
 def test_gap_check_reads_only_near_its_witnesses():

@@ -659,6 +659,17 @@ def test_reads_past_the_index_domain_raise(name):
         seq.eval(-1)
 
 
+def test_horizon_past_the_last_index_is_refused():
+    # a forward scan would start reading from 0 and never reach it
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    assert seq.clamp_horizon(2 ** 63 - 1) == 2 ** 63 - 1
+    for h in (2 ** 63, 10 ** 20):
+        with pytest.raises(SequenceError, match=f"horizon {h} beyond the last "
+                                                f"index {2 ** 63 - 1}"):
+            seq.clamp_horizon(h)
+    assert nb.make_sequence(nb.explicit([1, 2])).clamp_horizon(10 ** 20) == 1
+
+
 def _growth_cases():
     cases = {name: make for name, (make, _, _) in FAMILIES.items() if name != "explicit"}
     cases["explicit"] = lambda: nb.make_sequence(nb.explicit([n % 5 - 2.5j for n in range(30000)]))
