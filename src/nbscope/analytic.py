@@ -145,27 +145,51 @@ class ShiftPairResult:
 
 
 def truncation_length(bound: float, r: float, tol: float) -> int:
-    """Least N with bound * r**N / (1-r) <= tol; 0 if no terms are needed."""
+    """Least N with bound * r**N / (1-r) <= tol; 0 if no terms are needed.
+
+    The test runs in floats while r**N and bound * r**N are normal floats.
+    Below that their rounding is no longer relative (r**N can round to 0),
+    so N comes from logarithms with a margin that covers their rounding,
+    and may exceed the least N by a term."""
     if not (0.0 < r < 1.0):
         raise AnalyticError(f"radius must be in (0,1), got {r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise AnalyticError(f"tolerance must be finite and positive, got {tol}")
     if bound <= 0.0 or tol >= bound / (1.0 - r):
         return 0
-    # closed-form estimate, then settle on the exact least N in float arithmetic
-    n = max(0, math.ceil(math.log(tol * (1.0 - r) / bound) / math.log(r)))
-    while bound * r ** n / (1.0 - r) > tol:
-        n += 1
-    while n > 0 and bound * r ** (n - 1) / (1.0 - r) <= tol:
-        n -= 1
-    return n
+    target = tol * (1.0 - r) / bound
+    if target >= sys.float_info.min:
+        # closed-form estimate, then settle on the exact least N in float arithmetic
+        n = max(0, math.ceil(math.log(target) / math.log(r)))
+        while bound * r ** n / (1.0 - r) > tol:
+            n += 1
+        while n > 0 and bound * r ** (n - 1) / (1.0 - r) <= tol:
+            n -= 1
+        if _float_tail(bound, r, n) is not None:
+            return n
+    # the logarithms and differences are each rounded by at most an ulp of
+    # a value below 1500 in size (7e-13 in all), and the quotient by a few
+    # ulps: 1e-12 added to the numerator and 1e-12 relative cover them
+    n = (math.log(bound) - math.log(tol) - math.log(1.0 - r) + 1e-12) / -math.log(r)
+    return math.ceil(n * (1.0 + 1e-12))
+
+
+def _float_tail(bound, r, n):
+    """bound * r**n / (1-r) when r**n and bound * r**n are normal floats (or
+    the bound is 0), so that each is rounded to within an ulp; else None."""
+    power = r ** n
+    head = bound * power
+    if power >= sys.float_info.min and (head >= sys.float_info.min or bound == 0.0):
+        return head / (1.0 - r)
+    return None
 
 
 def _truncation(seq: OneSidedSequence, r: float, tol: float, start: int = 0,
                 offset: int = 0):
     """(terms, tail bound) for sum_n a_(start+n) z^(n+offset) within ``tol``
     at |z| = r: a finite sequence is cut at its end, where the sum is exact
-    (bound 0), before the cap is checked against start + terms."""
+    (bound 0), before the cap is checked against start + terms.  A tail too
+    small for normal floats is reported as ``tol``, which bounds it."""
     n = truncation_length(seq.bound, r, tol)
     exact = seq.length is not None and start + n >= seq.length
     if exact:
@@ -175,7 +199,10 @@ def _truncation(seq: OneSidedSequence, r: float, tol: float, start: int = 0,
         n = seq.length - start
     if start + n > TERM_CAP:
         raise NumericCapError(start + n)
-    return n, 0.0 if exact else seq.bound * r ** (n + offset) / (1.0 - r)
+    if exact:
+        return n, 0.0
+    tail = _float_tail(seq.bound, r, n + offset)
+    return n, tol if tail is None else tail
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,35 @@ def _hex_cover(K: float, m: int):
     return pts
 
 
+def _cover_mass(points, weights, centers, m: int):
+    """weights[np.abs(points - c) <= 1/m].sum() for each center c of
+    ``centers`` (as _hex_cover returns them), without a scan of every point
+    per center.  A point within 1/m of a center lies within 2/3 of a row
+    and 1/sqrt(3) of a column of it, so it is tested only against the 2 x 2
+    lattice points within 0.67 rows and 0.58 columns of it, rebuilt with
+    _hex_cover's arithmetic (on whole floats, which give the same values),
+    and those it is near are found among the centers by value.  Each
+    center sums its points in ascending order with np.sum, so every mass
+    has the bits of that expression."""
+    s = math.sqrt(3) / m
+    j = np.ceil(points.imag / (s * math.sqrt(3) / 2.0) - 0.67)[:, None] + [0.0, 1.0]
+    off = (j % 2) * s / 2.0
+    i = np.ceil((points.real[:, None] - off) / s - 0.58)[:, :, None] + [0.0, 1.0]
+    lattice = np.empty(i.shape, dtype=complex)
+    lattice.real = i * s + off[:, :, None]
+    lattice.imag = (j * s * math.sqrt(3) / 2.0)[:, :, None]
+    near = np.abs(points[:, None, None] - lattice) <= 1.0 / m
+    pidx, lattice = np.nonzero(near)[0], lattice[near]
+    cidx = np.minimum(np.searchsorted(centers, lattice), len(centers) - 1)
+    found = centers[cidx] == lattice
+    order = np.lexsort((pidx[found], cidx[found]))
+    pidx, cidx = pidx[found][order], cidx[found][order]
+    heads = np.flatnonzero(np.diff(cidx, prepend=-1))
+    mass = np.zeros(len(centers))
+    mass[cidx[heads]] = [weights[g].sum() for g in np.split(pidx, heads[1:])]
+    return mass
+
+
 def separated_values(distribution, m: int, sigma: float, bound=None):
     """Constructively find two separated high-probability values.
 
@@ -350,7 +379,7 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
     centers = _hex_cover(K, m_eff)
     n_cover = len(centers)
     carr = np.asarray(centers, dtype=complex)
-    mass = np.array([weights[np.abs(points - c) <= radius].sum() for c in carr])
+    mass = _cover_mass(points, weights, carr, m_eff)
 
     def pick(cand_idx):
         best = max(cand_idx, key=lambda i: (mass[i], -i))

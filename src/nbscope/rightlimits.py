@@ -264,18 +264,19 @@ def _leader_clusters(rows, eps):
     slack = eps * (1 + 2.0 ** -20)
     label = np.full(n, -1, dtype=np.int64)
     founders = []
-    for b0 in range(0, n, _KEY_CHUNK):
-        # rows absorbed before this block starts are skipped in bulk
-        for i in (np.flatnonzero(label[b0:b0 + _KEY_CHUNK] < 0) + b0).tolist():
-            if label[i] >= 0:
-                continue
-            if len(founders) >= _CLUSTER_CAP:
-                return label, founders, True
-            cand = by_key[sorted_key.searchsorted(key[i] - slack):
-                          sorted_key.searchsorted(key[i] + slack, "right")]
-            cand = cand[label[cand] < 0]
-            label[cand[np.abs(rows[cand] - rows[i]).max(axis=1) <= eps]] = len(founders)
-            founders.append(i)
+    with np.errstate(over="ignore"):    # an overflowing difference is inf, never within eps
+        for b0 in range(0, n, _KEY_CHUNK):
+            # rows absorbed before this block starts are skipped in bulk
+            for i in (np.flatnonzero(label[b0:b0 + _KEY_CHUNK] < 0) + b0).tolist():
+                if label[i] >= 0:
+                    continue
+                if len(founders) >= _CLUSTER_CAP:
+                    return label, founders, True
+                cand = by_key[sorted_key.searchsorted(key[i] - slack):
+                              sorted_key.searchsorted(key[i] + slack, "right")]
+                cand = cand[label[cand] < 0]
+                label[cand[np.abs(rows[cand] - rows[i]).max(axis=1) <= eps]] = len(founders)
+                founders.append(i)
     return label, founders, False
 
 
@@ -421,8 +422,9 @@ def _pairs_hold(seq, pairs, width, eps, delta, flank_side):
     if any(n == m or min(n, m) + int(offs[0]) < 0 for n, m in pairs):
         return False
     rows = _span_rows(seq, [n for n, _ in pairs] + [m for _, m in pairs], offs)
-    d = rows[:len(pairs)] - rows[len(pairs):]
-    dist = np.hypot(d.real, d.imag)
+    with np.errstate(over="ignore"):    # an overflow is inf: apart, never within eps
+        d = rows[:len(pairs)] - rows[len(pairs):]
+        dist = np.hypot(d.real, d.imag)
     return bool(np.all(dist[:, offs != 0] <= eps) and np.all(dist[:, offs == 0] >= delta))
 
 
@@ -525,9 +527,8 @@ def _pair_walk(seq, width, off, eps, delta, start, stop):
     """
     end_off = off + width
     exact = eps == 0.0
-    bucket_ids: dict = {}       # flank key bytes -> bucket id
-    # bucket id -> {cell -> (its ascending centers, the center lists of the
-    # bucket's cells not too close to it)}
+    # flank key bytes -> {cell -> (its ascending centers, the center lists
+    # of the bucket's cells not too close to it)}
     buckets: dict = {}
     pairs = []
     notes = set()
@@ -538,11 +539,10 @@ def _pair_walk(seq, width, off, eps, delta, start, stop):
     for c0, seg in _chunks(seq, start, stop, _KEY_CHUNK, pad):
         lo = c0 - pad[0]
         c1 = lo + len(seg) - pad[1]
-        bids, cells, order = _chunk_keys(seg, width, off, eps, c0 - lo, c1 - lo,
-                                         bucket_ids)
+        groups, gkeys, cells, order = _chunk_keys(seg, width, off, eps, c0 - lo, c1 - lo)
         unconverted.append(seg[read_end - lo:])
         read_end = lo + len(seg)
-        b, c = bids[order], cells[order]
+        b, c = groups[order], cells[order]
         heads = np.flatnonzero(np.concatenate(
             ([True], (b[1:] != b[:-1]) | (c[1:] != c[:-1]))))
         ends = np.append(heads[1:], len(order))
@@ -551,7 +551,7 @@ def _pair_walk(seq, width, off, eps, delta, start, stop):
         blk = order[heads] // _WALK_BLOCK
         ro = np.argsort(blk, kind="stable")
         heads, ends = heads[ro], ends[ro]
-        runs = zip(heads.tolist(), ends.tolist(), b[heads].tolist(),
+        runs = zip(heads.tolist(), ends.tolist(), [gkeys[g] for g in b[heads].tolist()],
                    c[heads].tolist())
         ms = (order + c0).tolist()
         need = _PAIR_CAP - len(pairs)
@@ -653,14 +653,14 @@ def _cells_too_close(p, q, eps, delta):
                       abs(p.imag - q.imag) + 1.01) * eps < delta
 
 
-def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
-    """(bids, cells, order) for the centers at positions c0..c1-1 of
-    ``data``: their flank-bucket ids (int64), their center cells, and the
-    order that lists them bucket by bucket, ascending within a bucket.
+def _chunk_keys(data, width, off, eps, c0, c1):
+    """(groups, keys, cells, order) for the centers at positions c0..c1-1 of
+    ``data``: their flank groups (int64, local to the chunk), each group's
+    flank key as bytes, their center cells, and the order that lists them
+    group by group, ascending within a group.
 
-    Bucket ids come from ``bucket_ids``, which grows across chunks, so they
-    are consistent over the whole scan.  Flank keys: at eps = 0 the flank's
-    bit pattern (value equality, since sequence values carry no negative
+    Flank keys, the same bytes in every chunk: at eps = 0 the flank's bit
+    pattern (value equality, since sequence values carry no negative
     zeros); at eps > 0 the per-coordinate int64 floor(re/eps), extended by
     the imaginary floors and a has-imaginary-part flag when the data is
     complex.  Center cells, the same values in every chunk: the value at
@@ -686,11 +686,9 @@ def _chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
                                                   .astype(np.int64), width)])
             keys = _compact(rows)
             cells = cells + 1j * np.floor(cen.imag * inv)
-    # key rows (value ranks, compact grids) sort and group as rows do; ids come from rows
+    # key rows (value ranks, compact grids) group as rows do; the bytes come from rows
     groups, first, order = _group_rows(keys)
-    bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
-                     for i in first.tolist()], dtype=np.int64)[groups]
-    return bids, cells, order
+    return groups, [rows[i].tobytes() for i in first.tolist()], cells, order
 
 
 def _compact(a):
@@ -873,7 +871,7 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
     head = seq._read(0, mpp + mp)
     live = {}           # T -> (preperiod, T), in ascending T
     for T in range(1, mp + 1):
-        viol = np.flatnonzero(np.abs(head[T:T + mpp] - head[:mpp]) > tol)
+        viol = np.flatnonzero(_differ(head[T:T + mpp], head[:mpp], tol))
         live[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
     divisors = [[] for _ in range(mp + 1)]      # proper divisors, by a sieve
     for d in range(1, mp // 2 + 1):
@@ -894,10 +892,7 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
                 # read so far, which gives a_x = a_{x-T}
                 continue
             lo = max(x0, mpp + T) - b0
-            ahead, here = buf[lo:x1 - b0], buf[lo - T:x1 - b0 - T]
-            # at tol = 0, |x - y| > 0 exactly when x != y (finite values)
-            if (np.any(ahead != here) if tol == 0
-                    else np.any(np.abs(ahead - here) > tol)):
+            if np.any(_differ(buf[lo:x1 - b0], buf[lo - T:x1 - b0 - T], tol)):
                 del live[T]
         if not live:
             return None
@@ -906,6 +901,15 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
         x0, x1 = x1, min(h + 1, x1 + size)
         buf, b0 = np.concatenate((buf[-mp:], seq._read(x0, x1))), x0 - mp
         size = min(2 * size, sequences._CHUNK)
+
+
+def _differ(a, b, tol):
+    """|a - b| > tol elementwise.  At tol = 0 that is a != b (finite
+    values); else an overflowing difference is inf, above every finite tol."""
+    if tol == 0:
+        return a != b
+    with np.errstate(over="ignore"):
+        return np.abs(a - b) > tol
 
 
 # ---------------------------------------------------------------------------

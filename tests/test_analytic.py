@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -51,6 +53,71 @@ def test_truncation_length_minimality(bound, r, tol):
     assert bound * r ** n / (1 - r) <= tol
     if n > 0:
         assert bound * r ** (n - 1) / (1 - r) > tol
+
+
+def _power_bound(r, n, up, bits=256):
+    """A Fraction at least (up) or at most r**n, by squaring with each
+    product rounded outward to ``bits`` bits; exact for powers of 2."""
+    num, den = r.as_integer_ratio()             # den is a power of 2
+    base, res = (num, 1 - den.bit_length()), (1, 0)
+
+    def mul(a, b):
+        m, e = a[0] * b[0], a[1] + b[1]
+        extra = max(0, m.bit_length() - bits)
+        q = m >> extra
+        return (q + (up and q << extra != m), e + extra)
+
+    while n:
+        if n & 1:
+            res = mul(res, base)
+        n >>= 1
+        base = mul(base, base) if n else base
+    return Fraction(res[0]) * Fraction(2) ** res[1]
+
+
+def old_truncation_rule(bound, r, tol, offset):
+    """(N, tail bound) of _truncation for an infinite sequence, as computed
+    before tails below the normal floats were handled, verbatim."""
+    if bound <= 0.0 or tol >= bound / (1.0 - r):
+        n = 0
+    else:
+        n = max(0, math.ceil(math.log(tol * (1.0 - r) / bound) / math.log(r)))
+        while bound * r ** n / (1.0 - r) > tol:
+            n += 1
+        while n > 0 and bound * r ** (n - 1) / (1.0 - r) <= tol:
+            n -= 1
+    return n, bound * r ** (n + offset) / (1.0 - r)
+
+
+def test_truncation_tail_bounds_the_exact_tail_down_to_subnormal_tolerances():
+    from nbscope.analytic import _truncation
+
+    tiny = sys.float_info.min
+    for bound in [10.0 ** e for e in range(0, 301, 10)]:
+        for r in (0.5, 0.9, 0.999):
+            for tol in [10.0 ** -e for e in range(6, 307, 10)] + [1e-300, 1e-308, 1e-310]:
+                for offset in (0, 1):
+                    n, tail = _truncation(_Sized(bound, None), r, tol, offset=offset)
+                    case = (bound, r, tol, offset, n, tail)
+                    assert 0.0 < tail <= tol, case
+                    # exact rationals: scale * r**k is the tail after k terms
+                    scale = Fraction(bound) / (1 - Fraction(r))
+                    exact_up = scale * _power_bound(r, n + offset, up=True)
+                    try:
+                        old_n, old_tail = old_truncation_rule(bound, r, tol, offset)
+                    except ValueError:      # log(0): tol * (1 - r) / bound underflowed
+                        old_n = None
+                    if old_n is not None and min(r ** (old_n + offset),
+                                                 bound * r ** (old_n + offset)) >= tiny:
+                        # the old rule's bits; its three float roundings can
+                        # leave the tail up to 2 ulps under the exact one
+                        assert (n, tail) == (old_n, old_tail), case
+                        assert Fraction(tail) * (1 + Fraction(1, 2 ** 50)) >= exact_up, case
+                    else:
+                        assert Fraction(tail) >= exact_up, case
+                    # and N is at most one term past the least
+                    if n >= 2:
+                        assert scale * _power_bound(r, n - 2, up=False) > tol, case
 
 
 # ---------------------------------------------------------------------------

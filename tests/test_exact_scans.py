@@ -937,7 +937,7 @@ def test_verdict_certificates_leave_the_prefix_cache_empty():
 # Exact pair keys: rank codes against the raw values they replaced
 
 
-def raw_chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
+def raw_chunk_keys(data, width, off, eps, c0, c1):
     """rightlimits._chunk_keys at eps = 0 as it grouped the raw flank
     values, verbatim."""
     assert eps == 0.0
@@ -946,9 +946,7 @@ def raw_chunk_keys(data, width, off, eps, c0, c1, bucket_ids):
     rows = keys = sliding_window_view(seg, width)
     cells = cen
     groups, first, order = rl._group_rows(keys)
-    bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
-                     for i in first.tolist()], dtype=np.int64)[groups]
-    return bids, cells, order
+    return groups, [rows[i].tobytes() for i in first.tolist()], cells, order
 
 
 def _exact_pair_streams():
@@ -970,14 +968,13 @@ def test_rank_coded_exact_keys_match_raw_value_grouping(chunk, width):
     for name, seq in _exact_pair_streams():
         data = seqmod._gather(seq, 3000)
         for off, start, stop in ((-width, width, 3000), (1, 0, 3000 - width)):
-            got_ids, want_ids = {}, {}
             for c0 in range(start, stop, chunk):
                 c1 = min(c0 + chunk, stop)
-                got = rl._chunk_keys(data, width, off, 0.0, c0, c1, got_ids)
-                want = raw_chunk_keys(data, width, off, 0.0, c0, c1, want_ids)
-                for g, w in zip(got, want):
+                got_groups, got_keys, *got = rl._chunk_keys(data, width, off, 0.0, c0, c1)
+                want_groups, want_keys, *want = raw_chunk_keys(data, width, off, 0.0, c0, c1)
+                assert got_keys == want_keys, name
+                for g, w in zip([got_groups] + got, [want_groups] + want):
                     assert g.dtype == w.dtype and np.array_equal(g, w), name
-            assert got_ids == want_ids
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])

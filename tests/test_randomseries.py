@@ -156,6 +156,49 @@ def test_separated_values_from_samples():
     assert sep.prob_z >= 1.0 / sep.cover_size
 
 
+def old_cover_mass(points, weights, carr, radius):
+    """separated_values' mass of each cover center, as it scanned every
+    point for every center, verbatim."""
+    return np.array([weights[np.abs(points - c) <= radius].sum() for c in carr])
+
+
+def _mass_distributions():
+    rng = np.random.default_rng(31)
+    for k in range(2, 9):
+        values = rng.normal(size=k) + 1j * rng.normal(size=k) * (k % 2)
+        probs = rng.random(k)
+        yield f"iid-{k}", values, probs / probs.sum()
+    for spec in (nb.markov_process([0, 1, 1j, -0.5], _seeded_transition(rng, 4), seed=3),
+                 nb.rotation_process(0.41421356237309503, 0.3, seed=4),
+                 nb.rotation_process(0.6180339887498949, boundary_fn="half-indicator",
+                                     seed=5)):
+        path = randomseries._draw(spec, 600)[0]
+        yield spec.kind, path, np.full(path.size, 1.0 / path.size)
+
+
+@pytest.mark.parametrize("centers", [10, 1000, 100_000])
+def test_cover_mass_matches_the_scan_it_replaced(centers, monkeypatch):
+    for name, points, weights in _mass_distributions():
+        if centers > 1000 and name in ("iid-3", "iid-4", "iid-6", "iid-7"):
+            continue        # the old scan takes about 1 s a distribution here
+        K = max(float(np.max(np.abs(points))), 1e-12)
+        m = max(1, round(math.sqrt(centers / 1.2) / K))     # about that many centers
+        carr = np.asarray(randomseries._hex_cover(K, m), dtype=complex)
+        want = old_cover_mass(points, weights, carr, 1.0 / m)
+        got = randomseries._cover_mass(points, weights, carr, m)
+        assert got.tobytes() == want.tobytes(), (name, m, carr.size)
+        if centers > 1000:
+            continue
+        # and every pick and tie-break that follows
+        dist = (points, weights) if name.startswith("iid") else points
+        sigma = float(np.mean(np.abs(points - points.mean()) ** 2))
+        fast = nb.separated_values(dist, m, sigma)
+        monkeypatch.setattr(randomseries, "_cover_mass",
+                            lambda p, w, c, m_eff: old_cover_mass(p, w, c, 1.0 / m_eff))
+        assert nb.separated_values(dist, m, sigma) == fast, name
+        monkeypatch.undo()
+
+
 def test_experiment_finds_certificates():
     spec = nb.iid_process([0, 1], [0.5, 0.5], seed=42)
     rep = nb.certificate_rate_experiment(spec, trials=5, width=3,
