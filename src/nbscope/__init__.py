@@ -42,7 +42,7 @@ from .randomseries import (
     separated_values,
     variance_window,
 )
-from .ratform import RationalForm, reduce_eventually_periodic
+from .ratform import RationalForm, RationalFormError, reduce_eventually_periodic
 from .rightlimits import (
     AnalysisConfig,
     NonReflectionlessCertificate,

@@ -726,7 +726,10 @@ def periodic_reflectionless_check(pattern, arc: ArcSpec, samples: int = 50,
     pattern = [complex(v) for v in pattern]
     if not pattern:
         raise AnalyticError("pattern must be nonempty")
-    form = ratform.reduce_eventually_periodic([], pattern)
+    try:
+        form = ratform.reduce_eventually_periodic([], pattern)
+    except ratform.RationalFormError as e:
+        raise AnalyticError(f"pattern has no rational form: {e}") from None
 
     offending = [p for p in form.poles if arc.contains_angle(p.angle)]
     if offending:

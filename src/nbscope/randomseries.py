@@ -279,24 +279,30 @@ class Separation:
         }
 
 
-def _hex_cover(K: float, m: int):
+def _hex_cover(K: float, m: int) -> np.ndarray:
     """Hexagonal-lattice centers (spacing sqrt(3)/m) covering the radius-K
-    disk with disks of radius 1/m, enumerated lexicographically by
-    (re, im)."""
+    disk with disks of radius 1/m, in lexicographic (re, im) order.  A
+    lattice point is a center when math.hypot puts it within K + 1/m;
+    np.hypot may differ from math.hypot in the last bit, so the points it
+    puts within a few ulp of that radius are settled by math.hypot."""
     s = math.sqrt(3) / m
     R = K + 1.0 / m
     rows = int(math.ceil(R / (s * math.sqrt(3) / 2.0))) + 1
     cols = int(math.ceil(R / s)) + 1
-    pts = []
-    for j in range(-rows, rows + 1):
-        y = j * s * math.sqrt(3) / 2.0
-        off = (j % 2) * s / 2.0
-        for i in range(-cols, cols + 1):
-            x = i * s + off
-            if math.hypot(x, y) <= R:
-                pts.append(complex(x, y))
-    pts.sort(key=lambda c: (c.real, c.imag))
-    return pts
+    j = np.arange(-rows, rows + 1, dtype=float)[:, None]
+    i = np.arange(-cols, cols + 1, dtype=float)
+    x = i * s + (j % 2) * s / 2.0
+    y = np.broadcast_to(j * s * math.sqrt(3) / 2.0, x.shape)
+    r = np.hypot(x, y)
+    inside = r <= R
+    edge = np.abs(r - R) <= 4 * np.spacing(R)
+    inside[edge] = [math.hypot(a, b) <= R
+                    for a, b in zip(x[edge].tolist(), y[edge].tolist())]
+    x, y = x[inside], y[inside]
+    order = np.lexsort((y, x))
+    centers = np.empty(order.size, dtype=complex)
+    centers.real, centers.imag = x[order], y[order]
+    return centers
 
 
 def _cover_mass(points, weights, centers, m: int):
@@ -376,9 +382,8 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
         raise SequenceError(f"cover of the radius-{K} disk by disks of radius 1/{m_eff} "
                             f"scans up to {scanned:.3g} lattice points (cap {_COVER_CAP})")
 
-    centers = _hex_cover(K, m_eff)
-    n_cover = len(centers)
-    carr = np.asarray(centers, dtype=complex)
+    carr = _hex_cover(K, m_eff)
+    n_cover = len(carr)
     mass = _cover_mass(points, weights, carr, m_eff)
 
     def pick(cand_idx):

@@ -21,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RootOfUnityPole", "RationalForm", "reduce_eventually_periodic"]
+__all__ = ["RootOfUnityPole", "RationalForm", "RationalFormError",
+           "reduce_eventually_periodic"]
 
 _NUMERIC_POLE_TOL = 1e-9
+
+
+class RationalFormError(ValueError):
+    """The reduced form has a coefficient beyond the floats: the input is
+    finite, but a sum of its values overflows."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +177,12 @@ def _reduce_exact(num_coeffs, T, pp):
     poles = [RootOfUnityPole(k, d) for d in survivors for k in range(d)
              if math.gcd(k, d) == 1]
     poles.sort(key=lambda p: (p.angle, p.den))
-    num_tuple = ((0j,) if is_zero else
-                 tuple(complex(float(a), float(b)) for a, b in zip(*quotient)))
+    try:
+        num_tuple = ((0j,) if is_zero else
+                     tuple(complex(float(a), float(b)) for a, b in zip(*quotient)))
+    except OverflowError:
+        raise RationalFormError("a coefficient of the reduced numerator "
+                                "exceeds the float range") from None
     den_tuple = tuple(complex(float(a), 0.0) for a in den)
     return RationalForm(num_tuple, den_tuple, tuple(poles), T, pp, True)
 
@@ -190,7 +200,12 @@ def _synthetic_div(coeffs, root):
 
 def _reduce_numeric(num_coeffs, T, pp):
     num = _trim(num_coeffs)
-    scale = max(1.0, float(np.sum(np.abs(num))))
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.sum(np.abs(num))))
+    if math.isinf(scale):
+        # the root test compares with a multiple of the scale
+        raise RationalFormError("the sum of |numerator coefficients| "
+                                "exceeds the float range")
     roots = [cmath.exp(2j * math.pi * k / T) for k in range(T)]
     surviving, cancelled = [], []
     for k, w in enumerate(roots):
@@ -214,12 +229,19 @@ def _reduce_numeric(num_coeffs, T, pp):
 
 def reduce_eventually_periodic(head, block) -> RationalForm:
     """Reduced rational form of the series with preperiodic ``head`` and
-    repeating ``block``."""
+    repeating ``block``.  Raises RationalFormError where a coefficient of
+    the form would exceed the float range."""
     head = [complex(v) for v in head]
     block = [complex(v) for v in block]
     if not block:
         raise ValueError("period block must be nonempty")
-    num = _combined_numerator(head, block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = _combined_numerator(head, block)
+    if not np.isfinite(num).all():
+        k = int(np.flatnonzero(~np.isfinite(num))[0])
+        raise RationalFormError(
+            f"coefficient {k} of the numerator head(z)*(1 - z^{len(block)}) + "
+            f"z^{len(head)}*block(z) exceeds the float range")
     if all(_is_gaussian_integer(c) for c in num):
         return _reduce_exact(num, len(block), len(head))
     return _reduce_numeric(num, len(block), len(head))

@@ -775,7 +775,8 @@ def szego_block_analysis(seq: OneSidedSequence, p_max: int, horizon: int,
     first offset, then smallest second offset) the streams are compared
     beyond the agreeing block; the least disagreement offset L >= p+1 is
     the witness.  Lengths whose guaranteed recurrence needs more blocks
-    than the horizon provides are skipped with a note.  If any length lacks
+    than the horizon provides are skipped: the least such length gets one
+    note, which covers every length above it as well.  If any length lacks
     a witness the sequence is re-examined for eventual periodicity.
     """
     report = _block_witnesses(seq, p_max, horizon)
@@ -814,12 +815,13 @@ def _block_witnesses(seq, p_max, horizon) -> SzegoReport:
     per_p: dict = {}
     for p in range(1, p_max + 1):
         blocks = (h + 1) // p
-        needed = nv ** min(p, 100) + 1     # 2^100 exceeds any block count
+        needed = nv ** p + 1
         if blocks < needed:
-            count = needed if needed < 10 ** 30 else f"{nv}^{p} + 1"
-            per_p[p] = (f"skipped: {blocks} aligned blocks available, "
-                        f"{count} needed to guarantee recurrence")
-            continue
+            # blocks falls and needed grows with p: every larger p skips too
+            rest = f" (so is every p up to {p_max})" if p < p_max else ""
+            per_p[p] = (f"skipped{rest}: {blocks} aligned blocks available, "
+                        f"{needed} needed to guarantee recurrence")
+            break
         keys = np.zeros(blocks, dtype=np.int64)
         for t in range(p):
             keys *= nv
@@ -923,7 +925,8 @@ class Verdict:
     Kinds: ``StrongNaturalBoundaryEvidence`` (a verified certificate or
     all-p block mismatches), ``NaturalBoundaryEvidence`` (reserved for
     evidence that does not upgrade), ``EventuallyPeriodic`` (with reduced
-    rational form; poles lie at roots of unity), ``Inconclusive``.
+    rational form, poles at roots of unity; none, and the reason says why,
+    where a coefficient would exceed the float range), ``Inconclusive``.
     """
 
     kind: str
@@ -999,10 +1002,13 @@ def verdict(seq: OneSidedSequence, config: AnalysisConfig | None = None) -> Verd
     if found is not None:
         pre, per = found
         arr = seq.read(0, pre + per)
-        form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:])
+        reason = f"period {per} after preperiod {pre}, verified on horizon {h}"
+        try:
+            form = ratform.reduce_eventually_periodic(arr[:pre], arr[pre:])
+        except ratform.RationalFormError as e:
+            form, reason = None, f"{reason}; no rational form: {e}"
         return Verdict(kind="EventuallyPeriodic", periodicity=found, rational_form=form,
-                       reason=f"period {per} after preperiod {pre}, verified on "
-                              f"horizon {h}", probes=probes)
+                       reason=reason, probes=probes)
 
     cert, searched = _first_certificate(seq, cfg.width, h, cfg.eps, cfg.delta,
                                         cfg.min_recurrence)

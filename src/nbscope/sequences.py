@@ -28,10 +28,11 @@ import io
 import math
 import operator
 import os
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -815,9 +816,14 @@ def _read_rows(src):
     pairs, one per chunk of rows.  Blank lines are skipped; a malformed or
     non-finite row raises SequenceError naming the first such row, and a
     line the reader rejects (a field over ``csv.field_size_limit()``)
-    raises SequenceError naming the file and the line."""
+    raises SequenceError naming the file and the line.
+
+    Each chunk of lines goes to the strict bulk parse of _parse_lines; from
+    the first chunk it refuses on, csv.reader and _parse_rows read the rest
+    of the file, so they name the first bad row."""
     own = isinstance(src, (str, bytes))
     f = open(src, "r", newline="", encoding="utf-8") if own else src
+    done = 0                    # lines read before the reader r started
     try:
         if isinstance(f, io.TextIOBase) or hasattr(f, "read"):
             r = csv.reader(f)
@@ -826,6 +832,16 @@ def _read_rows(src):
         header = next(r, None)
         if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
             raise SequenceError(f"expected header 'n,re,im', got {header}")
+        done = r.line_num
+        while lines := list(islice(f, _CSV_CHUNK)):
+            rows = _parse_lines(lines)
+            if rows is None:
+                break
+            done += len(lines)
+            yield rows
+        else:
+            return
+        r = csv.reader(chain(lines, f))
         while raw := list(islice(r, _CSV_CHUNK)):
             rows = list(filter(None, raw))
             if rows:
@@ -838,10 +854,41 @@ def _read_rows(src):
             f"CSV file {name} is not valid {e.encoding} text at {where}") from None
     except csv.Error as e:     # e.g. a field over csv.field_size_limit()
         name = os.fsdecode(src) if own else getattr(f, "name", "stream")
-        raise SequenceError(f"CSV file {name}, line {r.line_num}: {e}") from None
+        raise SequenceError(f"CSV file {name}, line {done + r.line_num}: {e}") from None
     finally:
         if own:
             f.close()
+
+
+def _parse_lines(lines):
+    """(indices, values) of a chunk of CSV lines by numpy's C parser, or
+    None if it refuses them.
+
+    It accepts only rows of three unquoted fields that int() and float()
+    also accept, and converts them to the same numbers; blank lines are
+    skipped.  It refuses a chunk that holds a quote (a quoted field may
+    span lines), a line over ``csv.field_size_limit()`` (csv.reader rejects
+    it), a character outside ASCII (numpy's int64 parser takes some of
+    them for digits), a control character 0x1C-0x1F (numpy strips them as
+    whitespace, int() and float() do not), no data row, or a value that is
+    not finite."""
+    text, limit = "".join(lines), csv.field_size_limit()
+    if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("n", np.int64), ("re", float), ("im", float)])
+    except (ValueError, UserWarning):
+        return None
+    vals = np.empty(rows.shape[0], dtype=complex)
+    vals.real = rows["re"]
+    vals.imag = rows["im"]
+    if not np.isfinite(vals).all():
+        return None
+    return rows["n"], vals + 0j       # -0.0 reads as +0
 
 
 def _parse_rows(rows):

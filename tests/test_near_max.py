@@ -199,3 +199,16 @@ def test_verdict_near_the_float_max(seed, noisy):
     v = nb.verdict(_seq(vals, False), cfg)
     assert v.kind == "EventuallyPeriodic"
     assert v.periodicity == py_periodicity(vals, 64, 64, 299, 0.0) == (0, seed + 4)
+
+
+def test_verdict_with_a_head_near_the_float_max_has_no_rational_form():
+    # the numerator head(z)*(1 - z^7) + z^5*block(z) overflows; the form
+    # used to come back with nan and inf coefficients
+    head, block = [1.0, BIG, BIG, BIG, BIG], [1.0, 1.0, 0.0, BIG, BIG, -BIG, -BIG]
+    vals = (head + block * 43)[:300]
+    v = nb.verdict(_seq(vals, False), nb.AnalysisConfig(horizon=299))
+    assert (v.kind, v.periodicity) == ("EventuallyPeriodic", (5, 7))
+    assert py_periodicity(vals, 64, 64, 299, 0.0) == (5, 7)
+    assert v.rational_form is None and v.to_json_dict()["rational_form"] is None
+    assert v.reason.startswith("period 7 after preperiod 5, verified on horizon 299; "
+                               "no rational form: coefficient 10 of the numerator")

@@ -162,6 +162,56 @@ def old_cover_mass(points, weights, carr, radius):
     return np.array([weights[np.abs(points - c) <= radius].sum() for c in carr])
 
 
+def old_hex_cover(K, m):
+    """randomseries._hex_cover as a double loop over the lattice with one
+    math.hypot per point and a Python sort, verbatim."""
+    s = math.sqrt(3) / m
+    R = K + 1.0 / m
+    rows = int(math.ceil(R / (s * math.sqrt(3) / 2.0))) + 1
+    cols = int(math.ceil(R / s)) + 1
+    pts = []
+    for j in range(-rows, rows + 1):
+        y = j * s * math.sqrt(3) / 2.0
+        off = (j % 2) * s / 2.0
+        for i in range(-cols, cols + 1):
+            x = i * s + off
+            if math.hypot(x, y) <= R:
+                pts.append(complex(x, y))
+    pts.sort(key=lambda c: (c.real, c.imag))
+    return pts
+
+
+def _edge_covers():
+    """(K, m) with K + 1/m a few ulp either side of the distance of a
+    lattice point from 0.  Among these points are some whose np.hypot
+    differs from their math.hypot (for example i, j = 6, 7 at m = 1 and 3,
+    7 at m = 15), so at one of these K a test by np.hypot alone decides
+    the point the other way."""
+    for m in (1, 4, 15, 25, 33):
+        s = math.sqrt(3) / m
+        for i, j in ((1, 0), (3, 2), (6, 7), (3, 7), (11, 8), (10, 11), (4, 5),
+                     (6, 9), (9, 10)):
+            K = math.hypot(i * s + (j % 2) * s / 2.0, j * s * math.sqrt(3) / 2.0) - 1.0 / m
+            for _ in range(3):
+                K = math.nextafter(K, 0.0)
+            for _ in range(7):
+                yield K, m
+                K = math.nextafter(K, math.inf)
+
+
+def test_hex_cover_matches_the_loop_it_replaced():
+    rng = np.random.default_rng(17)
+    cases = list(_edge_covers())
+    for _ in range(60):
+        K = float(rng.uniform(1e-3, 5.0))
+        cases.append((K, int(rng.integers(1, max(2, 100 / K)))))
+    cases += [(1.0, 287), (1e-12, 1), (2.5, 1)]      # 100,000 centers, then tiny covers
+    for K, m in cases:
+        got = randomseries._hex_cover(K, m)
+        want = np.asarray(old_hex_cover(K, m), dtype=complex)
+        assert got.dtype == complex and got.tobytes() == want.tobytes(), (K, m)
+
+
 def _mass_distributions():
     rng = np.random.default_rng(31)
     for k in range(2, 9):

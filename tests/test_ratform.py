@@ -4,6 +4,7 @@ sympy reduction it replaced (sympy is a test-only oracle)."""
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,3 +123,32 @@ def test_cyclotomics_multiply_back_to_z_power_minus_one():
         assert prod == [-1] + [0] * (T - 1) + [1]
     # Phi_105 is the first with a coefficient outside {-1, 0, 1}
     assert min(ratform._cyclotomics(105)[105]) == -2
+
+
+BIG = 1.7e308
+
+
+@pytest.mark.parametrize("head, block, named", [
+    # head(z)*(1 - z^7) + z^5*block(z) adds -BIG to -BIG at z^10 and z^11
+    ([1, BIG, BIG, BIG, BIG], [1, 1, 0, BIG, BIG, -BIG, -BIG],
+     "coefficient 10 of the numerator head(z)*(1 - z^7) + z^5*block(z)"),
+    # the numeric root test's scale, the sum of |coefficients|, is inf
+    ([], [BIG, BIG, 0.5], "the sum of |numerator coefficients|"),
+    # exact: -block(z) / (z - 1) = BIG*(z + 1)^2 has the coefficient 2*BIG
+    ([], [-BIG, -BIG, BIG, BIG, 0], "a coefficient of the reduced numerator"),
+], ids=["numerator", "numeric-scale", "exact-quotient"])
+def test_forms_beyond_the_float_range_raise_naming_why(head, block, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ratform.RationalFormError) as e:
+            ratform.reduce_eventually_periodic(head, block)
+    assert str(e.value).startswith(named) and str(e.value).endswith("exceeds the float range")
+
+
+def test_forms_near_the_float_range_that_fit_are_kept():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form = ratform.reduce_eventually_periodic([], [BIG, -BIG, 0, 1, 1, 0, 0])
+        assert form.exact and form.numerator[0] == -BIG
+        form = ratform.reduce_eventually_periodic([BIG], [BIG, BIG])
+        assert form.numerator == (-BIG + 0j,) and form.poles == (RootOfUnityPole(0, 1),)

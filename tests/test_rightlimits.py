@@ -548,7 +548,10 @@ def test_szego_skips_undersupplied_p():
     proc = nb.iid_process([-1, 1], seed=3)
     path = nb.sample_process(proc, 600)
     rep = nb.szego_block_analysis(path, 10, 599)
-    assert isinstance(rep.per_p[10], str) and rep.per_p[10].startswith("skipped")
+    # 2^7 + 1 blocks of length 7 would need 903 values; one note covers 7..10
+    assert list(rep.per_p) == list(range(1, 8))
+    assert rep.per_p[7] == ("skipped (so is every p up to 10): 85 aligned blocks "
+                            "available, 129 needed to guarantee recurrence")
 
 
 def test_szego_dichotomy_at_desk_scale():

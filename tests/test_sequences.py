@@ -5,6 +5,7 @@ import cmath
 import csv
 import io
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -1126,12 +1127,39 @@ _READ_CASES = {
     "window-negative-only": "n,re,im\n-1,1,0\n",
     "window-negative-zeros": "n,re,im\n-1,-0.0,0\n0,1,-0.0\n1,-0,-0\n",
     "window-missing": "n,re,im\n-2,1,0\n-1,1,0\n1,1,0\n2,1,0\n",
+    # the strict chunk parse must read these as the row loop does, or
+    # refuse them and leave them to it
+    "hash-in-line": "n,re,im\n0,1,0 # note\n1,2,0\n",
+    "hash-field": "n,re,im\n0,1,0\n#1,2,0\n",
+    "nul-byte": "n,re,im\n0,1,0\n1,2\x00,0\n",
+    "bom-in-data": "n,re,im\n\ufeff0,1,0\n",
+    "lone-cr-inside-a-line": "n,re,im\n0,1,0\r1,2,0\n",
+    "cr-ends-the-last-line": "n,re,im\n0,1,0\n1,2,0\r",
+    "unicode-digit-value": "n,re,im\n0,\u0662,0\n",
+    "unicode-whitespace": "n,re,im\n\u20030,\xa01,0\u2003\n1,2\u3000,0\n",
+    "non-ascii-in-index": "n,re,im\n0,1,0\n\u01fe1,2,0\n",
+    "ascii-separators": "n,re,im\n0,1,0\n1,2\x1c,0\n",
+    "ascii-whitespace": "n,re,im\n\t0,\x0b1,0\x0c\n1 ,2\t, 0\n",
+    "plus-index": "n,re,im\n+0,1,0\n+1,+2,-3\n",
+    "minus-zero-index": "n,re,im\n-0,1,0\n1,2,0\n",
+    "index-int64-max": f"n,re,im\n0,1,0\n{2 ** 63 - 1},1,0\n",
+    "index-2-63": f"n,re,im\n0,1,0\n{2 ** 63},1,0\n",
+    "index-float": "n,re,im\n0,1,0\n1e0,1,0\n",
+    "index-hex": "n,re,im\n0,1,0\n0x1,1,0\n",
+    "infinity": "n,re,im\n0,1,0\n1,infinity,0\n",
+    "minus-nan": "n,re,im\n0,1,0\n1,0,-nan\n",
+    "empty-field": "n,re,im\n0,1,0\n1,,0\n",
+    "trailing-comma": "n,re,im\n0,1,0\n1,2,0,\n",
+    "blank-lines-between": "n,re,im\n0,1,0" + "\n" * 12 + "1,2,0\n\n\n",
+    "quoted-field-spans-lines": 'n,re,im\n0,1,0\n1,"2\n",0\n2,3,0\n',
 }
 
 
 def _outcome(read, text):
+    """What ``read`` makes of ``text``, or of the file at a ``pathlib``
+    path."""
     try:
-        got = read(io.StringIO(text))
+        got = read(str(text) if isinstance(text, pathlib.Path) else io.StringIO(text))
     except Exception as e:     # noqa: BLE001 -- the error is the outcome
         return ("error", type(e), str(e))
     if isinstance(got, nb.TwoSidedWindow):
@@ -1156,10 +1184,10 @@ def _assert_same_reads(text):
 @pytest.mark.parametrize("name", sorted(_READ_CASES))
 def test_csv_reader_matches_the_row_loop(name, chunk):
     text = _READ_CASES[name]
-    if name != "huge-index":
+    if name not in ("huge-index", "index-int64-max", "index-2-63"):
         _assert_same_reads(text)
         return
-    # the row loop built range(-W, W + 1) for W = 1e23 and raised
+    # the row loop built range(-W, W + 1) for W >= 2^63 - 1 and raised
     # OverflowError (a traceback, exit 1); the count check comes first now
     assert (_outcome(nb.read_sequence_csv, text)
             == _outcome(rowwise_read_sequence_csv, text))
@@ -1186,6 +1214,11 @@ def _edge_cases(chunk):
             yield _text(put(at, f"{base[at - 1] if at else 5},1,0"))  # duplicate
             yield _text(put(at, ""))                           # blank line
             yield _text(_rows(base[:at]) + [""] + _rows(base[at:]))   # extra blank
+            # a whole chunk of blank lines, and a quoted field whose two
+            # lines straddle the edge
+            yield _text(_rows(base[:at]) + [""] * chunk + _rows(base[at:]))
+            yield _text(_rows(base[:at]) + [f'{base[at]},"1', '",0']
+                        + _rows(base[at + 1:]))
             # a gap, then a malformed row, a non-finite row, a later gap
             gapped = put(1 if at > 1 else 0, f"{base[0] + 100},1,0")
             yield _text(put(at + 1, f"{base[at + 1]},x,0", gapped))
@@ -1207,6 +1240,60 @@ def test_csv_reader_matches_the_row_loop_on_written_files(chunk):
         buf = io.StringIO()
         nb.write_sequence_csv(buf, nb.make_sequence(_WRITE_SPECS[name]), 2 * chunk + 9)
         _assert_same_reads(buf.getvalue())
+
+
+def test_csv_reader_names_a_rejected_line_after_strict_chunks(chunk):
+    # the row loop takes over after the strict parse has read whole chunks,
+    # and still counts every line from the top of the file
+    big = "0" * (csv.field_size_limit() + 1)    # numpy reads it as 0.0
+    for before in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        text = _text(_rows(range(before)) + [f"{before},{big},0"])
+        for read in (nb.read_sequence_csv, nb.read_window_csv):
+            with pytest.raises(SequenceError) as e:
+                read(io.StringIO(text))
+            assert str(e.value) == (f"CSV file stream, line {before + 2}: field larger "
+                                    f"than field limit ({csv.field_size_limit()})")
+
+
+def test_csv_files_with_cr_line_ends_read_as_the_row_loop_reads_them(chunk, tmp_path):
+    # a file opened with newline="" also ends lines at a lone \r, which the
+    # strict parse then sees at the end of its lines
+    path = tmp_path / "cr.csv"
+    for text in ("n,re,im\r0,1,0\r\r1,-0.0,2\r", "n,re,im\r\n0,1,0\r\r\n1,2,0\r",
+                 "n,re,im\r" + "\r".join(f"{n},{n / 3!r},0" for n in range(20)) + "\r",
+                 "n,re,im\r0,1,0\r\r\r2,1,0\n"):
+        path.write_bytes(text.encode())
+        for read, oracle in ((nb.read_sequence_csv, rowwise_read_sequence_csv),
+                             (nb.read_window_csv, rowwise_read_window_csv)):
+            assert _outcome(read, path) == _outcome(oracle, path)
+
+
+def _float_strings(rng, count):
+    """Seeded doubles over every exponent, subnormals and both zeros
+    included, each written four ways."""
+    bits = rng.integers(0, 2 ** 64, count, dtype=np.uint64)
+    vals = bits.view(float)
+    vals = np.concatenate([vals[np.isfinite(vals)], [0.0, -0.0, 5e-324, -5e-324,
+                                                      2.2250738585072014e-308,
+                                                      1.7976931348623157e308]])
+    for fmt in ("%.17g", "%r", "%.25g", "%.3e"):
+        # "%.3e" rounds values near the float maximum up to inf
+        yield fmt, [t for t in (fmt % v for v in vals.tolist()) if math.isfinite(float(t))]
+
+
+def test_strict_chunk_parse_gives_the_bits_of_float():
+    rng = np.random.default_rng(24)
+    for fmt, strs in _float_strings(rng, 20_000):
+        half = len(strs) // 2
+        lines = [f"{n},{a},{b}\r\n" for n, (a, b) in
+                 enumerate(zip(strs[:half], strs[half:2 * half]))]
+        got = seqmod._parse_lines(lines)
+        assert got is not None, fmt     # the strict parse took the chunk
+        ns, vals = got
+        assert ns.tolist() == list(range(half))
+        want = np.array([complex(float(a), float(b)) for a, b in
+                         zip(strs[:half], strs[half:2 * half])]) + 0j
+        assert vals.tobytes() == want.tobytes(), fmt
 
 
 def test_csv_reader_keeps_one_read_only_array():
