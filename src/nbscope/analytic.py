@@ -234,8 +234,8 @@ def _gap_support(seq: OneSidedSequence, count: int):
     """(exponents, fill) for a sparse gap-power family, else None."""
     if seq.gap_support is None:
         return None
-    exps, fill = seq.gap_support(count)
-    return np.asarray(exps, dtype=np.int64), complex(fill)
+    exps = seq.gap_support.between(0, count)
+    return np.asarray(exps, dtype=np.int64), complex(seq.gap_support.fill)
 
 
 def eval_f(seq: OneSidedSequence, z: complex, tol: float = 1e-10) -> EvalResult:
@@ -740,19 +740,25 @@ def periodic_reflectionless_check(pattern, arc: ArcSpec, samples: int = 50,
 
     ext = periodic_extension(pattern)
     max_defect = 0.0
-    for i in range(samples):
-        phi = arc.alpha + (i + 0.5) * arc.width / samples
-        rho = 1.1 + 0.8 * (i / max(1, samples - 1))
-        zz = rho * cmath.exp(1j * phi)
-        outside = eval_two_sided(ext, zz, tol=1e-12)
-        defect = abs(form.value(zz) + outside.value)
-        max_defect = max(max_defect, defect)
-        if defect > outside.abs_error_bound + tol:
-            return ReflectionlessCheckResult(
-                False,
-                f"outside-series confirmation failed at z = {zz!r}: "
-                f"defect {defect} exceeds allowance",
-                form, defect)
+    # an overflowing sum comes out inf or nan, without a warning, and is
+    # refused: a confirmation that cannot be computed confirms nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(samples):
+            phi = arc.alpha + (i + 0.5) * arc.width / samples
+            rho = 1.1 + 0.8 * (i / max(1, samples - 1))
+            zz = rho * cmath.exp(1j * phi)
+            outside = eval_two_sided(ext, zz, tol=1e-12)
+            defect = abs(form.value(zz) + outside.value)
+            if not (math.isfinite(defect) and math.isfinite(outside.abs_error_bound)):
+                raise AnalyticError(f"outside-series confirmation at z = {zz!r} "
+                                    f"overflows the float range")
+            max_defect = max(max_defect, defect)
+            if defect > outside.abs_error_bound + tol:
+                return ReflectionlessCheckResult(
+                    False,
+                    f"outside-series confirmation failed at z = {zz!r}: "
+                    f"defect {defect} exceeds allowance",
+                    form, defect)
 
     return ReflectionlessCheckResult(True, "no surviving pole on the arc",
                                      form, max_defect)

@@ -334,6 +334,18 @@ def _cover_mass(points, weights, centers, m: int):
     return mass
 
 
+def _far_centers(centers, mass, z, threshold):
+    """Ascending indices i with mass[i] > 0 and abs(centers[i] - z) >=
+    threshold, with the scalar abs of a complex number: np.abs on an array
+    can differ from it by up to 2 ulp, so distances within 4 ulp of the
+    threshold are settled by the scalar abs."""
+    cand = np.flatnonzero(mass > 0)
+    dist = np.abs(centers[cand] - z)
+    close = np.flatnonzero(np.abs(dist - threshold) <= 4 * np.spacing(threshold))
+    dist[close] = [abs(c - z) for c in centers[cand[close]]]
+    return cand[dist >= threshold]
+
+
 def separated_values(distribution, m: int, sigma: float, bound=None):
     """Constructively find two separated high-probability values.
 
@@ -356,7 +368,13 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
         weights = np.asarray(distribution[1], dtype=float)
         if points.size != weights.size:
             raise SequenceError("values and probs must have equal length")
-        weights = weights / weights.sum()
+        # finite weights >= 0 with a finite sum > 0 keep every mass below
+        # finite, so the picks never meet a nan (a sum that overflows is inf)
+        with np.errstate(over="ignore"):
+            total = float(weights.sum())
+        if points.size and not (np.all(weights >= 0) and 0 < total < math.inf):
+            raise SequenceError("probs must be finite and >= 0, with a sum > 0")
+        weights = weights / total
     else:
         points = np.asarray(distribution, dtype=complex).ravel()
         if points.size == 0:
@@ -387,7 +405,7 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
     mass = _cover_mass(points, weights, carr, m_eff)
 
     def pick(cand_idx):
-        best = max(cand_idx, key=lambda i: (mass[i], -i))
+        best = int(cand_idx[np.argmax(mass[cand_idx])])    # the least of the heaviest
         raw_prob = float(mass[best])
         sel = np.abs(points - carr[best]) <= radius
         snapped = complex(np.sum(points[sel] * weights[sel]) / weights[sel].sum())
@@ -396,19 +414,18 @@ def separated_values(distribution, m: int, sigma: float, bound=None):
             return snapped, snapped_prob
         return complex(carr[best]), raw_prob
 
-    z, prob_z = pick(range(n_cover))
+    z, prob_z = pick(np.arange(n_cover))
     if prob_z <= 0.0:
         return None
 
     k_tilde = (sigma / (8.0 * K * K)) / n_cover
-    away = [i for i in range(n_cover) if abs(carr[i] - z) >= threshold]
-    away = [i for i in away if mass[i] > 0]
-    if not away:
+    away = _far_centers(carr, mass, z, threshold)
+    if not away.size:
         return None
     w, prob_w = pick(away)
     if abs(w - z) < threshold:
         # snapping pulled w inside the exclusion disk; keep the raw center
-        best = max(away, key=lambda i: (mass[i], -i))
+        best = int(away[np.argmax(mass[away])])
         w, prob_w = complex(carr[best]), float(mass[best])
     if prob_w < k_tilde:
         return None

@@ -35,7 +35,7 @@ from itertools import islice
 from operator import sub
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import ratform, sequences
 from .analytic import TERM_CAP, NumericCapError
@@ -374,8 +374,10 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     A hit at n requires |a_{n-k}| <= eps for k = 1..width (or under
     C e^{-D k} + eps when ``decay`` = (C, D) is given) and |a_n| >= delta.
     Returns a certificate iff at least ``min_recurrence`` hits exist.
-    Centers are scanned a reader chunk at a time, each chunk read with the
-    ``width`` flank values before it.
+    On a gap family only its support is walked (:func:`_support_gap_hits`);
+    any other sequence has its centers scanned a reader chunk at a time,
+    each chunk read with the ``width`` flank values before it, and a
+    horizon past ``TERM_CAP`` values is refused before any read.
     """
     if width < 1:
         raise SequenceError("flank width must be >= 1")
@@ -387,19 +389,22 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
         raise SequenceError("horizon smaller than flank width")
     thr = _flank_thresholds(width, eps, decay)
 
-    hits = []
-    separation = math.inf
-    for lo, seg in _chunks(seq, width, h + 1, pad=(width, 0)):
-        # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
-        # flank offset -k at n-lo+width-k
-        ab = np.abs(seg)
-        ok = ab[width:] >= delta
-        for k in range(1, width + 1):
-            ok &= ab[width - k:len(ab) - k] <= thr[k - 1]
-        found = np.flatnonzero(ok)
-        if found.size:
-            hits += (found + lo).tolist()
-            separation = min(separation, float(ab[found + width].min()))
+    if seq.gap_support is not None:
+        hits, separation = _support_gap_hits(seq, width, h, delta, thr)
+    else:
+        _check_dense_horizon(h, "zero-flank search")
+        hits, separation = [], math.inf
+        for lo, seg in _chunks(seq, width, h + 1, pad=(width, 0)):
+            # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
+            # flank offset -k at n-lo+width-k
+            ab = np.abs(seg)
+            ok = ab[width:] >= delta
+            for k in range(1, width + 1):
+                ok &= ab[width - k:len(ab) - k] <= thr[k - 1]
+            found = np.flatnonzero(ok)
+            if found.size:
+                hits += (found + lo).tolist()
+                separation = min(separation, float(ab[found + width].min()))
     if len(hits) < min_recurrence:
         return None
     return NonReflectionlessCertificate(
@@ -412,6 +417,54 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
         separation=separation,
         decay=None if decay is None else (float(decay[0]), float(decay[1])),
     )
+
+
+def _check_dense_horizon(h, what):
+    """Refuse a search that would read all h + 1 values past ``TERM_CAP``."""
+    if h + 1 > TERM_CAP:
+        raise NumericCapError(h + 1, f"{what} over {h + 1} values exceeds "
+                                     f"the cap {TERM_CAP}")
+
+
+def _support_gap_hits(seq, width, h, delta, thr):
+    """(hits, separation) of the zero-flank search on a gap family, from
+    its support below h + 1 alone.
+
+    Off the support every value is 0, which fails the center test
+    (delta > 2*eps >= 0) and passes every flank threshold.  On it every
+    value is the fill, whose modulus is read once, at a support point, in
+    the sequence's own layout.  So a support point n >= width is a hit iff
+    that modulus is at least delta and passes the threshold of every flank
+    offset that holds another support point.  The support is listed in
+    ascending batches of one reader chunk; a support past ``TERM_CAP``
+    points is refused before it is listed."""
+    sup = seq.gap_support
+    first, count = sup.rank(width), sup.rank(h + 1)
+    if count > TERM_CAP:
+        raise NumericCapError(count, f"zero-flank search over {count} support "
+                                     f"points exceeds the cap {TERM_CAP}")
+    if first == count:
+        return [], math.inf
+    n = sup.points(first, first + 1)[0]
+    ab = np.abs(seq._read(n, n + 1))[0]
+    if not ab >= delta:
+        return [], math.inf
+    # spoils[k]: a support point at flank offset -k spoils a hit (k > width: never)
+    spoils = np.append(np.concatenate(([False], ab > thr)), False)
+    # the width support points before a center hold every flank point it
+    # has; before the first center, points out of reach pad them
+    before = [-width - 1] * width + sup.points(max(0, first - width), first)
+    hits = []
+    for i in range(first, count, sequences._CHUNK):
+        pts = np.array(before[-width:] + sup.points(i, min(i + sequences._CHUNK, count)),
+                       dtype=np.int64)
+        cen = pts[width:]
+        ok = np.ones(len(cen), dtype=bool)
+        for lag in range(1, width + 1):
+            ok &= ~spoils[np.minimum(cen - pts[width - lag:len(pts) - lag], width + 1)]
+        hits += cen[ok].tolist()
+        before = pts[-width:].tolist()
+    return hits, float(ab) if hits else math.inf
 
 
 def _pairs_hold(seq, pairs, width, eps, delta, flank_side):
@@ -464,6 +517,8 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     h = seq.clamp_horizon(horizon)
     if h < 2 * width + 1:
         raise SequenceError("horizon too small for pair search")
+    if seq.gap_support is None:
+        _check_dense_horizon(h, "pair search")
     if flank_side == "backward":    # flank offset, first and end center
         off, start, stop = -width, width, h + 1
     else:
@@ -868,41 +923,63 @@ def detect_eventual_periodicity(seq: OneSidedSequence, max_period: int,
     if h < mpp + 2 * mp:
         raise SequenceError(
             f"horizon {h} < max_preperiod + 2*max_period = {mpp + 2 * mp}")
-    # the preperiod a valid T needs comes from the head alone; the scan
-    # from n = mpp on only decides which T are valid
-    head = seq._read(0, mpp + mp)
-    live = {}           # T -> (preperiod, T), in ascending T
-    for T in range(1, mp + 1):
-        viol = np.flatnonzero(_differ(head[T:T + mpp], head[:mpp], tol))
-        live[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
-    divisors = [[] for _ in range(mp + 1)]      # proper divisors, by a sieve
-    for d in range(1, mp // 2 + 1):
-        for T in range(2 * d, mp + 1, d):
-            divisors[T].append(d)
+    # the head compared with itself, in blocks of rows of about one reader
+    # chunk of cells: bad[i, n] is whether a_{n+T} and a_n differ, for
+    # T = t0 + i, n + T in the head.  A violation at n < mpp only raises T's
+    # preperiod (one past the last); one at n >= mpp ends T, as does any
+    # later one.  Row i ends with i cells past the head (ext's padding),
+    # all among the block's last k - 1 columns, at n >= mpp; the last k
+    # rows of pad keep the cells of those columns that are in the head.
+    L = mpp + mp
+    head = seq._read(0, L)
+    pre = np.zeros(mp, dtype=np.int64)
+    live = np.ones(mp, dtype=bool)
+    rows = max(1, min(mp, sequences._CHUNK // L))
+    ext = head if rows == 1 else np.concatenate((head, head[:rows - 1]))
+    pad = np.arange(rows - 1) < np.arange(rows - 1, -1, -1)[:, None]
+    for t0 in range(1, mp + 1, rows):
+        k, w = min(rows, mp + 1 - t0), L - t0
+        # row i is ext[t0 + i:t0 + i + w], within ext since k <= rows
+        win = as_strided(ext[t0:], (k, w), (ext.strides[0],) * 2, writeable=False)
+        bad = _differ(win, head[:w], tol)
+        if mpp:
+            last = bad[:, mpp - 1::-1]
+            pre[t0 - 1:t0 - 1 + k] = np.where(last.any(axis=1), mpp - last.argmax(axis=1), 0)
+        dead = bad[:, mpp:w - k + 1].any(axis=1)
+        if k > 1:
+            dead |= (bad[:, w - k + 1:] & pad[rows - k:, :k - 1]).any(axis=1)
+        live[t0 - 1:t0 - 1 + k] = ~dead
+    # a sieve of mp log mp pairs: div[j] is a proper divisor of mult[j],
+    # and every period up to mp pairs so with each of its proper divisors
+    div = np.arange(1, mp // 2 + 1)
+    div = np.repeat(div, mp // div - 1)
+    mult = div * (np.arange(div.size) - np.searchsorted(div, div) + 2)
 
-    # buf holds a_{b0} .. a_{x1-1}, and each index x in [x0, x1) with
-    # x - T >= mpp is compared with a_{x-T}: first the head's own indices,
-    # then each chunk, which keeps the mp values below it; the first chunk
-    # holds mp^2 values (4096 at the default max_period 64)
-    buf, b0, x0, x1 = head, 0, mpp, mpp + mp
+    # buf holds a_{x0-mp} .. a_{x1-1}; each chunk [x0, x1) keeps the mp
+    # values below it, so a_x is compared with a_{x-T} for every x in it;
+    # the first chunk holds mp^2 values (4096 at the default max_period 64)
+    x1 = L
+    buf = head[-mp:]
     size = min(mp * mp, sequences._CHUNK)
-    while True:
-        for T in list(live):
-            if tol == 0 and any(d in live for d in divisors[T]):
-                # exact equality chains: a live divisor d of T (settled
-                # first, in ascending order) has a_x = a_{x-d} for every x
-                # read so far, which gives a_x = a_{x-T}
-                continue
-            lo = max(x0, mpp + T) - b0
-            if np.any(_differ(buf[lo:x1 - b0], buf[lo - T:x1 - b0 - T], tol)):
-                del live[T]
-        if not live:
-            return None
-        if x1 == h + 1:
-            return min(live.values())
+    while live.any() and x1 <= h:
         x0, x1 = x1, min(h + 1, x1 + size)
-        buf, b0 = np.concatenate((buf[-mp:], seq._read(x0, x1))), x0 - mp
+        buf = np.concatenate((buf[-mp:], seq._read(x0, x1)))
         size = min(2 * size, sequences._CHUNK)
+        tested = np.zeros(mp, dtype=bool)
+        while True:
+            # at tol = 0 a live proper divisor d of T gives a_x = a_{x-d} =
+            # ... = a_{x-T} (equality chains), so T is compared only once
+            # every divisor of it has died, in this chunk or before
+            todo = live & ~tested
+            if tol == 0:
+                todo[mult[live[div - 1]] - 1] = False
+            if not todo.any():
+                break
+            tested |= todo
+            for T in (np.flatnonzero(todo) + 1).tolist():
+                live[T - 1] = not np.any(_differ(buf[mp:], buf[mp - T:len(buf) - T], tol))
+    periods = np.arange(1, mp + 1)
+    return min(zip(pre[live].tolist(), periods[live].tolist()), default=None)
 
 
 def _differ(a, b, tol):

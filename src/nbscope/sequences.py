@@ -32,8 +32,9 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -209,9 +210,9 @@ class OneSidedSequence:
     layout, in which the chunked reader hands out values, is then float64;
     False, the default, means complex.
 
-    ``gap_support`` is ``None`` except on sparse gap families, where
-    ``gap_support(count)`` gives (the exponents below ``count``, fill), so
-    evaluators can sum over the support without reading coefficients.
+    ``gap_support`` is ``None`` except on sparse gap families, where it is
+    their :class:`GapSupport`, so evaluators and searches can walk the
+    support without reading coefficients.
     """
 
     def __init__(self, block, bound, family, params=None, value_kind="float",
@@ -391,18 +392,30 @@ def _make_periodic(params) -> OneSidedSequence:
 _FACTORIALS = tuple(math.factorial(k) for k in range(1, 21))
 
 
-def _square_support(lo: int, hi: int) -> list:
-    """Squares k*k with lo <= k*k < hi, ascending."""
-    def first(x):   # least k >= 0 with k*k >= x
-        return math.isqrt(x - 1) + 1 if x > 0 else 0
-    return [k * k for k in range(first(lo), first(hi))]
+@dataclass(frozen=True)
+class GapSupport:
+    """The support of a gap family, each of its points holding ``fill``:
+    ``rank(x)`` counts the exponents below x, and ``points(i, j)`` lists
+    the exponents of rank i .. j-1, ascending."""
+
+    rank: Callable[[int], int]
+    points: Callable[[int, int], list]
+    fill: complex
+
+    def between(self, lo: int, hi: int) -> list:
+        """The exponents e with lo <= e < hi, ascending."""
+        return self.points(self.rank(lo), self.rank(hi))
 
 
-def _exponents_between(spec):
-    """The support of a gap family as a stateless ``between(lo, hi)``, the
-    ascending exponents e with lo <= e < hi."""
+def _square_rank(x: int) -> int:
+    """Squares below x: the least k >= 0 with k*k >= x."""
+    return math.isqrt(x - 1) + 1 if x > 0 else 0
+
+
+def _exponent_ranks(spec):
+    """(rank, points) of a gap family's exponent set, as in GapSupport."""
     if spec == "squares":
-        return _square_support
+        return _square_rank, lambda i, j: [k * k for k in range(i, j)]
     if spec == "factorials":
         exps = _FACTORIALS
     else:
@@ -417,10 +430,7 @@ def _exponents_between(spec):
         if not exps:
             raise SequenceError("exponent set must be nonempty")
 
-    def between(lo, hi):
-        return list(exps[bisect_left(exps, lo):bisect_left(exps, hi)])
-
-    return between
+    return partial(bisect_left, exps), lambda i, j: list(exps[i:j])
 
 
 def _make_gap_powers(params) -> OneSidedSequence:
@@ -428,20 +438,20 @@ def _make_gap_powers(params) -> OneSidedSequence:
     if not cmath.isfinite(fill):
         raise SequenceError(f"gap fill must be finite, got {fill}")
     name = params.get("exponents", "factorials")
-    between = _exponents_between(name)
+    support = GapSupport(*_exponent_ranks(name), fill)
     bound = max(abs(fill), 1.0)
     label = name if isinstance(name, str) else "custom"
 
     def block(lo, hi):
         arr = np.zeros(hi - lo, dtype=complex)
-        arr[np.asarray(between(lo, hi), dtype=np.int64) - lo] = fill
+        arr[np.asarray(support.between(lo, hi), dtype=np.int64) - lo] = fill
         return arr
 
     return OneSidedSequence(block, bound, "gap-powers",
                             {"exponents": label, "fill": fill},
                             value_kind=_exact_kind([fill]),
                             real_valued=fill.imag == 0,
-                            gap_support=lambda count: (between(0, count), fill))
+                            gap_support=support)
 
 
 def _rs_block(lo, hi):

@@ -562,6 +562,51 @@ def test_whole_prefix_commands_refuse_a_huge_horizon_before_reading(capsys, monk
                    f"the cap 100000000\n")
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (("verdict",), "zero-flank search"),
+    (("certificate", "--kind", "gap"), "zero-flank search"),
+    (("certificate", "--kind", "pair"), "pair search"),
+])
+def test_dense_searches_refuse_a_huge_horizon_at_once(capsys, argv, stage):
+    # the zero-flank scan of verdict read every center up to 10^11 (still
+    # running after 60 s); verdict's periodicity scan stops after its head
+    code, out, err = run(capsys, *argv, "--family", "rudin-shapiro",
+                         "--horizon", "100000000000")
+    assert code == 3
+    assert not out
+    assert err == (f"numeric cap: {stage} over 100000000001 values exceeds "
+                   f"the cap 100000000\n")
+
+
+def test_gap_verdict_at_the_last_index_walks_only_the_support(capsys, monkeypatch):
+    from nbscope import sequences
+    monkeypatch.setattr(sequences, "_CHUNK", 2 ** 10)
+    code, out, _ = run(capsys, "verdict", "--family", "gap-factorial",
+                       "--horizon", str(2 ** 63 - 1))
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["kind"] == "StrongNaturalBoundaryEvidence"
+    # 6 = 3! has 2 = 2! in its flank of width 5
+    assert rep["certificate"]["witnesses"] == [math.factorial(k) for k in range(4, 21)]
+
+
+def test_reflectionless_whose_outside_series_overflows_exits_2_without_a_warning(tmp_path):
+    # the outside-series sum overflowed with a RuntimeWarning and the inf
+    # defect ended in a JSON ValueError traceback with exit 1
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nbscope.cli",
+         "reflectionless", "--pattern", "1.7e308,1.7e308,1", "--arc", "0.3", "1.7"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert not proc.stdout
+    assert proc.stderr.startswith("error: outside-series confirmation at z = ")
+    assert proc.stderr.endswith(" overflows the float range\n")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verdict",), ("certificate", "--kind", "gap"), ("certificate", "--kind", "pair"),
     ("periodicity",), ("rightlimits",), ("szego",)])

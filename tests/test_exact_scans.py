@@ -1006,3 +1006,342 @@ def test_exact_pair_search_matches_raw_value_keys(chunk, monkeypatch):
                 want = rl.find_pair_certificate(*args, **kw)
             assert got == want, name
             assert got is not None and got.verify(seq)
+
+
+# ---------------------------------------------------------------------------
+# Gap search over the support, and periodicity with every period in one
+# comparison, against the scans they replaced
+
+
+def chunked_gap_certificate(seq, width, horizon, eps=None, delta=0.5,
+                            decay=None, min_recurrence=3):
+    """find_gap_certificate as it scanned every center up to the horizon a
+    reader chunk at a time, verbatim."""
+    if width < 1:
+        raise nb.SequenceError("flank width must be >= 1")
+    rl._check_min_recurrence(min_recurrence)
+    eps = rl._resolve_eps(seq, eps)
+    rl._check_tolerances(eps, delta)
+    h = seq.clamp_horizon(horizon)
+    if h < width:
+        raise nb.SequenceError("horizon smaller than flank width")
+    thr = rl._flank_thresholds(width, eps, decay)
+
+    hits = []
+    separation = math.inf
+    for lo, seg in seqmod._chunks(seq, width, h + 1, pad=(width, 0)):
+        # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
+        # flank offset -k at n-lo+width-k
+        ab = np.abs(seg)
+        ok = ab[width:] >= delta
+        for k in range(1, width + 1):
+            ok &= ab[width - k:len(ab) - k] <= thr[k - 1]
+        found = np.flatnonzero(ok)
+        if found.size:
+            hits += (found + lo).tolist()
+            separation = min(separation, float(ab[found + width].min()))
+    if len(hits) < min_recurrence:
+        return None
+    return rl.NonReflectionlessCertificate(
+        kind="GapZeroFlank",
+        witnesses=tuple(hits),
+        flank_side="backward",
+        flank_width=width,
+        eps=eps,
+        delta=delta,
+        separation=separation,
+        decay=None if decay is None else (float(decay[0]), float(decay[1])),
+    )
+
+
+def _support_gap_sets():
+    """Exponent sets: the named families, and seeded custom sets with runs
+    of exponents closer together than any tested width, some at 0 and 1."""
+    yield "factorials"
+    yield "squares"
+    rng = np.random.default_rng(41)
+    for k in range(6):
+        gaps = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 40, 700], size=300,
+                          p=[.15, .15, .1, .1, .1, .1, .1, .1, .05, .05])
+        yield sorted(set((np.cumsum(gaps) - gaps[0] + k % 2).tolist()))
+
+
+def _same_support_gap(seq, width, horizon, **kw):
+    want = chunked_gap_certificate(seq, width, horizon, **kw)
+    got = rl.find_gap_certificate(seq, width, horizon, **kw)
+    assert got == want, (seq.params, width, kw)
+    if want is not None:
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.separation == want.separation
+    return want
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_support_gap_walk_matches_the_full_scan(chunk, monkeypatch):
+    # the support is listed in batches of one reader chunk: 1 and 7 put
+    # batch edges among close exponents; fills below, at and above delta,
+    # complex fills, and decay envelopes whose thresholds let flank fills
+    # through at some offsets but not at others
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    horizon = 4000 if chunk < 4096 else 20_000
+    delta = 0.5
+    fills = (1.0, -2.0, delta, math.nextafter(delta, 0.0), math.nextafter(delta, 1.0),
+             0.6 - 0.8j, 2 + 1j)
+    decays = (None, (0.8, 0.5), (3.0, 0.3), (50.0, 1.0))
+    widths = (1, 2, 3, 5, 8)
+    if chunk == 1:                  # one point a batch: a few cases suffice
+        fills, widths = fills[::3], widths[::2]
+    outcomes = set()
+    for exps in _support_gap_sets():
+        for fill in fills:
+            seq = nb.make_sequence(nb.gap_powers(exps, fill))
+            for width in widths:
+                _same_support_gap(seq, width, width)    # the least horizon
+                for decay in decays:
+                    for eps in (0.0, 0.2):
+                        kw = dict(eps=eps, delta=delta, decay=decay)
+                        with monkeypatch.context() as m:
+                            m.setattr(seqmod, "_CHUNK", 2 ** 16)
+                            want = chunked_gap_certificate(seq, width, horizon,
+                                                           min_recurrence=1, **kw)
+                        hits = 0 if want is None else len(want.witnesses)
+                        # both outcomes of min_recurrence, where hits allow
+                        for min_rec in {1, 3, max(1, hits), hits + 1}:
+                            got = rl.find_gap_certificate(seq, width, horizon,
+                                                          min_recurrence=min_rec, **kw)
+                            assert got == (want if hits >= min_rec else None)
+                            assert got is None or got.separation == want.separation
+                            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_support_gap_walk_keeps_the_separation_bits_of_the_layout():
+    # separation is np.abs of the value as the sequence lays it out
+    # (float64 for a real fill, complex128 else): seeded fills whose
+    # modulus is not exact
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        re, im = rng.normal(size=2) * np.exp(rng.uniform(-3, 3, 2))
+        for fill in (complex(re, im), complex(-abs(re) - 1, 0.0)):
+            seq = nb.make_sequence(nb.gap_powers("factorials", fill))
+            delta = float(np.abs(fill)) / 2
+            want = chunked_gap_certificate(seq, 3, 50_000, eps=0.0, delta=delta)
+            got = rl.find_gap_certificate(seq, 3, 50_000, eps=0.0, delta=delta)
+            assert got == want and got.separation == want.separation
+
+
+def test_support_gap_walk_reads_only_support_rows_and_their_flanks():
+    width = 5
+    for spec, horizon in ((nb.gap_powers("factorials"), 2 ** 63 - 1),
+                          (nb.gap_powers("squares", 2j), 10 ** 9),
+                          (nb.gap_powers([0, 3, 4, 10, 10 ** 6, 10 ** 12], 1), 10 ** 15)):
+        seq, reads = _counted(spec)
+        cert = rl.find_gap_certificate(seq, width, horizon, eps=0.0)
+        assert cert is not None
+        support = set(seq.gap_support.between(0, min(horizon + 1, 10 ** 7))) | {10 ** 12}
+        assert 1 <= len(reads) <= 2
+        for lo, hi in reads:
+            assert all(any(n <= e <= n + width for e in support)
+                       for n in range(lo, hi)), (lo, hi)
+
+
+def test_support_past_the_term_cap_is_refused_before_it_is_listed(monkeypatch):
+    seq = nb.make_sequence(nb.gap_powers("squares"))
+    support = seq.gap_support
+    seq.gap_support = dataclasses.replace(
+        support, points=lambda i, j: pytest.fail("support listed"))
+    monkeypatch.setattr(rl, "TERM_CAP", 1000)
+    with pytest.raises(nb.NumericCapError, match="1001 support points"):
+        rl.find_gap_certificate(seq, 5, 1000 ** 2)     # 0, 1, ..., 1000 squared
+    seq.gap_support = support
+    monkeypatch.setattr(rl, "TERM_CAP", 1001)
+    assert rl.find_gap_certificate(seq, 5, 1000 ** 2).witnesses == tuple(
+        k * k for k in range(4, 1001))        # 9 has 4 in its flank
+
+
+@pytest.mark.parametrize("search", ["gap", "pair"])
+def test_dense_searches_refuse_past_the_term_cap_before_reading(search, monkeypatch):
+    monkeypatch.setattr(rl, "TERM_CAP", 5000)
+    seq = nb.make_sequence(nb.rudin_shapiro())
+
+    def run(horizon):
+        if search == "gap":
+            return rl.find_gap_certificate(seq, 5, horizon)
+        return rl.find_pair_certificate(seq, 5, horizon)
+
+    run(4999)                       # h + 1 = TERM_CAP values: runs
+    seq._block = lambda lo, hi: pytest.fail("read before the refusal")
+    with pytest.raises(nb.NumericCapError, match="5001 values exceeds the cap 5000"):
+        run(5000)
+
+
+def forward_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
+    """detect_eventual_periodicity as it tested one period at a time, with
+    a divisor sieve, verbatim."""
+    if max_period < 1:
+        raise nb.SequenceError("max_period must be >= 1")
+    if max_preperiod < 0:
+        raise nb.SequenceError("max_preperiod must be >= 0")
+    if tol is None:
+        tol = 0.0 if seq.exact else 1e-9
+    if not (math.isfinite(tol) and tol >= 0):
+        raise nb.SequenceError(
+            f"periodicity tolerance must be finite and >= 0, got {tol}")
+    h = seq.clamp_horizon(horizon)
+    mp, mpp = max_period, max_preperiod
+    if h < mpp + 2 * mp:
+        raise nb.SequenceError(
+            f"horizon {h} < max_preperiod + 2*max_period = {mpp + 2 * mp}")
+    # the preperiod a valid T needs comes from the head alone; the scan
+    # from n = mpp on only decides which T are valid
+    head = seq._read(0, mpp + mp)
+    live = {}           # T -> (preperiod, T), in ascending T
+    for T in range(1, mp + 1):
+        viol = np.flatnonzero(rl._differ(head[T:T + mpp], head[:mpp], tol))
+        live[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
+    divisors = [[] for _ in range(mp + 1)]      # proper divisors, by a sieve
+    for d in range(1, mp // 2 + 1):
+        for T in range(2 * d, mp + 1, d):
+            divisors[T].append(d)
+
+    # buf holds a_{b0} .. a_{x1-1}, and each index x in [x0, x1) with
+    # x - T >= mpp is compared with a_{x-T}: first the head's own indices,
+    # then each chunk, which keeps the mp values below it; the first chunk
+    # holds mp^2 values (4096 at the default max_period 64)
+    buf, b0, x0, x1 = head, 0, mpp, mpp + mp
+    size = min(mp * mp, seqmod._CHUNK)
+    while True:
+        for T in list(live):
+            if tol == 0 and any(d in live for d in divisors[T]):
+                # exact equality chains: a live divisor d of T (settled
+                # first, in ascending order) has a_x = a_{x-d} for every x
+                # read so far, which gives a_x = a_{x-T}
+                continue
+            lo = max(x0, mpp + T) - b0
+            if np.any(rl._differ(buf[lo:x1 - b0], buf[lo - T:x1 - b0 - T], tol)):
+                del live[T]
+        if not live:
+            return None
+        if x1 == h + 1:
+            return min(live.values())
+        x0, x1 = x1, min(h + 1, x1 + size)
+        buf, b0 = np.concatenate((buf[-mp:], seq._read(x0, x1))), x0 - mp
+        size = min(2 * size, seqmod._CHUNK)
+
+
+def _same_as_every_oracle(seq, mp, mpp, horizon, tol=None):
+    want = forward_periodicity(seq, mp, mpp, horizon, tol)
+    assert whole_prefix_periodicity(seq, mp, mpp, horizon, tol) == want
+    assert nb.detect_eventual_periodicity(seq, mp, mpp, horizon, tol) == want
+    return want
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("mp, mpp", [(12, 0), (16, 5), (9, 9), (6, 20), (64, 64)])
+def test_one_comparison_periodicity_matches_the_per_period_scan(chunk, mp, mpp,
+                                                                monkeypatch):
+    # defects in the head, on the first chunks' edges and in later chunks,
+    # and constant tails, on periodic streams whose periods have live
+    # multiples; exact and under a tolerance
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    h = {1: 2 * mp + mpp + 30, 7: min(3 * mp * mp, 600) + mpp + 40}.get(
+        chunk, 3 * mp * mp + mpp + 40)
+    rng = np.random.default_rng(chunk + 100 * mp + mpp)
+    found = set()
+    for period in (1, 2, 3, 4, 6):
+        block = [complex(v) for v in rng.choice([-1, 0, 1, 1j], period)]
+        block[0] = 2                # no shorter period
+        base = _eventually_periodic([3] * min(4, mpp), block, h + 1)
+        qs = {mpp, mpp + 1, mpp + mp - 1, mpp + mp, mpp + mp + 1,
+              mpp + mp + mp * mp - 1, mpp + mp + mp * mp, h - 1, h,
+              *rng.integers(0, h + 1, 6).tolist()}
+        for q in sorted(v for v in qs if 0 <= v <= h):
+            vals = list(base)
+            vals[q] = 5j if q % 2 else 5
+            found.add(_same_as_every_oracle(_seq(vals), mp, mpp, h))
+            found.add(_same_as_every_oracle(_seq(base[:q] + [block[0]] * (h + 1 - q)),
+                                            mp, mpp, h))
+        tol = 1e-3
+        noisy = np.array(base) + rng.uniform(0, tol / 2, h + 1)
+        for q in (mpp, mpp + mp, h // 2, h):
+            for step in (0.9 * tol, 1.2 * tol, 3 * tol):
+                vals = noisy.copy()
+                vals[q:] += step
+                found.add(_same_as_every_oracle(_seq(vals, "float"), mp, mpp, h, tol))
+                vals = noisy.copy()
+                vals[q] += step
+                found.add(_same_as_every_oracle(_seq(vals, "float"), mp, mpp, h, tol))
+    assert None in found and any(f is not None and f[1] > 1 for f in found)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_multiples_of_a_divisor_that_dies_in_a_later_chunk_are_tested(chunk,
+                                                                      monkeypatch):
+    # a constant stream keeps period 1 live, and with it, untested, every
+    # multiple; a defect several chunks up ends period 1 there, and each
+    # multiple it vouched for must be compared in that chunk, where the
+    # defect ends it too (so would any later one, unless none is read)
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    mp, mpp = 8, 3
+    h = 20 * mp * mp if chunk > 1 else 6 * mp + mpp
+    assert _same_as_every_oracle(_seq([4] * (h + 1)), mp, mpp, h) == (0, 1)
+    for q in (h // 2, h - mp - 1, h - 2, h):
+        vals = [4] * (h + 1)
+        vals[q] = 9
+        got = _same_as_every_oracle(_seq(vals), mp, mpp, h)
+        assert got is None
+    # period 2 dies late while 4, 6 and 8 stay live until then
+    vals = [1, 2] * (h // 2 + 1)
+    vals[h - 3] = 7
+    assert _same_as_every_oracle(_seq(vals[:h + 1]), mp, mpp, h) is None
+
+
+@pytest.mark.parametrize("chunk", (40, 100, 333))
+@pytest.mark.parametrize("mp, mpp", [(9, 9), (16, 5), (12, 0), (7, 30), (13, 2)])
+def test_head_blocks_of_uneven_row_counts_match_the_per_period_scan(chunk, mp, mpp,
+                                                                    monkeypatch):
+    # the head is compared in blocks of chunk // (mpp + mp) rows, the last
+    # one short; defects at every head index, the padded last columns of
+    # a block included, must end or delay the same periods, also where
+    # the least period lies in the last block
+    monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+    L = mpp + mp
+    h = 2 * L + mp + 50
+    rng = np.random.default_rng(chunk + 100 * mp + mpp)
+    found = set()
+    for period in (1, 2, 3, 6, mp - 1, mp):
+        block = [complex(v) for v in rng.choice([-1, 0, 1, 1j], period)]
+        block[0] = 2
+        base = _eventually_periodic([3] * min(3, mpp), block, h + 1)
+        found.add(_same_as_every_oracle(_seq(base), mp, mpp, h))
+        for q in range(L + 2):
+            vals = list(base)
+            vals[q] = 5
+            found.add(_same_as_every_oracle(_seq(vals), mp, mpp, h))
+            vals[min(h, q + period + 1)] = 7j
+            found.add(_same_as_every_oracle(_seq(vals), mp, mpp, h))
+        noisy = np.array(base) + rng.uniform(0, 5e-4, h + 1)
+        for q in (0, mpp, L - 2, L - 1, L):
+            vals = noisy.copy()
+            vals[q] += 2e-3
+            found.add(_same_as_every_oracle(_seq(vals, "float"), mp, mpp, h, 1e-3))
+    assert None in found and any(f is not None and f[1] == mp for f in found)
+    assert not mpp or any(f is not None and f[0] > 0 for f in found)
+
+
+@pytest.mark.parametrize("mp, mpp", [(20_000, 64), (64, 10 ** 6)])
+def test_periodicity_memory_grows_with_the_head_not_its_square(mp, mpp):
+    # the head comparison runs in blocks of about one reader chunk of cells
+    # and the divisor sieve holds mp log mp pairs, so neither a
+    # max_period x max_period nor a max_period x max_preperiod array is
+    # ever built (at these sizes either would take hundreds of MB)
+    import tracemalloc
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    tracemalloc.start()
+    try:
+        assert rl.detect_eventual_periodicity(seq, mp, mpp, 3 * 10 ** 6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    head = (mpp + mp) * seq.read(0, 1).itemsize
+    assert peak < 3 * head + 16 * 2 ** 20, peak

@@ -11,7 +11,8 @@ import pytest
 import nbscope as nb
 from nbscope import randomseries
 from nbscope.analytic import TERM_CAP, NumericCapError
-from nbscope.randomseries import _distribution_of, _rng_for, _variance_with_se
+from nbscope.randomseries import (_COVER_CAP, Separation, _cover_mass, _distribution_of,
+                                  _hex_cover, _rng_for, _variance_with_se)
 from nbscope.sequences import SequenceError, _exact_kind
 
 
@@ -247,6 +248,134 @@ def test_cover_mass_matches_the_scan_it_replaced(centers, monkeypatch):
                             lambda p, w, c, m_eff: old_cover_mass(p, w, c, 1.0 / m_eff))
         assert nb.separated_values(dist, m, sigma) == fast, name
         monkeypatch.undo()
+
+
+def loop_separated_values(distribution, m: int, sigma: float, bound=None):
+    """separated_values as it picked centers with max over a range and
+    found the far centers with one scalar abs per center, verbatim."""
+    if m < 1:
+        raise SequenceError("cover parameter m must be >= 1")
+    if sigma < 0:
+        raise SequenceError("sigma must be >= 0")
+    if not math.isfinite(sigma):
+        raise SequenceError(f"sigma must be finite, got {sigma}")
+    if isinstance(distribution, tuple) and len(distribution) == 2:
+        points = np.asarray(distribution[0], dtype=complex)
+        weights = np.asarray(distribution[1], dtype=float)
+        if points.size != weights.size:
+            raise SequenceError("values and probs must have equal length")
+        weights = weights / weights.sum()
+    else:
+        points = np.asarray(distribution, dtype=complex).ravel()
+        if points.size == 0:
+            raise SequenceError("empty sample set")
+        weights = np.full(points.size, 1.0 / points.size)
+    if points.size == 0:
+        raise SequenceError("empty sample set")
+
+    if sigma == 0.0:
+        return None
+    K = float(bound) if bound is not None else float(np.max(np.abs(points)))
+    K = max(K, 1e-12)
+    if not math.isfinite(K):
+        raise SequenceError(f"cover radius K must be finite, got {K}")
+    threshold = math.sqrt(sigma / 2.0)
+    m_eff = max(int(m), int(math.ceil(1.0 / threshold)))
+    radius = 1.0 / m_eff
+    # _hex_cover scans (2 rows + 1)(2 cols + 1) points, rows <= 2Rm/3 + 2
+    # and cols <= Rm/sqrt(3) + 2 with R = K + 1/m
+    R = K + radius
+    scanned = (4 * R * m_eff / 3 + 5) * (2 * R * m_eff / math.sqrt(3) + 5)
+    if scanned > _COVER_CAP:
+        raise SequenceError(f"cover of the radius-{K} disk by disks of radius 1/{m_eff} "
+                            f"scans up to {scanned:.3g} lattice points (cap {_COVER_CAP})")
+
+    carr = _hex_cover(K, m_eff)
+    n_cover = len(carr)
+    mass = _cover_mass(points, weights, carr, m_eff)
+
+    def pick(cand_idx):
+        best = max(cand_idx, key=lambda i: (mass[i], -i))
+        raw_prob = float(mass[best])
+        sel = np.abs(points - carr[best]) <= radius
+        snapped = complex(np.sum(points[sel] * weights[sel]) / weights[sel].sum())
+        snapped_prob = float(weights[np.abs(points - snapped) <= radius].sum())
+        if snapped_prob >= raw_prob:
+            return snapped, snapped_prob
+        return complex(carr[best]), raw_prob
+
+    z, prob_z = pick(range(n_cover))
+    if prob_z <= 0.0:
+        return None
+
+    k_tilde = (sigma / (8.0 * K * K)) / n_cover
+    away = [i for i in range(n_cover) if abs(carr[i] - z) >= threshold]
+    away = [i for i in away if mass[i] > 0]
+    if not away:
+        return None
+    w, prob_w = pick(away)
+    if abs(w - z) < threshold:
+        # snapping pulled w inside the exclusion disk; keep the raw center
+        best = max(away, key=lambda i: (mass[i], -i))
+        w, prob_w = complex(carr[best]), float(mass[best])
+    if prob_w < k_tilde:
+        return None
+    return Separation(z=z, w=w, prob_z=prob_z, prob_w=prob_w,
+                      cover_size=n_cover, disk_radius=radius,
+                      threshold=threshold, min_prob_w=k_tilde)
+
+
+def _tied_distributions():
+    """Atoms and draws whose cover centers tie in mass: symmetric atoms of
+    equal weight, lattice-aligned draws, and seeded atoms and draws."""
+    yield (np.array([1, -1, 1j, -1j]), np.full(4, 0.25))
+    yield (np.array([0.5, -0.5, 1.5, -1.5]), np.array([0.3, 0.3, 0.2, 0.2]))
+    yield (np.array([0, 1, 2, 3]) * 0.8 + 0.1j, np.full(4, 1.0))   # unnormalised
+    yield np.repeat(np.array([1, -1, 0.5j, -0.5j]), 5)
+    rng = np.random.default_rng(43)
+    for k in range(2, 9):
+        values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], k) + 1j * rng.choice([0, 0.5], k)
+        yield (values, rng.choice([1.0, 2.0], k))
+        yield rng.normal(size=40 * k) + 1j * rng.normal(size=40 * k) * (k % 2)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 40])
+def test_separated_values_matches_the_loops_it_replaced(m):
+    for dist in _tied_distributions():
+        points = np.asarray(dist[0] if isinstance(dist, tuple) else dist, dtype=complex)
+        var = float(np.mean(np.abs(points - points.mean()) ** 2))
+        for sigma in (var, var / 3, var / 50, 4 * var, 0.02):
+            for bound in (None, 3.0):
+                want = loop_separated_values(dist, m, sigma, bound=bound)
+                assert nb.separated_values(dist, m, sigma, bound=bound) == want
+
+
+def test_far_centers_keep_the_scalar_abs_at_the_threshold():
+    # thresholds at, and 1 and 2 ulp either side of, the scalar distance of
+    # centers whose np.abs distance differs from it in the last bits
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        carr = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+        mass = np.where(rng.random(4000) < 0.8, rng.random(4000), 0.0)
+        z = complex(rng.normal(), rng.normal())
+        scalar = np.array([abs(c - z) for c in carr])
+        differ = np.flatnonzero(np.abs(carr - z) != scalar)
+        assert differ.size
+        for i in differ[:10].tolist():
+            for ulps in (-2, -1, 0, 1, 2):
+                t = float(scalar[i])
+                for _ in range(abs(ulps)):
+                    t = math.nextafter(t, math.copysign(math.inf, ulps))
+                want = [j for j in range(len(carr)) if abs(carr[j] - z) >= t]
+                want = [j for j in want if mass[j] > 0]
+                assert randomseries._far_centers(carr, mass, z, t).tolist() == want
+
+
+@pytest.mark.parametrize("probs", [[0.5, math.nan], [0.5, math.inf], [1.5, -0.5],
+                                   [0.0, 0.0], [1e308, 1e308]])
+def test_separated_values_refuses_probs_that_give_no_finite_masses(probs):
+    with pytest.raises(SequenceError, match="probs must be finite and >= 0"):
+        nb.separated_values((np.array([0, 1]), np.array(probs)), 4, 0.1)
 
 
 def test_experiment_finds_certificates():
