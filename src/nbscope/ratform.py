@@ -25,6 +25,8 @@ __all__ = ["RootOfUnityPole", "RationalForm", "RationalFormError",
            "reduce_eventually_periodic"]
 
 _NUMERIC_POLE_TOL = 1e-9
+# the least int that rounds to inf as a float (halfway past the float max)
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
 class RationalFormError(ValueError):
@@ -93,9 +95,10 @@ def _is_gaussian_integer(v: complex) -> bool:
 
 
 def _combined_numerator(head, block):
-    """Coefficients of head(z)*(1 - z^T) + z^len(head)*block(z), ascending."""
+    """Coefficients of head(z)*(1 - z^T) + z^len(head)*block(z), ascending,
+    summed in the values' own type (exact for Python ints)."""
     T, pp = len(block), len(head)
-    out = np.zeros(pp + T, dtype=complex)
+    out = [0] * (pp + T)
     for k, c in enumerate(head):
         out[k] += c
         out[k + T] -= c
@@ -110,6 +113,12 @@ def _trim(coeffs):
     if nz.size == 0:
         return np.zeros(1, dtype=complex)
     return arr[: nz[-1] + 1]
+
+
+def _numerator_overflow(k, T, pp):
+    return RationalFormError(
+        f"coefficient {k} of the numerator head(z)*(1 - z^{T}) + "
+        f"z^{pp}*block(z) exceeds the float range")
 
 
 def _divmod_monic(num, den):
@@ -148,14 +157,16 @@ def _cyclotomics(T):
     return cyc
 
 
-def _reduce_exact(num_coeffs, T, pp):
-    """Exact reduction of a Gaussian-integer numerator over the cyclotomic
-    factors of 1 - z^T, in Python ints.  Phi_d has integer coefficients
-    and is monic, so a Gaussian numerator divides exactly iff its real and
-    imaginary parts both do."""
-    num = _trim(num_coeffs)
-    re_part = [int(c.real) for c in num]
-    im_part = [int(c.imag) for c in num]
+def _reduce_exact(re_part, im_part, T, pp):
+    """Exact reduction of a Gaussian-integer numerator, given as its real
+    and imaginary int coefficients, over the cyclotomic factors of
+    1 - z^T, in Python ints.  Phi_d has integer coefficients and is monic,
+    so a Gaussian numerator divides exactly iff its real and imaginary
+    parts both do."""
+    re_part, im_part = list(re_part), list(im_part)
+    while len(re_part) > 1 and not (re_part[-1] or im_part[-1]):
+        re_part.pop()
+        im_part.pop()
     is_zero = not any(re_part) and not any(im_part)
     cyc = _cyclotomics(T)
 
@@ -235,13 +246,18 @@ def reduce_eventually_periodic(head, block) -> RationalForm:
     block = [complex(v) for v in block]
     if not block:
         raise ValueError("period block must be nonempty")
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = _combined_numerator(head, block)
+    T, pp = len(block), len(head)
+    if all(_is_gaussian_integer(c) for c in head + block):
+        # summed in ints: float sums of integers past 2^53 round
+        re_part = _combined_numerator([int(c.real) for c in head],
+                                      [int(c.real) for c in block])
+        im_part = _combined_numerator([int(c.imag) for c in head],
+                                      [int(c.imag) for c in block])
+        for k, (a, b) in enumerate(zip(re_part, im_part)):
+            if max(abs(a), abs(b)) >= _FLOAT_OVERFLOW:
+                raise _numerator_overflow(k, T, pp)
+        return _reduce_exact(re_part, im_part, T, pp)
+    num = np.array(_combined_numerator(head, block), dtype=complex)
     if not np.isfinite(num).all():
-        k = int(np.flatnonzero(~np.isfinite(num))[0])
-        raise RationalFormError(
-            f"coefficient {k} of the numerator head(z)*(1 - z^{len(block)}) + "
-            f"z^{len(head)}*block(z) exceeds the float range")
-    if all(_is_gaussian_integer(c) for c in num):
-        return _reduce_exact(num, len(block), len(head))
-    return _reduce_numeric(num, len(block), len(head))
+        raise _numerator_overflow(int(np.flatnonzero(~np.isfinite(num))[0]), T, pp)
+    return _reduce_numeric(num, T, pp)

@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 _CLUSTER_CAP = 10 ** 6
+# First values sorted before all of them, to find a tie early
+_TIE_PROBE = 64
 _BUCKET_CAP = 64
 _PAIR_CAP = 256
 # A certificate check reads two neighbouring witnesses together when they
@@ -187,11 +189,14 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
     window joins the earliest-created cluster whose leader window is within
     ``eps`` in sup metric, else founds a new cluster; once ``_CLUSTER_CAP``
     clusters exist (eps > 0 only), a window matching none is dropped and
-    ``truncated`` is set.  Equal windows always land in the same cluster,
-    so the rule runs once per distinct window, in order of first
-    occurrence, and each founder only tests the distinct windows whose
-    first value lies within a little more than ``eps`` of its own (at
-    eps = 0 each distinct window is its own cluster).  Clusters with at
+    ``truncated`` is set.  When no two windows share the real part of
+    their first value, no two are equal and the rule runs on the windows
+    themselves.  Otherwise equal windows, which always land in the same
+    cluster, are grouped first, and the rule runs once per distinct
+    window, in order of first occurrence.  Either way each founder only
+    tests the windows whose first value lies within a little more than
+    ``eps`` of its own (at eps = 0 each distinct window is its own
+    cluster).  Clusters with at
     least ``min_recurrence`` members are returned as candidates, ordered by
     population (ties: earlier cluster first), at most ``max_candidates``
     (0: no limit).
@@ -210,19 +215,38 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
                                      f"exceeds the cap {TERM_CAP}")
     data = _gather(seq, h + 1)
     D = 2 * width + 1
-    wins = sliding_window_view(data, D)
-    groups, first, _ = _group_rows(wins)
-    # distinct windows in order of first occurrence, then each window's
-    # cluster (-1: dropped at the cap); members come out ascending
-    by_first = np.argsort(first)
-    starts = first[by_first]
-    label, founders, truncated = _leader_clusters(wins[starts], eps)
-    cid = label[np.argsort(by_first)[groups]]
+    n = h + 2 - D
+    key = data[:n].real
+    by_key = _tie_free_order(key)
+    if by_key is not None:
+        # every window is distinct; test each founder's candidates a
+        # column at a time on views of the data
+        def within(i, cand):
+            ok = np.abs(data[cand] - data[i]) <= eps
+            for c in range(1, D):
+                ok &= np.abs(data[c:c + n][cand] - data[i + c]) <= eps
+            return ok
+        cid, founders, truncated = _leader_clusters(key, by_key, eps, within)
+    else:
+        wins = sliding_window_view(data, D)
+        groups, first, _ = _group_rows(wins)
+        # distinct windows in order of first occurrence, then each window's
+        # cluster (-1: dropped at the cap)
+        by_first = np.argsort(first)
+        starts = first[by_first]
+        rows = wins[starts]
+        key = rows[:, 0].real
+        label, founders, truncated = _leader_clusters(
+            key, np.argsort(key, kind="stable"), eps,
+            lambda i, cand: np.abs(rows[cand] - rows[i]).max(axis=1) <= eps)
+        cid = label[np.argsort(by_first)[groups]]
+        founders = starts[founders]
+    # members come out ascending
     kept = np.flatnonzero(cid >= 0)
     centers = (kept[np.argsort(cid[kept], kind="stable")] + width).tolist()
     ends = np.cumsum(np.bincount(cid[kept])).tolist()
     clusters = [(data[f:f + D], centers[a:b]) for f, a, b
-                in zip(starts[founders].tolist(), [0] + ends[:-1], ends)]
+                in zip(np.asarray(founders).tolist(), [0] + ends[:-1], ends)]
 
     order = sorted(range(len(clusters)),
                    key=lambda i: (-len(clusters[i][1]), i))
@@ -241,25 +265,37 @@ def extract_right_limits(seq: OneSidedSequence, width: int, horizon: int,
                          windows_scanned=h + 2 - D, truncated=truncated)
 
 
-def _leader_clusters(rows, eps):
+def _tie_free_order(key):
+    """The argsort of ``key`` if no two of its values are equal (so it is
+    the stable one), else None.  A stream with ties mostly has some among its
+    first values, which a short sort finds before the whole one."""
+    head = np.sort(key[:_TIE_PROBE])
+    if np.any(head[1:] == head[:-1]):
+        return None
+    order = np.argsort(key)
+    srt = key[order]
+    return order if np.all(srt[1:] != srt[:-1]) else None
+
+
+def _leader_clusters(key, by_key, eps, within):
     """Greedy leader clustering of distinct rows, taken in order.
 
     The first unassigned row founds a cluster and absorbs every unassigned
-    row within eps (sup of np.abs): leaders never change and the earliest
-    matching one wins, as in the sequential rule.  Only rows whose column-0
-    real part lies within ``slack`` of the founder's are tested; the slack
-    exceeds eps by more than the distance's rounding, so it can only add
-    candidates.  Returns (label, founders, truncated): row i is in cluster
-    label[i], founded by row founders[label[i]], or in none (-1) once
+    row within eps (``within(i, cand)``: a mask of the rows ``cand`` within
+    eps of row i, sup of np.abs): leaders never change and the earliest
+    matching one wins, as in the sequential rule.  Only rows whose ``key``
+    (column-0 real part) lies within ``slack`` of the founder's are
+    tested; the slack exceeds eps by more than the distance's rounding, so
+    it can only add candidates; ``by_key`` is a stable argsort of ``key``.
+    Returns (label, founders, truncated): row i is in cluster label[i],
+    founded by row founders[label[i]], or in none (-1) once
     ``_CLUSTER_CAP`` clusters exist and it matches none of them.
     """
-    n = rows.shape[0]
+    n = len(key)
     if eps == 0.0:
         # distinct rows are never within 0 of each other
         every = np.arange(n)
         return every, every, False
-    key = rows[:, 0].real
-    by_key = np.argsort(key, kind="stable")
     sorted_key = key[by_key]
     slack = eps * (1 + 2.0 ** -20)
     label = np.full(n, -1, dtype=np.int64)
@@ -275,7 +311,7 @@ def _leader_clusters(rows, eps):
                 cand = by_key[sorted_key.searchsorted(key[i] - slack):
                               sorted_key.searchsorted(key[i] + slack, "right")]
                 cand = cand[label[cand] < 0]
-                label[cand[np.abs(rows[cand] - rows[i]).max(axis=1) <= eps]] = len(founders)
+                label[cand[within(i, cand)]] = len(founders)
                 founders.append(i)
     return label, founders, False
 
@@ -500,7 +536,9 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     removes both indices from further pairing, which makes the found set
     stable under horizon growth.  Values are read a key chunk at a time as
     the scan reaches them, so a capped search reads no further than it
-    scanned.
+    scanned.  A horizon past ``TERM_CAP`` values is refused before any
+    read, except on a gap family whose fill is below delta in modulus,
+    where no pair exists and nothing is read.
     """
     if flank_side not in ("backward", "forward"):
         raise SequenceError("flank_side must be 'backward' or 'forward'")
@@ -517,8 +555,11 @@ def find_pair_certificate(seq: OneSidedSequence, width: int, horizon: int,
     h = seq.clamp_horizon(horizon)
     if h < 2 * width + 1:
         raise SequenceError("horizon too small for pair search")
-    if seq.gap_support is None:
-        _check_dense_horizon(h, "pair search")
+    # a gap family's values are 0 and its fill: no two centers are delta
+    # apart unless the fill's modulus is
+    if seq.gap_support is not None and abs(seq.gap_support.fill) < delta:
+        return None
+    _check_dense_horizon(h, "pair search")
     if flank_side == "backward":    # flank offset, first and end center
         off, start, stop = -width, width, h + 1
     else:

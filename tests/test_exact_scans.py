@@ -1345,3 +1345,32 @@ def test_periodicity_memory_grows_with_the_head_not_its_square(mp, mpp):
         tracemalloc.stop()
     head = (mpp + mp) * seq.read(0, 1).itemsize
     assert peak < 3 * head + 16 * 2 ** 20, peak
+
+
+def test_gap_pair_search_reads_nothing_when_the_fill_cannot_separate(monkeypatch):
+    # values 0 and the fill: no two centers are delta apart when |fill| < delta
+    monkeypatch.setattr(rl, "TERM_CAP", 5000)
+    for fill in (0.3, 0.3j, math.nextafter(0.5, 0)):
+        seq, reads = nb.make_sequence(nb.gap_powers("factorials", fill)), []
+        block = seq._block
+        seq._block = lambda lo, hi: reads.append((lo, hi)) or block(lo, hi)
+        for side in ("backward", "forward"):
+            assert rl.find_pair_certificate(seq, 3, 10 ** 10, eps=0.1,
+                                            delta=0.5, flank_side=side) is None
+        assert reads == []
+        # argument checks still come first
+        with pytest.raises(nb.SequenceError, match="flank_side"):
+            rl.find_pair_certificate(seq, 3, 10 ** 10, flank_side="sideways")
+        with pytest.raises(nb.SequenceError, match="horizon too small"):
+            rl.find_pair_certificate(seq, 3, 5)
+
+
+@pytest.mark.parametrize("fill", [0.5, 1.0, -1j])
+def test_gap_pair_search_refuses_past_the_term_cap_when_the_fill_can(fill,
+                                                                     monkeypatch):
+    monkeypatch.setattr(rl, "TERM_CAP", 5000)
+    seq = nb.make_sequence(nb.gap_powers("factorials", fill))
+    rl.find_pair_certificate(seq, 3, 4999, eps=0.1, delta=0.5)    # runs
+    seq._block = lambda lo, hi: pytest.fail("read before the refusal")
+    with pytest.raises(nb.NumericCapError, match="5001 values exceeds the cap 5000"):
+        rl.find_pair_certificate(seq, 3, 5000, eps=0.1, delta=0.5)

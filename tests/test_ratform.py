@@ -74,9 +74,9 @@ def reference_reduce_exact(num_coeffs, T, pp):
 
 
 def _assert_same(head, block):
-    num = ratform._combined_numerator([complex(v) for v in head],
-                                      [complex(v) for v in block])
-    got = ratform._reduce_exact(num, len(block), len(head))
+    head, block = [complex(v) for v in head], [complex(v) for v in block]
+    num = np.array(ratform._combined_numerator(head, block), dtype=complex)
+    got = ratform.reduce_eventually_periodic(head, block)
     want = reference_reduce_exact(num, len(block), len(head))
     assert got == want, (head, block)
     # signed zeros reach the JSON output, so the floats must match bit for bit
@@ -152,3 +152,47 @@ def test_forms_near_the_float_range_that_fit_are_kept():
         assert form.exact and form.numerator[0] == -BIG
         form = ratform.reduce_eventually_periodic([BIG], [BIG, BIG])
         assert form.numerator == (-BIG + 0j,) and form.poles == (RootOfUnityPole(0, 1),)
+
+
+def sympy_form(head, block):
+    """(numerator, denominator, poles) of head(z) + z^pp*block(z)/(1 - z^T)
+    for real integer values, cancelled in exact rationals by sympy, the
+    denominator monic; poles are the roots of the denominator."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    T, pp = len(block), len(head)
+    f = (sum(sympy.Integer(v) * z ** k for k, v in enumerate(head))
+         + z ** pp * sum(sympy.Integer(v) * z ** k for k, v in enumerate(block))
+         / (1 - z ** T))
+    num, den = (sympy.Poly(p, z) for p in sympy.fraction(sympy.cancel(sympy.together(f))))
+    lead = den.LC()
+    num, den = num.quo_ground(lead), den.quo_ground(lead)
+    poles = {complex(sympy.N(r, 30)) for r in sympy.Poly(den, z).all_roots()}
+    as_floats = lambda p: tuple(complex(float(c)) for c in p.all_coeffs()[::-1])
+    return as_floats(num), as_floats(den), poles
+
+
+@pytest.mark.parametrize("head, block", [
+    # float sums lost the 1: 2^60 - 2^60 z^2 + z^2 became 2^60
+    ([2 ** 60], [0, 1]),
+    ([2 ** 60, -(2 ** 62)], [1, 2 ** 55, -(2 ** 70 + 2 ** 18)]),
+    ([], [2 ** 80, 2 ** 80 + 2 ** 28, 1]),
+    ([3, 2 ** 64], [-(2 ** 64), 0, 0, 7]),
+], ids=["2^60-then-0,1", "mixed", "period-3", "period-4"])
+def test_exact_forms_of_integers_past_2_to_the_53(head, block):
+    pytest.importorskip("sympy")
+    form = ratform.reduce_eventually_periodic([float(v) for v in head],
+                                              [float(v) for v in block])
+    num, den, poles = sympy_form(head, block)
+    assert form.exact
+    assert form.numerator == num and form.denominator == den
+    assert len(form.poles) == len(poles)
+    for p in form.poles:
+        assert min(abs(p.value - w) for w in poles) < 1e-12
+
+
+def test_two_to_the_60_then_zero_one_has_poles_at_plus_and_minus_1():
+    form = ratform.reduce_eventually_periodic([2.0 ** 60], [0, 1])
+    assert form.poles == (RootOfUnityPole(0, 1), RootOfUnityPole(1, 2))
+    assert form.denominator == (-1, 0, 1)

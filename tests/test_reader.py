@@ -146,7 +146,11 @@ def old_extract(seq, width, horizon, chunk, eps=None, max_candidates=16,
     groups, first, _ = rl._group_rows(wins)
     by_first = np.argsort(first)
     starts = first[by_first]
-    label, founders, truncated = rl._leader_clusters(wins[starts], eps)
+    rows = wins[starts]
+    key = rows[:, 0].real
+    label, founders, truncated = rl._leader_clusters(
+        key, np.argsort(key, kind="stable"), eps,
+        lambda i, cand: np.abs(rows[cand] - rows[i]).max(axis=1) <= eps)
     cid = label[np.argsort(by_first)[groups]]
     kept = np.flatnonzero(cid >= 0)
     centers = (kept[np.argsort(cid[kept], kind="stable")] + width).tolist()

@@ -85,6 +85,7 @@ def _extract_eps0_oracle(seq, width, horizon):
 
 _EPS0_STREAMS = {
     "rudin-shapiro": nb.rudin_shapiro(),
+    "rotation": nb.rotation(math.sqrt(2) - 1),
     "erdos-hard": nb.erdos("hard"),
     "squares": nb.gap_powers("squares", 1),
     "periodic-complex": nb.periodic([1, 1j, -1, 0.5 + 0.5j, 1j, 0]),
@@ -214,6 +215,28 @@ def _complex_repeats(rng, n):
     return nb.make_sequence(nb.explicit(vals))
 
 
+def _rotation_with_copies(rng, n, width):
+    # a rotation's windows are all distinct; copy eight windows of the first
+    # half exactly into the second, so their first values tie
+    vals = nb.make_sequence(nb.rotation(math.sqrt(2) - 1, 0.1)).prefix(n).real
+    D, half = 2 * width + 1, n // 2
+    for k, src in enumerate(sorted(rng.choice(half - D, size=8, replace=False))):
+        dst = half + k * (half // 8)
+        vals[dst:dst + D] = vals[src:src + D]
+    return nb.make_sequence(nb.explicit(vals))
+
+
+def _complex_shared_real(rng, n):
+    # real parts from eight values, imaginary parts all distinct
+    return nb.make_sequence(nb.explicit(rng.integers(0, 8, size=n) / 8
+                                        + 1j * rng.random(n)))
+
+
+def _complex_distinct_real(rng, n):
+    return nb.make_sequence(nb.explicit(rng.random(n)
+                                        + 0.5j * rng.integers(0, 3, size=n)))
+
+
 _EPS_3ULP = 3 * _ULP_1E12
 _DIFF_CASES = [
     # (stream, width, horizon, eps)
@@ -246,6 +269,16 @@ _DIFF_CASES = [
      _EPS_3ULP * (1 - 4 * 2.0 ** -53)),
     ("1e12-complex", lambda rng: _near_1e12(rng, 3000, imag=True), 2, 2999,
      _EPS_3ULP),
+    # first-value ties force the exact grouping; without them it is skipped
+    ("rotation-with-copies", lambda rng: _rotation_with_copies(rng, 6000, 3),
+     3, 5999, 0.05),
+    ("complex-shared-real", lambda rng: _complex_shared_real(rng, 3000), 1,
+     2999, 0.3),
+    ("complex-distinct-real", lambda rng: _complex_distinct_real(rng, 3000), 1,
+     2999, 0.3),
+    # distinct values, many pairs exactly eps apart
+    ("dyadic-distinct-exact-eps", lambda rng: nb.make_sequence(
+        nb.explicit(rng.permutation(3000) / 1024)), 1, 2999, 0.25),
 ]
 
 
@@ -266,6 +299,46 @@ def test_extract_matches_reference_leader_clusters(monkeypatch, name, make,
         _assert_same_extract(res, ref)
     # every stream has more than 5 clusters, so a patched cap fires mid-stream
     assert res.truncated is (cap is not None)
+
+
+@pytest.mark.parametrize("name,grouped", [
+    ("rotation-0.05", False), ("complex-distinct-real", False),
+    ("dyadic-distinct-exact-eps", False),
+    ("rotation-with-copies", True), ("complex-shared-real", True),
+    ("erdos-soft", True)])
+def test_extract_groups_windows_only_when_first_values_tie(monkeypatch, name,
+                                                           grouped):
+    _, make, width, horizon, eps = next(c for c in _DIFF_CASES if c[0] == name)
+    seq = make(np.random.default_rng(sum(map(ord, name))))
+    calls = []
+
+    def group_rows(rows):
+        calls.append(rows.shape)
+        if not grouped:
+            raise AssertionError("tie-free windows were grouped")
+        return group_rows_before(rows)
+
+    group_rows_before = rightlimits._group_rows
+    monkeypatch.setattr(rightlimits, "_group_rows", group_rows)
+    for e in (eps, 0.0):
+        nb.extract_right_limits(seq, width, horizon, eps=e)
+    assert len(calls) == (2 if grouped else 0)
+
+
+def test_extract_copied_windows_join_their_originals_cluster():
+    seq = _rotation_with_copies(np.random.default_rng(0), 6000, 3)
+    res = nb.extract_right_limits(seq, 3, 5999, eps=0.05, max_candidates=0,
+                                  min_recurrence=1)
+    cluster = {c: i for i, cand in enumerate(res.candidates)
+               for c in cand.recurrence_indices}
+    vals = seq.prefix(6000)
+    wins = {}
+    for c in range(3, 5997):
+        wins.setdefault(vals[c - 3:c + 4].tobytes(), []).append(c)
+    copies = [cs for cs in wins.values() if len(cs) > 1]
+    assert len(copies) == 8
+    for cs in copies:
+        assert len({cluster[c] for c in cs}) == 1
 
 
 def test_extract_eps0_ignores_the_cap(monkeypatch):
@@ -622,6 +695,16 @@ def test_verdict_periodic_rational_form():
     assert {(p.num, p.den) for p in v.rational_form.poles} == {(0, 1), (1, 3), (2, 3)}
     for p in v.rational_form.poles:
         assert 3 % p.den == 0
+
+
+def test_verdict_rational_form_of_integers_past_2_to_the_53():
+    # 2^60 + z^2/(1 - z^2): a float sum of the numerator dropped the z^2 term
+    seq = nb.make_sequence(nb.explicit([2 ** 60] + [0, 1] * 600))
+    v = nb.verdict(seq, AnalysisConfig(horizon=1000))
+    assert v.kind == "EventuallyPeriodic" and v.periodicity == (1, 2)
+    form = v.rational_form
+    assert form.exact and form.denominator == (-1, 0, 1)
+    assert {(p.num, p.den) for p in form.poles} == {(0, 1), (1, 2)}
 
 
 def test_verdict_snapped_sequence_goes_to_block_analysis():
