@@ -175,13 +175,17 @@ def truncation_length(bound: float, r: float, tol: float) -> int:
 
 
 def _float_tail(bound, r, n):
-    """bound * r**n / (1-r) when r**n and bound * r**n are normal floats (or
-    the bound is 0), so that each is rounded to within an ulp; else None."""
+    """The least float at or above bound * p / (1-r), where p is r**n moved
+    up by an ulp (so at or above the exact power, which pow rounds to within
+    an ulp), when r**n and bound * r**n are normal floats (or the bound is
+    0); else None."""
     power = r ** n
-    head = bound * power
-    if power >= sys.float_info.min and (head >= sys.float_info.min or bound == 0.0):
-        return head / (1.0 - r)
-    return None
+    if not (power >= sys.float_info.min
+            and (bound * power >= sys.float_info.min or bound == 0.0)):
+        return None
+    exact = Fraction(bound) * Fraction(math.nextafter(power, math.inf)) / (1 - Fraction(r))
+    tail = float(exact)
+    return tail if Fraction(tail) >= exact else math.nextafter(tail, math.inf)
 
 
 def _truncation(seq: OneSidedSequence, r: float, tol: float, start: int = 0,

@@ -213,7 +213,13 @@ def _cmd_montecarlo(args):
         if not args.transition:
             raise sequences.SequenceError(
                 "markov process needs --transition 'row;row;...'")
-        rows = [_parse_floats(row) for row in args.transition.split(";")]
+        rows = []
+        for row in args.transition.split(";"):
+            try:
+                rows.append(_parse_floats(row))
+            except ValueError:
+                raise sequences.SequenceError(
+                    f"--transition row {row!r} is not a list of numbers") from None
         spec = randomseries.markov_process(args.values, rows, seed=args.seed)
     else:
         if args.q is None:

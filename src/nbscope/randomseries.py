@@ -84,7 +84,11 @@ def iid_process(values, probs=None, seed: int = 0) -> ProcessSpec:
 def markov_process(emissions, transition, initial=None, seed: int = 0) -> ProcessSpec:
     em = tuple(complex(v) for v in emissions)
     _check_finite(np.asarray(em, dtype=complex), "markov values")
-    tr = np.asarray(transition, dtype=float)
+    try:
+        tr = np.asarray(transition, dtype=float)
+    except (TypeError, ValueError):     # a ragged or non-numeric matrix
+        raise SequenceError(f"transition matrix must be rows of numbers of equal "
+                            f"length, got {transition!r}") from None
     k = len(em)
     if tr.shape != (k, k):
         raise SequenceError("transition matrix shape must match emissions")

@@ -695,6 +695,14 @@ def test_generate_periodic_non_finite_pattern_exits_2(capsys):
     (("--process", "iid", "--values", "1e308,-1e308"), "sigma must be finite, got inf"),
     (("--process", "markov", "--values", "1e200,0", "--transition", "0.5,0.5;0.5,0.5"),
      "sigma must be finite, got inf"),
+    # ended in a ValueError traceback with exit 1: a float parse, then
+    # ragged rows in np.asarray
+    (("--process", "markov", "--values", "0,1", "--transition", "0.5,a;0.5,0.5"),
+     "--transition row '0.5,a' is not a list of numbers"),
+    (("--process", "markov", "--values", "0,1", "--transition", "0.5,0.5;"),
+     "transition matrix must be rows of numbers of equal length, got [[0.5, 0.5], []]"),
+    (("--process", "markov", "--values", "0,1", "--transition", "0.5,0.5;0.5"),
+     "transition matrix must be rows of numbers of equal length, got [[0.5, 0.5], [0.5]]"),
 ])
 def test_montecarlo_non_finite_inputs_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "montecarlo", *argv, "--trials", "2",

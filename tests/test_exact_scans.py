@@ -1,155 +1,23 @@
-"""Differential tests of the early-exit periodicity scan, the block
-analysis and the gap search's flank loop against the full-array code they
-replaced, of the chunked gap and periodicity scans against the
-whole-prefix code they replaced, of the upward periodicity scan against
-the top-down scan it replaced, and of the counted block witnesses and the
-rank-coded exact pair keys against the lexsort grouping of raw values
-they replaced."""
+"""Differential tests of the exact-stream scans against their references
+(``references.py``): the periodicity scan, the block analysis and its
+counted block witnesses, the zero-flank search on dense streams and on
+gap supports, the rank-coded exact pair keys, and the reads of the
+certificate checks.  Each case set is the union of those run against the
+code each rewrite replaced; test names recall the rewrite that brought
+the cases in."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 import nbscope as nb
 from nbscope import rightlimits as rl
 from nbscope import sequences as seqmod
-
-
-def reference_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
-    """The full-array loop that detect_eventual_periodicity replaced, verbatim."""
-    if max_period < 1:
-        raise nb.SequenceError("max_period must be >= 1")
-    if tol is None:
-        tol = 0.0 if seq.exact else 1e-9
-    h = seq.clamp_horizon(horizon)
-    if h < max_preperiod + 2 * max_period:
-        raise nb.SequenceError(
-            f"horizon {h} < max_preperiod + 2*max_period = "
-            f"{max_preperiod + 2 * max_period}")
-    arr = seq.prefix(h + 1)
-    best = None
-    for T in range(1, max_period + 1):
-        d = np.abs(arr[T:] - arr[:-T])
-        viol = np.nonzero(d > tol)[0]
-        need = int(viol[-1]) + 1 if viol.size else 0
-        if need <= max_preperiod:
-            cand = (need, T)
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def reference_szego(seq, p_max, horizon, max_period=64, max_preperiod=64):
-    """The per-block dict loop and scalar mismatch walk that
-    szego_block_analysis replaced, verbatim (its periodicity fallback uses
-    the reference scan above)."""
-    h = seq.clamp_horizon(horizon)
-    arr = seq.prefix(h + 1)
-    values = sorted(set(arr.tolist()), key=lambda v: (v.real, v.imag))
-    nv = len(values)
-
-    per_p: dict = {}
-    all_witness = True
-    for p in range(1, p_max + 1):
-        blocks = (h + 1) // p
-        needed = nv ** p + 1
-        if blocks < needed:
-            per_p[p] = (f"skipped: {blocks} aligned blocks available, "
-                        f"{needed} needed to guarantee recurrence")
-            all_witness = False
-            continue
-        first_seen: dict = {}
-        best = None
-        for ell in range(blocks):
-            blk = arr[ell * p:(ell + 1) * p].tobytes()
-            if blk in first_seen:
-                cand = (first_seen[blk], ell)
-                if best is None or cand < best:
-                    best = cand
-            else:
-                first_seen[blk] = ell
-        if best is None:
-            raise nb.VerificationError("pigeonhole guarantee violated")
-        P, Q = best[0] * p, best[1] * p
-        witness = None
-        j = p + 1
-        while Q + j <= h + 1:
-            if arr[P + j - 1] != arr[Q + j - 1]:
-                witness = rl.SzegoWitness(p, P, Q, j)
-                break
-            j += 1
-        if witness is None:
-            per_p[p] = "no mismatch within horizon"
-            all_witness = False
-        else:
-            per_p[p] = witness
-
-    if all_witness:
-        return rl.SzegoReport(per_p, "mismatch-at-every-p", None,
-                              tuple(values), h)
-    mp = min(max_period, max(1, h // 3))
-    mpp = min(max_preperiod, max(0, h - 2 * mp))
-    found = reference_periodicity(seq, mp, mpp, h, tol=0.0)
-    if found is not None:
-        return rl.SzegoReport(per_p, "eventually-periodic", found,
-                              tuple(values), h)
-    return rl.SzegoReport(per_p, "horizon-exhausted", None, tuple(values), h)
-
-
-def lexsort_block_witnesses(seq, p_max, horizon):
-    """rightlimits._block_witnesses as it grouped the blocks of values with
-    one stable lexsort, verbatim."""
-    if not seq.exact:
-        raise nb.SequenceError(
-            "block analysis needs exact-valued input (finite value set)")
-    if p_max < 1:
-        raise nb.SequenceError(f"p_max must be >= 1, got {p_max}")
-    h = seq.clamp_horizon(horizon)
-    data = seqmod._gather(seq, h + 1)
-    values = tuple(complex(v) for v in np.unique(data).tolist())  # by re, then im
-    nv = len(values)
-
-    per_p: dict = {}
-    for p in range(1, p_max + 1):
-        blocks = (h + 1) // p
-        needed = nv ** p + 1
-        if blocks < needed:
-            per_p[p] = (f"skipped: {blocks} aligned blocks available, "
-                        f"{needed} needed to guarantee recurrence")
-            continue
-        # least pair: the repeated group whose first member (the least index,
-        # since the lexsort is stable) is smallest, with its second member
-        groups, first, _ = rl._group_rows(data[:blocks * p].reshape(blocks, p))
-        repeated = first[np.bincount(groups) > 1]
-        if repeated.size == 0:
-            raise nb.VerificationError("pigeonhole guarantee violated")
-        i = int(repeated.min())
-        j = int(np.flatnonzero(groups == groups[i])[1])
-        P, Q = i * p, j * p
-        off = np.flatnonzero(data[P + p:P + h + 1 - Q] != data[Q + p:h + 1])
-        per_p[p] = (rl.SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size
-                    else "no mismatch within horizon")
-    every = all(isinstance(w, rl.SzegoWitness) for w in per_p.values())
-    return rl.SzegoReport(per_p, "mismatch-at-every-p" if every else "horizon-exhausted",
-                          None, values, h)
-
-
-def fold_skipped_tail(report, p_max):
-    """``report`` of a per-p loop in the form _block_witnesses writes: the
-    note of the least skipped length covers every larger length, which
-    must all be skipped as well, and their own notes go."""
-    skips = [p for p, w in report.per_p.items() if str(w).startswith("skipped")]
-    if not skips or skips[0] == p_max:
-        return report
-    first = skips[0]
-    assert skips == list(range(first, p_max + 1))
-    per_p = {p: w for p, w in report.per_p.items() if p <= first}
-    per_p[first] = per_p[first].replace(
-        "skipped:", f"skipped (so is every p up to {p_max}):", 1)
-    return dataclasses.replace(report, per_p=per_p)
+from references import (fold_skipped_tail, raw_chunk_keys, reference_block_witnesses,
+                        reference_gap_certificate, reference_gap_hits,
+                        reference_periodicity, reference_szego, span_reads)
 
 
 def _seq(values, kind=None):
@@ -161,10 +29,8 @@ def _seq(values, kind=None):
 
 def _same_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
     want = reference_periodicity(seq, max_period, max_preperiod, horizon, tol)
-    assert topdown_periodicity(seq, max_period, max_preperiod, horizon, tol) == want
-    got = nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
-                                         horizon, tol)
-    assert got == want
+    assert nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
+                                          horizon, tol) == want
     return want
 
 
@@ -361,7 +227,7 @@ def _same_block_witnesses(values, p_max):
     seq = _seq(values)
     h = len(values) - 1
     got = rl._block_witnesses(seq, p_max, h)
-    assert got == fold_skipped_tail(lexsort_block_witnesses(seq, p_max, h), p_max)
+    assert got == fold_skipped_tail(reference_block_witnesses(seq, p_max, h), p_max)
     return got
 
 
@@ -455,18 +321,6 @@ def test_term_cap_on_whole_prefix_scans_is_inclusive(monkeypatch):
 # Gap search: one flank loop serves the plain and the decay thresholds
 
 
-def reference_gap_hits(seq, width, horizon, eps, delta):
-    """Hits of the plain (decay-free) gap scan as the sliding-window maximum
-    it replaced computed them, verbatim."""
-
-    h = seq.clamp_horizon(horizon)
-    ab = np.abs(seq.prefix(h + 1))
-    fl = sliding_window_view(ab, width).max(axis=1)  # fl[i] = max ab[i:i+W]
-    ok = fl[: h + 1 - width] <= eps
-    centers = np.arange(width, h + 1)
-    return centers[ok & (ab[centers] >= delta)]
-
-
 def _gap_witnesses(seq, width, horizon, eps, delta):
     cert = rl.find_gap_certificate(seq, width, horizon, eps=eps, delta=delta,
                                    min_recurrence=1)
@@ -480,7 +334,7 @@ def test_gap_loop_matches_sliding_window_maximum(width):
     for spec in families:
         seq = nb.make_sequence(spec)
         for horizon in (width, 200, 20_000):
-            want = reference_gap_hits(seq, width, horizon, 0.0, 0.5)
+            want, _ = reference_gap_hits(seq, width, horizon, 0.0, 0.5)
             assert _gap_witnesses(seq, width, horizon, 0.0, 0.5) == tuple(want.tolist())
     rng = np.random.default_rng(width)
     small = rng.random(3000) * 0.1
@@ -492,173 +346,14 @@ def test_gap_loop_matches_sliding_window_maximum(width):
     ab = np.abs(seq.prefix(3000))
     for level in np.sort(ab[ab < 0.1])[::150]:
         for eps in (np.nextafter(level, 0.0), level, np.nextafter(level, 1.0)):
-            want = reference_gap_hits(seq, width, 2999, float(eps), 0.45)
+            want, _ = reference_gap_hits(seq, width, 2999, float(eps), 0.45)
             got = _gap_witnesses(seq, width, 2999, float(eps), 0.45)
             assert got == tuple(want.tolist()), (width, eps)
 
 
 # ---------------------------------------------------------------------------
-# Chunked reads: the gap and periodicity scans against the whole-prefix code
-# they replaced, with the read chunk patched to 1, 7 and 4096 values
-
-
-def whole_prefix_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
-    """detect_eventual_periodicity as it read one whole prefix, verbatim."""
-    if max_period < 1:
-        raise nb.SequenceError("max_period must be >= 1")
-    if max_preperiod < 0:
-        raise nb.SequenceError("max_preperiod must be >= 0")
-    if tol is None:
-        tol = 0.0 if seq.exact else 1e-9
-    if not (math.isfinite(tol) and tol >= 0):
-        raise nb.SequenceError(
-            f"periodicity tolerance must be finite and >= 0, got {tol}")
-    h = seq.clamp_horizon(horizon)
-    if h < max_preperiod + 2 * max_period:
-        raise nb.SequenceError(
-            f"horizon {h} < max_preperiod + 2*max_period = "
-            f"{max_preperiod + 2 * max_period}")
-    arr = seq.prefix(h + 1)
-    # from `tail` on the sequence is exactly constant, so every comparison
-    # there is |c - c| = 0 <= tol and cannot violate
-    moving = np.flatnonzero(arr != arr[-1])
-    tail = int(moving[-1]) + 1 if moving.size else 0
-    best = None
-    for T in range(1, max_period + 1):
-        # the preperiod a valid T needs comes from the head alone; the scan
-        # past the head only decides validity, so it runs only for a T that
-        # would improve on the best candidate
-        viol = np.flatnonzero(np.abs(arr[T:T + max_preperiod]
-                                     - arr[:max_preperiod]) > tol)
-        cand = (int(viol[-1]) + 1 if viol.size else 0, T)
-        if ((best is None or cand < best)
-                and _whole_prefix_holds_from(arr, T, max_preperiod,
-                                             min(h + 1 - T, tail), tol)):
-            best = cand
-    return best
-
-
-def _whole_prefix_holds_from(arr, T, lo, hi, tol):
-    """Whether |arr[n+T] - arr[n]| <= tol for every n in [lo, hi), scanned
-    backwards in doubling chunks so that a violation near the end (the usual
-    case for a wrong period) is found after one small chunk."""
-    size = rl._KEY_CHUNK
-    while hi > lo:
-        c0 = max(lo, hi - size)
-        if np.any(np.abs(arr[c0 + T:hi + T] - arr[c0:hi]) > tol):
-            return False
-        hi, size = c0, 2 * size
-    return True
-
-
-def topdown_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
-    """detect_eventual_periodicity as it scanned from the top down, with a
-    constant-tail search and per-period backward steps, verbatim."""
-    if max_period < 1:
-        raise nb.SequenceError("max_period must be >= 1")
-    if max_preperiod < 0:
-        raise nb.SequenceError("max_preperiod must be >= 0")
-    if tol is None:
-        tol = 0.0 if seq.exact else 1e-9
-    if not (math.isfinite(tol) and tol >= 0):
-        raise nb.SequenceError(
-            f"periodicity tolerance must be finite and >= 0, got {tol}")
-    h = seq.clamp_horizon(horizon)
-    if h < max_preperiod + 2 * max_period:
-        raise nb.SequenceError(
-            f"horizon {h} < max_preperiod + 2*max_period = "
-            f"{max_preperiod + 2 * max_period}")
-    # the preperiod a valid T needs comes from the head alone; the scan
-    # past the head only decides which T are valid
-    head = seq._read(0, max_preperiod + max_period)
-    cands = {}
-    for T in range(1, max_period + 1):
-        viol = np.flatnonzero(np.abs(head[T:T + max_preperiod]
-                                     - head[:max_preperiod]) > tol)
-        cands[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
-
-    # A valid T has no violation at n >= max_preperiod.  From `tail` on the
-    # sequence is exactly constant, so every comparison there is
-    # |c - c| = 0 <= tol and cannot violate.  The chunks, which double
-    # from _KEY_CHUNK values, are first searched for the tail, then each
-    # live T is checked below it, backwards in steps that double from
-    # max_period values, so that a violation near the end (the usual case
-    # for a wrong T) costs one small step.
-    live = None         # T -> end of its still unchecked range of n
-    step = dict.fromkeys(cands, max_period)
-    above = np.empty(0)
-    c1 = h + 1
-    size = min(rl._KEY_CHUNK, seqmod._CHUNK)
-    while c1 > max_preperiod:
-        c0 = max(max_preperiod, c1 - size)
-        # a_{c0} .. a_{c1+max_period-1}: the top max_period values come
-        # from the chunk above, so each index is read once (real values
-        # compare and subtract as their complex forms do)
-        buf = np.concatenate((seq._read(c0, c1), above[:max_period]))
-        if live is None:
-            if c1 == h + 1:
-                last = buf[-1]
-            moving = np.flatnonzero(buf[:c1 - c0] != last)
-            if moving.size:
-                tail = c0 + int(moving[-1]) + 1
-                live = {T: min(h + 1 - T, tail) for T in cands}
-        for T in list(live or ()):
-            if tol == 0 and any(T % d == 0 for d in live if d < T):
-                # exact equality chains: a live divisor d of T has
-                # a_{n+d} = a_n for every n checked so far, which gives
-                # a_{n+T} = a_n on this chunk too
-                live[T] = min(live[T], c0)
-                continue
-            hi = live[T]
-            while hi > c0:
-                lo = max(c0, hi - step[T])
-                ahead, here = buf[lo - c0 + T:hi - c0 + T], buf[lo - c0:hi - c0]
-                # at tol = 0, |x - y| > 0 exactly when x != y (finite values)
-                if (np.any(ahead != here) if tol == 0
-                        else np.any(np.abs(ahead - here) > tol)):
-                    del live[T]
-                    break
-                hi, step[T] = lo, 2 * step[T]
-            else:
-                live[T] = hi
-        if live == {}:
-            return None
-        above, c1, size = buf, c0, min(2 * size, seqmod._CHUNK)
-    return min(cands[T] for T in (cands if live is None else live))
-
-
-def whole_prefix_gap_certificate(seq, width, horizon, eps=None, delta=0.5,
-                                 decay=None, min_recurrence=3):
-    """find_gap_certificate as it read one whole prefix, verbatim."""
-    if width < 1:
-        raise nb.SequenceError("flank width must be >= 1")
-    rl._check_min_recurrence(min_recurrence)
-    eps = rl._resolve_eps(seq, eps)
-    rl._check_tolerances(eps, delta)
-    h = seq.clamp_horizon(horizon)
-    if h < width:
-        raise nb.SequenceError("horizon smaller than flank width")
-    ab = np.abs(seq.prefix(h + 1))
-
-    thr = rl._flank_thresholds(width, eps, decay)
-    ok = np.ones(h + 1 - width, dtype=bool)
-    for k in range(1, width + 1):
-        # flank offset -k of center n = index n-k; centers n = width..h
-        ok &= ab[width - k: h + 1 - k] <= thr[k - 1]
-    centers = np.arange(width, h + 1)
-    hits = centers[ok & (ab[centers] >= delta)]
-    if hits.size < min_recurrence:
-        return None
-    return rl.NonReflectionlessCertificate(
-        kind="GapZeroFlank",
-        witnesses=tuple(int(n) for n in hits),
-        flank_side="backward",
-        flank_width=width,
-        eps=eps,
-        delta=delta,
-        separation=float(np.min(ab[hits])),
-        decay=None if decay is None else (float(decay[0]), float(decay[1])),
-    )
+# Chunked reads: the gap and periodicity scans with the read chunk patched
+# to 1, 7 and 4096 values
 
 
 CHUNKS = (1, 7, 4096)
@@ -689,9 +384,9 @@ def _spiky_stream(seed, length, complex_data):
 
 
 def _same_gap(seq, width, horizon, **kw):
-    want = whole_prefix_gap_certificate(seq, width, horizon, **kw)
+    want = reference_gap_certificate(seq, width, horizon, **kw)
     got = rl.find_gap_certificate(seq, width, horizon, **kw)
-    assert (got is None) == (want is None)
+    assert got == want, (seq.params, width, kw)
     if want is not None:
         assert got.to_json_dict() == want.to_json_dict()
         assert got.separation == want.separation
@@ -715,21 +410,14 @@ def test_chunked_gap_search_matches_whole_prefix(chunk, monkeypatch):
             _same_gap(seq, width, 2999, eps=0.01, delta=0.45, decay=(0.3, 0.7))
 
 
-def _same_chunked_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
-    want = whole_prefix_periodicity(seq, max_period, max_preperiod, horizon, tol)
-    assert nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
-                                          horizon, tol) == want
-    return want
-
-
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_periodicity_matches_whole_prefix_on_families(chunk, monkeypatch):
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     horizon = 700 if chunk == 1 else 20_000
     for spec in FAMILY_SPECS.values():
         seq = nb.make_sequence(spec)
-        _same_chunked_periodicity(seq, 16, 16, horizon)
-        _same_chunked_periodicity(seq, 16, 16, horizon, tol=0.0)
+        _same_periodicity(seq, 16, 16, horizon)
+        _same_periodicity(seq, 16, 16, horizon, tol=0.0)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -747,14 +435,14 @@ def test_chunked_periodicity_edges_tails_and_divisors(chunk, monkeypatch):
             block[0] = 2            # no shorter period
         for pre in (0, 5, 12):
             base = _eventually_periodic([3] * pre, block, 300)
-            found.add(_same_chunked_periodicity(_seq(base), 24, 12, 299))
+            found.add(_same_periodicity(_seq(base), 24, 12, 299))
             for q in (299, 298, 293, 292, 287, 286, 250, 40, 13, 12, 11):
                 vals = list(base)
                 vals[q] = 5
-                found.add(_same_chunked_periodicity(_seq(vals), 24, 12, 299))
+                found.add(_same_periodicity(_seq(vals), 24, 12, 299))
             for t in (293, 292, 286, 100, 13, 12):
                 vals = base[:t] + [7] * (300 - t)
-                found.add(_same_chunked_periodicity(_seq(vals), 24, 12, 299))
+                found.add(_same_periodicity(_seq(vals), 24, 12, 299))
     assert {(0, 2), (5, 3), (12, 6)} <= found
 
 
@@ -770,7 +458,7 @@ def test_chunked_periodicity_float_tolerance(chunk, monkeypatch):
         seq = _seq(vals, "float")
         for tol in (None, 1e-3, float(np.abs(vals[q] - vals[q - 4])),
                     float(np.nextafter(np.abs(vals[q] - vals[q - 4]), 0))):
-            _same_chunked_periodicity(seq, 16, 16, 399, tol=tol)
+            _same_periodicity(seq, 16, 16, 399, tol=tol)
     # steps of 0.6 tol pass period 1 and fail period 2 (1.2 tol) past the
     # head, while in the head only period 1 fails (its last violation, a
     # step of 1.5 tol at n = 3, is undone by the next step): a live
@@ -778,7 +466,7 @@ def test_chunked_periodicity_float_tolerance(chunk, monkeypatch):
     tol = 1e-3
     vals = [0.0, 0.0, 0.75, 0.0, 1.5, 0.75, 0.75, 0.75]
     vals += [0.75 + 0.6 * k for k in range(392)]
-    assert _same_chunked_periodicity(_seq(np.array(vals) * tol, "float"),
+    assert _same_periodicity(_seq(np.array(vals) * tol, "float"),
                                      8, 8, 399, tol=tol) == (4, 1)
 
 
@@ -817,13 +505,6 @@ def test_periodicity_reads_each_index_once(chunk, monkeypatch):
         assert max(hi - lo for lo, hi in reads) <= max(mpp, chunk) + mp
 
 
-def _same_forward(seq, max_period, max_preperiod, horizon, tol=None):
-    want = topdown_periodicity(seq, max_period, max_preperiod, horizon, tol)
-    assert nb.detect_eventual_periodicity(seq, max_period, max_preperiod,
-                                          horizon, tol) == want
-    return want
-
-
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("mp, mpp", [(20, 6), (6, 20), (12, 12)])
 def test_forward_scan_matches_top_down_on_defects_and_tails(chunk, mp, mpp,
@@ -843,8 +524,8 @@ def test_forward_scan_matches_top_down_on_defects_and_tails(chunk, mp, mpp,
         for q in (*range(mpp, mpp + 2 * mp + 2), *range(h - mp - 1, h + 1)):
             vals = list(base)
             vals[q] = 5j if q % 2 else 5
-            found.add(_same_forward(_seq(vals), mp, mpp, h))
-            found.add(_same_forward(_seq(base[:q] + [block[0]] * (h + 1 - q)),
+            found.add(_same_periodicity(_seq(vals), mp, mpp, h))
+            found.add(_same_periodicity(_seq(base[:q] + [block[0]] * (h + 1 - q)),
                                     mp, mpp, h))
     assert any(f is not None and f[1] > 1 for f in found)
     assert None in found
@@ -860,13 +541,13 @@ def test_forward_scan_tolerance_with_live_multiples(chunk, monkeypatch):
     rng = np.random.default_rng(chunk)
     block = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
     base = np.resize(block, 300) + rng.uniform(0, tol / 2, 300)
-    assert _same_forward(_seq(base, "float"), 24, 8, 299, tol=tol) == (0, 3)
+    assert _same_periodicity(_seq(base, "float"), 24, 8, 299, tol=tol) == (0, 3)
     for q in (8, 11, 20, 31, 32, 40, 150, 280, 290, 299):
         for step in (0.9 * tol, 1.2 * tol, 3 * tol):
             vals = base.copy()
             vals[q] += step
-            _same_forward(_seq(vals, "float"), 24, 8, 299, tol=tol)
-            _same_forward(_seq(vals, "float"), 8, 24, 299, tol=tol)
+            _same_periodicity(_seq(vals, "float"), 24, 8, 299, tol=tol)
+            _same_periodicity(_seq(vals, "float"), 8, 24, 299, tol=tol)
 
 
 def test_gap_family_periodicity_reads_the_head_and_at_most_two_chunks():
@@ -893,32 +574,13 @@ def test_gap_check_reads_only_near_its_witnesses():
     assert reads == [(3, 721)] + [(n - 3, n + 1) for n in (5040, 40320, 362880)]
 
 
-def old_span_rows(seq, centers, offsets):
-    """_span_rows as it grouped centers in a Python loop, verbatim."""
-    out = np.empty((len(centers), len(offsets)), dtype=complex)
-    o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
-    order = sorted(range(len(centers)), key=centers.__getitem__)
-    srt = [int(centers[k]) for k in order]
-    i = 0
-    while i < len(srt):
-        j = i + 1
-        while (j < len(srt) and srt[j] - srt[j - 1] <= rl._WITNESS_GAP
-               and srt[j] - srt[i] + span <= seqmod._CHUNK):
-            j += 1
-        lo = srt[i] + o0
-        vals = seq.read(lo, srt[j - 1] + o0 + span)
-        rel = np.asarray(srt[i:j], dtype=np.int64) - lo
-        out[order[i:j]] = vals[rel[:, None] + offsets]
-        i = j
-    return out
-
-
 @pytest.mark.parametrize("chunk, gap", [(7, 1), (16, 3), (64, 8), (4096, 1024)])
 @pytest.mark.parametrize("offsets", [np.arange(-3, 1), np.arange(4), np.arange(12)])
 def test_span_rows_matches_the_loop_it_replaced(monkeypatch, chunk, gap, offsets):
     # steps of 0 (duplicates), at and either side of the gap, and at and
     # either side of a chunk's reach (chunk - span, which is negative when
-    # the span is longer than a chunk), shuffled
+    # the span is longer than a chunk), shuffled; each row is one read of
+    # its own span, and the reads follow the grouping rule
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     monkeypatch.setattr(rl, "_WITNESS_GAP", gap)
     reach = abs(chunk - len(offsets))
@@ -927,13 +589,11 @@ def test_span_rows_matches_the_loop_it_replaced(monkeypatch, chunk, gap, offsets
     for _ in range(20):
         centers = 3 + np.cumsum(rng.choice(steps, size=int(rng.integers(0, 40))))
         centers = [int(c) for c in rng.permutation(centers)]
-        got_seq, got_reads = _counted(nb.rudin_shapiro())
-        want_seq, want_reads = _counted(nb.rudin_shapiro())
-        got = rl._span_rows(got_seq, centers, offsets)
-        want = old_span_rows(want_seq, centers, offsets)
-        assert got_reads == want_reads
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert all(np.array_equal(got[k], want_seq.read(c + offsets[0], c + offsets[-1] + 1))
+        seq, reads = _counted(nb.rudin_shapiro())
+        got = rl._span_rows(seq, centers, offsets)
+        assert reads == span_reads(centers, offsets)
+        assert got.shape == (len(centers), len(offsets))
+        assert all(np.array_equal(got[k], seq.read(c + offsets[0], c + offsets[-1] + 1))
                    for k, c in enumerate(centers))
 
 
@@ -950,19 +610,7 @@ def test_verdict_certificates_leave_the_prefix_cache_empty():
 
 
 # ---------------------------------------------------------------------------
-# Exact pair keys: rank codes against the raw values they replaced
-
-
-def raw_chunk_keys(data, width, off, eps, c0, c1):
-    """rightlimits._chunk_keys at eps = 0 as it grouped the raw flank
-    values, verbatim."""
-    assert eps == 0.0
-    seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
-    cen = data[c0:c1]
-    rows = keys = sliding_window_view(seg, width)
-    cells = cen
-    groups, first, order = rl._group_rows(keys)
-    return groups, [rows[i].tobytes() for i in first.tolist()], cells, order
+# Exact pair keys: rank codes against the raw values
 
 
 def _exact_pair_streams():
@@ -1010,48 +658,7 @@ def test_exact_pair_search_matches_raw_value_keys(chunk, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Gap search over the support, and periodicity with every period in one
-# comparison, against the scans they replaced
-
-
-def chunked_gap_certificate(seq, width, horizon, eps=None, delta=0.5,
-                            decay=None, min_recurrence=3):
-    """find_gap_certificate as it scanned every center up to the horizon a
-    reader chunk at a time, verbatim."""
-    if width < 1:
-        raise nb.SequenceError("flank width must be >= 1")
-    rl._check_min_recurrence(min_recurrence)
-    eps = rl._resolve_eps(seq, eps)
-    rl._check_tolerances(eps, delta)
-    h = seq.clamp_horizon(horizon)
-    if h < width:
-        raise nb.SequenceError("horizon smaller than flank width")
-    thr = rl._flank_thresholds(width, eps, decay)
-
-    hits = []
-    separation = math.inf
-    for lo, seg in seqmod._chunks(seq, width, h + 1, pad=(width, 0)):
-        # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
-        # flank offset -k at n-lo+width-k
-        ab = np.abs(seg)
-        ok = ab[width:] >= delta
-        for k in range(1, width + 1):
-            ok &= ab[width - k:len(ab) - k] <= thr[k - 1]
-        found = np.flatnonzero(ok)
-        if found.size:
-            hits += (found + lo).tolist()
-            separation = min(separation, float(ab[found + width].min()))
-    if len(hits) < min_recurrence:
-        return None
-    return rl.NonReflectionlessCertificate(
-        kind="GapZeroFlank",
-        witnesses=tuple(hits),
-        flank_side="backward",
-        flank_width=width,
-        eps=eps,
-        delta=delta,
-        separation=separation,
-        decay=None if decay is None else (float(decay[0]), float(decay[1])),
-    )
+# comparison
 
 
 def _support_gap_sets():
@@ -1064,16 +671,6 @@ def _support_gap_sets():
         gaps = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 40, 700], size=300,
                           p=[.15, .15, .1, .1, .1, .1, .1, .1, .05, .05])
         yield sorted(set((np.cumsum(gaps) - gaps[0] + k % 2).tolist()))
-
-
-def _same_support_gap(seq, width, horizon, **kw):
-    want = chunked_gap_certificate(seq, width, horizon, **kw)
-    got = rl.find_gap_certificate(seq, width, horizon, **kw)
-    assert got == want, (seq.params, width, kw)
-    if want is not None:
-        assert got.to_json_dict() == want.to_json_dict()
-        assert got.separation == want.separation
-    return want
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -1096,14 +693,12 @@ def test_support_gap_walk_matches_the_full_scan(chunk, monkeypatch):
         for fill in fills:
             seq = nb.make_sequence(nb.gap_powers(exps, fill))
             for width in widths:
-                _same_support_gap(seq, width, width)    # the least horizon
+                _same_gap(seq, width, width)    # the least horizon
                 for decay in decays:
                     for eps in (0.0, 0.2):
                         kw = dict(eps=eps, delta=delta, decay=decay)
-                        with monkeypatch.context() as m:
-                            m.setattr(seqmod, "_CHUNK", 2 ** 16)
-                            want = chunked_gap_certificate(seq, width, horizon,
-                                                           min_recurrence=1, **kw)
+                        want = reference_gap_certificate(seq, width, horizon,
+                                                         min_recurrence=1, **kw)
                         hits = 0 if want is None else len(want.witnesses)
                         # both outcomes of min_recurrence, where hits allow
                         for min_rec in {1, 3, max(1, hits), hits + 1}:
@@ -1125,7 +720,7 @@ def test_support_gap_walk_keeps_the_separation_bits_of_the_layout():
         for fill in (complex(re, im), complex(-abs(re) - 1, 0.0)):
             seq = nb.make_sequence(nb.gap_powers("factorials", fill))
             delta = float(np.abs(fill)) / 2
-            want = chunked_gap_certificate(seq, 3, 50_000, eps=0.0, delta=delta)
+            want = reference_gap_certificate(seq, 3, 50_000, eps=0.0, delta=delta)
             got = rl.find_gap_certificate(seq, 3, 50_000, eps=0.0, delta=delta)
             assert got == want and got.separation == want.separation
 
@@ -1175,67 +770,6 @@ def test_dense_searches_refuse_past_the_term_cap_before_reading(search, monkeypa
         run(5000)
 
 
-def forward_periodicity(seq, max_period, max_preperiod, horizon, tol=None):
-    """detect_eventual_periodicity as it tested one period at a time, with
-    a divisor sieve, verbatim."""
-    if max_period < 1:
-        raise nb.SequenceError("max_period must be >= 1")
-    if max_preperiod < 0:
-        raise nb.SequenceError("max_preperiod must be >= 0")
-    if tol is None:
-        tol = 0.0 if seq.exact else 1e-9
-    if not (math.isfinite(tol) and tol >= 0):
-        raise nb.SequenceError(
-            f"periodicity tolerance must be finite and >= 0, got {tol}")
-    h = seq.clamp_horizon(horizon)
-    mp, mpp = max_period, max_preperiod
-    if h < mpp + 2 * mp:
-        raise nb.SequenceError(
-            f"horizon {h} < max_preperiod + 2*max_period = {mpp + 2 * mp}")
-    # the preperiod a valid T needs comes from the head alone; the scan
-    # from n = mpp on only decides which T are valid
-    head = seq._read(0, mpp + mp)
-    live = {}           # T -> (preperiod, T), in ascending T
-    for T in range(1, mp + 1):
-        viol = np.flatnonzero(rl._differ(head[T:T + mpp], head[:mpp], tol))
-        live[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
-    divisors = [[] for _ in range(mp + 1)]      # proper divisors, by a sieve
-    for d in range(1, mp // 2 + 1):
-        for T in range(2 * d, mp + 1, d):
-            divisors[T].append(d)
-
-    # buf holds a_{b0} .. a_{x1-1}, and each index x in [x0, x1) with
-    # x - T >= mpp is compared with a_{x-T}: first the head's own indices,
-    # then each chunk, which keeps the mp values below it; the first chunk
-    # holds mp^2 values (4096 at the default max_period 64)
-    buf, b0, x0, x1 = head, 0, mpp, mpp + mp
-    size = min(mp * mp, seqmod._CHUNK)
-    while True:
-        for T in list(live):
-            if tol == 0 and any(d in live for d in divisors[T]):
-                # exact equality chains: a live divisor d of T (settled
-                # first, in ascending order) has a_x = a_{x-d} for every x
-                # read so far, which gives a_x = a_{x-T}
-                continue
-            lo = max(x0, mpp + T) - b0
-            if np.any(rl._differ(buf[lo:x1 - b0], buf[lo - T:x1 - b0 - T], tol)):
-                del live[T]
-        if not live:
-            return None
-        if x1 == h + 1:
-            return min(live.values())
-        x0, x1 = x1, min(h + 1, x1 + size)
-        buf, b0 = np.concatenate((buf[-mp:], seq._read(x0, x1))), x0 - mp
-        size = min(2 * size, seqmod._CHUNK)
-
-
-def _same_as_every_oracle(seq, mp, mpp, horizon, tol=None):
-    want = forward_periodicity(seq, mp, mpp, horizon, tol)
-    assert whole_prefix_periodicity(seq, mp, mpp, horizon, tol) == want
-    assert nb.detect_eventual_periodicity(seq, mp, mpp, horizon, tol) == want
-    return want
-
-
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("mp, mpp", [(12, 0), (16, 5), (9, 9), (6, 20), (64, 64)])
 def test_one_comparison_periodicity_matches_the_per_period_scan(chunk, mp, mpp,
@@ -1258,8 +792,8 @@ def test_one_comparison_periodicity_matches_the_per_period_scan(chunk, mp, mpp,
         for q in sorted(v for v in qs if 0 <= v <= h):
             vals = list(base)
             vals[q] = 5j if q % 2 else 5
-            found.add(_same_as_every_oracle(_seq(vals), mp, mpp, h))
-            found.add(_same_as_every_oracle(_seq(base[:q] + [block[0]] * (h + 1 - q)),
+            found.add(_same_periodicity(_seq(vals), mp, mpp, h))
+            found.add(_same_periodicity(_seq(base[:q] + [block[0]] * (h + 1 - q)),
                                             mp, mpp, h))
         tol = 1e-3
         noisy = np.array(base) + rng.uniform(0, tol / 2, h + 1)
@@ -1267,10 +801,10 @@ def test_one_comparison_periodicity_matches_the_per_period_scan(chunk, mp, mpp,
             for step in (0.9 * tol, 1.2 * tol, 3 * tol):
                 vals = noisy.copy()
                 vals[q:] += step
-                found.add(_same_as_every_oracle(_seq(vals, "float"), mp, mpp, h, tol))
+                found.add(_same_periodicity(_seq(vals, "float"), mp, mpp, h, tol))
                 vals = noisy.copy()
                 vals[q] += step
-                found.add(_same_as_every_oracle(_seq(vals, "float"), mp, mpp, h, tol))
+                found.add(_same_periodicity(_seq(vals, "float"), mp, mpp, h, tol))
     assert None in found and any(f is not None and f[1] > 1 for f in found)
 
 
@@ -1284,16 +818,16 @@ def test_multiples_of_a_divisor_that_dies_in_a_later_chunk_are_tested(chunk,
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     mp, mpp = 8, 3
     h = 20 * mp * mp if chunk > 1 else 6 * mp + mpp
-    assert _same_as_every_oracle(_seq([4] * (h + 1)), mp, mpp, h) == (0, 1)
+    assert _same_periodicity(_seq([4] * (h + 1)), mp, mpp, h) == (0, 1)
     for q in (h // 2, h - mp - 1, h - 2, h):
         vals = [4] * (h + 1)
         vals[q] = 9
-        got = _same_as_every_oracle(_seq(vals), mp, mpp, h)
+        got = _same_periodicity(_seq(vals), mp, mpp, h)
         assert got is None
     # period 2 dies late while 4, 6 and 8 stay live until then
     vals = [1, 2] * (h // 2 + 1)
     vals[h - 3] = 7
-    assert _same_as_every_oracle(_seq(vals[:h + 1]), mp, mpp, h) is None
+    assert _same_periodicity(_seq(vals[:h + 1]), mp, mpp, h) is None
 
 
 @pytest.mark.parametrize("chunk", (40, 100, 333))
@@ -1313,18 +847,18 @@ def test_head_blocks_of_uneven_row_counts_match_the_per_period_scan(chunk, mp, m
         block = [complex(v) for v in rng.choice([-1, 0, 1, 1j], period)]
         block[0] = 2
         base = _eventually_periodic([3] * min(3, mpp), block, h + 1)
-        found.add(_same_as_every_oracle(_seq(base), mp, mpp, h))
+        found.add(_same_periodicity(_seq(base), mp, mpp, h))
         for q in range(L + 2):
             vals = list(base)
             vals[q] = 5
-            found.add(_same_as_every_oracle(_seq(vals), mp, mpp, h))
+            found.add(_same_periodicity(_seq(vals), mp, mpp, h))
             vals[min(h, q + period + 1)] = 7j
-            found.add(_same_as_every_oracle(_seq(vals), mp, mpp, h))
+            found.add(_same_periodicity(_seq(vals), mp, mpp, h))
         noisy = np.array(base) + rng.uniform(0, 5e-4, h + 1)
         for q in (0, mpp, L - 2, L - 1, L):
             vals = noisy.copy()
             vals[q] += 2e-3
-            found.add(_same_as_every_oracle(_seq(vals, "float"), mp, mpp, h, 1e-3))
+            found.add(_same_periodicity(_seq(vals, "float"), mp, mpp, h, 1e-3))
     assert None in found and any(f is not None and f[1] == mp for f in found)
     assert not mpp or any(f is not None and f[0] > 0 for f in found)
 

@@ -1,331 +1,23 @@
-"""Differential tests of the bucketed pair-certificate search and of the
-vectorized rotation block against the per-index loops they replaced, of
-the chunk-reading pair search against the whole-prefix walk it replaced,
-and of the bucket-by-bucket pair walk against the walk that visited every
-center."""
+"""Differential tests of the pair-certificate search against its reference
+(``references.py``): the whole search, and its walk with the key chunk,
+the walk block and the caps patched, on real, complex and adversarial
+streams; and of the vectorized rotation block against the per-index
+reads.  Each case set is the union of those run against the code each
+rewrite replaced (the per-center loop, the whole-prefix walk and the walk
+that visited every center); test names recall the rewrite that brought
+the cases in."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 import nbscope as nb
 from nbscope import rightlimits as rl
 from nbscope import sequences as seqmod
 from nbscope.sequences import _frac_shift_block, _frac_shift_exact
-
-
-def reference_pair_certificate(seq, width, horizon, eps=None, delta=0.5,
-                               flank_side="backward", min_recurrence=3):
-    """The per-center loop that find_pair_certificate replaced, verbatim."""
-    if flank_side not in ("backward", "forward"):
-        raise nb.SequenceError("flank_side must be 'backward' or 'forward'")
-    if width < 1:
-        raise nb.SequenceError("flank width must be >= 1")
-    eps = rl._resolve_eps(seq, eps)
-    rl._check_tolerances(eps, delta)
-    h = seq.clamp_horizon(horizon)
-    if h < 2 * width + 1:
-        raise nb.SequenceError("horizon too small for pair search")
-    arr = seq.prefix(h + 1)
-    backward = flank_side == "backward"
-    centers = range(width, h + 1) if backward else range(0, h + 1 - width)
-
-    def flank(i):
-        return arr[i - width:i] if backward else arr[i + 1:i + width + 1]
-
-    if eps == 0.0:
-        def fkey(v):
-            return v.tobytes()
-
-        def ckey(c):
-            return c
-    else:
-        inv = 1.0 / eps
-
-        def fkey(v):
-            q = np.floor(v.real * inv).astype(np.int64)
-            if np.any(v.imag):
-                q = np.concatenate([q, np.floor(v.imag * inv).astype(np.int64)])
-            return q.tobytes()
-
-        def ckey(c):
-            return (math.floor(c.real * inv), math.floor(c.imag * inv))
-
-    buckets: dict = {}
-    pairs = []
-    notes = set()
-    for m in centers:
-        fl = flank(m)
-        key = fkey(fl)
-        cm = complex(arr[m])
-        ck = ckey(cm)
-        cells = buckets.get(key)
-        chosen = None
-        if cells:
-            # candidates live in other center cells: same-cell centers are
-            # within 2*eps < delta of each other and can never qualify
-            for ck2, lst in cells.items():
-                if ck2 == ck:
-                    continue
-                for n in lst:
-                    if chosen is not None and n >= chosen:
-                        break
-                    if (np.max(np.abs(flank(n) - fl)) <= eps
-                            and abs(arr[n] - cm) >= delta):
-                        chosen = n
-                        break
-        if chosen is not None:
-            pairs.append((int(chosen), int(m)))
-            for lst in cells.values():  # chosen sits in this flank bucket
-                if chosen in lst:
-                    lst.remove(chosen)
-                    break
-            if len(pairs) >= rl._PAIR_CAP:
-                notes.add(f"pair collection capped at {rl._PAIR_CAP}")
-                break
-        else:
-            if cells is None:
-                cells = buckets[key] = {}
-            lst = cells.setdefault(ck, [])
-            if len(lst) < rl._BUCKET_CAP:
-                lst.append(m)
-            else:
-                notes.add("bucket-collision overflow: some candidates dropped")
-
-    if len(pairs) < min_recurrence:
-        return None
-    pairs.sort(key=lambda p: p[0])
-    separation = min(abs(arr[n] - arr[m]) for n, m in pairs)
-    return rl.NonReflectionlessCertificate(
-        kind="PairMismatch",
-        witnesses=tuple(n for n, _ in pairs),
-        flank_side=flank_side,
-        flank_width=width,
-        eps=eps,
-        delta=delta,
-        separation=float(separation),
-        pairs=tuple(pairs),
-        notes=tuple(sorted(notes)),
-    )
-
-
-def whole_prefix_pair_certificate(seq, width, horizon, eps=None, delta=0.5,
-                                  flank_side="backward", min_recurrence=3):
-    """find_pair_certificate as it read one whole prefix, verbatim."""
-    if flank_side not in ("backward", "forward"):
-        raise nb.SequenceError("flank_side must be 'backward' or 'forward'")
-    if width < 1:
-        raise nb.SequenceError("flank width must be >= 1")
-    rl._check_min_recurrence(min_recurrence)
-    eps = rl._resolve_eps(seq, eps)
-    rl._check_tolerances(eps, delta)
-    h = seq.clamp_horizon(horizon)
-    if h < 2 * width + 1:
-        raise nb.SequenceError("horizon too small for pair search")
-    arr = seq.prefix(h + 1)
-    if flank_side == "backward":    # flank offset, first and end center
-        off, start, stop = -width, width, h + 1
-    else:
-        off, start, stop = 1, 0, h + 1 - width
-    data = np.ascontiguousarray(arr.real) if np.all(arr.imag == 0) else arr
-    pairs, notes = _whole_prefix_pair_walk(data, width, off, eps, delta, start, stop)
-
-    if len(pairs) < min_recurrence:
-        return None
-    pairs.sort(key=lambda p: p[0])
-    separation = min(abs(arr[n] - arr[m]) for n, m in pairs)
-    return rl.NonReflectionlessCertificate(
-        kind="PairMismatch",
-        witnesses=tuple(n for n, _ in pairs),
-        flank_side=flank_side,
-        flank_width=width,
-        eps=eps,
-        delta=delta,
-        separation=float(separation),
-        pairs=tuple(pairs),
-        notes=tuple(sorted(notes)),
-    )
-
-
-def _whole_prefix_pair_walk(data, width, off, eps, delta, start, stop):
-    """The pair walk over a whole data array, verbatim: the flank of center
-    m is data[m + off : m + off + width]."""
-    offs = range(off, off + width)
-    bucket_ids: dict = {}       # flank key bytes -> bucket id
-    cell_ids: dict = {}         # center cell value -> cell id
-    buckets: dict = {}          # bucket id -> {cell id -> ascending centers}
-    pairs = []
-    notes = set()
-    vals: list = []             # data as Python scalars, grown with the scan
-    for c0 in range(start, stop, rl._KEY_CHUNK):
-        c1 = min(c0 + rl._KEY_CHUNK, stop)
-        bids, cids = _reference_chunk_keys(data, width, off, eps, c0, c1,
-                                           bucket_ids, cell_ids)
-        vals += data[len(vals):c1 + width].tolist()
-        for m, b, c in zip(range(c0, c1), bids, cids):
-            cm = vals[m]
-            cells = buckets.get(b)
-            chosen = None
-            if cells:
-                # candidates live in other center cells: same-cell centers
-                # are within 2*eps < delta of each other and never qualify;
-                # the delta test runs first because most candidates fail it
-                for c2, lst in cells.items():
-                    if c2 == c:
-                        continue
-                    for n in lst:
-                        if chosen is not None and n >= chosen:
-                            break
-                        if (abs(vals[n] - cm) >= delta
-                                and all(abs(vals[n + k] - vals[m + k]) <= eps
-                                        for k in offs)):
-                            chosen, chosen_cell = n, lst
-                            break
-            if chosen is not None:
-                pairs.append((chosen, m))
-                chosen_cell.remove(chosen)
-                if len(pairs) >= rl._PAIR_CAP:
-                    notes.add(f"pair collection capped at {rl._PAIR_CAP}")
-                    return pairs, notes
-            else:
-                if cells is None:
-                    cells = buckets[b] = {}
-                lst = cells.setdefault(c, [])
-                if len(lst) < rl._BUCKET_CAP:
-                    lst.append(m)
-                else:
-                    notes.add("bucket-collision overflow: some candidates dropped")
-    return pairs, notes
-
-
-# ---------------------------------------------------------------------------
-# The walk that visited every center, and the keys it read: the oracle
-# of the bucket-by-bucket walk
-
-
-def reference_pair_walk(seq, width, off, eps, delta, start, stop, end):
-    """rightlimits._pair_walk as it visited every center in Python, verbatim
-    (it reads the module's caps and chunk size, so patching them reaches it).
-
-    Sequential pair selection over centers start..stop-1 of a sequence
-    read below ``end``; the flank of center m is a_{m+off} .. a_{m+off+width-1}.
-
-    Centers are scanned in ascending order.  Each center m is paired with
-    the least n, over the other center cells of m's flank bucket, whose
-    flank is within eps of m's (sup metric) and whose center differs from
-    m's by at least delta; that n leaves its cell.  An unpaired m joins its
-    cell while the cell holds fewer than ``_BUCKET_CAP`` entries.  Keys are
-    computed chunk by chunk as the scan reaches them, from one read of the
-    chunk's centers and flanks, because the search usually stops at
-    ``_PAIR_CAP`` long before the horizon.  The values are real floats when
-    the sequence says it is real, else complex (on real data complex values
-    make the same decisions: abs(complex(x, 0)) == abs(x), and the keys
-    partition alike), fixed before the first read so that every chunk keys
-    alike.  Returns (pairs, notes, vals): vals holds a_0 .. as far as the
-    scan read, as Python scalars.
-    """
-    offs = range(off, off + width)
-    bucket_ids: dict = {}       # flank key bytes -> bucket id
-    cell_ids: dict = {}         # center cell value -> cell id
-    buckets: dict = {}          # bucket id -> {cell id -> ascending centers}
-    pairs = []
-    notes = set()
-    vals: list = []             # values as Python scalars, grown with the scan
-    for c0 in range(start, stop, rl._KEY_CHUNK):
-        c1 = min(c0 + rl._KEY_CHUNK, stop)
-        lo = c0 + min(off, 0)
-        seg = seq.read(lo, min(c1 + width, end))
-        if seq.real_valued:
-            seg = np.ascontiguousarray(seg.real)
-        bids, cids = _reference_chunk_keys(seg, width, off, eps, c0 - lo,
-                                           c1 - lo, bucket_ids, cell_ids)
-        vals += seg[len(vals) - lo:].tolist()
-        for m, b, c in zip(range(c0, c1), bids, cids):
-            cm = vals[m]
-            cells = buckets.get(b)
-            chosen = None
-            if cells:
-                # candidates live in other center cells: same-cell centers
-                # are within 2*eps < delta of each other and never qualify;
-                # the delta test runs first because most candidates fail it
-                for c2, lst in cells.items():
-                    if c2 == c:
-                        continue
-                    for n in lst:
-                        if chosen is not None and n >= chosen:
-                            break
-                        if (abs(vals[n] - cm) >= delta
-                                and all(abs(vals[n + k] - vals[m + k]) <= eps
-                                        for k in offs)):
-                            chosen, chosen_cell = n, lst
-                            break
-            if chosen is not None:
-                pairs.append((chosen, m))
-                chosen_cell.remove(chosen)
-                if len(pairs) >= rl._PAIR_CAP:
-                    notes.add(f"pair collection capped at {rl._PAIR_CAP}")
-                    return pairs, notes, vals
-            else:
-                if cells is None:
-                    cells = buckets[b] = {}
-                lst = cells.setdefault(c, [])
-                if len(lst) < rl._BUCKET_CAP:
-                    lst.append(m)
-                else:
-                    notes.add("bucket-collision overflow: some candidates dropped")
-    return pairs, notes, vals
-
-
-def _reference_chunk_keys(data, width, off, eps, c0, c1, bucket_ids, cell_ids):
-    """Flank-bucket ids and center-cell ids (lists) of the centers at
-    positions c0..c1-1 of ``data``.
-
-    Ids come from ``bucket_ids`` / ``cell_ids``, which grow across chunks,
-    so they are consistent over the whole scan.  Flank keys: at eps = 0 the
-    flank's bit pattern (value equality, since sequence values carry no
-    negative zeros); at eps > 0 the per-coordinate int64 floor(re/eps),
-    extended by the imaginary floors and a has-imaginary-part flag when the
-    data is complex.  Center cells: the value at eps = 0, else
-    (floor(re/eps), floor(im/eps)).
-    """
-    seg = data[c0 + off:c1 - 1 + off + width]       # every flank of the chunk
-    cen = data[c0:c1]
-    if eps == 0.0:
-        rows = sliding_window_view(seg, width)
-        cells = cen
-    else:
-        inv = 1.0 / eps
-        rows = sliding_window_view(np.floor(seg.real * inv).astype(np.int64), width)
-        cells = np.floor(cen.real * inv)
-        if np.iscomplexobj(data):
-            has_imag = sliding_window_view(seg.imag != 0, width).any(axis=1)
-            rows = np.hstack([has_imag[:, None].astype(np.int64), rows,
-                              sliding_window_view(np.floor(seg.imag * inv)
-                                                  .astype(np.int64), width)])
-            cells = cells + 1j * np.floor(cen.imag * inv)
-    groups, first = _reference_group_rows(rows)
-    bids = np.array([bucket_ids.setdefault(rows[i].tobytes(), len(bucket_ids))
-                     for i in first.tolist()], dtype=np.int64)[groups]
-    uniq, inverse = np.unique(cells, return_inverse=True)
-    cids = np.array([cell_ids.setdefault(v, len(cell_ids))
-                     for v in uniq.tolist()], dtype=np.int64)[inverse]
-    return bids.tolist(), cids.tolist()
-
-
-def _reference_group_rows(rows):
-    """(groups, first) for the value-equal rows of a matrix: row i is in
-    group groups[i], and first[g] is the least index of a row of group g
-    (the lexsort is stable)."""
-    order = np.lexsort(rows.T)
-    srt = rows[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    groups = np.empty(len(order), dtype=np.int64)
-    groups[order] = np.cumsum(new) - 1
-    return groups, order[new]
+from references import reference_pair_certificate, reference_pair_walk, walk_args
 
 
 def _complex_stream(seed, length):
@@ -376,8 +68,7 @@ EPS = (0.0, 0.02, 0.05, 0.1, 0.3)
 def _assert_same(seq, width, horizon, eps, delta, side):
     got = nb.find_pair_certificate(seq, width, horizon, eps=eps, delta=delta,
                                    flank_side=side)
-    want = reference_pair_certificate(seq, width, horizon, eps=eps, delta=delta,
-                                      flank_side=side)
+    want = reference_pair_certificate(seq, width, horizon, eps, delta, side)
     if want is None:
         assert got is None
         return None
@@ -439,20 +130,6 @@ def test_pair_search_long_horizon_across_chunks():
 # Chunk reads: the walk reads each key chunk as it reaches it
 
 
-def _assert_same_as_whole_prefix(seq, width, horizon, eps, delta, side):
-    got = nb.find_pair_certificate(seq, width, horizon, eps=eps, delta=delta,
-                                   flank_side=side)
-    want = whole_prefix_pair_certificate(seq, width, horizon, eps=eps,
-                                         delta=delta, flank_side=side)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.pairs == want.pairs
-        assert got.notes == want.notes
-        assert got.separation == want.separation
-        assert got.to_json_dict() == want.to_json_dict()
-    return want
-
-
 def _late_complex_stream(length, start):
     """1.0 everywhere, except 1j at every tenth index from ``start`` on: the
     early chunks hold only real values, and the first pairs join an early
@@ -472,7 +149,7 @@ def test_chunked_pair_search_matches_whole_prefix(name, chunk, monkeypatch):
         width = 1 + (i + len(name)) % 5
         delta = 0.65 if eps == 0.3 else 0.5
         for side in ("backward", "forward"):
-            _assert_same_as_whole_prefix(seq, width, horizon, eps, delta, side)
+            _assert_same(seq, width, horizon, eps, delta, side)
 
 
 @pytest.mark.parametrize("chunk", [7, 97])
@@ -485,7 +162,7 @@ def test_key_layout_is_fixed_before_the_first_read(chunk, monkeypatch):
     for eps in (0.0, 0.05):
         for width in (1, 2, 3):
             for side in ("backward", "forward"):
-                cert = _assert_same_as_whole_prefix(seq, width, 3000, eps, 0.5, side)
+                cert = _assert_same(seq, width, 3000, eps, 0.5, side)
                 assert any(n < 1500 <= m for n, m in cert.pairs)
 
 
@@ -581,7 +258,7 @@ def test_group_rows_partitions_like_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# The bucket-by-bucket walk against the walk that visited every center
+# The bucket-by-bucket walk against the reference walk, caps and blocks patched
 
 
 def _many_cells(seed, length):
@@ -622,21 +299,13 @@ ADVERSARIAL = {
 WALK_STREAMS = {**SEQUENCES, **ADVERSARIAL}
 
 
-def _walk_args(seq, width, horizon, side):
-    """(off, start, stop, end) of find_pair_certificate's walk."""
-    h = seq.clamp_horizon(horizon)
-    if side == "backward":
-        return -width, width, h + 1, h + 1
-    return 1, 0, h + 1 - width, h + 1
-
-
 def _assert_walks_agree(seq, width, horizon, eps, delta, side):
-    """The walk and its oracle pick the same pairs in the same order, with
-    the same notes and the same separation."""
-    args = _walk_args(seq, width, horizon, side)
-    pairs, notes, vals = rl._pair_walk(seq, width, args[0], eps, delta, *args[1:3])
-    want, want_notes, want_vals = reference_pair_walk(seq, width, args[0], eps,
-                                                      delta, *args[1:])
+    """The walk and the reference pick the same pairs in the same order,
+    with the same notes and the same separation."""
+    off, start, stop, end = walk_args(seq, width, horizon, side)
+    pairs, notes, vals = rl._pair_walk(seq, width, off, eps, delta, start, stop)
+    want, want_notes, want_vals = reference_pair_walk(seq, width, off, eps, delta,
+                                                      start, stop, end)
     assert pairs == want
     assert notes == want_notes
     if pairs:
@@ -668,7 +337,7 @@ def test_walk_takes_its_key_chunks_from_the_reader(name, chunk, monkeypatch):
             seq, reads = _counted(READER_FAMILIES[name])
             _assert_walks_agree(seq, 3, horizon, eps, delta, side)
             reads.clear()
-            off, start, stop, _ = _walk_args(seq, 3, horizon, side)
+            off, start, stop, _ = walk_args(seq, 3, horizon, side)
             rl._pair_walk(seq, 3, off, eps, delta, start, stop)
             want = [(c - pad[0], min(c + chunk, stop) + pad[1])
                     for c in range(start, stop, chunk)]
@@ -732,7 +401,7 @@ def test_walk_stops_late_in_a_chunk(monkeypatch):
         for side in ("backward", "forward"):
             assert "pair collection capped at 100" in _assert_walks_agree(
                 seq, 2, 4000, eps, 0.5, side)
-            off, start, stop, end = _walk_args(seq, 2, 4000, side)
+            off, start, stop, end = walk_args(seq, 2, 4000, side)
             pairs = rl._pair_walk(seq, 2, off, eps, 0.5, start, stop)[0]
             assert 1536 <= pairs[-1][1] < 2048
 
@@ -776,9 +445,7 @@ def _abs_split(seed, near, scale, keep):
 def _assert_pairs_found(seq, width, eps, delta):
     cert = nb.find_pair_certificate(seq, width, 200, eps=eps, delta=delta)
     assert cert is not None and len(cert.pairs) == 50
-    args = _walk_args(seq, width, 200, "backward")
-    assert list(cert.pairs) == reference_pair_walk(seq, width, args[0], eps,
-                                                   delta, *args[1:])[0]
+    assert cert == reference_pair_certificate(seq, width, 200, eps, delta)
     assert cert.verify(seq)
     return cert
 

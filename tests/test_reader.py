@@ -1,10 +1,13 @@
 """Differential tests of the one chunked reader (``sequences._chunks``)
-and of every consumer that takes its values from it, against the code
-each consumer ran before: per-consumer chunk loops over ``read`` that took
-the real part of real-valued sequences themselves.  The oracles below are
-that code, verbatim but for a ``chunk`` argument that stands in for the
-constant each loop had, and every test patches ``_CHUNK`` to the same
-size, so chunk edges fall alike on both sides."""
+and of every consumer that takes its values from it, with ``_CHUNK``
+patched to 1, 7 and 4096 values on two real and two complex families.
+The scans (zero-flank search, periodicity, extraction, block analysis)
+are checked against their references (``references.py``), which read
+each value once and know no chunks.  The prefix, the CSV writer and the
+certified sums are checked against the per-consumer chunk loops over
+``read`` they ran before, verbatim but for a ``chunk`` argument that
+stands in for the constant each loop had, so chunk edges fall alike on
+both sides."""
 
 import cmath
 import io
@@ -12,14 +15,13 @@ import math
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 import nbscope as nb
 from nbscope import analytic
-from nbscope import rightlimits as rl
 from nbscope import sequences as seqmod
 from nbscope._util import ipow, kahan_complex_sum
-from test_exact_scans import fold_skipped_tail
+from references import (fold_skipped_tail, reference_extract, reference_gap_certificate,
+                        reference_periodicity, reference_szego)
 
 CHUNKS = (1, 7, 4096)
 
@@ -44,7 +46,7 @@ def test_families_cover_both_layouts():
 
 
 # ---------------------------------------------------------------------------
-# The oracles: each consumer's own loop, as it was
+# The loops the prefix, the CSV writer and the certified sums ran, as they were
 
 
 def old_prefix(seq, count, chunk):
@@ -65,150 +67,6 @@ def old_write_sequence_csv(dest, seq, count, chunk):
         fields[1::3] = vals.real.tolist()
         fields[2::3] = vals.imag.tolist()
         dest.write("%d,%.17g,%.17g\r\n" * (hi - lo) % tuple(fields))
-
-
-def old_gap_certificate(seq, width, horizon, eps, delta, decay, chunk):
-    """find_gap_certificate's scan; (hits, separation)."""
-    h = seq.clamp_horizon(horizon)
-    thr = rl._flank_thresholds(width, eps, decay)
-    hits = []
-    separation = math.inf
-    for lo in range(width, h + 1, chunk):
-        hi = min(lo + chunk, h + 1)
-        seg = seq.read(lo - width, hi)
-        ab = np.abs(seg.real if seq.real_valued else seg)
-        ok = ab[width:] >= delta
-        for k in range(1, width + 1):
-            ok &= ab[width - k:hi - lo + width - k] <= thr[k - 1]
-        found = np.flatnonzero(ok)
-        if found.size:
-            hits += (found + lo).tolist()
-            separation = min(separation, float(ab[found + width].min()))
-    return hits, separation
-
-
-def old_periodicity(seq, max_period, max_preperiod, horizon, tol, chunk):
-    if tol is None:
-        tol = 0.0 if seq.exact else 1e-9
-    h = seq.clamp_horizon(horizon)
-    head = seq.read(0, max_preperiod + max_period)
-    cands = {}
-    for T in range(1, max_period + 1):
-        viol = np.flatnonzero(np.abs(head[T:T + max_preperiod]
-                                     - head[:max_preperiod]) > tol)
-        cands[T] = (int(viol[-1]) + 1 if viol.size else 0, T)
-    live = None
-    step = dict.fromkeys(cands, max_period)
-    above = np.empty(0)
-    c1 = h + 1
-    size = min(rl._KEY_CHUNK, chunk)
-    while c1 > max_preperiod:
-        c0 = max(max_preperiod, c1 - size)
-        chunk_vals = seq.read(c0, c1)
-        buf = np.concatenate((chunk_vals.real if seq.real_valued else chunk_vals,
-                              above[:max_period]))
-        if live is None:
-            if c1 == h + 1:
-                last = buf[-1]
-            moving = np.flatnonzero(buf[:c1 - c0] != last)
-            if moving.size:
-                tail = c0 + int(moving[-1]) + 1
-                live = {T: min(h + 1 - T, tail) for T in cands}
-        for T in list(live or ()):
-            if tol == 0 and any(T % d == 0 for d in live if d < T):
-                live[T] = min(live[T], c0)
-                continue
-            hi = live[T]
-            while hi > c0:
-                lo = max(c0, hi - step[T])
-                ahead, here = buf[lo - c0 + T:hi - c0 + T], buf[lo - c0:hi - c0]
-                if (np.any(ahead != here) if tol == 0
-                        else np.any(np.abs(ahead - here) > tol)):
-                    del live[T]
-                    break
-                hi, step[T] = lo, 2 * step[T]
-            else:
-                live[T] = hi
-        if live == {}:
-            return None
-        above, c1, size = buf, c0, min(2 * size, chunk)
-    return min(cands[T] for T in (cands if live is None else live))
-
-
-def old_extract(seq, width, horizon, chunk, eps=None, max_candidates=16,
-                min_recurrence=3):
-    h = seq.clamp_horizon(horizon)
-    eps = rl._resolve_eps(seq, eps)
-    arr = old_prefix(seq, h + 1, chunk)
-    D = 2 * width + 1
-    data = np.ascontiguousarray(arr.real) if seq.real_valued else arr
-    wins = sliding_window_view(data, D)
-    groups, first, _ = rl._group_rows(wins)
-    by_first = np.argsort(first)
-    starts = first[by_first]
-    rows = wins[starts]
-    key = rows[:, 0].real
-    label, founders, truncated = rl._leader_clusters(
-        key, np.argsort(key, kind="stable"), eps,
-        lambda i, cand: np.abs(rows[cand] - rows[i]).max(axis=1) <= eps)
-    cid = label[np.argsort(by_first)[groups]]
-    kept = np.flatnonzero(cid >= 0)
-    centers = (kept[np.argsort(cid[kept], kind="stable")] + width).tolist()
-    ends = np.cumsum(np.bincount(cid[kept])).tolist()
-    clusters = [(arr[f:f + D], centers[a:b]) for f, a, b
-                in zip(starts[founders].tolist(), [0] + ends[:-1], ends)]
-    order = sorted(range(len(clusters)), key=lambda i: (-len(clusters[i][1]), i))
-    candidates = []
-    for i in order:
-        leader, mem = clusters[i]
-        if len(mem) < min_recurrence:
-            break
-        win = nb.TwoSidedWindow(tuple(complex(v) for v in leader), width,
-                                {"kind": "cluster", "indices": tuple(mem)},
-                                eps=eps, bound=seq.bound)
-        candidates.append(rl.RightLimitCandidate(win, tuple(mem), eps))
-        if max_candidates and len(candidates) >= max_candidates:
-            break
-    return rl.ExtractResult(candidates=candidates, clusters_total=len(clusters),
-                            windows_scanned=h + 2 - D, truncated=truncated)
-
-
-def old_szego(seq, p_max, horizon, chunk, max_period=64, max_preperiod=64):
-    h = seq.clamp_horizon(horizon)
-    arr = old_prefix(seq, h + 1, chunk)
-    values = np.unique(arr).tolist()
-    nv = len(values)
-    data = np.ascontiguousarray(arr.real) if seq.real_valued else arr
-    per_p: dict = {}
-    all_witness = True
-    for p in range(1, p_max + 1):
-        blocks = (h + 1) // p
-        needed = nv ** p + 1
-        if blocks < needed:
-            per_p[p] = (f"skipped: {blocks} aligned blocks available, "
-                        f"{needed} needed to guarantee recurrence")
-            all_witness = False
-            continue
-        groups, first, _ = rl._group_rows(data[:blocks * p].reshape(blocks, p))
-        repeated = first[np.bincount(groups) > 1]
-        i = int(repeated.min())
-        j = int(np.flatnonzero(groups == groups[i])[1])
-        P, Q = i * p, j * p
-        off = np.flatnonzero(data[P + p:P + h + 1 - Q] != data[Q + p:h + 1])
-        witness = rl.SzegoWitness(p, P, Q, int(off[0]) + p + 1) if off.size else None
-        if witness is None:
-            per_p[p] = "no mismatch within horizon"
-            all_witness = False
-        else:
-            per_p[p] = witness
-    if all_witness:
-        return rl.SzegoReport(per_p, "mismatch-at-every-p", None, tuple(values), h)
-    mp = min(max_period, max(1, h // 3))
-    mpp = min(max_preperiod, max(0, h - 2 * mp))
-    found = old_periodicity(seq, mp, mpp, h, 0.0, chunk)
-    if found is not None:
-        return rl.SzegoReport(per_p, "eventually-periodic", found, tuple(values), h)
-    return rl.SzegoReport(per_p, "horizon-exhausted", None, tuple(values), h)
 
 
 def old_sum_with_mass(coeffs, z, start_exponent, chunk):
@@ -328,7 +186,7 @@ def test_chunk_size_defaults_to_the_patched_constant(chunk, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Every consumer against its old loop
+# Every consumer against its old loop or its scan's reference
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -352,12 +210,12 @@ def test_gap_scan_matches_its_loop(name, chunk, monkeypatch):
     seq = _make(name)
     for width, eps, delta, decay in ((1, 0.0, 0.5, None), (3, 0.05, 0.3, None),
                                      (2, 0.02, 0.45, (0.8, 0.5)), (5, 0.3, 0.7, None)):
-        want, sep = old_gap_certificate(seq, width, 2500, eps, delta, decay, chunk)
+        want = reference_gap_certificate(seq, width, 2500, eps, delta, decay, 1)
         got = nb.find_gap_certificate(seq, width, 2500, eps=eps, delta=delta,
                                       decay=decay, min_recurrence=1)
-        assert (list(got.witnesses) if got else []) == want
+        assert got == want
         if want:
-            assert got.separation == sep
+            assert got.separation == want.separation
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -367,7 +225,7 @@ def test_periodicity_scan_matches_its_loop(name, chunk, monkeypatch):
     seq = _make(name)
     for mp, mpp, tol in ((8, 8, None), (16, 4, 0.0), (7, 10, 0.3), (3, 0, 1.5)):
         assert (nb.detect_eventual_periodicity(seq, mp, mpp, 2999, tol)
-                == old_periodicity(seq, mp, mpp, 2999, tol, chunk))
+                == reference_periodicity(seq, mp, mpp, 2999, tol))
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -377,7 +235,7 @@ def test_extraction_matches_its_loop(name, chunk, monkeypatch):
     seq = _make(name)
     for width, eps in ((2, None), (3, 0.1), (1, 0.0)):
         got = nb.extract_right_limits(seq, width, 2000, eps=eps, max_candidates=0)
-        want = old_extract(seq, width, 2000, chunk, eps=eps, max_candidates=0)
+        want = reference_extract(seq, width, 2000, eps=eps, max_candidates=0)
         assert got == want
         assert [[_bits(v) for v in c.window.values] for c in got.candidates] == \
             [[_bits(v) for v in c.window.values] for c in want.candidates]
@@ -390,7 +248,7 @@ def test_szego_analysis_matches_its_loop(name, chunk, monkeypatch):
     seq = _make(name)
     for p_max, horizon in ((3, 2000), (6, 3000), (2, 40)):
         got = nb.szego_block_analysis(seq, p_max, horizon)
-        want = fold_skipped_tail(old_szego(seq, p_max, horizon, chunk), p_max)
+        want = fold_skipped_tail(reference_szego(seq, p_max, horizon), p_max)
         assert got == want
         assert [_bits(v) for v in got.value_set] == [_bits(v) for v in want.value_set]
 

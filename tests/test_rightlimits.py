@@ -9,9 +9,9 @@ import pytest
 
 import nbscope as nb
 from nbscope import rightlimits
-from nbscope.rightlimits import (AnalysisConfig, ExtractResult, RightLimitCandidate,
-                                 SzegoWitness)
-from nbscope.sequences import SequenceError, TwoSidedWindow
+from nbscope.rightlimits import AnalysisConfig, SzegoWitness
+from nbscope.sequences import SequenceError
+from references import reference_extract
 
 
 # ---------------------------------------------------------------------------
@@ -106,77 +106,6 @@ def test_extract_eps0_grouping_matches_dict_oracle(name, width):
     assert [(repr(c.window.values), c.recurrence_indices) for c in res.candidates] == [
         (repr(tuple(complex(v) for v in clusters[i][0])), tuple(clusters[i][1]))
         for i in order]
-
-
-def reference_leader_clusters(data, D, width, eps, chunk=16384):
-    """The chunked greedy leader clustering extract_right_limits ran at
-    eps > 0 before it clustered distinct windows (the cap is read from the
-    module, so patching it reaches both)."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    wins = sliding_window_view(data, D)
-    n_wins = wins.shape[0]
-    lead_rows = np.empty((0, D), dtype=data.dtype)
-    members: list = []
-    truncated = False
-    for s0 in range(0, n_wins, chunk):
-        block = np.ascontiguousarray(wins[s0:s0 + chunk])
-        nb = block.shape[0]
-        first = np.full(nb, -1, dtype=np.int64)
-        remaining = np.arange(nb)
-        for li in range(lead_rows.shape[0]):
-            if remaining.size == 0:
-                break
-            dist = np.abs(block[remaining] - lead_rows[li]).max(axis=1)
-            hit = dist <= eps
-            if hit.any():
-                first[remaining[hit]] = li
-                remaining = remaining[~hit]
-        # assign matched windows, in ascending center order per cluster
-        matched = np.nonzero(first >= 0)[0]
-        if matched.size:
-            order = first[matched]
-            for li in np.unique(order):
-                rows = matched[order == li]
-                members[li].extend((s0 + rows + width).tolist())
-        # unmatched windows found new clusters, earliest first
-        new_rows = []
-        while remaining.size:
-            if lead_rows.shape[0] + len(new_rows) >= rightlimits._CLUSTER_CAP:
-                truncated = True
-                break
-            row = np.array(block[remaining[0]])
-            dist = np.abs(block[remaining] - row).max(axis=1)
-            hit = dist <= eps  # includes the founder itself
-            members.append((s0 + remaining[hit] + width).tolist())
-            new_rows.append(row)
-            remaining = remaining[~hit]
-        if new_rows:
-            lead_rows = np.vstack([lead_rows] + [r[None, :] for r in new_rows])
-    return [(lead_rows[i], members[i]) for i in range(len(members))], truncated
-
-
-def _reference_extract(seq, width, horizon, eps, max_candidates, min_recurrence):
-    """extract_right_limits at eps > 0 as it was, on the oracle above."""
-    h = seq.clamp_horizon(horizon)
-    arr = seq.prefix(h + 1)
-    D = 2 * width + 1
-    data = arr.real if seq.real_valued else arr
-    clusters, truncated = reference_leader_clusters(data, D, width, eps)
-    order = sorted(range(len(clusters)), key=lambda i: (-len(clusters[i][1]), i))
-    candidates = []
-    for i in order:
-        leader, mem = clusters[i]
-        if len(mem) < min_recurrence:
-            break
-        win = TwoSidedWindow(tuple(complex(v) for v in leader), width,
-                             {"kind": "cluster", "indices": tuple(mem)},
-                             eps=eps, bound=seq.bound)
-        candidates.append(RightLimitCandidate(win, tuple(mem), eps))
-        if max_candidates and len(candidates) >= max_candidates:
-            break
-    return ExtractResult(candidates=candidates, clusters_total=len(clusters),
-                         windows_scanned=h + 2 - D, truncated=truncated)
 
 
 def _assert_same_extract(res, ref):
@@ -294,8 +223,8 @@ def test_extract_matches_reference_leader_clusters(monkeypatch, name, make,
         res = nb.extract_right_limits(seq, width, horizon, eps=eps,
                                       max_candidates=max_candidates,
                                       min_recurrence=min_recurrence)
-        ref = _reference_extract(seq, width, horizon, eps, max_candidates,
-                                 min_recurrence)
+        ref = reference_extract(seq, width, horizon, eps, max_candidates,
+                                min_recurrence)
         _assert_same_extract(res, ref)
     # every stream has more than 5 clusters, so a patched cap fires mid-stream
     assert res.truncated is (cap is not None)
