@@ -24,20 +24,26 @@ EXIT_NUMERIC_CAP = 3
 EXIT_VERIFICATION = 4
 
 
+def _not_numbers(text):
+    return argparse.ArgumentTypeError(
+        f"{text!r} is not a comma-separated list of numbers")
+
+
 def _parse_values(text):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(complex(part))
+    try:
+        out = [complex(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        out = []
     if not out:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
+        raise _not_numbers(text)
     return out
 
 
 def _parse_floats(text):
-    return [float(p) for p in text.split(",") if p.strip()]
+    try:
+        return [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise _not_numbers(text) from None
 
 
 _FAMILY_CHOICES = ["periodic", "gap-factorial", "gap-squares", "rudin-shapiro",
@@ -217,7 +223,7 @@ def _cmd_montecarlo(args):
         for row in args.transition.split(";"):
             try:
                 rows.append(_parse_floats(row))
-            except ValueError:
+            except argparse.ArgumentTypeError:
                 raise sequences.SequenceError(
                     f"--transition row {row!r} is not a list of numbers") from None
         spec = randomseries.markov_process(args.values, rows, seed=args.seed)

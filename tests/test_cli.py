@@ -14,7 +14,10 @@ from nbscope.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:     # argparse's usage errors
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -703,13 +706,28 @@ def test_generate_periodic_non_finite_pattern_exits_2(capsys):
      "transition matrix must be rows of numbers of equal length, got [[0.5, 0.5], []]"),
     (("--process", "markov", "--values", "0,1", "--transition", "0.5,0.5;0.5"),
      "transition matrix must be rows of numbers of equal length, got [[0.5, 0.5], [0.5]]"),
+    # argparse named the private parser: "invalid _parse_floats value"
+    (("--process", "iid", "--values", "0,1", "--probs", "0.5,a"),
+     "argument --probs: '0.5,a' is not a comma-separated list of numbers"),
+    (("--process", "iid", "--values", "0,a"),
+     "argument --values: '0,a' is not a comma-separated list of numbers"),
 ])
 def test_montecarlo_non_finite_inputs_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "montecarlo", *argv, "--trials", "2",
                          "--horizon", "500", "--eps", "0", "--delta", "0.9")
     assert code == 2
     assert not out
-    assert message in err
+    assert message in err and "_parse_" not in err
+
+
+@pytest.mark.parametrize("option, value", [("--radii", "0.5,x"), ("--pattern", "1,a")])
+def test_probe_list_that_is_not_numbers_exits_2_naming_it(capsys, option, value):
+    code, out, err = run(capsys, "probe", "--family", "periodic", "--pattern", "1",
+                         "--arc", "0.3", "1.7", option, value)
+    assert code == 2
+    assert not out
+    assert f"argument {option}: {value!r} is not a comma-separated list of numbers" in err
+    assert "_parse_" not in err
 
 
 def _strict_json(text):

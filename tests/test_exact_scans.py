@@ -710,6 +710,20 @@ def test_support_gap_walk_matches_the_full_scan(chunk, monkeypatch):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_support_gap_walk_passes_a_fill_on_its_threshold(eps):
+    # a support spaced k apart puts the fill at flank offset -k of every
+    # center; a fill whose modulus is that offset's threshold passes it
+    # (|a_{n-k}| <= bound), so every point from k on is a hit
+    decay = (3.0, 0.3)
+    for k in range(1, 6):
+        fill = float(rl._flank_thresholds(k, eps, decay)[k - 1])
+        seq = nb.make_sequence(nb.gap_powers(range(0, 3000, k), fill))
+        want = reference_gap_certificate(seq, k, 2999, eps=eps, delta=0.5, decay=decay)
+        assert want.witnesses == tuple(range(k, 3000, k))
+        assert rl.find_gap_certificate(seq, k, 2999, eps=eps, delta=0.5, decay=decay) == want
+
+
 def test_support_gap_walk_keeps_the_separation_bits_of_the_layout():
     # separation is np.abs of the value as the sequence lays it out
     # (float64 for a real fill, complex128 else): seeded fills whose

@@ -388,6 +388,18 @@ def test_walk_matches_reference_under_small_caps(pair_cap, bucket_cap, chunk,
     assert "bucket-collision overflow: some candidates dropped" in notes
 
 
+def test_cell_fills_to_the_cap_through_the_candidate_test(monkeypatch):
+    # behind flank 0.3, the 0.47 at 1 holds a cell that the zero centers
+    # may pair with but never do (0.47 < delta), so each zero arrival takes
+    # the candidate test and joins its cell, until the cap turns away the
+    # third; the three 0.5 arrivals after it pair with the two kept zeros
+    monkeypatch.setattr(rl, "_BUCKET_CAP", 2)
+    seq = nb.make_sequence(nb.explicit([0.3, 0.47] + [0.3, 0.0] * 3 + [0.3, 0.5] * 3))
+    notes = _assert_walks_agree(seq, 1, 13, 0.05, 0.5, "backward")
+    assert notes == {"bucket-collision overflow: some candidates dropped"}
+    assert rl._pair_walk(seq, 1, -1, 0.05, 0.5, 1, 14)[0] == [(3, 9), (5, 11)]
+
+
 def test_walk_stops_late_in_a_chunk(monkeypatch):
     # a 1 every tenth index from 600 on pairs with a stored zero center:
     # the blocks [512, 1024) and [1024, 1536) find pairs, but too few, and
@@ -404,6 +416,25 @@ def test_walk_stops_late_in_a_chunk(monkeypatch):
             off, start, stop, end = walk_args(seq, 2, 4000, side)
             pairs = rl._pair_walk(seq, 2, off, eps, 0.5, start, stop)[0]
             assert 1536 <= pairs[-1][1] < 2048
+
+
+def test_walk_ends_with_the_block_of_its_stop(monkeypatch):
+    # the 1s at 200, 210 and 220 pair with stored zero centers, so the stop
+    # falls in the block [128, 256); the 7 at 300 opens a cell (and tests
+    # it against the others) only if the walk goes on to the next block
+    monkeypatch.setattr(rl, "_PAIR_CAP", 3)
+    monkeypatch.setattr(rl, "_WALK_BLOCK", 128)
+    opened = []
+    too_close = rl._cells_too_close
+    monkeypatch.setattr(rl, "_cells_too_close", lambda p, q, eps, delta: (
+        opened.append(p) or too_close(p, q, eps, delta)))
+    vals = np.zeros(1000)
+    vals[[200, 210, 220]] = 1.0
+    vals[300] = 7.0
+    seq = nb.make_sequence(nb.explicit(vals))
+    assert "pair collection capped at 3" in _assert_walks_agree(seq, 1, 999, 0.0, 0.5,
+                                                                 "backward")
+    assert 1.0 in opened and 7.0 not in opened
 
 
 def test_walk_stop_counts_only_pairs_of_finished_blocks(monkeypatch):
