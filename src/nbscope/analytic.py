@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -434,8 +435,9 @@ def _fast_len(n: int) -> int:
     return best
 
 
-# The arc transform sums blocks of max(_BLOCK, nodes) coefficients and reads
-# at most _GROUP coefficients (or one block, if longer) at a time.
+# The arc transform sums blocks of L = max(_BLOCK, nodes) coefficients, read
+# one at a time; a call holds a batch of at most max(1, _GROUP // L) block
+# rows plus the kernel row, and one block read.
 _BLOCK = 1 << 15
 _GROUP = 1 << 18
 
@@ -504,12 +506,13 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
     with the conjugate chirp, done by FFT at a 5-smooth length >= L + m - 1;
     so chirp phases stay below (L + m)^2 * step / 2 whatever n is.  The
     blocks are combined by Horner's rule in z_j^L, highest first, as the
-    reads go: a group of at most _GROUP coefficients at a time, from the
-    top, so time is O(n log(L + m)) and memory does not grow with n.  The
-    live blocks of a group are weighted into the rows of one buffer, made
-    once per call, and transformed there in place; a block of zeros skips
-    its transforms (they would be zero).  With one block this is exactly
-    the whole-prefix transform.
+    reads go, so time is O(n log(L + m)) and memory does not grow with n.
+    A call holds one buffer of at most max(1, _GROUP // L) block rows plus
+    the kernel row, made once, and one block read: each block, top first, is
+    read and weighted into its row, and a batch of live rows is
+    transformed there in place (the first batch with the kernel); a block
+    of zeros skips its transforms (they would be zero).  With one block
+    this is exactly the whole-prefix transform.
     """
     if n == 0:
         return np.zeros(m, dtype=complex)
@@ -530,31 +533,32 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
         square = _phase2(half, k, k)
         chirp = np.exp(1j * square)
         weights = np.exp(kl * math.log(r) + 1j * (_phase(phi0, kl) + square[:length]))
+        del square
         j = np.arange(m, dtype=float)
         powers = np.exp(length * math.log(r)
                         + 1j * (_phase(phi0, length) + _phase2(step, length, j)))
+    del k, kl
     size = _fast_len(length + m - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = chirp[:m].conj()
-    kernel[size - length + 1:] = chirp[length - 1:0:-1].conj()
-    np.fft.fft(kernel, out=kernel)
 
-    # one buffer row per block of a group, reused by every group: each live
-    # block's weighted coefficients and zero pad, transformed in place
-    per_group = max(1, _GROUP // length)
-    buf = np.empty((min(per_group, n_blocks), size), dtype=complex)
+    # rows [0, batch) take the live blocks of a group, filled from the
+    # bottom up so that they end next to the kernel row, buf[batch]
+    batch = min(max(1, _GROUP // length), n_blocks)
+    buf = np.empty((batch + 1, size), dtype=complex)
+    kernel = buf[batch]
+    kernel[:m] = chirp[:m].conj()
+    kernel[m:size - length + 1] = 0
+    kernel[size - length + 1:] = chirp[length - 1:0:-1].conj()
+    chirp = chirp[:m].copy()
     acc = None
-    for first in range((n_blocks - 1) // per_group * per_group, -1, -per_group):
-        lo = first * length
-        hi = min(n, lo + per_group * length)
-        coeffs = read(lo, hi)
+    for first in range((n_blocks - 1) // batch * batch, -1, -batch):
         live, rows = [], 0
-        for s in range(0, hi - lo, length):
-            block = coeffs[s:s + length]        # the top block may be short
+        for lo in reversed(range(first * length, min(n, (first + batch) * length), length)):
+            block = read(lo, min(n, lo + length))      # the top block may be short
             live.append(bool(block.any()))
             if not live[-1]:
                 continue
-            row = buf[rows]
+            rows += 1
+            row = buf[batch - rows]
             if n_blocks == 1:
                 # the whole-prefix transform's own product, bit for bit
                 # (numpy's complex product is not bitwise commutative, and
@@ -564,23 +568,26 @@ def _blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np
             else:
                 np.multiply(block, weights[:len(block)], out=row[:len(block)])
             row[len(block):] = 0
-            rows += 1
+        del block
+        conv = buf[batch - rows:batch]
+        # the first batch takes the kernel's transform along in one call
+        forward = buf[batch - rows:] if acc is None else conv
+        if len(forward):
+            np.fft.fft(forward, axis=-1, out=forward)
         if rows:
-            conv = buf[:rows]
-            np.fft.fft(conv, axis=-1, out=conv)
             conv *= kernel
             np.fft.ifft(conv, axis=-1, out=conv)
-        for alive in reversed(live):
-            if alive:
-                rows -= 1
+        row = batch
+        for alive in live:
+            row -= alive
             if acc is None:
                 # a copy: the next group overwrites the buffer
-                acc = buf[rows, :m].copy() if alive else np.zeros(m, dtype=complex)
+                acc = buf[row, :m].copy() if alive else np.zeros(m, dtype=complex)
             elif alive:
-                acc = acc * powers + buf[rows, :m]
+                acc = acc * powers + buf[row, :m]
             else:
                 acc = acc * powers
-    return acc * chirp[:m]
+    return acc * chirp
 
 
 def _nodes_eval_sparse(exps, fill, r, arc: ArcSpec, m: int) -> np.ndarray:
@@ -648,6 +655,10 @@ def boundary_l1_scan(seq: OneSidedSequence, arc: ArcSpec, radii,
         raise AnalyticError("need at least one radius")
     if not (0.0 < radii[0] and radii[-1] <= 1.0 - 1e-6):
         raise AnalyticError("radii must lie in (0, 1 - 1e-6]")
+    try:
+        quad_points = operator.index(quad_points)
+    except TypeError:
+        raise AnalyticError(f"quad_points must be an integer, got {quad_points!r}") from None
     if quad_points < 64:
         raise AnalyticError("need at least 64 quadrature nodes")
     # the transform evaluates 4 * quad_points nodes at once

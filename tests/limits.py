@@ -4,7 +4,8 @@ the address-space limit ``AS_LIMIT``, in a scratch directory with ``src``
 on the path.  It fails on an exit code it does not accept, on reaching
 its wall bound (a timer kills it there) or its peak-RSS bound, on a
 failed output check, or on a traceback in stderr; a row with no bound
-only records its cost.  The runner prints one line per row, writes
+only records its cost.  The runner prints one line per row (exit code,
+wall time, peak RSS and minor page faults), writes them to
 ``BENCH_limits.json`` at the repository root and exits 1 if a row failed.
 """
 
@@ -82,11 +83,12 @@ ROWS = (
                "'generate', '--family', 'rudin-shapiro', '--count', '1000000', "
                "'--out', 'rs.csv']) or main(['verdict', '--input', 'rs.csv']))"),
         rss=120),
-    # the arc scan reads 2^18 coefficients at a time in the sequence's
-    # own layout and transforms them in blocks of 2^15 in one reused
-    # buffer, so the peak does not grow with the 27.6 million terms
-    # (about 47 MB here, 64 MB before the buffer); the whole-prefix
-    # transform it replaced peaked at 363 MB already at r = 0.99999
+    # the arc scan reads one block of 2^15 coefficients at a time in the
+    # sequence's own layout into one reused batch buffer, so the peak
+    # does not grow with the 27.6 million terms (about 42 MB here, 47 MB
+    # when it read 2^18 at a time, 64 MB before the buffer); the
+    # whole-prefix transform it replaced peaked at 363 MB already at
+    # r = 0.99999
     Row("Rudin-Shapiro probe at r = 0.999999 peaks under 120 MB",
         CLI + ("probe", "--family", "rudin-shapiro", "--arc", "0.3", "1.7",
                "--radii", "0.999999", "--quad-points", "1024"),
@@ -185,9 +187,9 @@ ROWS = (
 
 
 def run_row(row, cwd):
-    """Run ``row`` in a fresh child in ``cwd``: (exit code, wall s, peak MB,
-    the reasons it failed).  A child killed at its wall bound has exit
-    code -9."""
+    """Run ``row`` in a fresh child in ``cwd``: (exit code, wall s, the
+    child's rusage, the reasons it failed).  A child killed at its wall
+    bound has exit code -9."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -229,7 +231,7 @@ def run_row(row, cwd):
             failed.append("output check failed")
     if failed and stderr.strip():
         failed.append("stderr tail: " + " | ".join(stderr.strip().splitlines()[-3:]))
-    return code, wall, peak, failed
+    return code, wall, usage, failed
 
 
 def _git(*args):
@@ -242,13 +244,15 @@ def main():
     results = []
     with tempfile.TemporaryDirectory() as cwd:
         for row in ROWS:
-            code, wall, peak, failed = run_row(row, cwd)
+            code, wall, usage, failed = run_row(row, cwd)
+            peak = usage.ru_maxrss / 1024
             print(f"{'FAIL' if failed else 'pass'}  exit {code:3d}  {wall:7.2f} s  "
-                  f"{peak:7.1f} MB  {row.name}", flush=True)
+                  f"{peak:7.1f} MB  {usage.ru_minflt:8d} faults  {row.name}", flush=True)
             print("".join(f"      {reason}\n" for reason in failed), end="", flush=True)
             results.append({"name": row.name, "exit": code, "wall_s": round(wall, 3),
-                            "peak_mb": round(peak, 1), "wall_bound_s": row.wall,
-                            "rss_bound_mb": row.rss, "passed": not failed})
+                            "peak_mb": round(peak, 1), "minor_faults": usage.ru_minflt,
+                            "wall_bound_s": row.wall, "rss_bound_mb": row.rss,
+                            "passed": not failed})
     record = {"commit": _git("rev-parse", "HEAD"),
               "uncommitted_changes": bool(_git("status", "--porcelain", "--", "src", "tests")),
               "python": platform.python_version(), "numpy": numpy.__version__,

@@ -594,6 +594,18 @@ def test_probe_rejects_bad_radii():
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.99, 0.9])
     with pytest.raises(AnalyticError):
         boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5], quad_points=32)
+    # a non-integral count is refused by name; it used to end in an
+    # AttributeError from the FFT length search
+    with pytest.raises(AnalyticError, match="quad_points must be an integer, got 64.5"):
+        boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5], quad_points=64.5)
+
+
+def test_probe_takes_a_numpy_integer_node_count():
+    seq = nb.make_sequence(nb.periodic([1, -1]))
+    want = boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5, 0.9], quad_points=64)
+    got = boundary_l1_scan(seq, ArcSpec.full_circle(), [0.5, 0.9], quad_points=np.int64(64))
+    assert type(got.quad_points) is int
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 def _sparse_nodes_oracle(exps, fill, r, arc, m):

@@ -6,6 +6,7 @@ import cmath
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,70 @@ def test_in_place_transform_with_small_blocks_matches_bit_for_bit(monkeypatch, b
         if not planted:
             coeffs = coeffs + (1.0 if kind == "real" else 1j)
         _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m)
+
+
+def _dead_blocks(coeffs, length, dead):
+    for b in dead:
+        coeffs[b * length:(b + 1) * length] = 0
+    return coeffs
+
+
+# 12 blocks of max(8, m) in batches of 4 (_GROUP 32): three groups, so the
+# first group's transformed kernel is reused by two more, and a top block
+# of 3 coefficients
+@pytest.mark.parametrize("dead", [
+    (), (8, 10),                    # dead blocks between the top group's live ones
+    (11,), (8, 9, 10, 11),          # a dead top block; a wholly dead top group
+    (0, 1, 2, 3, 4, 5, 6, 7, 9),    # one live row in each of the top two groups
+])
+@pytest.mark.parametrize("m", [5, 12])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_batches_with_dead_blocks_match_bit_for_bit(monkeypatch, dead, m, kind):
+    monkeypatch.setattr(analytic, "_BLOCK", 8)
+    monkeypatch.setattr(analytic, "_GROUP", 32)
+    length = max(8, m)
+    n = 11 * length + 3
+    rng = np.random.default_rng(m + len(dead))
+    coeffs, r, phi0, step = _seeded_case(rng, n)
+    if kind == "real":
+        coeffs = coeffs.real.copy()
+    _assert_same_bits_as_the_oracle(_dead_blocks(coeffs, length, dead), r, phi0, step, m)
+
+
+@pytest.mark.parametrize("n, block, group, m", [
+    (1003, 7, 64, 5), (1003, 64, 7, 100), (99, 8, 32, 5), (96, 8, 32, 5), (5, 8, 32, 3),
+])
+def test_each_block_is_read_once_top_first(monkeypatch, n, block, group, m):
+    monkeypatch.setattr(analytic, "_BLOCK", block)
+    monkeypatch.setattr(analytic, "_GROUP", group)
+    length = min(n, max(block, m))
+    coeffs = _dead_blocks(np.random.default_rng(n).uniform(-1, 1, n), length, (1,))
+    log = []
+
+    def read(lo, hi):
+        log.append((lo, hi))
+        return coeffs[lo:hi].copy()
+
+    _blocked_czt(read, n, 0.99, 0.3, 0.01, m)
+    assert log == [(lo, min(n, lo + length)) for lo in reversed(range(0, n, length))]
+
+
+def test_top_rung_working_set_is_one_batch_and_a_little():
+    # 230 247 terms in 8 blocks of 2^15: the 9-row buffer of 36 864 values
+    # (5.06 MB) plus the weights, the node powers, the chirp and one block
+    # read; holding the group read, a separate kernel and the full chirp
+    # as well traced about 11 MB
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    r, m = 0.9999, 4096
+    n = truncation_length(seq.bound, r, 1e-6)
+    assert n == 230_247 and _fast_len(analytic._BLOCK + m - 1) == 36_864
+    tracemalloc.start()
+    try:
+        _blocked_czt(seq._read, n, r, 0.3, 1.4 / m, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 36_864 * 16 + 2.5 * 2 ** 20
 
 
 def test_scan_top_rung_reads_the_own_layout_bit_for_bit():
