@@ -172,10 +172,11 @@ def _draw(spec: ProcessSpec, length: int, trial=None):
 def _path_sequence(spec: ProcessSpec, path: np.ndarray, kind: str,
                    trial=None) -> OneSidedSequence:
     """The drawn ``path`` as an explicit sequence, reading the array itself."""
+    real = not np.any(path.imag)
     return OneSidedSequence(
-        lambda lo, hi: path[lo:hi], spec.bound, f"stochastic-{spec.kind}",
+        (path.real if real else path).__getitem__, spec.bound, f"stochastic-{spec.kind}",
         {"seed": spec.seed, "trial": trial, "kind": spec.kind},
-        value_kind=kind, length=len(path), real_valued=not np.any(path.imag))
+        value_kind=kind, length=len(path), real_valued=real)
 
 
 def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequence:

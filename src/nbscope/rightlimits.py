@@ -72,10 +72,6 @@ _CLUSTER_CAP = 10 ** 6
 _TIE_PROBE = 64
 _BUCKET_CAP = 64
 _PAIR_CAP = 256
-# A certificate check reads two neighbouring witnesses together when they
-# are at most this many indices apart: a separate read costs about as much
-# as reading that many more values.
-_WITNESS_GAP = 1024
 
 
 @dataclass
@@ -116,29 +112,26 @@ def _check_min_recurrence(min_recurrence):
 
 
 def _span_rows(seq, centers, offsets):
-    """a_{c+o} for each center c (a row) and ascending offset o (a column).
+    """Batches of rows a_{c+o}, a row per center c of the int64 array
+    ``centers`` (two per row of a (k, 2) array of pairs) and a column per
+    offset o: each one gather of ``centers[:, None] + offsets`` of at most
+    a reader chunk of values, or of one center if its rows hold more."""
+    per_center = len(offsets) * math.prod(centers.shape[1:])
+    step = max(1, sequences._CHUNK // per_center)
+    for i in range(0, len(centers), step):
+        yield seq._at(centers[i:i + step, ..., None] + offsets)
 
-    Nearby centers are read together: one read per group of centers at
-    most ``_WITNESS_GAP`` apart whose span is at most one reader chunk
-    (a lone center's span may be longer), so far-apart witnesses never
-    read the indices between them."""
-    out = np.empty((len(centers), len(offsets)), dtype=complex)
-    o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
-    order = np.argsort(centers, kind="stable")
-    srt = np.asarray(centers, dtype=np.int64)[order]
-    # runs of neighbours at most _WITNESS_GAP apart, each cut into groups
-    # that end at the last center within a chunk's reach of their first
-    run_ends = np.append(np.flatnonzero(np.diff(srt) > _WITNESS_GAP) + 1, len(srt))
-    reach = np.searchsorted(srt, srt + (sequences._CHUNK - span), side="right")
-    i = 0
-    for end in run_ends.tolist():
-        while i < end:
-            j = min(end, max(i + 1, int(reach[i])))
-            lo = int(srt[i]) + o0
-            vals = seq.read(lo, int(srt[j - 1]) + o0 + span)
-            out[order[i:j]] = vals[(srt[i:j] - lo)[:, None] + offsets]
-            i = j
-    return out
+
+def _rows_hold(seq, centers, offsets, holds):
+    """Whether ``holds(rows)`` is true of every batch of :func:`_span_rows`
+    (vacuously of none); False when some c + o is not an index of ``seq``,
+    which the gather refuses before it reads."""
+    try:
+        # a center of 2^63 or more does not fit, and one near it wraps below 0
+        return all(holds(rows) for rows in
+                   _span_rows(seq, np.asarray(centers, dtype=np.int64), offsets))
+    except (OverflowError, SequenceError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +152,9 @@ class RightLimitCandidate:
 
     def verify(self, seq: OneSidedSequence) -> bool:
         """Re-check every center, with the clustering's distance (np.abs)."""
-        W = self.window.radius
-        rows = _span_rows(seq, self.recurrence_indices, np.arange(-W, W + 1))
-        return bool(np.all(np.abs(rows - self.window.as_array()) <= self.eps))
+        W, values = self.window.radius, self.window.as_array()
+        return _rows_hold(seq, self.recurrence_indices, np.arange(-W, W + 1),
+                          lambda rows: bool(np.all(np.abs(rows - values) <= self.eps)))
 
     def to_json_dict(self):
         return {
@@ -343,7 +336,7 @@ class NonReflectionlessCertificate:
     notes: tuple = ()
 
     def verify(self, seq: OneSidedSequence) -> bool:
-        """Re-check every witness against one raw read of their span."""
+        """Re-check every witness against raw gathers of its rows."""
         if self.kind == "GapZeroFlank":
             return _gap_hits_hold(seq, self.witnesses, self.flank_width,
                                   self.eps, self.delta, self.decay)
@@ -386,15 +379,22 @@ def _flank_thresholds(width, eps, decay):
                      for k in range(1, width + 1)])
 
 
+def _zero_flanks(ab, thr, delta):
+    """Per row |a_{n-width}| .. |a_n| of ``ab``, column by column (a sliding
+    window view is not copied): whether each flank modulus is within its
+    threshold ``thr`` (offsets -width..-1) and the center's is >= delta."""
+    ok = ab[:, -1] >= delta
+    for k, t in enumerate(thr.tolist()):
+        ok &= ab[:, k] <= t
+    return ok
+
+
 def _gap_hits_hold(seq, centers, width, eps, delta, decay):
     """Whether every center is a zero-flank hit, with the search's distance
     (np.abs) and thresholds."""
-    thr = _flank_thresholds(width, eps, decay)
-    if any(n < width for n in centers):
-        return False
-    # columns: offsets -width..-1, then the center
-    ab = np.abs(_span_rows(seq, centers, np.arange(-width, 1)))
-    return bool(np.all(ab[:, :-1] <= thr[::-1]) and np.all(ab[:, -1] >= delta))
+    thr = _flank_thresholds(width, eps, decay)[::-1]
+    return _rows_hold(seq, centers, np.arange(-width, 1),
+                      lambda rows: bool(_zero_flanks(np.abs(rows), thr, delta).all()))
 
 
 def verify_gap_hit(seq: OneSidedSequence, n: int, width: int, eps: float,
@@ -410,7 +410,7 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     A hit at n requires |a_{n-k}| <= eps for k = 1..width (or under
     C e^{-D k} + eps when ``decay`` = (C, D) is given) and |a_n| >= delta.
     Returns a certificate iff at least ``min_recurrence`` hits exist.
-    On a gap family only its support is walked (:func:`_support_gap_hits`);
+    On a gap family only its support is tested (:func:`_support_gap_hits`);
     any other sequence has its centers scanned a reader chunk at a time,
     each chunk read with the ``width`` flank values before it, and a
     horizon past ``TERM_CAP`` values is refused before any read.
@@ -423,7 +423,7 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     h = seq.clamp_horizon(horizon)
     if h < width:
         raise SequenceError("horizon smaller than flank width")
-    thr = _flank_thresholds(width, eps, decay)
+    thr = _flank_thresholds(width, eps, decay)[::-1]    # offsets -width..-1
 
     if seq.gap_support is not None:
         hits, separation = _support_gap_hits(seq, width, h, delta, thr)
@@ -431,16 +431,12 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
         _check_dense_horizon(h, "zero-flank search")
         hits, separation = [], math.inf
         for lo, seg in _chunks(seq, width, h + 1, pad=(width, 0)):
-            # ab[i] = |a_{lo-width+i}|: center n sits at n-lo+width, and its
-            # flank offset -k at n-lo+width-k
-            ab = np.abs(seg)
-            ok = ab[width:] >= delta
-            for k in range(1, width + 1):
-                ok &= ab[width - k:len(ab) - k] <= thr[k - 1]
-            found = np.flatnonzero(ok)
+            # row i: |a_{lo+i-width}| .. |a_{lo+i}|
+            ab = sliding_window_view(np.abs(seg), width + 1)
+            found = np.flatnonzero(_zero_flanks(ab, thr, delta))
             if found.size:
                 hits += (found + lo).tolist()
-                separation = min(separation, float(ab[found + width].min()))
+                separation = min(separation, float(ab[found, -1].min()))
     if len(hits) < min_recurrence:
         return None
     return NonReflectionlessCertificate(
@@ -463,44 +459,26 @@ def _check_dense_horizon(h, what):
 
 
 def _support_gap_hits(seq, width, h, delta, thr):
-    """(hits, separation) of the zero-flank search on a gap family, from
-    its support below h + 1 alone.
-
-    Off the support every value is 0, which fails the center test
-    (delta > 2*eps >= 0) and passes every flank threshold.  On it every
-    value is the fill, whose modulus is read once, at a support point, in
-    the sequence's own layout.  So a support point n >= width is a hit iff
-    that modulus is at least delta and passes the threshold of every flank
-    offset that holds another support point.  The support is listed in
-    ascending batches of one reader chunk; a support past ``TERM_CAP``
-    points is refused before it is listed."""
+    """(hits, separation) of the zero-flank search on a gap family.  Off
+    its support every value is 0, which fails the center test (delta >
+    2*eps >= 0), so only its points n >= width below h + 1 are tested, on
+    gathers of their rows of about a reader chunk of values each; a support
+    past ``TERM_CAP`` points is refused before it is listed."""
     sup = seq.gap_support
     first, count = sup.rank(width), sup.rank(h + 1)
     if count > TERM_CAP:
         raise NumericCapError(count, f"zero-flank search over {count} support "
                                      f"points exceeds the cap {TERM_CAP}")
-    if first == count:
-        return [], math.inf
-    n = sup.points(first, first + 1)[0]
-    ab = np.abs(seq._read(n, n + 1))[0]
-    if not ab >= delta:
-        return [], math.inf
-    # spoils[k]: a support point at flank offset -k spoils a hit (k > width: never)
-    spoils = np.append(np.concatenate(([False], ab > thr)), False)
-    # the width support points before a center hold every flank point it
-    # has; before the first center, points out of reach pad them
-    before = [-width - 1] * width + sup.points(max(0, first - width), first)
-    hits = []
-    for i in range(first, count, sequences._CHUNK):
-        pts = np.array(before[-width:] + sup.points(i, min(i + sequences._CHUNK, count)),
-                       dtype=np.int64)
-        cen = pts[width:]
-        ok = np.ones(len(cen), dtype=bool)
-        for lag in range(1, width + 1):
-            ok &= ~spoils[np.minimum(cen - pts[width - lag:len(pts) - lag], width + 1)]
-        hits += cen[ok].tolist()
-        before = pts[-width:].tolist()
-    return hits, float(ab) if hits else math.inf
+    offsets, hits, separation = np.arange(-width, 1), [], math.inf
+    step = max(1, sequences._CHUNK // (width + 1))
+    for i in range(first, count, step):
+        pts = np.array(sup.points(i, min(i + step, count)), dtype=np.int64)
+        ab = np.abs(seq._at(pts[:, None] + offsets))
+        ok = _zero_flanks(ab, thr, delta)
+        if ok.any():
+            hits += pts[ok].tolist()
+            separation = min(separation, float(ab[ok, -1].min()))
+    return hits, separation
 
 
 def _pairs_hold(seq, pairs, width, eps, delta, flank_side):
@@ -508,13 +486,17 @@ def _pairs_hold(seq, pairs, width, eps, delta, flank_side):
     delta apart.  The distance is hypot(re, im), bit for bit the Python abs
     of the pair walk (np.abs on complex values can differ in the last bit)."""
     offs = np.arange(-width, 1) if flank_side == "backward" else np.arange(width + 1)
-    if any(n == m or min(n, m) + int(offs[0]) < 0 for n, m in pairs):
+    if any(n == m for n, m in pairs):
         return False
-    rows = _span_rows(seq, [n for n, _ in pairs] + [m for _, m in pairs], offs)
-    with np.errstate(over="ignore"):    # an overflow is inf: apart, never within eps
-        d = rows[:len(pairs)] - rows[len(pairs):]
-        dist = np.hypot(d.real, d.imag)
-    return bool(np.all(dist[:, offs != 0] <= eps) and np.all(dist[:, offs == 0] >= delta))
+
+    def holds(rows):
+        with np.errstate(over="ignore"):    # an overflow is inf: apart, never within eps
+            d = rows[:, 0] - rows[:, 1]     # the n's rows less the m's
+            dist = np.hypot(d.real, d.imag)
+        return bool(np.all(dist[:, offs != 0] <= eps)
+                    and np.all(dist[:, offs == 0] >= delta))
+
+    return _rows_hold(seq, pairs, offs, holds)
 
 
 def verify_pair(seq: OneSidedSequence, n: int, m: int, width: int, eps: float,
@@ -832,8 +814,13 @@ class SzegoWitness:
         """Re-check the agreeing blocks and the mismatch exactly."""
         if self.mismatch < self.p + 1:
             return False
-        a, b = _span_rows(seq, (self.first, self.second), np.arange(self.mismatch))
-        return bool(np.all(a[:self.p] == b[:self.p]) and a[-1] != b[-1])
+
+        def holds(rows):
+            a, b = rows[0]
+            return bool(np.all(a[:self.p] == b[:self.p]) and a[-1] != b[-1])
+
+        return _rows_hold(seq, ((self.first, self.second),), np.arange(self.mismatch),
+                          holds)
 
     def to_json_dict(self):
         return {"p": self.p, "first": self.first, "second": self.second,

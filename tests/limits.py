@@ -58,11 +58,14 @@ ROWS = (
         CLI + ("verdict", "--family", "gap-factorial", "--horizon", "9000000000000000000"),
         wall=2, check=lambda out, err: (
             _report(out)["certificate"]["witnesses"][-1] == math.factorial(20))),
-    # work and memory grow with the support below the horizon; most of
-    # the peak is the re-check of the 10^6 witnesses and their JSON
+    # work and memory grow with the support below the horizon: the search
+    # and the re-check each gather the flanks of the 10^6 support points
+    # and witnesses in batches of about 2^16 values (1.4-2 s in all); most
+    # of the peak is the witness list and its JSON.  The re-check made one
+    # read per witness and took 15 s before the gathers
     Row("Squares gap verdict at horizon 10^12 (10^6 support points) peaks under 400 MB",
         CLI + ("verdict", "--family", "gap-squares", "--horizon", "1000000000000"),
-        rss=400),
+        wall=10, rss=400),
     # the dense zero-flank search is checked against TERM_CAP before any
     # read; it used to scan every center up to the horizon
     Row("Rudin-Shapiro verdict at horizon 1e11 exits 3 at once",

@@ -1,4 +1,5 @@
-"""One slow reference per scan, for the differential tests.
+"""One slow reference per scan, and each family's values one index at a
+time, for the differential tests.
 
 Each reference computes what its scan promises from the definition, in
 the plainest code that gives the library's results bit for bit: one
@@ -20,7 +21,177 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import nbscope as nb
 from nbscope import rightlimits as rl
-from nbscope import sequences as seqmod
+from nbscope.sequences import SequenceError, _frac_shift_exact
+
+
+# ---------------------------------------------------------------------------
+# Family values, one index at a time: the per-index generators that the
+# families' value functions replaced
+
+
+def rs_value(n: int) -> int:
+    # parity of the count of adjacent "11" bit pairs
+    return 1 if ((n & (n >> 1)).bit_count() & 1) == 0 else -1
+
+
+def _erdos_gap_value(t: int, gap_len: int) -> float:
+    rise = math.isqrt(gap_len)
+    return min(t + 1.0, float(gap_len - t), rise + 1.0) / (rise + 1.0)
+
+
+def _erdos_locate(n: int):
+    """(in_block, gap_lo, gap_len) for index n."""
+    f, j = 2, 2
+    prev_end = -1
+    while True:
+        if n < f:
+            return False, prev_end + 1, f - (prev_end + 1)
+        if n <= f + j:
+            return True, 0, 0
+        prev_end = f + j
+        j += 1
+        f *= j
+
+
+def _factorials():
+    f, k = 1, 1
+    while True:
+        yield f
+        k += 1
+        f *= k
+
+
+def _squares():
+    k = 0
+    while True:
+        yield k * k
+        k += 1
+
+
+def _exponent_factory(spec):
+    if spec == "factorials":
+        return _factorials
+    if spec == "squares":
+        return _squares
+    if callable(spec):
+        return spec
+    try:
+        values = sorted(set(int(e) for e in spec))
+    except TypeError:
+        raise SequenceError(f"malformed exponent set: {spec!r}") from None
+    if any(e < 0 for e in values):
+        raise SequenceError("exponents must be nonnegative integers")
+    if not values:
+        raise SequenceError("exponent set must be nonempty")
+    return lambda: iter(values)
+
+
+class _ExponentSet:
+    """Lazily grown ascending exponent set with O(1) membership for seen range."""
+
+    def __init__(self, iterator_factory):
+        self._it = iterator_factory()
+        self._seen = set()
+        self._limit = -1  # all exponents <= _limit are in _seen
+        self._last = -1
+
+    def grow_to(self, n: int):
+        while self._limit < n:
+            e = next(self._it, None)
+            if e is None:
+                self._limit = math.inf
+                return
+            if e < 0 or e <= self._last:
+                raise SequenceError(
+                    "exponent stream must be strictly ascending and nonnegative")
+            self._last = e
+            self._seen.add(e)
+            self._limit = e
+
+    def __contains__(self, n: int) -> bool:
+        self.grow_to(n)
+        return n in self._seen
+
+
+_SCALAR_BOUNDARY_FNS = {
+    "fractional-part": lambda x: x,
+    "half-indicator": lambda x: 1.0 if x < 0.5 else 0.0,
+}
+
+
+def scalar_periodic(pattern):
+    pattern = tuple(complex(v) for v in pattern)
+    p = len(pattern)
+
+    def fn(n):
+        return pattern[n % p]
+
+    return fn
+
+
+def scalar_gap_powers(exponents, fill):
+    fill = complex(fill)
+    if exponents == "squares":
+        return lambda n: fill if math.isqrt(n) ** 2 == n else 0.0
+    exps = _ExponentSet(_exponent_factory(exponents))
+
+    def fn(n):
+        return fill if n in exps else 0.0
+
+    return fn
+
+
+def scalar_rotation(q, theta, boundary_fn):
+    if isinstance(boundary_fn, str):
+        func = _SCALAR_BOUNDARY_FNS[boundary_fn]
+    else:
+        func = boundary_fn[0]
+
+    def fn(n):
+        return func(_frac_shift_exact(n, q, theta))
+
+    return fn
+
+
+def scalar_erdos(edge):
+    hard = edge == "hard"
+
+    def fn(n):
+        in_block, gap_lo, gap_len = _erdos_locate(n)
+        if in_block:
+            return 0.0
+        if hard:
+            return 1.0
+        return _erdos_gap_value(n - gap_lo, gap_len)
+
+    return fn
+
+
+def scalar_explicit(values):
+    values = tuple(complex(v) for v in values)
+
+    def fn(n):
+        return values[n]
+
+    return fn
+
+
+def scalar_snapped(source_fn, points, horizon):
+    """The snapped sequence's per-index read over a scalar source oracle
+    (the stored part is rebuilt as snap_to_limit_points builds it)."""
+    pts = [complex(p) for p in points]
+    parr = np.asarray(pts, dtype=complex)
+    raw = np.array([complex(source_fn(n)) for n in range(horizon + 1)]) + 0j
+    snapped_tuple = tuple(complex(v) for v in
+                          parr[np.argmin(np.abs(raw[:, None] - parr[None, :]), axis=1)])
+
+    def fn(n):
+        if n <= horizon:
+            return snapped_tuple[n]
+        v = complex(source_fn(n)) + 0j
+        return min(pts, key=lambda p: abs(v - p))
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +522,33 @@ def reference_extract(seq, width, horizon, eps=None, max_candidates=16, min_recu
 # Certificate-check reads
 
 
-def span_reads(centers, offsets):
-    """The reads rightlimits._span_rows makes for ``centers``, from its
-    rule: the sorted centers are cut, first to last, into groups of
-    neighbours at most ``_WITNESS_GAP`` apart whose span (the last center
-    minus the first plus the offsets' span) is at most one reader chunk,
-    or of one center; each group is one read of its span."""
-    srt = sorted(centers)
-    o0, span = int(offsets[0]), int(offsets[-1]) - int(offsets[0]) + 1
-    reads, i = [], 0
-    while i < len(srt):
-        j = i + 1
-        while (j < len(srt) and srt[j] - srt[j - 1] <= rl._WITNESS_GAP
-               and srt[j] - srt[i] + span <= seqmod._CHUNK):
-            j += 1
-        reads.append((srt[i] + o0, srt[j - 1] + o0 + span))
-        i = j
-    return reads
+def span_values(seq, centers, offsets):
+    """The rows of rightlimits._span_rows, its batches stacked: a_{c+o}
+    for each center c (a row, or a pair of rows for a pair of centers) and
+    offset o (a column), read one index at a time with ``eval``."""
+    idx = np.asarray(centers, dtype=np.int64)[..., None] + offsets
+    vals = [seq.eval(int(n)) for n in idx.ravel()]
+    return np.array(vals, dtype=complex).reshape(idx.shape)
+
+
+# ---------------------------------------------------------------------------
+# Counted reads
+
+
+def count_gathers(seq):
+    """Record every gather of ``seq``: its value function is wrapped so
+    that each call appends its indices to the returned list, as a
+    ``range`` when they are one (an empty gather is ``range(0)``, which
+    equals every empty range), else as a tuple."""
+    gathers, at = [], seq._family_at
+
+    def counting(idx):
+        lo = int(idx[0]) if idx.size else 0
+        if np.array_equal(idx, np.arange(lo, lo + idx.size)):
+            gathers.append(range(lo, lo + idx.size))
+        else:
+            gathers.append(tuple(idx.tolist()))
+        return at(idx)
+
+    seq._family_at = counting
+    return gathers

@@ -1,5 +1,6 @@
-"""Certificate checks: one read of the witnesses' span and one numpy
-predicate, with the distance of the search that produced the certificate.
+"""Certificate checks: gathers of the witnesses' rows and one numpy
+predicate per batch, with the distance of the search that produced the
+certificate.
 
 The per-index loops the checks replaced are kept below, verbatim, as
 oracles.  Thresholds are set to an observed distance and to the doubles on
@@ -17,8 +18,9 @@ import numpy as np
 import pytest
 
 import nbscope as nb
+from nbscope import rightlimits as rl
 from nbscope.rightlimits import RightLimitCandidate, SzegoWitness
-from nbscope.sequences import SequenceError
+from references import count_gathers
 
 
 # --- the per-index checks, as they were ------------------------------------
@@ -171,6 +173,20 @@ def test_complex_fill_gap_certificate_verifies():
     assert v.certificate.witnesses == cert.witnesses
 
 
+def test_gap_check_past_an_explicit_end_fails():
+    """A hit whose center lies past the end of an explicit sequence fails
+    the check, with nothing read; it used to raise SequenceError."""
+    seq = nb.make_sequence(nb.explicit([0, 0, 1, 0, 0, 1]))
+    assert nb.verify_gap_hit(seq, 5, 2, 0.0, 0.5)
+    reads = count_gathers(seq)
+    for n in (6, 100, 2 ** 63, 2 ** 70, 1, -1):
+        assert not nb.verify_gap_hit(seq, n, 2, 0.0, 0.5)
+    cert = nb.NonReflectionlessCertificate("GapZeroFlank", (2, 5, 6), "backward", 2,
+                                           0.0, 0.5, 1.0)
+    assert not cert.verify(seq)
+    assert reads == []
+
+
 # --- pair checks ------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -220,6 +236,27 @@ def test_pair_certificates_of_the_search_verify():
             assert loop_certificate_verify(cert, fresh)
 
 
+def test_pair_check_past_an_explicit_end_fails():
+    """A pair whose flank or center lies past the end of an explicit
+    sequence fails the check, with nothing read; it used to raise
+    SequenceError.  No pairs pass vacuously."""
+    seq = nb.make_sequence(nb.explicit(range(1, 11)))
+    assert nb.verify_pair(seq, 4, 6, 2, 2.0, 2.0)
+    assert nb.verify_pair(seq, 4, 7, 2, 3.0, 3.0, "forward")
+    reads = count_gathers(seq)
+    assert not nb.verify_pair(seq, 4, 100, 2, 0.0, 0.5)
+    for m in (10, 2 ** 63, 2 ** 70):
+        assert not nb.verify_pair(seq, 4, m, 2, 100.0, 0.5)
+        assert not nb.verify_pair(seq, m, 4, 2, 100.0, 0.5)
+    assert not nb.verify_pair(seq, 4, 8, 2, 100.0, 0.5, "forward")
+    assert not nb.verify_pair(seq, 1, 6, 2, 100.0, 0.5)
+    assert reads == []
+    assert rl._pairs_hold(seq, (), 2, 0.0, 0.5, "backward")
+    assert rl._gap_hits_hold(seq, (), 2, 0.0, 0.5, None)
+    assert rl._pairs_hold(seq, [], 2, 0.0, 0.5, "forward")
+    assert reads == []
+
+
 # --- cluster checks ---------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["real", "agreeing"])
@@ -254,17 +291,18 @@ def test_cluster_candidates_of_the_search_verify():
             assert cand.verify(seq) and cand.verify(nb.make_sequence(spec))
 
 
-def test_cluster_check_past_an_explicit_end_raises():
-    """The whole span is read before any center is tested, so a span past
-    the end raises even where the loop stopped at an earlier mismatch."""
+def test_cluster_check_past_an_explicit_end_fails():
+    """A center whose window runs past the end of an explicit sequence
+    fails the check, with nothing read; it used to raise SequenceError."""
     seq = nb.make_sequence(nb.explicit([1, 1, 1, 2, 1]))
     win = nb.TwoSidedWindow((1, 1, 1), 1, {"kind": "cluster"})
     assert RightLimitCandidate(win, (1,), 0.0).verify(seq)
     assert not RightLimitCandidate(win, (1, 2), 0.0).verify(seq)
-    past = RightLimitCandidate(win, (2, 4), 0.0)
-    assert not loop_candidate_verify(past, seq)
-    with pytest.raises(SequenceError):
-        past.verify(seq)
+    reads = count_gathers(seq)
+    for centers in ((1, 4), (4,), (0, 1), (1, 2 ** 63), (1, 2 ** 70)):
+        past = RightLimitCandidate(win, centers, 0.0)
+        assert not past.verify(seq)
+    assert reads == []
 
 
 # --- block-mismatch witnesses -----------------------------------------------
@@ -291,17 +329,24 @@ def test_szego_check_matches_the_loop():
                 assert other.verify(seq) == loop_szego_verify(other, seq)
 
 
+def test_szego_check_past_an_explicit_end_fails():
+    """A witness whose blocks or mismatch lie past the end of an explicit
+    sequence fails the check, with nothing read; it used to raise
+    SequenceError."""
+    seq = nb.make_sequence(nb.explicit([0, 1, 0, 1, 0, 1, 1]))
+    assert SzegoWitness(2, 0, 2, 5).verify(seq)
+    reads = count_gathers(seq)
+    for w in (SzegoWitness(2, 0, 4, 4), SzegoWitness(2, 0, 2 ** 63, 5),
+              SzegoWitness(2, 2 ** 70, 0, 3), SzegoWitness(2, -1, 2, 5)):
+        assert not w.verify(seq)
+    assert reads == []
+
+
 # --- far indices -------------------------------------------------------------
 
 def test_single_checks_near_2_53_leave_the_prefix_uncached():
     seq = nb.make_sequence(nb.rudin_shapiro())
-    calls, block = [], seq._block
-
-    def counting(lo, hi):
-        calls.append((lo, hi))
-        return block(lo, hi)
-
-    seq._block = counting
+    calls = count_gathers(seq)
     n = 2 ** 53
     win = nb.TwoSidedWindow(tuple(nb.make_sequence(nb.rudin_shapiro())
                                   .read(n - 1, n + 2).tolist()), 1, {"kind": "cluster"})
@@ -319,6 +364,6 @@ def test_single_checks_near_2_53_leave_the_prefix_uncached():
     assert got == [loop(nb.make_sequence(nb.rudin_shapiro())) for _, loop in checks]
     assert got[3]
     assert len(calls) == len(checks)
-    assert all(lo >= n - 3 and hi - lo <= 12 for lo, hi in calls)
+    assert all(min(c) >= n - 3 and len(c) <= 12 for c in calls)
     seq.prefix(3)
-    assert calls[-1] == (0, 3)
+    assert calls[-1] == range(0, 3)

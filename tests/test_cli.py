@@ -617,7 +617,7 @@ def test_horizon_past_the_last_index_exits_2_before_reading(capsys, monkeypatch,
     # the gap search read upward from 0 and never ended; verdict exited 2
     # only because its periodicity scan read index 10^20 first
     from nbscope import sequences
-    monkeypatch.setattr(sequences, "_rs_block", lambda lo, hi: pytest.fail("block read"))
+    monkeypatch.setattr(sequences, "_rs_at", lambda idx: pytest.fail("value read"))
     code, out, err = run(capsys, *argv, "--family", "rudin-shapiro",
                          "--horizon", str(10 ** 20))
     assert code == 2

@@ -17,7 +17,8 @@ from nbscope import rightlimits as rl
 from nbscope import sequences as seqmod
 from references import (fold_skipped_tail, raw_chunk_keys, reference_block_witnesses,
                         reference_gap_certificate, reference_gap_hits,
-                        reference_periodicity, reference_szego, span_reads)
+                        reference_periodicity, reference_szego, span_values,
+                        count_gathers)
 
 
 def _seq(values, kind=None):
@@ -471,17 +472,10 @@ def test_chunked_periodicity_float_tolerance(chunk, monkeypatch):
 
 
 def _counted(spec):
-    """A fresh sequence of ``spec`` whose block reads are recorded."""
+    """A fresh sequence of ``spec`` whose gathers are recorded
+    (:func:`count_gathers`)."""
     seq = nb.make_sequence(spec)
-    reads = []
-    block = seq._block
-
-    def counting(lo, hi):
-        reads.append((lo, hi))
-        return block(lo, hi)
-
-    seq._block = counting
-    return seq, reads
+    return seq, count_gathers(seq)
 
 
 @pytest.mark.parametrize("chunk", [7, 4096])
@@ -497,12 +491,12 @@ def test_periodicity_reads_each_index_once(chunk, monkeypatch):
         seq, reads = _counted(spec)
         nb.detect_eventual_periodicity(seq, mp, mpp, horizon)
         counts = np.zeros(horizon + 1, dtype=np.int64)
-        for lo, hi in reads:
-            counts[lo:hi] += 1
+        for r in reads:
+            counts[r.start:r.stop] += 1
         assert counts[:mpp].max() <= 1 and counts[mpp + mp:].max() <= 1
         assert counts[mpp:mpp + mp].max() <= 2
         # no read is longer than the head or a chunk, plus max_period
-        assert max(hi - lo for lo, hi in reads) <= max(mpp, chunk) + mp
+        assert max(map(len, reads)) <= max(mpp, chunk) + mp
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -553,48 +547,53 @@ def test_forward_scan_tolerance_with_live_multiples(chunk, monkeypatch):
 def test_gap_family_periodicity_reads_the_head_and_at_most_two_chunks():
     seq, reads = _counted(nb.gap_powers("factorials"))
     assert nb.detect_eventual_periodicity(seq, 64, 64, 10 ** 12) is None
-    assert reads[0] == (0, 128) and len(reads) <= 3
-    assert all(hi - lo <= seqmod._CHUNK for lo, hi in reads[1:])
+    assert reads[0] == range(0, 128) and len(reads) <= 3
+    assert all(len(r) <= seqmod._CHUNK for r in reads[1:])
 
 
 def test_gap_check_reads_only_near_its_witnesses():
-    # witnesses 10^6 apart are checked by one small read each, never by a
-    # read of the span between them
+    # witnesses 10^6 apart are checked by one gather of their flanks, never
+    # by a read of the span between them
     seq, reads = _counted(nb.gap_powers([10, 10 ** 6, 10 ** 9, 10 ** 12]))
     cert = rl.NonReflectionlessCertificate(
         kind="GapZeroFlank", witnesses=(10, 10 ** 6, 10 ** 9, 10 ** 12),
         flank_side="backward", flank_width=5, eps=0.0, delta=0.5, separation=1.0)
     assert cert.verify(seq)
-    assert sorted(reads) == [(n - 5, n + 1) for n in cert.witnesses]
+    assert reads == [tuple(n + k for n in cert.witnesses for k in range(-5, 1))]
     seq, reads = _counted(nb.gap_powers("factorials"))
     cert = rl.find_gap_certificate(seq, 3, 10 ** 6)
     reads.clear()
     assert cert.verify(seq)
-    # 6, 24, 120 and 720 are close neighbours; the others stand alone
-    assert reads == [(3, 721)] + [(n - 3, n + 1) for n in (5040, 40320, 362880)]
+    assert reads == [tuple(n + k for n in cert.witnesses for k in range(-3, 1))]
 
 
-@pytest.mark.parametrize("chunk, gap", [(7, 1), (16, 3), (64, 8), (4096, 1024)])
+@pytest.mark.parametrize("chunk, gap", [(1, 1), (7, 1), (16, 3), (64, 8), (4096, 1024),
+                                        (seqmod._CHUNK, 1024)])
 @pytest.mark.parametrize("offsets", [np.arange(-3, 1), np.arange(4), np.arange(12)])
 def test_span_rows_matches_the_loop_it_replaced(monkeypatch, chunk, gap, offsets):
-    # steps of 0 (duplicates), at and either side of the gap, and at and
-    # either side of a chunk's reach (chunk - span, which is negative when
-    # the span is longer than a chunk), shuffled; each row is one read of
-    # its own span, and the reads follow the grouping rule
+    # centers with steps of 0 (duplicates), 1, and about ``gap`` and a
+    # chunk, shuffled, single and in pairs, against values read one index
+    # at a time: each batch is one gather of as many centers as fit in a
+    # chunk of values, or of one center whose rows hold more
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
-    monkeypatch.setattr(rl, "_WITNESS_GAP", gap)
     reach = abs(chunk - len(offsets))
     steps = sorted({0, 1, gap - 1, gap, gap + 1, 2 * gap, reach - 1, reach, reach + 1})
     rng = np.random.default_rng(chunk * 100 + len(offsets))
     for _ in range(20):
         centers = 3 + np.cumsum(rng.choice(steps, size=int(rng.integers(0, 40))))
         centers = [int(c) for c in rng.permutation(centers)]
-        seq, reads = _counted(nb.rudin_shapiro())
-        got = rl._span_rows(seq, centers, offsets)
-        assert reads == span_reads(centers, offsets)
-        assert got.shape == (len(centers), len(offsets))
-        assert all(np.array_equal(got[k], seq.read(c + offsets[0], c + offsets[-1] + 1))
-                   for k, c in enumerate(centers))
+        for cen, rows in ((centers, 1), (list(zip(centers, reversed(centers))), 2)):
+            seq, reads = _counted(nb.rudin_shapiro())
+            batches = list(rl._span_rows(seq, np.array(cen, dtype=np.int64), offsets))
+            per_batch = max(1, chunk // (rows * len(offsets)))
+            assert len(reads) == len(batches) == -(-len(cen) // per_batch)
+            assert all(len(r) <= max(chunk, rows * len(offsets)) for r in reads)
+            want = span_values(seq, cen, offsets)
+            if batches:
+                got = np.concatenate(batches).astype(complex)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            else:
+                assert want.size == 0
 
 
 def test_verdict_certificates_leave_the_prefix_cache_empty():
@@ -605,8 +604,8 @@ def test_verdict_certificates_leave_the_prefix_cache_empty():
         seq, reads = _counted(spec)
         v = nb.verdict(seq, nb.AnalysisConfig(horizon=horizon))
         assert v.certificate is not None
-        # no read is longer than a chunk plus the flanks around it
-        assert max(hi - lo for lo, hi in reads) <= seqmod._CHUNK + 64
+        # no gather is longer than a chunk plus the flanks around it
+        assert max(map(len, reads)) <= seqmod._CHUNK + 64
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +745,14 @@ def test_support_gap_walk_reads_only_support_rows_and_their_flanks():
                           (nb.gap_powers([0, 3, 4, 10, 10 ** 6, 10 ** 12], 1), 10 ** 15)):
         seq, reads = _counted(spec)
         cert = rl.find_gap_certificate(seq, width, horizon, eps=0.0)
-        assert cert is not None
-        support = set(seq.gap_support.between(0, min(horizon + 1, 10 ** 7))) | {10 ** 12}
-        assert 1 <= len(reads) <= 2
-        for lo, hi in reads:
-            assert all(any(n <= e <= n + width for e in support)
-                       for n in range(lo, hi)), (lo, hi)
+        assert cert is not None and cert.verify(seq)
+        support = set(seq.gap_support.between(0, horizon + 1))
+        # the search gathers the flank and center of each support point
+        # from width on, and the check those of each witness
+        indices = [n for r in reads for n in r]
+        tested = sum(e >= width for e in support)
+        assert len(indices) == (width + 1) * (tested + len(cert.witnesses))
+        assert all(any(n + k in support for k in range(width + 1)) for n in indices)
 
 
 def test_support_past_the_term_cap_is_refused_before_it_is_listed(monkeypatch):
@@ -779,7 +780,7 @@ def test_dense_searches_refuse_past_the_term_cap_before_reading(search, monkeypa
         return rl.find_pair_certificate(seq, 5, horizon)
 
     run(4999)                       # h + 1 = TERM_CAP values: runs
-    seq._block = lambda lo, hi: pytest.fail("read before the refusal")
+    seq._family_at = lambda idx: pytest.fail("read before the refusal")
     with pytest.raises(nb.NumericCapError, match="5001 values exceeds the cap 5000"):
         run(5000)
 
@@ -899,9 +900,7 @@ def test_gap_pair_search_reads_nothing_when_the_fill_cannot_separate(monkeypatch
     # values 0 and the fill: no two centers are delta apart when |fill| < delta
     monkeypatch.setattr(rl, "TERM_CAP", 5000)
     for fill in (0.3, 0.3j, math.nextafter(0.5, 0)):
-        seq, reads = nb.make_sequence(nb.gap_powers("factorials", fill)), []
-        block = seq._block
-        seq._block = lambda lo, hi: reads.append((lo, hi)) or block(lo, hi)
+        seq, reads = _counted(nb.gap_powers("factorials", fill))
         for side in ("backward", "forward"):
             assert rl.find_pair_certificate(seq, 3, 10 ** 10, eps=0.1,
                                             delta=0.5, flank_side=side) is None
@@ -919,6 +918,6 @@ def test_gap_pair_search_refuses_past_the_term_cap_when_the_fill_can(fill,
     monkeypatch.setattr(rl, "TERM_CAP", 5000)
     seq = nb.make_sequence(nb.gap_powers("factorials", fill))
     rl.find_pair_certificate(seq, 3, 4999, eps=0.1, delta=0.5)    # runs
-    seq._block = lambda lo, hi: pytest.fail("read before the refusal")
+    seq._family_at = lambda idx: pytest.fail("read before the refusal")
     with pytest.raises(nb.NumericCapError, match="5001 values exceeds the cap 5000"):
         rl.find_pair_certificate(seq, 3, 5000, eps=0.1, delta=0.5)

@@ -16,8 +16,9 @@ import pytest
 import nbscope as nb
 from nbscope import rightlimits as rl
 from nbscope import sequences as seqmod
-from nbscope.sequences import _frac_shift_block, _frac_shift_exact
-from references import reference_pair_certificate, reference_pair_walk, walk_args
+from nbscope.sequences import _frac_shift_at, _frac_shift_exact
+from references import (count_gathers, reference_pair_certificate, reference_pair_walk,
+                        walk_args)
 
 
 def _complex_stream(seed, length):
@@ -200,15 +201,7 @@ def test_real_families_say_so():
 
 def _counted(make):
     seq = make()
-    reads = []
-    block = seq._block
-
-    def counting(lo, hi):
-        reads.append((lo, hi))
-        return block(lo, hi)
-
-    seq._block = counting
-    return seq, reads
+    return seq, count_gathers(seq)
 
 
 @pytest.mark.parametrize("side", ["backward", "forward"])
@@ -217,10 +210,10 @@ def test_capped_search_reads_no_further_than_it_scanned(side):
     cert = nb.find_pair_certificate(seq, 3, 10 ** 6, eps=0.0, flank_side=side)
     assert f"pair collection capped at {rl._PAIR_CAP}" in cert.notes
     last = max(m for _, m in cert.pairs)
-    assert max(hi for _, hi in reads) <= last + rl._KEY_CHUNK + 3 + 1
+    assert max(r.stop for r in reads) <= last + rl._KEY_CHUNK + 3 + 1
     # no read is longer than a key chunk plus its flanks
-    assert max(hi - lo for lo, hi in reads) <= rl._KEY_CHUNK + 2 * 3
-    # the check reads the dense pairs' span once
+    assert max(map(len, reads)) <= rl._KEY_CHUNK + 2 * 3
+    # the check gathers the pairs' rows at once
     reads.clear()
     assert cert.verify(seq)
     assert len(reads) == 1
@@ -233,7 +226,7 @@ def test_pair_verdicts_leave_the_prefix_cache_empty():
         seq, reads = _counted(SEQUENCES[name])
         v = nb.verdict(seq, nb.AnalysisConfig(horizon=4000))
         assert v.certificate is not None and v.certificate.kind == "PairMismatch"
-        assert max(hi - lo for lo, hi in reads) <= seqmod._CHUNK + 64
+        assert max(map(len, reads)) <= seqmod._CHUNK + 64
 
 
 def test_group_rows_partitions_like_brute_force():
@@ -339,7 +332,7 @@ def test_walk_takes_its_key_chunks_from_the_reader(name, chunk, monkeypatch):
             reads.clear()
             off, start, stop, _ = walk_args(seq, 3, horizon, side)
             rl._pair_walk(seq, 3, off, eps, delta, start, stop)
-            want = [(c - pad[0], min(c + chunk, stop) + pad[1])
+            want = [range(c - pad[0], min(c + chunk, stop) + pad[1])
                     for c in range(start, stop, chunk)]
             assert reads == want[:len(reads)] and reads
 
@@ -510,14 +503,16 @@ def test_complex_flank_distance_is_pythons_abs():
 
 
 # ---------------------------------------------------------------------------
-# Rotation block
+# Rotation values
 
 
 ROTATION_K = (2, 5, 8, 10, 12, 13, 15, 17, 18, 19, 20)
 
 
-def _exact_fracs(q, theta, lo, hi):
-    return np.array([_frac_shift_exact(n, q, theta) for n in range(lo, hi)])
+def _fracs(q, theta, lo, hi):
+    """(the gathered fractional parts, the exact ones) for lo <= n < hi."""
+    got = _frac_shift_at(q, theta, np.arange(lo, hi, dtype=np.int64))
+    return got, np.array([_frac_shift_exact(n, q, theta) for n in range(lo, hi)])
 
 
 @pytest.mark.parametrize("k", ROTATION_K)
@@ -525,9 +520,9 @@ def test_rotation_block_bit_identical(k):
     q = math.sqrt(k) % 1
     theta = float(np.random.default_rng(k).random())
     for lo, hi in ((0, 3000), (2 ** 32 - 1500, 2 ** 32 + 1500),
-                   (2 ** 53 - 64, 2 ** 53 + 64), (2 ** 63 - 64, 2 ** 63 + 64)):
-        got = _frac_shift_block(q, theta, lo, hi)
-        assert got.tobytes() == _exact_fracs(q, theta, lo, hi).tobytes()
+                   (2 ** 53 - 64, 2 ** 53 + 64), (2 ** 63 - 64, 2 ** 63)):
+        got, want = _fracs(q, theta, lo, hi)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q,theta", [(math.sqrt(2) * 1e-7, 0.25),      # qd = 2^75
@@ -535,8 +530,8 @@ def test_rotation_block_bit_identical(k):
                                      (math.pi % 1, -0.375)])
 def test_rotation_block_large_denominator_and_negative_phase(q, theta):
     for lo, hi in ((0, 2000), (2 ** 32 - 100, 2 ** 32 + 100)):
-        got = _frac_shift_block(q, theta, lo, hi)
-        assert got.tobytes() == _exact_fracs(q, theta, lo, hi).tobytes()
+        got, want = _fracs(q, theta, lo, hi)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("boundary", ["fractional-part", "half-indicator", "custom"])

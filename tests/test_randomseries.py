@@ -546,7 +546,7 @@ def old_sample_process(spec, length, trial=None):
     else:
         raise SequenceError(f"unknown process kind {spec.kind!r}")
     return nb.OneSidedSequence(
-        lambda lo, hi: path[lo:hi], spec.bound, f"stochastic-{spec.kind}",
+        path.__getitem__, spec.bound, f"stochastic-{spec.kind}",
         {"seed": spec.seed, "trial": trial, "kind": spec.kind},
         value_kind=kind, length=length, real_valued=not np.any(path.imag))
 

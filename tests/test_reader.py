@@ -159,7 +159,7 @@ def test_both_layouts_canonicalise_signed_zeros_and_check_the_bound():
         seq = nb.make_sequence(nb.periodic(pattern))
         assert np.signbit(seq._read(0, 3).view(float)).tolist().count(True) == 1
         assert not np.signbit(seq.read(0, 3).view(float)[:2]).any()
-        seq._block = lambda lo, hi: np.full(hi - lo, 2.5)
+        seq._family_at = lambda idx: np.full(len(idx), 2.5)
         with pytest.raises(nb.VerificationError, match=r"\|a_4\| = 2.5 exceeds"):
             seq._read(4, 6)
 

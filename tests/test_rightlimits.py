@@ -11,7 +11,7 @@ import nbscope as nb
 from nbscope import rightlimits
 from nbscope.rightlimits import AnalysisConfig, SzegoWitness
 from nbscope.sequences import SequenceError
-from references import reference_extract
+from references import count_gathers, reference_extract
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +303,17 @@ def test_real_and_complex_paths_agree():
 
 
 def test_candidate_check_after_extraction_reads_raw_values():
-    # the check goes to the block function, not to values the extraction read
+    # the check goes to the value function, not to values the extraction read
     seq = nb.make_sequence(nb.rotation(math.sqrt(2) - 1, 0.3))
     res = nb.extract_right_limits(seq, 2, 10_000, eps=0.05)
     assert res.candidates
-    block, calls = seq._block, []
-
-    def counting(lo, hi):
-        calls.append((lo, hi))
-        return block(lo, hi)
-
-    seq._block = counting
+    at = seq._family_at
+    calls = count_gathers(seq)
     for cand in res.candidates:
         calls.clear()
         assert cand.verify(seq) and calls
     # every window holds a value >= 0.2, so halved values match no leader
-    seq._block = lambda lo, hi: 0.5 * block(lo, hi)
+    seq._family_at = lambda idx: 0.5 * at(idx)
     assert not any(cand.verify(seq) for cand in res.candidates)
 
 
@@ -753,7 +748,7 @@ try:
 except nb.VerificationError:
     rejected.append("montecarlo")
 
-unbounded = nb.OneSidedSequence(lambda lo, hi: [2.0] * (hi - lo), 1.0, "forged-bound")
+unbounded = nb.OneSidedSequence(lambda idx: [2.0] * len(idx), 1.0, "forged-bound")
 for read in (lambda: unbounded.eval(0), lambda: unbounded.prefix(4)):
     try:
         read()

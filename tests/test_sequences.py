@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 import nbscope as nb
 from nbscope import sequences as seqmod
 from nbscope._util import fmt17
-from nbscope.sequences import SequenceError, _check_finite, _frac_shift_exact
+from nbscope.randomseries import _draw
+from nbscope.sequences import SequenceError, _check_finite
+from references import (count_gathers, rs_value, scalar_erdos, scalar_explicit,
+                        scalar_gap_powers, scalar_periodic, scalar_rotation, scalar_snapped)
 
 
 # --- independent oracle: the paired polynomial recursion -------------------
@@ -326,171 +330,8 @@ def test_csv_rejects_non_finite_and_malformed_values(text):
 
 
 # ---------------------------------------------------------------------------
-# Range reads: every family has one block(lo, hi); the per-index generators
-# it replaced are kept below verbatim as oracles.
-
-
-def _rs_value(n: int) -> int:
-    # parity of the count of adjacent "11" bit pairs
-    return 1 if ((n & (n >> 1)).bit_count() & 1) == 0 else -1
-
-
-def _erdos_gap_value(t: int, gap_len: int) -> float:
-    rise = math.isqrt(gap_len)
-    return min(t + 1.0, float(gap_len - t), rise + 1.0) / (rise + 1.0)
-
-
-def _erdos_locate(n: int):
-    """(in_block, gap_lo, gap_len) for index n."""
-    f, j = 2, 2
-    prev_end = -1
-    while True:
-        if n < f:
-            return False, prev_end + 1, f - (prev_end + 1)
-        if n <= f + j:
-            return True, 0, 0
-        prev_end = f + j
-        j += 1
-        f *= j
-
-
-def _factorials():
-    f, k = 1, 1
-    while True:
-        yield f
-        k += 1
-        f *= k
-
-
-def _squares():
-    k = 0
-    while True:
-        yield k * k
-        k += 1
-
-
-def _exponent_factory(spec):
-    if spec == "factorials":
-        return _factorials
-    if spec == "squares":
-        return _squares
-    if callable(spec):
-        return spec
-    try:
-        values = sorted(set(int(e) for e in spec))
-    except TypeError:
-        raise SequenceError(f"malformed exponent set: {spec!r}") from None
-    if any(e < 0 for e in values):
-        raise SequenceError("exponents must be nonnegative integers")
-    if not values:
-        raise SequenceError("exponent set must be nonempty")
-    return lambda: iter(values)
-
-
-class _ExponentSet:
-    """Lazily grown ascending exponent set with O(1) membership for seen range."""
-
-    def __init__(self, iterator_factory):
-        self._it = iterator_factory()
-        self._seen = set()
-        self._limit = -1  # all exponents <= _limit are in _seen
-        self._last = -1
-
-    def grow_to(self, n: int):
-        while self._limit < n:
-            e = next(self._it, None)
-            if e is None:
-                self._limit = math.inf
-                return
-            if e < 0 or e <= self._last:
-                raise SequenceError(
-                    "exponent stream must be strictly ascending and nonnegative")
-            self._last = e
-            self._seen.add(e)
-            self._limit = e
-
-    def __contains__(self, n: int) -> bool:
-        self.grow_to(n)
-        return n in self._seen
-
-
-_SCALAR_BOUNDARY_FNS = {
-    "fractional-part": lambda x: x,
-    "half-indicator": lambda x: 1.0 if x < 0.5 else 0.0,
-}
-
-
-def scalar_periodic(pattern):
-    pattern = tuple(complex(v) for v in pattern)
-    p = len(pattern)
-
-    def fn(n):
-        return pattern[n % p]
-
-    return fn
-
-
-def scalar_gap_powers(exponents, fill):
-    fill = complex(fill)
-    exps = _ExponentSet(_exponent_factory(exponents))
-
-    def fn(n):
-        return fill if n in exps else 0.0
-
-    return fn
-
-
-def scalar_rotation(q, theta, boundary_fn):
-    if isinstance(boundary_fn, str):
-        func = _SCALAR_BOUNDARY_FNS[boundary_fn]
-    else:
-        func = boundary_fn[0]
-
-    def fn(n):
-        return func(_frac_shift_exact(n, q, theta))
-
-    return fn
-
-
-def scalar_erdos(edge):
-    hard = edge == "hard"
-
-    def fn(n):
-        in_block, gap_lo, gap_len = _erdos_locate(n)
-        if in_block:
-            return 0.0
-        if hard:
-            return 1.0
-        return _erdos_gap_value(n - gap_lo, gap_len)
-
-    return fn
-
-
-def scalar_explicit(values):
-    values = tuple(complex(v) for v in values)
-
-    def fn(n):
-        return values[n]
-
-    return fn
-
-
-def scalar_snapped(source_fn, points, horizon):
-    """The snapped sequence's per-index read over a scalar source oracle
-    (the stored part is rebuilt as snap_to_limit_points builds it)."""
-    pts = [complex(p) for p in points]
-    parr = np.asarray(pts, dtype=complex)
-    raw = np.array([complex(source_fn(n)) for n in range(horizon + 1)]) + 0j
-    snapped_tuple = tuple(complex(v) for v in
-                          parr[np.argmin(np.abs(raw[:, None] - parr[None, :]), axis=1)])
-
-    def fn(n):
-        if n <= horizon:
-            return snapped_tuple[n]
-        v = complex(source_fn(n)) + 0j
-        return min(pts, key=lambda p: abs(v - p))
-
-    return fn
+# Gathers: every family has one value function of the index, at(idx),
+# checked against the per-index definitions of references.py.
 
 
 _BIG = ((2 ** 32 - 40, 2 ** 32 + 40), (2 ** 53 - 40, 2 ** 53 + 40), (2 ** 63 - 64, 2 ** 63))
@@ -513,6 +354,7 @@ def _erdos_edges():
 
 
 _SQRT2 = math.sqrt(2) % 1
+_CUSTOM_EXPONENTS = [2 ** 70, 0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10, 2 ** 63, 2 ** 64]
 _SNAP_SOURCE = (nb.periodic([0.5, 0.0, 1.0, 0.9, -0.2]), scalar_periodic([0.5, 0.0, 1.0, 0.9, -0.2]))
 
 # name -> (sequence factory, scalar oracle, ranges straddling block edges)
@@ -528,12 +370,12 @@ FAMILIES = {
     "gap-squares": (lambda: nb.make_sequence(nb.gap_powers("squares", 2 - 1j)),
                     scalar_gap_powers("squares", 2 - 1j),
                     _around([0, 1, 4, 9, 10_000, 2 ** 32]) + ((0, 50),)),
-    "gap-custom": (lambda: nb.make_sequence(
-                       nb.gap_powers([0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10], 0.5j)),
-                   scalar_gap_powers([0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10], 0.5j),
+    # exponents of 2^63 or more are past every index
+    "gap-custom": (lambda: nb.make_sequence(nb.gap_powers(_CUSTOM_EXPONENTS, 0.5j)),
+                   scalar_gap_powers(_CUSTOM_EXPONENTS, 0.5j),
                    _around([0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10], 3, 3)
                    + ((0, 40),) + _BIG),
-    "rudin-shapiro": (lambda: nb.make_sequence(nb.rudin_shapiro()), _rs_value,
+    "rudin-shapiro": (lambda: nb.make_sequence(nb.rudin_shapiro()), rs_value,
                       _around([2 ** k for k in range(1, 13)]) + ((0, 70),) + _BIG),
     "rotation-frac": (lambda: nb.make_sequence(nb.rotation(_SQRT2, 0.3)),
                       scalar_rotation(_SQRT2, 0.3, "fractional-part"), ((0, 200),) + _BIG),
@@ -588,13 +430,76 @@ def test_block_bit_identical_to_scalar_oracle(name):
     seq = make()
     for lo, hi in ranges:
         want = _oracle_values(fn, lo, hi)
-        got = np.asarray(seq._block(lo, hi), dtype=complex)
+        got = np.asarray(seq._family_at(np.arange(lo, hi, dtype=np.int64)), dtype=complex)
         assert got.tobytes() == want.tobytes(), (name, lo, hi)
         # the checked read is the block with signed zeros canonicalised,
         # which is what the scalar eval returned
         assert seq.read(lo, hi).tobytes() == (want + 0j).tobytes(), (name, lo, hi)
         for n in (lo, (lo + hi) // 2, hi - 1)[:hi - lo]:
             assert repr(make().eval(n)) == repr(complex(fn(n)) + 0j), (name, n)
+
+
+def _csv_backed():
+    buf = io.StringIO()
+    nb.write_sequence_csv(buf, nb.make_sequence(nb.explicit(_CSV_VALUES)), len(_CSV_VALUES))
+    buf.seek(0)
+    return nb.read_sequence_csv(buf)
+
+
+_CSV_VALUES = [complex(n % 5 - 2, 0.0) for n in range(300)]
+_IID = nb.iid_process([0.25, -1, 2j], [0.5, 0.3, 0.2], seed=8)
+_MARKOV = nb.markov_process([0, 1, 1j], [[0.5, 0.5, 0], [0.2, 0.3, 0.5], [1, 0, 0]], seed=4)
+# the largest square below 2^63 and a few others, each with its neighbours
+_SQUARE_POINTS = [k * k + d for k in [3037000499, 2 ** 31, 10 ** 9 + 7, 123_456_789]
+                  for d in (-1, 0, 1)]
+
+
+def _gather_cases():
+    """name -> (sequence factory, scalar oracle, points to draw indices
+    at): the families above at every index of their ranges, plus
+    CSV-backed and stochastic sequences against their values."""
+    cases = {name: (make, fn, sorted({n for lo, hi in ranges for n in range(lo, hi)}))
+             for name, (make, fn, ranges) in FAMILIES.items()}
+    cases["gap-squares"][2].extend(_SQUARE_POINTS)
+    cases["csv"] = (_csv_backed, scalar_explicit(_CSV_VALUES), [0, 1, 3, 150, 296, 299])
+    for name, spec in (("stochastic-iid", _IID), ("stochastic-markov", _MARKOV)):
+        cases[name] = (partial(nb.sample_process, spec, 400),
+                       scalar_explicit(_draw(spec, 400, None)[0]), [0, 3, 200, 396, 399])
+    return cases
+
+
+_GATHER_CASES = _gather_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_GATHER_CASES))
+def test_gathers_bit_identical_to_scalar_oracle(name):
+    # seeded index sets, 1-d and center x offset (single and paired
+    # centers), drawn at the family's edges (block ends, support points,
+    # 2^63) and over its whole index range, shuffled, with repeats
+    make, fn, points = _GATHER_CASES[name]
+    seq = make()
+    end = seq.length or 2 ** 63
+    rng = np.random.default_rng(sum(map(ord, name)))
+    at = np.array(points, dtype=np.int64)
+    inner = at[(at >= 3) & (at < end - 3)]
+    offs = np.arange(-3, 4)
+
+    def check(idx):
+        got = seq._at(idx)
+        assert got.shape == idx.shape
+        assert got.dtype == (float if seq.real_valued else complex)
+        want = np.array([complex(fn(n)) for n in idx.ravel().tolist()], dtype=complex) + 0j
+        assert got.astype(complex).ravel().tobytes() == want.tobytes(), name
+
+    for size in (0, 1, 7, 300):
+        check(rng.permutation(np.concatenate((rng.choice(at, size),
+                                              rng.integers(0, end, size)))))
+        check(rng.choice(inner, size)[:, None] + offs)
+        check(rng.choice(inner, (size, 2))[..., None] + offs)
+    # gathers whose least or greatest index is one of the points
+    for n in at[(at >= 2) & (at < end - 2)].tolist():
+        check(n + np.arange(-2, 1))
+        check(n + np.arange(3))
 
 
 def test_gap_squares_far_reads_match_membership():
@@ -687,22 +592,23 @@ def test_prefix_grows_from_where_it_stopped(name, monkeypatch):
     make = _growth_cases()[name]
     whole = make().read(0, 20000)
     seq = make()
-    calls = _counting(seq)
+    calls = count_gathers(seq)
     for count in (1, 8, 1008, 5107, 5107, 3, 0, 9000, 20000):
         calls.clear()
         assert seq.prefix(count).tobytes() == whole[:count].tobytes()
-        assert calls == [(lo, min(lo + 4096, count)) for lo in range(0, count, 4096)]
+        assert calls == [range(lo, min(lo + 4096, count)) for lo in range(0, count, 4096)]
     calls.clear()
     assert seq.eval(4321) == whole[4321]
-    assert calls == [(4321, 4322)]
+    assert calls == [range(4321, 4322)]
 
 
 @pytest.mark.parametrize("spec", [nb.rudin_shapiro(), nb.rotation(math.sqrt(2) - 1)])
 def test_prefix_fills_in_chunks_of_2_16_values(spec):
     seq = nb.make_sequence(spec)
-    calls = _counting(seq)
+    calls = count_gathers(seq)
     got = seq.prefix(200_000)
-    assert calls == [(0, 65536), (65536, 131072), (131072, 196608), (196608, 200000)]
+    assert calls == [range(0, 65536), range(65536, 131072), range(131072, 196608),
+                     range(196608, 200000)]
     assert got.tobytes() == nb.make_sequence(spec).read(0, 200_000).tobytes()
 
 
@@ -735,11 +641,7 @@ def test_concurrent_prefixes_are_exact():
         for spec in (nb.rudin_shapiro(), nb.gap_powers("squares", 1)):
             want = nb.make_sequence(spec).prefix(200_000)
             seq = nb.make_sequence(spec)
-            calls, errors, block = [], [], seq._block
-
-            def counting(lo, hi):
-                calls.append((lo, hi))
-                return block(lo, hi)
+            errors = []
 
             def worker(k):
                 rng = np.random.default_rng(k)
@@ -754,7 +656,7 @@ def test_concurrent_prefixes_are_exact():
                 except Exception as exc:  # reported by the assertion below
                     errors.append(exc)
 
-            seq._block = counting
+            calls = count_gathers(seq)
             threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
             for t in threads:
                 t.start()
@@ -762,7 +664,7 @@ def test_concurrent_prefixes_are_exact():
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert max(hi - lo for lo, hi in calls) <= seqmod._CHUNK
+            assert max(map(len, calls)) <= seqmod._CHUNK
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -787,36 +689,25 @@ def test_reads_past_explicit_length_rejected():
     assert seq.window(1, 1).values == (1, 2, 3)
 
 
-def _counting(seq):
-    calls, block = [], seq._block
-
-    def counting(lo, hi):
-        calls.append((lo, hi))
-        return block(lo, hi)
-
-    seq._block = counting
-    return calls
-
-
 @pytest.mark.parametrize("spec", [nb.rudin_shapiro(), nb.erdos("soft"),
                                   nb.rotation(math.sqrt(2) - 1)])
 def test_every_read_is_one_block_read(spec):
     whole = nb.make_sequence(spec).prefix(400)
     seq = nb.make_sequence(spec)
-    calls = _counting(seq)
+    calls = count_gathers(seq)
     first = seq.prefix(100)
     inside = seq.read(10, 50)
-    assert calls == [(0, 100), (10, 50)]
+    assert calls == [range(0, 100), range(10, 50)]
     assert not np.shares_memory(inside, first)
     assert inside.tobytes() == whole[10:50].tobytes()
     assert seq.read(100, 100).shape == (0,)
     for lo, hi in ((90, 150), (200, 400), (99, 101)):
         assert seq.read(lo, hi).tobytes() == whole[lo:hi].tobytes()
-    assert calls[2:] == [(100, 100), (90, 150), (200, 400), (99, 101)]
+    assert calls[2:] == [range(100, 100), range(90, 150), range(200, 400), range(99, 101)]
     assert seq.prefix(120).tobytes() == whole[:120].tobytes()
-    assert calls[-1] == (0, 120)
+    assert calls[-1] == range(0, 120)
     assert seq.eval(7) == whole[7] and seq.eval(300) == whole[300]
-    assert calls[-2:] == [(7, 8), (300, 301)]
+    assert calls[-2:] == [range(7, 8), range(300, 301)]
 
 
 def test_read_range_errors():
@@ -910,7 +801,7 @@ def rowwise_make_explicit(params) -> nb.OneSidedSequence:
     _check_finite(arr, "explicit values")
     bound = float(np.max(np.abs(arr)))
     kind = params.get("value_kind") or rowwise_exact_kind(values)
-    seq = nb.OneSidedSequence(lambda lo, hi: arr[lo:hi], bound,
+    seq = nb.OneSidedSequence(arr.__getitem__, bound,
                               params.get("family_label", "explicit"),
                               {"count": len(values)}, value_kind=kind,
                               length=len(values))
@@ -1051,9 +942,9 @@ def test_csv_file_on_disk_is_byte_identical_and_leaves_the_cache_empty(tmp_path)
     # the writer reads a CSV chunk at a time, so its memory stays bounded
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     seq = nb.make_sequence(_WRITE_SPECS["explicit-17-digits"])
-    calls = _counting(seq)
+    calls = count_gathers(seq)
     nb.write_sequence_csv(str(new), seq, 9000)
-    assert max(hi - lo for lo, hi in calls) <= seqmod._CSV_CHUNK
+    assert max(map(len, calls)) <= seqmod._CSV_CHUNK
     rowwise_write_rows(str(old), range(9000), seq.prefix(9000))
     assert new.read_bytes() == old.read_bytes()
 
@@ -1299,7 +1190,7 @@ def test_strict_chunk_parse_gives_the_bits_of_float():
 def test_csv_reader_keeps_one_read_only_array():
     seq = nb.read_sequence_csv(io.StringIO("n,re,im\n0,1,0\n1,2,0\n"))
     with pytest.raises(ValueError):
-        seq._block(0, 2)[0] = 5
+        seq._family_at.__self__[0] = 5
     arr = seq.read(0, 2)
     assert arr.dtype == complex
     arr[0] = 5
@@ -1400,14 +1291,14 @@ def old_snap_to_limit_points(seq, points, onset_tol, scan_horizon=10_000):
     viol = np.nonzero(dev > gamma)[0]
     onset = int(viol[-1]) + 1 if viol.size else 0
 
-    def block(lo, hi):
-        past = seq.read(max(lo, horizon + 1), max(hi, horizon + 1))
+    def at(idx):
+        past = np.array([seq.eval(n) for n in idx.tolist()], dtype=complex)
         near = parr[np.argmin(np.abs(past[:, None] - parr[None, :]), axis=1)]
-        return np.concatenate((snapped[lo:hi], near))
+        return np.where(idx <= horizon, snapped[np.minimum(idx, horizon)], near)
 
     bound = max(abs(p) for p in pts)
     return nb.OneSidedSequence(
-        block, bound, "snapped",
+        at, bound, "snapped",
         {"points": tuple(pts), "gamma": gamma, "onset_index": onset,
          "ties": tuple(ties), "scan_horizon": horizon, "source": seq.family},
         value_kind=seqmod._exact_kind(pts), length=seq.length,
