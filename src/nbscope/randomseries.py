@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sequences
 from .analytic import TERM_CAP, NumericCapError
 from .rightlimits import _first_certificate, _resolve_eps
 from .sequences import (GeneratorSpec, OneSidedSequence, SequenceError,
@@ -153,16 +154,22 @@ def _draw(spec: ProcessSpec, length: int, trial=None):
         k = len(em)
         state = int(rng.choice(k, p=spec.params["initial"]))
         # one uniform per step, inverted through the row CDF of every state
-        # at once; the walk then only picks the row of the current state
+        # at once, a reader chunk of steps at a time; the walk then only
+        # picks the row of the current state, into one state array
         u = rng.random(length - 1)
         cdf = np.cumsum(tr, axis=1)
-        step_to = [np.minimum(np.searchsorted(row, u, side="right"), k - 1).tolist()
-                   for row in cdf]
-        states = [state]
-        for i in range(length - 1):
-            state = step_to[state][i]
-            states.append(state)
-        return em[np.array(states, dtype=np.int64)], _exact_kind(spec.params["emissions"])
+        states = np.empty(length, dtype=np.int64)
+        states[0] = state
+        for lo in range(0, length - 1, sequences._CHUNK):
+            part = u[lo:lo + sequences._CHUNK]
+            step_to = [np.minimum(np.searchsorted(row, part, side="right"), k - 1).tolist()
+                       for row in cdf]
+            walk = []
+            for nxt in zip(*step_to):       # nxt[s]: the state after s at this step
+                state = nxt[state]
+                walk.append(state)
+            states[lo + 1:lo + 1 + len(walk)] = walk
+        return em[states], _exact_kind(spec.params["emissions"])
     if spec.kind == "rotation-driven":
         gen = make_sequence(GeneratorSpec("rotation", dict(spec.params)))
         return _gather(gen, length, complex), "float"
@@ -171,12 +178,14 @@ def _draw(spec: ProcessSpec, length: int, trial=None):
 
 def _path_sequence(spec: ProcessSpec, path: np.ndarray, kind: str,
                    trial=None) -> OneSidedSequence:
-    """The drawn ``path`` as an explicit sequence, reading the array itself."""
+    """The drawn ``path`` as an explicit sequence, reading the array itself,
+    which it makes read-only; its floor is the least |a_n| on the path."""
+    path.flags.writeable = False
     real = not np.any(path.imag)
     return OneSidedSequence(
         (path.real if real else path).__getitem__, spec.bound, f"stochastic-{spec.kind}",
         {"seed": spec.seed, "trial": trial, "kind": spec.kind},
-        value_kind=kind, length=len(path), real_valued=real)
+        value_kind=kind, length=len(path), real_valued=real, floor=np.abs(path).min())
 
 
 def sample_process(spec: ProcessSpec, length: int, trial=None) -> OneSidedSequence:

@@ -413,7 +413,9 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
     On a gap family only its support is tested (:func:`_support_gap_hits`);
     any other sequence has its centers scanned a reader chunk at a time,
     each chunk read with the ``width`` flank values before it, and a
-    horizon past ``TERM_CAP`` values is refused before any read.
+    horizon past ``TERM_CAP`` values is refused before any read.  When the
+    sequence's ``floor`` exceeds every flank threshold, no flank can pass,
+    and the search returns None without reading.
     """
     if width < 1:
         raise SequenceError("flank width must be >= 1")
@@ -429,6 +431,8 @@ def find_gap_certificate(seq: OneSidedSequence, width: int, horizon: int,
         hits, separation = _support_gap_hits(seq, width, h, delta, thr)
     else:
         _check_dense_horizon(h, "zero-flank search")
+        if seq.floor > thr.max():   # every |a_n| >= floor > thr_k: no flank passes
+            return None
         hits, separation = [], math.inf
         for lo, seg in _chunks(seq, width, h + 1, pad=(width, 0)):
             # row i: |a_{lo+i-width}| .. |a_{lo+i}|

@@ -166,17 +166,40 @@ def erdos(edge: str = "hard") -> GeneratorSpec:
 
 def explicit(values: Iterable[complex]) -> GeneratorSpec:
     """A finite explicit coefficient list, held as a read-only complex
-    array of ``complex(v)`` for each value."""
+    array of ``complex(v)`` for each value.
+
+    A list, tuple or 1-d ndarray is converted in one numpy call; other
+    iterables, and lists that hold a nan or None, take ``complex(v)`` one
+    value at a time (see :func:`_complex_values`).  None is refused as
+    ``complex(None)`` is.  Inside a list or tuple numpy also converts
+    bytes (parsed as text: ``b"2.5"`` is 2.5) and numpy datetimes and
+    timedeltas (their integer count), which ``complex()`` refuses."""
     return GeneratorSpec("explicit", {"values": _complex_values(values)})
 
 
 def _complex_values(values) -> np.ndarray:
     """``complex(v)`` for each of ``values`` as a read-only complex array,
-    converted once: a read-only 1-d complex array passes through as it is."""
-    if (isinstance(values, np.ndarray) and values.dtype == complex
-            and values.ndim == 1 and not values.flags.writeable):
-        return values
-    arr = np.fromiter(map(complex, values), dtype=complex)
+    bit for bit, converted once: a read-only 1-d complex array passes
+    through, a 1-d bool or numeric array is cast, and a list, tuple or 1-d
+    object array goes through one ``np.fromiter``, which converts each
+    value ``complex()`` accepts as it does.  numpy reads None as nan, so
+    a converted nan, a value numpy refuses, or any other iterable takes
+    the per-value loop, which refuses what ``complex()`` refuses."""
+    arr = None
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype.kind in "biufc":
+        if values.dtype == complex and not values.flags.writeable:
+            return values
+        arr = values.astype(complex)
+    elif isinstance(values, (list, tuple)) or (
+            type(values) is np.ndarray and values.ndim == 1 and values.dtype == object):
+        try:
+            arr = np.fromiter(values, complex, count=len(values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if arr is not None and np.isnan(arr).any():
+            arr = None
+    if arr is None:
+        arr = np.fromiter(map(complex, values), dtype=complex)
     arr.flags.writeable = False
     return arr
 
@@ -189,8 +212,9 @@ class OneSidedSequence:
     """A bounded coefficient sequence with a certified sup bound.
 
     Every value comes from one vectorized function of the index: ``at(idx)``
-    returns a_n for each n of a 1-d int64 array.  The sequence keeps no
-    state between queries: :meth:`_at` gathers any indices, :meth:`read`,
+    returns a_n for each n of a 1-d int64 array, as a fresh array (which
+    the gather canonicalises in place) or a read-only one.  The sequence
+    keeps no state between queries: :meth:`_at` gathers any indices, :meth:`read`,
     :meth:`eval` and :meth:`window` gather a range, and :meth:`prefix` fills
     the first ``count`` values from the chunked reader :func:`_chunks`.
     Each gather checks its indices before any value is computed, returns a
@@ -213,12 +237,19 @@ class OneSidedSequence:
     ``gap_support`` is ``None`` except on sparse gap families, where it is
     their :class:`GapSupport`, so evaluators and searches can walk the
     support without reading coefficients.
+
+    ``floor`` is an exact lower bound on every |a_n| as ``np.abs`` gives
+    it, stated by the family: 1 for Rudin-Shapiro, min |pattern| for
+    periodic, min |a| over the stored values for explicit, CSV-read and
+    sampled-path sequences, and 0 for every other family.  The zero-flank
+    search reads nothing when it exceeds every flank threshold.
     """
 
     def __init__(self, at, bound, family, params=None, value_kind="float",
-                 length=None, real_valued=False, gap_support=None):
+                 length=None, real_valued=False, gap_support=None, floor=0.0):
         self._family_at = at
         self.bound = float(bound)
+        self.floor = float(floor)
         self.family = family
         self.params = dict(params or {})
         self.value_kind = value_kind
@@ -244,23 +275,45 @@ class OneSidedSequence:
         if hi < lo:
             raise SequenceError(f"read range [{lo}, {hi}) ends before it starts")
         self._check_index(lo, hi)
-        return self._at(np.arange(lo, hi, dtype=np.int64))
+        # the indices are freed once the family has read them
+        return self._checked(self._family_at(np.arange(lo, hi, dtype=np.int64)),
+                             lo.__add__)
 
     def _at(self, idx) -> np.ndarray:
         """a_n for each index n of the int64 array ``idx``, as a fresh array
-        of its shape in the sequence's own layout, checked against the bound
-        on that layout (on real values |x| is bit for bit that of x + 0j)."""
+        of its shape in the sequence's own layout, checked as :meth:`_checked`
+        checks it."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size:
             self._check_index(int(idx.min()), int(idx.max()) + 1)
-        arr = np.asarray(self._family_at(idx.ravel())).reshape(idx.shape)
-        arr = arr.real + 0.0 if self.real_valued else arr.astype(complex, copy=False) + 0j
-        ok = np.abs(arr) <= self.bound * (1 + 1e-12) + _BOUND_SLACK
-        if not ok.all():
-            i = int(np.argmin(ok))
+        flat = idx.ravel()
+        return self._checked(self._family_at(flat), flat.__getitem__).reshape(idx.shape)
+
+    def _checked(self, vals, index_of) -> np.ndarray:
+        """The 1-d values ``vals`` a family returned, in the sequence's own
+        layout with signed zeros as +0.0 (in place when ``vals`` is a
+        writable array of that layout that owns its data, else in a copy),
+        checked against the bound on that layout (on real values |x| is
+        bit for bit that of x + 0j); a value over it raises
+        VerificationError naming its index ``index_of(i)``."""
+        vals = np.asarray(vals)
+        if (vals.dtype == (float if self.real_valued else complex)
+                and vals.flags.writeable and vals.base is None):
+            vals += 0.0
+        else:
+            vals = vals.real + 0.0 if self.real_valued else vals.astype(complex, copy=False) + 0j
+        limit = self.bound * (1 + 1e-12) + _BOUND_SLACK
+        if not vals.size:
+            return vals
+        if self.real_valued:    # the extremes, with no array of moduli
+            ok = vals.max() <= limit and -vals.min() <= limit
+        else:
+            ok = np.abs(vals).max() <= limit
+        if not ok:
+            i = int(np.argmin(np.abs(vals) <= limit))
             raise VerificationError(
-                f"|a_{idx.flat[i]}| = {abs(arr.flat[i])} exceeds certified bound {self.bound}")
-        return arr
+                f"|a_{index_of(i)}| = {abs(vals[i])} exceeds certified bound {self.bound}")
+        return vals
 
     def eval(self, n: int) -> complex:
         return complex(self.read(n, n + 1)[0])
@@ -390,13 +443,14 @@ def _make_periodic(params) -> OneSidedSequence:
     p = len(pattern)
     arr = np.asarray(pattern, dtype=complex)
     _check_finite(arr, "periodic pattern values")
-    bound = float(np.max(np.abs(arr)))
+    moduli = np.abs(arr)
 
     vals = arr if np.any(arr.imag) else arr.real.copy()
+    vals.flags.writeable = False
     # n mod p by floor division, which numpy does about twice as fast
-    return OneSidedSequence(lambda idx: vals.take(idx - idx // p * p), bound, "periodic",
-                            {"pattern": pattern}, value_kind=_exact_kind(arr),
-                            real_valued=vals.dtype == float)
+    return OneSidedSequence(lambda idx: vals.take(idx - idx // p * p), moduli.max(),
+                            "periodic", {"pattern": pattern}, value_kind=_exact_kind(arr),
+                            real_valued=vals.dtype == float, floor=moduli.min())
 
 
 # k! for k = 1..20: 20! < 2^63 < 21!, and reads stop at 2^63
@@ -477,7 +531,7 @@ def _rs_at(idx):
 
 def _make_rudin_shapiro(params) -> OneSidedSequence:
     return OneSidedSequence(_rs_at, 1.0, "rudin-shapiro", {},
-                            value_kind="exact-integer", real_valued=True)
+                            value_kind="exact-integer", real_valued=True, floor=1.0)
 
 
 def _check_irrational(q: float):
@@ -604,13 +658,15 @@ def _make_explicit(params) -> OneSidedSequence:
     if not arr.size:
         raise SequenceError("explicit sequence needs at least one value")
     _check_finite(arr, "explicit values")
-    bound = float(np.max(np.abs(arr)))
+    moduli = np.abs(arr)
+    bound, floor = moduli.max(), moduli.min()
+    del moduli                  # before the kind test's temporaries
     kind = params.get("value_kind") or _exact_kind(arr)
     count = arr.shape[0]
     real = not np.any(arr.imag)
     return OneSidedSequence((arr.real if real else arr).__getitem__, bound,
                             params.get("family_label", "explicit"), {"count": count},
-                            value_kind=kind, length=count, real_valued=real)
+                            value_kind=kind, length=count, real_valued=real, floor=floor)
 
 
 _MAKERS = {"periodic": _make_periodic, "gap-powers": _make_gap_powers,
@@ -623,7 +679,8 @@ def make_sequence(spec: GeneratorSpec) -> OneSidedSequence:
 
     The certified bound is the family's known sup: max |pattern| for
     periodic, max(|fill|, 1) for gap powers, 1 for Rudin-Shapiro and the
-    ramped-gap families, sup of the boundary function for rotations.
+    ramped-gap families, sup of the boundary function for rotations.  The
+    floor is the family's known inf of |a_n| (see :class:`OneSidedSequence`).
     """
     family = spec.family
     if family in _MAKERS:

@@ -71,6 +71,20 @@ ROWS = (
     Row("Rudin-Shapiro verdict at horizon 1e11 exits 3 at once",
         CLI + ("verdict", "--family", "rudin-shapiro", "--horizon", "100000000000"),
         codes=(3,), wall=60),
+    # every |a_n| is 1, above every flank threshold, so the zero-flank
+    # search answers from the floor without a read; it read all 10^8
+    # values (about 1 s) before
+    Row("Rudin-Shapiro zero-flank certificate at horizon 99,999,999 exits 1 in under 1 s",
+        CLI + ("certificate", "--family", "rudin-shapiro", "--kind", "gap",
+               "--horizon", "99999999"),
+        codes=(1,), wall=1, check=lambda out, err: _report(out)["certificates"] == []),
+    # the list is converted by one np.fromiter, not one complex() a value
+    Row("Verdict on an explicit sequence from a 10^6-value Python list exits 0 in under 3 s",
+        ("-c", "import nbscope as nb\n"
+               "vals = [(-1) ** bin(n & n >> 1).count('1') for n in range(10 ** 6)]\n"
+               "seq = nb.make_sequence(nb.explicit(vals))\n"
+               "print(nb.verdict(seq, nb.AnalysisConfig(horizon=10 ** 6)).kind)"),
+        wall=3, check=lambda out, err: out.split() == ["StrongNaturalBoundaryEvidence"]),
     # a fill below delta answers both pair searches before any read, and
     # the block analysis refuses the horizon against TERM_CAP; the pair
     # walk used to read every value up to the horizon

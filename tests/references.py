@@ -176,6 +176,12 @@ def scalar_explicit(values):
     return fn
 
 
+def complex_values(values):
+    """explicit()'s stored array, one ``complex(v)`` at a time: what its
+    one-call conversion replaced."""
+    return np.fromiter(map(complex, values), complex)
+
+
 def scalar_snapped(source_fn, points, horizon):
     """The snapped sequence's per-index read over a scalar source oracle
     (the stored part is rebuilt as snap_to_limit_points builds it)."""
@@ -552,3 +558,4 @@ def count_gathers(seq):
 
     seq._family_at = counting
     return gathers
+

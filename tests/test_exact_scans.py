@@ -411,6 +411,52 @@ def test_chunked_gap_search_matches_whole_prefix(chunk, monkeypatch):
             _same_gap(seq, width, 2999, eps=0.01, delta=0.45, decay=(0.3, 0.7))
 
 
+# ---------------------------------------------------------------------------
+# Gap search: a floor above every flank threshold answers without a read
+
+
+def _floor_streams(small):
+    """name -> stream whose least modulus is ``small``, or 0 where zeros
+    are mixed in: explicit, periodic and sampled paths, seeded, and
+    Rudin-Shapiro, whose floor is 1."""
+    rng = np.random.default_rng(int(small * 1000))
+    streams = {"rudin-shapiro": nb.make_sequence(nb.rudin_shapiro())}
+    for zeros in (False, True):
+        atoms = [small, -small, small * 1j, 2, -2j, -2] + [0.0] * zeros
+        tag = "-zeros" if zeros else ""
+        streams["explicit" + tag] = nb.make_sequence(nb.explicit(rng.choice(atoms, 3000)))
+        streams["periodic" + tag] = nb.make_sequence(nb.periodic(rng.permutation(atoms)))
+        streams["iid" + tag] = nb.sample_process(nb.iid_process(atoms, seed=zeros), 3000)
+        k = len(atoms)
+        streams["markov" + tag] = nb.sample_process(
+            nb.markov_process(atoms, rng.dirichlet(np.ones(k), size=k), seed=zeros), 3000)
+    return streams
+
+
+# 0.3, and a modulus that is exactly the first threshold of a decay envelope
+@pytest.mark.parametrize("small", [0.3, float(rl._flank_thresholds(1, 0.0, (0.9, 0.4))[0])])
+def test_floor_answers_the_gap_search_only_above_every_threshold(small):
+    thresholds = ((0.0, None), (float(np.nextafter(small, 0.0)), None), (small, None),
+                  (0.0, (0.9, 0.4)), (0.1, (0.9, 0.4)), (0.0, (3.0, 0.3)))
+    for name, seq in _floor_streams(small).items():
+        assert seq.floor == (1.0 if name == "rudin-shapiro"
+                             else 0.0 if name.endswith("zeros") else small)
+        reads = count_gathers(seq)
+        for width in (1, 2, 4):
+            for eps, decay in thresholds:
+                kw = dict(eps=eps, delta=max(0.5, 2 * eps + 0.05), decay=decay,
+                          min_recurrence=1)
+                reads.clear()
+                got = rl.find_gap_certificate(seq, width, 2999, **kw)
+                top = rl._flank_thresholds(width, eps, decay).max()
+                # a floor equal to a threshold still scans
+                assert (reads == []) == (seq.floor > top), (name, width, eps, decay)
+                want = reference_gap_certificate(seq, width, 2999, **kw)
+                assert got == want and (got is None or got.separation == want.separation)
+                if width == 1 and top == seq.floor == small:
+                    assert got is not None, (name, eps, decay)
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_periodicity_matches_whole_prefix_on_families(chunk, monkeypatch):
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)

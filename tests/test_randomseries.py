@@ -10,6 +10,7 @@ import pytest
 
 import nbscope as nb
 from nbscope import randomseries
+from nbscope import sequences as seqmod
 from nbscope.analytic import TERM_CAP, NumericCapError
 from nbscope.randomseries import (_COVER_CAP, Separation, _cover_mass, _distribution_of,
                                   _hex_cover, _rng_for, _variance_with_se)
@@ -78,18 +79,32 @@ def _seeded_transition(rng, k):
     return tr
 
 
+# absorbing states (a row that stays put) and moves of probability 0
+_ABSORBING = {
+    2: [[1.0, 0.0], [0.3, 0.7]],
+    3: [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.0, 0.75]],
+    5: [[0.0, 0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.8, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]],
+}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_markov_path_matches_reference_loop(k):
+def test_markov_path_matches_reference_loop(k, monkeypatch):
+    # the walk runs a reader chunk of steps at a time: lengths end on,
+    # just before and just after a chunk edge
     rng = np.random.default_rng(100 + k)
-    for case in range(4):
-        tr = _seeded_transition(rng, k)
-        initial = rng.dirichlet(np.ones(k))
-        spec = nb.markov_process(rng.integers(-3, 4, k) + 1j * rng.integers(0, 2, k),
-                                 tr, initial, seed=int(rng.integers(1 << 30)))
-        for length, trial in ((1, None), (2, 0), (997, None), (5000, case)):
-            got = nb.sample_process(spec, length, trial=trial).prefix(length)
-            want = reference_markov_path(spec, length, trial)
-            assert got.tobytes() == want.tobytes(), (k, case, length)
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(seqmod, "_CHUNK", chunk)
+        for case in range(4):
+            tr = _seeded_transition(rng, k) if case or k not in _ABSORBING else _ABSORBING[k]
+            initial = rng.dirichlet(np.ones(k))
+            spec = nb.markov_process(rng.integers(-3, 4, k) + 1j * rng.integers(0, 2, k),
+                                     tr, initial, seed=int(rng.integers(1 << 30)))
+            for length in sorted({1, 2, 997, 5000, chunk, chunk + 1, chunk + 2}):
+                trial = (None, 0, case)[length % 3]
+                got = nb.sample_process(spec, length, trial=trial).prefix(length)
+                want = reference_markov_path(spec, length, trial)
+                assert got.tobytes() == want.tobytes(), (k, chunk, case, length)
     # a row whose CDF ends well below 1 (markov_process allows only rounding
     # there), so many draws land past it and take the clip to state k - 1
     spec = nb.markov_process(np.arange(k), _seeded_transition(rng, k), seed=k)

@@ -7,6 +7,7 @@ import io
 import math
 import pathlib
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -20,8 +21,9 @@ from nbscope import sequences as seqmod
 from nbscope._util import fmt17
 from nbscope.randomseries import _draw
 from nbscope.sequences import SequenceError, _check_finite
-from references import (count_gathers, rs_value, scalar_erdos, scalar_explicit,
-                        scalar_gap_powers, scalar_periodic, scalar_rotation, scalar_snapped)
+from references import (complex_values, count_gathers, rs_value, scalar_erdos,
+                        scalar_explicit, scalar_gap_powers, scalar_periodic, scalar_rotation,
+                        scalar_snapped)
 
 
 # --- independent oracle: the paired polynomial recursion -------------------
@@ -1382,3 +1384,289 @@ def test_snap_rejects_bad_input_naming_the_value(points, tol, named):
     with pytest.raises(SequenceError) as exc:
         nb.snap_to_limit_points(seq, points, onset_tol=tol, scan_horizon=2)
     assert named in str(exc.value)
+
+
+# --- explicit(): one conversion, checked against complex() per value ---------
+
+def _mixed_value(rng):
+    """One seeded value of a kind complex() takes: ints past 2^53 and 2^63,
+    signed zeros, subnormals, nan, infinities, Fractions, Decimals,
+    numeric strings and numpy scalars."""
+    big = int(rng.integers(1, 2 ** 40))
+    pick = int(rng.integers(24))
+    return [
+        lambda: 2 ** 53 + big,
+        lambda: -(2 ** 63) - big,
+        lambda: 2 ** 64 * big + 1,
+        lambda: int(rng.integers(-50, 50)),
+        lambda: True,
+        lambda: 0.0,
+        lambda: -0.0,
+        lambda: 5e-324 * big,
+        lambda: -2.2250738585072014e-308 / (big % 7 + 2),
+        lambda: math.nan,
+        lambda: (math.inf, -math.inf)[big % 2],
+        lambda: float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+        lambda: complex(rng.normal(), (-0.0, rng.normal())[big % 2]),
+        lambda: Fraction(big, int(rng.integers(1, 2 ** 62))),
+        lambda: Fraction(3 ** 700, 7 ** 300 + big),
+        lambda: Decimal(repr(float(rng.normal()))),
+        lambda: Decimal(("-0", "1e-400", "NaN", "-Infinity", "1e400")[big % 5]),
+        lambda: repr(float(rng.normal())),
+        lambda: (" -0 ", "1_000", "1+2j", "(1.5-2j)", "1e-320", "-inf", "nan", "2.5J")[big % 8],
+        lambda: np.float32(rng.normal()),
+        lambda: np.float16(rng.normal()),
+        lambda: np.complex64(complex(rng.normal(), rng.normal())),
+        lambda: (np.int64(-(2 ** 63)), np.uint64(2 ** 64 - 1), np.int8(-7), np.bool_(True))[big % 4],
+        lambda: np.longdouble(rng.normal()),
+    ][pick]()
+
+
+def _typed_array(rng, dtype, n):
+    """Seeded values of ``dtype``, with its extremes and, for floats, signed
+    zeros, subnormals, nan and infinities."""
+    dtype = np.dtype(dtype)
+    if dtype == bool:
+        return rng.integers(0, 2, n).astype(bool)
+    if dtype.kind == "i":
+        info = np.iinfo(dtype)
+        special = [info.min, info.max, 2 ** 53 + 1, -(2 ** 53) - 1, 0]
+        return rng.permutation(np.concatenate([rng.integers(info.min, info.max, n, dtype=dtype),
+                                               np.array(special, dtype=dtype)]))
+    part = np.finfo(dtype).dtype
+    tiny = np.finfo(part).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -3 * tiny, np.nan, np.inf, -np.inf], dtype=part)
+
+    def draw():
+        vals = (rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)).astype(part)
+        return np.where(rng.random(n) < 0.3, rng.choice(special, n), vals)
+
+    if dtype.kind == "f":
+        return draw()
+    arr = np.empty(n, dtype)
+    arr.real, arr.imag = draw(), draw()
+    return arr
+
+
+def _conversions(values):
+    """The containers explicit() takes the same values in."""
+    yield "list", list(values)
+    yield "tuple", tuple(values)
+    yield "generator", (v for v in values)
+    obj = np.empty(len(values), dtype=object)
+    obj[:] = list(values)
+    yield "object array", obj
+    frozen = obj.copy()
+    frozen.flags.writeable = False
+    yield "read-only object array", frozen
+
+
+def test_explicit_conversion_matches_complex_per_value():
+    rng = np.random.default_rng(33)
+    for case in range(300):
+        values = [_mixed_value(rng) for _ in range(int(rng.integers(1, 40)))]
+        if case % 2:        # no nan: the one-call path keeps the result
+            values = [v for v in values if not cmath.isnan(complex(v))] or [1]
+        want = complex_values(values)
+        for how, container in _conversions(values):
+            got = nb.explicit(container).params["values"]
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes(), (case, how, values)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.float64,
+                                   np.complex64, np.complex128])
+def test_explicit_conversion_of_typed_arrays_matches_complex_per_value(dtype):
+    rng = np.random.default_rng(np.dtype(dtype).num)
+    for n in (1, 9, 1000):
+        arr = _typed_array(rng, dtype, n)
+        kept = arr.tobytes()
+        want = complex_values(arr)
+        for writeable in (True, False):
+            arr.flags.writeable = writeable
+            got = nb.explicit(arr).params["values"]
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes(), (dtype, n, writeable)
+            assert arr.tobytes() == kept
+            # a writable input is copied, so writing it changes no value held
+            assert not (writeable and np.shares_memory(got, arr))
+            assert nb.explicit(list(arr)).params["values"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values, error", [
+    ([1, None], TypeError),         # numpy reads None as nan
+    ([None], TypeError),
+    ([2.5, 10 ** 400], OverflowError),
+    ([-(10 ** 400)], OverflowError),
+    ([Fraction(10 ** 400)], OverflowError),
+])
+def test_explicit_refuses_what_complex_refuses(values, error):
+    for how, container in _conversions(values):
+        with pytest.raises(error):
+            nb.explicit(container)
+
+
+def test_explicit_converts_bytes_and_datetimes_only_in_a_sized_list():
+    # in a list, tuple or object array numpy converts bytes as text and
+    # datetimes and timedeltas as their integer count, which complex()
+    # refuses; an unsized iterable, or an array of that dtype, takes the
+    # per-value loop, which refuses them
+    cases = [(b"2.5", 2.5), (np.bytes_(b" 4 "), 4.0), (np.datetime64(5, "ms"), 5.0),
+             (np.timedelta64(-7, "s"), -7.0)]
+    for value, held in cases:
+        for how, container in _conversions([value, 1]):
+            if how == "generator":
+                with pytest.raises(TypeError):
+                    nb.explicit(container)
+            else:
+                got = nb.explicit(container).params["values"]
+                assert got.tolist() == [held, 1], how
+        with pytest.raises(TypeError):
+            nb.explicit(np.array([value]))
+        with pytest.raises(TypeError):
+            complex(value)
+
+
+# --- the floor: an exact lower bound on every |a_n| -------------------------
+
+def _floor_cases():
+    """name -> sequence, with the floor each family states, where it is
+    not 0."""
+    rs = nb.make_sequence(nb.rudin_shapiro())
+    cases = {name: make() for name, (make, _, _) in _GATHER_CASES.items()}
+    cases.update({
+        "periodic-no-zero": nb.make_sequence(nb.periodic([0.25, -3, 2j, 0.6 - 0.8j])),
+        "explicit-no-zero": nb.make_sequence(nb.explicit(
+            np.random.default_rng(1).normal(size=3000) + 1.5)),
+        "iid-no-zero": nb.sample_process(nb.iid_process([0.5, -1, 2j], seed=3), 4000),
+        "markov-no-zero": nb.sample_process(
+            nb.markov_process([0.75, -1], [[0.5, 0.5], [0.1, 0.9]], seed=6), 4000),
+        "rudin-shapiro": rs,
+        "snapped-rudin-shapiro": nb.snap_to_limit_points(rs, [-1, 1], 0.01, 100),
+    })
+    return cases
+
+
+_FLOOR_CASES = _floor_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_FLOOR_CASES))
+def test_every_family_floor_bounds_its_first_values(name):
+    seq = _FLOOR_CASES[name]
+    count = 10 ** 5 if seq.length is None else min(seq.length, 10 ** 5)
+    least = float(np.abs(seq._read(0, count)).min())
+    assert 0.0 <= seq.floor <= least
+    stored = seq.family in ("rudin-shapiro", "periodic", "explicit", "csv") or \
+        seq.family.startswith("stochastic")
+    if stored:      # the floor is the least modulus itself
+        assert seq.floor == least
+    else:
+        assert seq.floor == 0.0
+
+
+# --- gathers: what they hold in memory and what they leave alone ------------
+
+def test_rudin_shapiro_range_read_holds_no_index_array_past_the_family():
+    # the indices are freed once the family has read them, and the
+    # values are canonicalised in place and checked by their extremes:
+    # about two arrays of 2^16 doubles at a time, as before the gathers
+    import tracemalloc
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    seq._read(0, 2 ** 16)
+    tracemalloc.start()
+    try:
+        seq._read(0, 2 ** 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * 2 ** 20, peak
+
+
+def _stored_arrays(seq):
+    """The arrays a family's value function reads from."""
+    at = seq._family_at
+    held = [getattr(at, "__self__", None)]
+    held += [c.cell_contents for c in getattr(at, "__closure__", None) or ()]
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", ["explicit", "csv", "periodic", "periodic-complex",
+                                  "iid", "markov"])
+def test_reads_never_write_the_stored_values(name):
+    # stored signed zeros (which a read returns as +0) and values, read
+    # twice over every index and by a gather with repeats; the returned
+    # arrays are written into between the reads
+    values = [complex(-0.0, -0.0), -0.0, 1.5, complex(0.5, -0.0), -2.0] * 40
+    real = [v.real for v in values]
+    make = {
+        "explicit": lambda: nb.make_sequence(nb.explicit(np.array(values))),
+        "csv": lambda: nb.read_sequence_csv(io.StringIO(
+            "n,re,im\n" + "".join(f"{n},{v.real!r},{v.imag!r}\n"
+                                  for n, v in enumerate(values)))),
+        "periodic": lambda: nb.make_sequence(nb.periodic(real)),
+        "periodic-complex": lambda: nb.make_sequence(nb.periodic(values)),
+        "iid": lambda: nb.sample_process(nb.iid_process([-0.0, 1, 0.5j], seed=2), 200),
+        "markov": lambda: nb.sample_process(
+            nb.markov_process([-0.0, 2], [[0.5, 0.5], [0.5, 0.5]], seed=2), 200),
+    }[name]
+    seq = make()
+    stored = _stored_arrays(seq)
+    assert stored
+    kept = [a.tobytes() for a in stored]
+    count = seq.length or 200
+    idx = np.random.default_rng(7).integers(0, count, (30, 4))
+    first = (seq._read(0, count), seq._at(idx), seq.prefix(count))
+    for arr in first:
+        assert not any(np.shares_memory(arr, a) for a in stored)
+        arr[...] = 7
+    again = (seq._read(0, count), seq._at(idx), seq.prefix(count))
+    assert [a.tobytes() for a in stored] == kept
+    assert again[0].tobytes() == make()._read(0, count).tobytes()
+    parts = again[0].view(float)
+    assert not np.signbit(parts[parts == 0]).any()
+    assert again[1].tobytes() == again[0][idx].tobytes()
+
+
+def test_gather_canonicalises_a_view_or_a_read_only_result_in_a_copy():
+    # a value function that returns a view of its store, or a read-only
+    # array, has its signed zeros turned into +0 in a copy, not in the store
+    store = np.array([-0.0, 1.0, -0.0, -1.0] * 4)
+    frozen = store.copy()
+    frozen.flags.writeable = False
+    for at in (lambda idx: store[idx.min():idx.max() + 1], lambda idx: frozen):
+        seq = nb.OneSidedSequence(at, 1.0, "custom", length=16, real_valued=True)
+        got = seq._read(0, 16)
+        assert got.tolist() == store.tolist() and not np.signbit(got[::2]).any()
+        assert np.signbit(store[::2]).all() and np.signbit(frozen[::2]).all()
+
+
+def test_range_read_frees_its_indices_before_the_values_are_checked():
+    import weakref
+    seq = nb.make_sequence(nb.rudin_shapiro())
+    at, checked, seen = seq._family_at, seq._checked, []
+
+    def family(idx):
+        seen.append(weakref.ref(idx))
+        return at(idx)
+
+    def check(vals, index_of):
+        assert seen[-1]() is None       # the index array is gone
+        return checked(vals, index_of)
+
+    seq._family_at, seq._checked = family, check
+    assert seq._read(5, 5 + 2 ** 16).tobytes() == at(np.arange(5, 5 + 2 ** 16)).tobytes()
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+def test_bound_check_names_the_index_of_a_value_on_either_side(real_valued):
+    # a real value below -bound fails as one above it does, by its index
+    for bad in (2.5, -2.5):
+        vals = np.zeros(40)
+        vals[17] = bad
+        seq = nb.OneSidedSequence(lambda idx: vals[idx], 1.0, "custom", length=40,
+                                  real_valued=real_valued)
+        with pytest.raises(nb.VerificationError, match=r"\|a_17\| = 2\.5 exceeds"):
+            seq._read(0, 40)
+        with pytest.raises(nb.VerificationError, match=r"\|a_17\| = 2\.5 exceeds"):
+            seq._at(np.array([[3, 17], [0, 1]]))
+        assert seq._read(18, 40).tolist() == [0.0] * 22
