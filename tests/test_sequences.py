@@ -1566,10 +1566,10 @@ def test_every_family_floor_bounds_its_first_values(name):
 
 # --- gathers: what they hold in memory and what they leave alone ------------
 
-def test_rudin_shapiro_range_read_holds_no_index_array_past_the_family():
-    # the indices are freed once the family has read them, and the
-    # values are canonicalised in place and checked by their extremes:
-    # about two arrays of 2^16 doubles at a time, as before the gathers
+def test_rudin_shapiro_range_read_peaks_at_about_two_value_arrays():
+    # the values are canonicalised in place and checked by their
+    # extremes: about two arrays of 2^16 doubles at a time, as before the
+    # gathers
     import tracemalloc
     seq = nb.make_sequence(nb.rudin_shapiro())
     seq._read(0, 2 ** 16)
