@@ -28,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratform
-from ._util import fmt17, ipow, kahan_complex_sum
 from .sequences import (
     OneSidedSequence,
     SequenceError,
@@ -62,6 +61,58 @@ __all__ = [
 TERM_CAP = 10 ** 8
 
 _INSIDE_MARGIN = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Compensated sums, integer powers, number format
+
+
+def kahan_complex_sum(terms):
+    """Neumaier-compensated sum of an iterable of complex numbers.
+
+    Real and imaginary parts carry separate compensation so that exact
+    dyadic inputs stay exact.
+    """
+    sr = si = 0.0
+    cr = ci = 0.0
+    for v in terms:
+        x, y = v.real, v.imag
+        t = sr + x
+        if abs(sr) >= abs(x):
+            cr += (sr - t) + x
+        else:
+            cr += (x - t) + sr
+        sr = t
+        t = si + y
+        if abs(si) >= abs(y):
+            ci += (si - t) + y
+        else:
+            ci += (y - t) + si
+        si = t
+    return complex(sr + cr, si + ci)
+
+
+def ipow(z: complex, k: int) -> complex:
+    """z**k for integer k via repeated multiplication.
+
+    Avoids the exp/log round trip of complex ``**`` so powers of exact
+    dyadics (e.g. z = 1/2) come out exact.
+    """
+    if k < 0:
+        return 1.0 / ipow(z, -k)
+    result = complex(1.0, 0.0)
+    base = complex(z)
+    while k:
+        if k & 1:
+            result *= base
+        base *= base
+        k >>= 1
+    return result
+
+
+def fmt17(x: float) -> str:
+    """Decimal with 17 significant digits (lossless double round trip)."""
+    return f"{x:.17g}"
 
 
 class AnalyticError(ValueError):

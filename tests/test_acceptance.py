@@ -16,6 +16,7 @@ from scipy.integrate import quad
 import nbscope as nb
 from nbscope.analytic import ArcSpec, boundary_l1_scan, decay_rule_check
 from nbscope.rightlimits import AnalysisConfig, SzegoWitness
+from references import reference_periodicity, reference_reflectionless, rs_polynomials
 
 
 # ---------------------------------------------------------------------------
@@ -54,19 +55,6 @@ def test_criterion_1_shift_identity():
 # 2. reflectionless periodic example
 
 
-def _pole_oracle(pattern, arc):
-    """Survival of each root of unity decided by direct evaluation of the
-    one-period polynomial (independent of the cyclotomic reduction)."""
-    p = len(pattern)
-    scale = max(1.0, sum(abs(c) for c in pattern))
-    for k in range(p):
-        w = cmath.exp(2j * math.pi * k / p)
-        val = sum(c * w ** j for j, c in enumerate(pattern))
-        if abs(val) > 1e-9 * scale and arc.contains_angle(2 * math.pi * k / p):
-            return False
-    return True
-
-
 def test_criterion_2_reflectionless_periodic():
     arc = ArcSpec(0.1, 2 * math.pi - 0.1)
     res = nb.periodic_reflectionless_check([1], arc, samples=50)
@@ -92,7 +80,7 @@ def test_criterion_2_reflectionless_periodic():
                 pattern.append(alphabet[v % 3])
                 v //= 3
             got = nb.periodic_reflectionless_check(pattern, arc, samples=12)
-            assert got.passed == _pole_oracle(pattern, arc), pattern
+            assert got.passed == reference_reflectionless(pattern, arc), pattern
             count += 1
     assert count == 120
 
@@ -143,17 +131,10 @@ def test_criterion_3_gap_certificates():
 # 4. Rudin-Shapiro pair certificates
 
 
-def _rs_polynomials(level):
-    P, Q = [1], [1]
-    for _ in range(level):
-        P, Q = P + Q, P + [-c for c in Q]
-    return P, Q
-
-
 def test_criterion_4_rudin_shapiro_pairs():
     # hand derivation from the recursion arrays: at (2^j, 3*2^j) the
     # backward flanks coincide and the centers have opposite sign
-    P12, _ = _rs_polynomials(12)
+    P12, _ = rs_polynomials(12)
     hand = []
     for j in range(2, 11):
         n, m = 2 ** j, 3 * 2 ** j
@@ -177,15 +158,6 @@ def test_criterion_4_rudin_shapiro_pairs():
 # 5. block analysis and periodicity detection
 
 
-def _brute_minimal_period(arr, max_pp, max_t):
-    n = len(arr)
-    for pp in range(max_pp + 1):
-        for t in range(1, max_t + 1):
-            if all(arr[i + t] == arr[i] for i in range(pp, n - t)):
-                return (pp, t)
-    return None
-
-
 def test_criterion_5_szego_analysis():
     proc = nb.iid_process([-1, 1], seed=7)
     path = nb.sample_process(proc, 4096)
@@ -207,7 +179,7 @@ def test_criterion_5_szego_analysis():
             seq = nb.make_sequence(nb.explicit(vals))
             horizon = len(vals) - 1
             got = nb.detect_eventual_periodicity(seq, 8, 8, horizon, tol=0.0)
-            want = _brute_minimal_period(vals, 8, 8)
+            want = reference_periodicity(seq, 8, 8, horizon, tol=0.0)
             assert got == want
 
             v = nb.verdict(seq, AnalysisConfig(horizon=horizon))

@@ -23,6 +23,8 @@ from nbscope.analytic import (
     periodic_reflectionless_check,
     truncation_length,
 )
+from references import (power_bound, reference_eval_two_sided, reference_reflectionless,
+                        reference_truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -53,40 +55,6 @@ def test_truncation_length_minimality(bound, r, tol):
     assert bound * r ** n / (1 - r) <= tol
     if n > 0:
         assert bound * r ** (n - 1) / (1 - r) > tol
-
-
-def _power_bound(r, n, up, bits=256):
-    """A Fraction at least (up) or at most r**n, by squaring with each
-    product rounded outward to ``bits`` bits; exact for powers of 2."""
-    num, den = r.as_integer_ratio()             # den is a power of 2
-    base, res = (num, 1 - den.bit_length()), (1, 0)
-
-    def mul(a, b):
-        m, e = a[0] * b[0], a[1] + b[1]
-        extra = max(0, m.bit_length() - bits)
-        q = m >> extra
-        return (q + (up and q << extra != m), e + extra)
-
-    while n:
-        if n & 1:
-            res = mul(res, base)
-        n >>= 1
-        base = mul(base, base) if n else base
-    return Fraction(res[0]) * Fraction(2) ** res[1]
-
-
-def old_truncation_rule(bound, r, tol, offset):
-    """(N, tail bound) of _truncation for an infinite sequence, as computed
-    before tails below the normal floats were handled, verbatim."""
-    if bound <= 0.0 or tol >= bound / (1.0 - r):
-        n = 0
-    else:
-        n = max(0, math.ceil(math.log(tol * (1.0 - r) / bound) / math.log(r)))
-        while bound * r ** n / (1.0 - r) > tol:
-            n += 1
-        while n > 0 and bound * r ** (n - 1) / (1.0 - r) <= tol:
-            n -= 1
-    return n, bound * r ** (n + offset) / (1.0 - r)
 
 
 # How far the tail bound may sit above bound * r**n / (1 - r) rounded to
@@ -129,22 +97,18 @@ def test_truncation_tail_bounds_the_exact_tail_down_to_subnormal_tolerances():
                     assert 0.0 < tail <= tol, case
                     # exact rationals: scale * r**k is the tail after k terms
                     scale = Fraction(bound) / (1 - Fraction(r))
-                    exact_up = scale * _power_bound(r, n + offset, up=True)
-                    try:
-                        old_n, old_tail = old_truncation_rule(bound, r, tol, offset)
-                    except ValueError:      # log(0): tol * (1 - r) / bound underflowed
-                        old_n = None
-                    if old_n is not None and min(r ** (old_n + offset),
-                                                 bound * r ** (old_n + offset)) >= tiny:
-                        # the old rule's N; its tail, from three float
-                        # roundings, could sit up to 2 ulps under the exact
-                        # one, and is now rounded outward a few ulps
-                        assert n == old_n, case
-                        assert old_tail <= tail <= old_tail + _TAIL_ULPS * math.ulp(old_tail), case
+                    exact_up = scale * power_bound(r, n + offset, up=True)
+                    ref_n, ref_tail = reference_truncation(bound, None, r, tol, 0, offset)
+                    if min(r ** (ref_n + offset), bound * r ** (ref_n + offset)) >= tiny:
+                        # N is the least while the tail is a normal float;
+                        # the reference's tail, rounded to nearest in three
+                        # steps, may sit up to 2 ulps under the exact one,
+                        # which the library's rounds outward
+                        assert n == ref_n, case
+                        assert ref_tail <= tail <= ref_tail + _TAIL_ULPS * math.ulp(ref_tail), case
                     assert Fraction(tail) >= exact_up, case
                     # and N is at most one term past the least
-                    if n >= 2:
-                        assert scale * _power_bound(r, n - 2, up=False) > tol, case
+                    assert ref_n <= n <= ref_n + 1, case
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +162,6 @@ def test_tail_bound_validity_against_extended_precision():
 # ---------------------------------------------------------------------------
 # one truncation rule for every evaluator
 
-# the three rules it replaces, as they were: eval_f's body, eval_shift_pair
-# and the scan's per-radius rule (None: the radius is skipped)
-
-def old_series_rule(bound, length, r, tol, offset):
-    n_terms = truncation_length(bound, r, tol)
-    if n_terms > nb.analytic.TERM_CAP:
-        raise NumericCapError(n_terms)
-    if length is not None and n_terms >= length:
-        return length, 0.0
-    return n_terms, bound * r ** (n_terms + offset) / (1.0 - r)
-
-
-def old_shift_rule(bound, length, r, tol, shift):
-    m_terms = truncation_length(bound, r, tol)
-    if shift + m_terms > nb.analytic.TERM_CAP:
-        raise NumericCapError(shift + m_terms)
-    if length is not None and shift + m_terms > length:
-        if shift > length:
-            raise nb.SequenceError("shift beyond explicit sequence length")
-        m_terms = length - shift
-    if length is not None and shift + m_terms >= length:
-        return m_terms, 0.0
-    return m_terms, bound * r ** m_terms / (1.0 - r)
-
-
-def old_scan_rule(bound, length, r, tol):
-    n_terms = truncation_length(bound, r, tol)
-    if n_terms > nb.analytic.TERM_CAP:
-        return None
-    if length is not None:
-        n_terms = min(n_terms, length)
-    return n_terms, 0.0 if n_terms == length else bound * r ** n_terms / (1.0 - r)
-
 
 class _Sized:
     def __init__(self, bound, length):
@@ -242,13 +173,13 @@ def _rule_bits(rule, *args):
         out = rule(*args)
     except (NumericCapError, nb.SequenceError) as e:
         return type(e).__name__
-    return None if out is None else (out[0], out[1].hex())
+    return out[0], out[1].hex()
 
 
 def _same_rule(got, want):
-    """Whether _truncation's outcome ``got`` is the old rule's ``want``: the
-    same error or terms, and a tail at most _TAIL_ULPS above the old one
-    (an exact 0 stays 0)."""
+    """Whether _truncation's outcome ``got`` is the reference's ``want``: the
+    same error or terms, and a tail at most _TAIL_ULPS above the nearest
+    one (an exact 0 stays 0)."""
     if not (isinstance(got, tuple) and isinstance(want, tuple)):
         return got == want
     tail, old = float.fromhex(got[1]), float.fromhex(want[1])
@@ -256,6 +187,8 @@ def _same_rule(got, want):
 
 
 def test_one_truncation_rule_matches_the_three_it_replaced():
+    # the cases of the rules it replaced: eval_f's (offset 1 for the outside
+    # of a two-sided sum), eval_shift_pair's and the scan's
     from nbscope.analytic import _truncation
 
     rng = np.random.default_rng(21)
@@ -266,28 +199,11 @@ def test_one_truncation_rule_matches_the_three_it_replaced():
         shift = int(rng.choice([0, 1, 7, 1000, 10 ** 8 - 5]))
         offset = int(rng.integers(0, 2))
         for length in (None, 3, 1000, int(rng.integers(1, 10 ** 6))):
-            seq = _Sized(bound, length)
-            olds = [(old_series_rule, (bound, length, r, tol, offset),
-                     (seq, r, tol, 0, offset)),
-                    (old_shift_rule, (bound, length, r, tol, shift),
-                     (seq, r, tol, shift, 0)),
-                    (old_scan_rule, (bound, length, r, tol), (seq, r, tol))]
-            for old, old_args, new_args in olds:
-                want = _rule_bits(old, *old_args)
-                got = _rule_bits(_truncation, *new_args)
-                if old is old_scan_rule and got == "NumericCapError":
-                    got = None
-                start = new_args[3] if len(new_args) > 3 else 0
-                if length is None or want not in ("NumericCapError", None):
-                    assert _same_rule(got, want), (old.__name__, bound, length, r, tol,
-                                                   shift)
-                elif start > length:
-                    assert got == "SequenceError"
-                elif start + truncation_length(bound, r, tol) >= length:
-                    # clamped before the cap: the exact finite sum
-                    assert got == (length - start, "0x0.0p+0")
-                else:
-                    assert _same_rule(got, want)
+            for start, off in ((0, offset), (shift, 0), (0, 0)):
+                case = (bound, length, r, tol, start, off)
+                want = _rule_bits(reference_truncation, *case)
+                got = _rule_bits(_truncation, _Sized(bound, length), r, tol, start, off)
+                assert _same_rule(got, want), case
 
 
 def test_finite_sequences_sum_exactly_where_the_cap_used_to_fire():
@@ -413,85 +329,10 @@ def test_outside_bound_holds():
         assert abs(res.value) <= A / (1 - 1 / r) + 1e-9
 
 
-# the per-index two-sided path, as it was: one fn call and bound check per
-# index, with the bound of the whole two-sided sequence
-
-class LoopTwoSided:
-    def __init__(self, fn, bound):
-        self.fn, self.bound = fn, bound
-
-    def eval(self, n: int) -> complex:
-        v = complex(self.fn(n))
-        if not abs(v) <= self.bound * (1 + 1e-12) + 1e-9:
-            raise nb.VerificationError(
-                f"|b_{n}| = {abs(v)} exceeds certified bound {self.bound}")
-        return v
-
-
-def loop_constant_extension(c):
-    c = complex(c)
-    return LoopTwoSided(lambda n: c, abs(c))
-
-
-def loop_periodic_extension(pattern):
-    pat = tuple(complex(v) for v in pattern)
-    p = len(pat)
-    bound = max(abs(v) for v in pat)
-    return LoopTwoSided(lambda n: pat[n % p], bound)
-
-
-def _sum_series(coeffs, z, start_exponent=0, chunk=1 << 16):
-    """sum_i coeffs[i] * z^(start_exponent + i) as the library summed a
-    whole coefficient array, verbatim."""
-    from nbscope._util import ipow, kahan_complex_sum
-
-    n = len(coeffs)
-    if n == 0:
-        return 0j
-    partials = []
-    power = ipow(z, start_exponent)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        steps = np.empty(hi - lo, dtype=complex)
-        steps[0] = power
-        if hi - lo > 1:
-            steps[1:] = z
-        pw = np.cumprod(steps)
-        partials.append(complex(np.sum(coeffs[lo:hi] * pw)))
-        power = complex(pw[-1]) * z
-    return kahan_complex_sum(partials)
-
-
-def loop_eval_two_sided(source, z, tol=1e-10):
-    from nbscope.analytic import _INSIDE_MARGIN, TERM_CAP
-
-    z = complex(z)
-    r = abs(z)
-    if isinstance(source, nb.TwoSidedWindow):
-        W = source.radius
-        if r < 1.0:
-            vals = np.asarray([source.value(k) for k in range(0, W + 1)], dtype=complex)
-            return nb.EvalResult(_sum_series(vals, z, 0), 0.0, W + 1)
-        vals = np.asarray([source.value(-m) for m in range(1, W + 1)], dtype=complex)
-        return nb.EvalResult(_sum_series(vals, 1.0 / z, 1), 0.0, W)
-    if r < 1.0:
-        if r > 1.0 - _INSIDE_MARGIN:
-            raise AnalyticError("|z| too close to 1 from inside")
-        n_terms = truncation_length(source.bound, r, tol)
-        if n_terms > TERM_CAP:
-            raise NumericCapError(n_terms)
-        vals = np.asarray([source.eval(n) for n in range(n_terms)], dtype=complex)
-        bound = source.bound * r ** n_terms / (1.0 - r)
-        return nb.EvalResult(_sum_series(vals, z, 0), bound, n_terms)
-    rinv = 1.0 / r
-    if rinv > 1.0 - _INSIDE_MARGIN:
-        raise AnalyticError("|z| too close to 1 from outside")
-    n_terms = truncation_length(source.bound, rinv, tol)
-    if n_terms > TERM_CAP:
-        raise NumericCapError(n_terms)
-    vals = np.asarray([source.eval(-m) for m in range(1, n_terms + 1)], dtype=complex)
-    bound = source.bound * rinv ** (n_terms + 1) / (1.0 - rinv)
-    return nb.EvalResult(_sum_series(vals, 1.0 / z, 1), bound, n_terms)
+def _values(pattern):
+    """(b, bound) of the two-sided sequence b_n = pattern[n mod p]."""
+    pat = [complex(v) for v in pattern]
+    return (lambda n: pat[n % len(pat)]), max(map(abs, pat))
 
 
 def _bits(res):
@@ -501,7 +342,7 @@ def _bits(res):
 
 def _same_bits(got, want):
     """The same value bits and terms, and a tail bound at most _TAIL_ULPS
-    above ``want``'s, which the per-index path rounds to nearest."""
+    above ``want``'s, which the reference rounds to nearest."""
     (g, w), old = map(_bits, (got, want)), want.abs_error_bound
     return (g[:2] == w[:2] and g[3] == w[3]
             and old <= got.abs_error_bound <= old + _TAIL_ULPS * math.ulp(old))
@@ -514,34 +355,33 @@ def _seeded_points(rng, count):
 
 
 def test_two_sided_sides_match_the_per_index_path_bit_for_bit():
-    # complex values whose np.abs and Python abs agree, so that both paths
+    # complex values whose np.abs and Python abs agree, so that both sides
     # start from the same bound
     agreeing = [v for v in (np.random.default_rng(0).normal(size=(60, 2)) @ [1, 1j]).tolist()
                 if float(np.abs(np.complex128(v))) == abs(v)]
     rng = np.random.default_rng(8)
-    cases = [(nb.constant_extension(c), loop_constant_extension(c))
+    cases = [(nb.constant_extension(c), _values([c]))
              for c in (1.0, -0.75, 0.0, 1j, agreeing[0])]
     for p in range(1, 8):
         for pat in (rng.integers(-2, 3, p).astype(float).tolist(),
                     rng.normal(size=p).tolist(), agreeing[p:2 * p]):
-            cases.append((nb.periodic_extension(pat), loop_periodic_extension(pat)))
-    for ext, loop in cases:
+            cases.append((nb.periodic_extension(pat), _values(pat)))
+    for ext, values in cases:
         for z in _seeded_points(rng, 6):
             for tol in (1e-6, 1e-10, 1e-12):
-                assert _same_bits(eval_two_sided(ext, z, tol),
-                                  loop_eval_two_sided(loop, z, tol)), (ext.description, z, tol)
+                want = reference_eval_two_sided(values, z, tol)
+                assert _same_bits(eval_two_sided(ext, z, tol), want), (ext.description, z, tol)
     for W in range(4):
         win = nb.TwoSidedWindow(tuple(rng.normal(size=2 * W + 1) + 0j), W, {"kind": "test"})
         for z in _seeded_points(rng, 6):
-            assert _same_bits(eval_two_sided(win, z), loop_eval_two_sided(win, z))
+            assert _same_bits(eval_two_sided(win, z), reference_eval_two_sided(win, z))
 
 
 def test_two_sided_sequence_at_zero_returns_b0():
     ext = nb.periodic_extension([2.0, -1.0, 0.5])
     res = eval_two_sided(ext, 0.0)
     assert (res.value, res.abs_error_bound, res.terms_used) == (2.0, 0.0, 1)
-    with pytest.raises(AnalyticError):   # the per-index path refused z = 0
-        loop_eval_two_sided(loop_periodic_extension([2.0, -1.0, 0.5]), 0.0)
+    assert _bits(res) == _bits(reference_eval_two_sided(_values([2.0, -1.0, 0.5]), 0.0))
 
 
 @pytest.mark.parametrize("W", [0, 1, 2, 5])
@@ -760,24 +600,11 @@ def test_reflectionless_cancellation():
     assert {(p.num, p.den) for p in form.poles} == {(1, 2)}
 
 
-def _pole_oracle(pattern, arc):
-    """Direct root-of-unity enumeration: evaluate the one-period polynomial
-    at every p-th root; a root with nonzero value is a surviving pole."""
-    p = len(pattern)
-    scale = max(1.0, sum(abs(c) for c in pattern))
-    for k in range(p):
-        w = cmath.exp(2j * math.pi * k / p)
-        val = sum(c * w ** j for j, c in enumerate(pattern))
-        if abs(val) > 1e-9 * scale and arc.contains_angle(2 * math.pi * k / p):
-            return False
-    return True
-
-
 def test_reflectionless_small_pattern_spotchecks():
     arc = ArcSpec(0.1, 2 * math.pi - 0.1)
     for pattern in ([1], [0], [1, -1], [1, 0], [1, 1, 0], [1, -1, 1, -1]):
         res = periodic_reflectionless_check(pattern, arc, samples=20)
-        assert res.passed == _pole_oracle(pattern, arc), pattern
+        assert res.passed == reference_reflectionless(pattern, arc), pattern
 
 
 # ---------------------------------------------------------------------------

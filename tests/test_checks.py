@@ -2,14 +2,14 @@
 predicate per batch, with the distance of the search that produced the
 certificate.
 
-The per-index loops the checks replaced are kept below, verbatim, as
-oracles.  Thresholds are set to an observed distance and to the doubles on
-either side of it, so every comparison is tested at its edge.  The loops
-measured gap and cluster distances with Python's abs while the searches use
-np.abs; the two differ in the last bit on some complex values, so the
-complex streams of those checks draw values on which they agree, and
-test_complex_fill_gap_certificate_verifies covers a value on which they
-differ.
+Each check is compared with its reference, which reads the values one
+index at a time.  Thresholds are set to an observed distance and to the
+doubles on either side of it, so every comparison is tested at its edge.
+The per-index loops the checks replaced measured gap and cluster distances
+with Python's abs while the searches use np.abs; the two differ in the last
+bit on some complex values, so the complex streams of those checks draw
+values on which they agree, and test_complex_fill_gap_certificate_verifies
+covers a value on which they differ.
 """
 
 import math
@@ -20,61 +20,17 @@ import pytest
 import nbscope as nb
 from nbscope import rightlimits as rl
 from nbscope.rightlimits import RightLimitCandidate, SzegoWitness
-from references import count_gathers
+from references import count_gathers, reference_verify
 
 
-# --- the per-index checks, as they were ------------------------------------
-
-def loop_verify_gap_hit(seq, n, width, eps, delta, decay=None):
-    if n < width:
-        return False
-    for k in range(1, width + 1):
-        thr = eps if decay is None else decay[0] * math.exp(-decay[1] * k) + eps
-        if abs(seq.eval(n - k)) > thr:
-            return False
-    return abs(seq.eval(n)) >= delta
+def _gap(n, width, eps, delta, decay=None):
+    return nb.NonReflectionlessCertificate("GapZeroFlank", (n,), "backward", width, eps,
+                                           delta, delta, decay=decay)
 
 
-def loop_verify_pair(seq, n, m, width, eps, delta, flank_side="backward"):
-    if n == m:
-        return False
-    offs = range(-width, 0) if flank_side == "backward" else range(1, width + 1)
-    lo = min(n, m) + min(offs)
-    if lo < 0:
-        return False
-    for k in offs:
-        if abs(seq.eval(n + k) - seq.eval(m + k)) > eps:
-            return False
-    return abs(seq.eval(n) - seq.eval(m)) >= delta
-
-
-def loop_certificate_verify(self, seq):
-    if self.kind == "GapZeroFlank":
-        return all(loop_verify_gap_hit(seq, n, self.flank_width, self.eps,
-                                       self.delta, self.decay)
-                   for n in self.witnesses)
-    return all(loop_verify_pair(seq, n, m, self.flank_width, self.eps,
-                                self.delta, self.flank_side)
-               for n, m in (self.pairs or ()))
-
-
-def loop_candidate_verify(self, seq):
-    W = self.window.radius
-    for n in self.recurrence_indices:
-        for k in range(-W, W + 1):
-            if abs(seq.eval(n + k) - self.window.value(k)) > self.eps:
-                return False
-    return True
-
-
-def loop_szego_verify(self, seq):
-    if self.mismatch < self.p + 1:
-        return False
-    for j in range(1, self.p + 1):
-        if seq.eval(self.first + j - 1) != seq.eval(self.second + j - 1):
-            return False
-    return (seq.eval(self.first + self.mismatch - 1)
-            != seq.eval(self.second + self.mismatch - 1))
+def _pair(n, m, width, eps, delta, side="backward"):
+    return nb.NonReflectionlessCertificate("PairMismatch", (n,), side, width, eps, delta,
+                                           delta, pairs=((n, m),))
 
 
 # --- streams and thresholds -------------------------------------------------
@@ -131,14 +87,14 @@ def test_gap_check_matches_the_loop(kind, decay):
         for eps in around(flank):
             for delta in around(abs(vals[n])):
                 got = nb.verify_gap_hit(seq, n, width, eps, delta, decay)
-                assert got == loop_verify_gap_hit(seq, n, width, eps, delta, decay)
+                assert got == reference_verify(seq, _gap(n, width, eps, delta, decay))
                 hits += got
     for eps in around(0.5):
         for delta in around(abs(vals[centers[-1]])):
             cert = nb.NonReflectionlessCertificate(
                 "GapZeroFlank", tuple(centers[2:]), "backward", width, eps,
                 delta, delta, decay=decay)
-            assert cert.verify(seq) == loop_certificate_verify(cert, seq)
+            assert cert.verify(seq) == reference_verify(seq, cert)
     assert hits
 
 
@@ -151,12 +107,12 @@ def test_gap_certificates_of_the_search_verify():
         assert cert is not None
         fresh = nb.make_sequence(spec)
         assert cert.verify(seq) and cert.verify(fresh)
-        assert loop_certificate_verify(cert, fresh)
+        assert reference_verify(fresh, cert)
 
 
 def test_complex_fill_gap_certificate_verifies():
-    """The fill's np.abs, which the search compares with delta, is one ulp
-    above its Python abs, which the per-index check used."""
+    """The fill's np.abs, which the search and its check compare with delta,
+    is one ulp above its Python abs, which the per-index check used."""
     fill = -0.39361034141671003 - 0.09300422103869699j
     delta = 0.4044488669797381
     assert float(np.abs(fill)) == delta == math.nextafter(abs(fill), 1.0)
@@ -166,7 +122,7 @@ def test_complex_fill_gap_certificate_verifies():
     assert cert.witnesses == (6, 24, 120, 720, 5040, 40320)
     assert cert.verify(seq)
     assert cert.verify(nb.make_sequence(spec))
-    assert not loop_certificate_verify(cert, seq)
+    assert reference_verify(seq, cert) and abs(fill) < delta
     v = nb.verdict(nb.make_sequence(spec),
                    nb.AnalysisConfig(width=3, eps=0.0, delta=delta))
     assert v.kind == "StrongNaturalBoundaryEvidence"
@@ -206,7 +162,7 @@ def test_pair_check_matches_the_loop(kind):
             for eps in around(flank):
                 for delta in around(abs(vals[n] - vals[m])):
                     got = nb.verify_pair(seq, n, m, width, eps, delta, side)
-                    assert got == loop_verify_pair(seq, n, m, width, eps, delta, side)
+                    assert got == reference_verify(seq, _pair(n, m, width, eps, delta, side))
                     hits += got
         assert hits
         chosen = [p for p in pairs if p[0] != p[1] and min(p) >= width][:6]
@@ -217,7 +173,7 @@ def test_pair_check_matches_the_loop(kind):
                 cert = nb.NonReflectionlessCertificate(
                     "PairMismatch", tuple(n for n, _ in chosen), side, width,
                     eps, delta, center, pairs=tuple(chosen))
-                assert cert.verify(seq) == loop_certificate_verify(cert, seq)
+                assert cert.verify(seq) == reference_verify(seq, cert)
 
 
 def test_pair_certificates_of_the_search_verify():
@@ -233,7 +189,7 @@ def test_pair_certificates_of_the_search_verify():
             assert cert is not None, (spec.family, side)
             fresh = nb.make_sequence(spec)
             assert cert.verify(seq) and cert.verify(fresh)
-            assert loop_certificate_verify(cert, fresh)
+            assert reference_verify(fresh, cert)
 
 
 def test_pair_check_past_an_explicit_end_fails():
@@ -274,7 +230,7 @@ def test_cluster_check_matches_the_loop(kind):
         for eps in around(far):
             win = nb.TwoSidedWindow(leader, W, {"kind": "cluster"}, eps=eps)
             cand = RightLimitCandidate(win, tuple(members), eps)
-            assert cand.verify(seq) == loop_candidate_verify(cand, seq)
+            assert cand.verify(seq) == reference_verify(seq, cand)
             assert cand.verify(seq) == (eps >= far)
 
 
@@ -316,7 +272,7 @@ def test_szego_check_matches_the_loop():
         assert witnesses
         seq = nb.make_sequence(nb.explicit(nb.make_sequence(spec).prefix(3000)))
         for w in witnesses:
-            assert w.verify(seq) and loop_szego_verify(w, seq)
+            assert w.verify(seq) and reference_verify(seq, w)
             for p, f, s, mm in ((w.p, w.first, w.second, w.mismatch - 1),
                                 (w.p, w.first, w.second, w.mismatch + 1),
                                 (w.p, w.second, w.first, w.mismatch),
@@ -326,7 +282,7 @@ def test_szego_check_matches_the_loop():
                 if max(f, s) + mm > 3000:
                     continue        # the span runs past the explicit end
                 other = SzegoWitness(p, f, s, mm)
-                assert other.verify(seq) == loop_szego_verify(other, seq)
+                assert other.verify(seq) == reference_verify(seq, other)
 
 
 def test_szego_check_past_an_explicit_end_fails():
@@ -352,13 +308,13 @@ def test_single_checks_near_2_53_leave_the_prefix_uncached():
                                   .read(n - 1, n + 2).tolist()), 1, {"kind": "cluster"})
     checks = [
         (lambda s: nb.verify_gap_hit(s, n, 3, 0.0, 0.5),
-         lambda s: loop_verify_gap_hit(s, n, 3, 0.0, 0.5)),
+         lambda s: reference_verify(s, _gap(n, 3, 0.0, 0.5))),
         (lambda s: nb.verify_pair(s, n, n + 8, 3, 0.0, 1.0, "forward"),
-         lambda s: loop_verify_pair(s, n, n + 8, 3, 0.0, 1.0, "forward")),
+         lambda s: reference_verify(s, _pair(n, n + 8, 3, 0.0, 1.0, "forward"))),
         (lambda s: SzegoWitness(2, n, n + 6, 5).verify(s),
-         lambda s: loop_szego_verify(SzegoWitness(2, n, n + 6, 5), s)),
+         lambda s: reference_verify(s, SzegoWitness(2, n, n + 6, 5))),
         (lambda s: RightLimitCandidate(win, (n,), 0.0).verify(s),
-         lambda s: loop_candidate_verify(RightLimitCandidate(win, (n,), 0.0), s)),
+         lambda s: reference_verify(s, RightLimitCandidate(win, (n,), 0.0))),
     ]
     got = [check(seq) for check, _ in checks]
     assert got == [loop(nb.make_sequence(nb.rudin_shapiro())) for _, loop in checks]

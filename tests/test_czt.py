@@ -1,6 +1,6 @@
-"""The blocked chirp z-transform behind the arc scan, against the
-whole-prefix transform it replaced, scipy's czt (a test-only oracle) and
-extended-precision Horner sums."""
+"""The blocked chirp z-transform behind the arc scan, against its
+reference (one read, each block transformed on its own), scipy's czt (a
+test-only oracle) and extended-precision Horner sums."""
 
 import cmath
 import math
@@ -14,33 +14,13 @@ import pytest
 import nbscope as nb
 from nbscope import analytic
 from nbscope.analytic import ArcSpec, _blocked_czt, _fast_len, boundary_l1_scan, truncation_length
+from references import reference_blocked_czt
 
 
-# The whole-prefix transform the arc scan used before it read blocks, kept
-# verbatim as the oracle of the blocked one.
-def _czt(coeffs: np.ndarray, r: float, phi0: float, step: float, m: int) -> np.ndarray:
-    """sum_k coeffs[k] z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m.
-
-    Bluestein's chirp z-transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
-    sums become one linear convolution of the chirp-weighted coefficients
-    with the conjugate chirp, done by FFT at a 5-smooth length, in
-    O((N+M) log(N+M)) time.  Every phase is formed from float k directly
-    (no repeated complex powers), so rounding does not compound with k.
-    """
-    n = len(coeffs)
-    if n == 0:
-        return np.zeros(m, dtype=complex)
-    half = step / 2.0
-    k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(1j * half * k * k)
-    kn = k[:n]
-    weighted = coeffs * np.exp(kn * math.log(r) + 1j * (phi0 * kn + half * kn * kn))
-    size = _fast_len(n + m - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = chirp[:m].conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(kernel))
-    return conv[:m] * chirp[:m]
+def _czt(coeffs, r, phi0, step, m):
+    """The reference transform of an array of coefficients; with one block
+    (len(coeffs) <= max(_BLOCK, m)) the whole-prefix transform."""
+    return reference_blocked_czt(lambda lo, hi: coeffs[lo:hi], len(coeffs), r, phi0, step, m)
 
 
 def _czt_blocks(coeffs, r, phi0, step, m):
@@ -261,91 +241,6 @@ def test_phase_reduction_matches_exact_arithmetic():
             assert abs(off - two_pi * mpmath.nint(off / two_pi)) <= 1e-15
 
 
-# The blocked transform before it worked in place (it padded a short top
-# block with np.concatenate, copied out the live blocks and took complex
-# reads only), kept verbatim but for module-qualified names, as the oracle
-# of the in-place one.
-def _old_blocked_czt(read, n: int, r: float, phi0: float, step: float, m: int) -> np.ndarray:
-    """sum_{k<n} a_k z_j^k at z_j = r e^{i(phi0 + j*step)}, j < m, where
-    ``read(lo, hi)`` returns a_lo .. a_{hi-1}.
-
-    Bluestein's chirp z-transform, one block of L = max(_BLOCK, m)
-    coefficients at a time (L = n when n <= L): f(z_j) = sum_b z_j^(bL)
-    B_b(z_j), where B_b sums the b-th block.  With jl = (j^2 + l^2 -
-    (j-l)^2)/2 each B_b(z_j) is a linear convolution of the block, times
-    the pre-weight r^l e^{i(phi0*l + step*l^2/2)} that every block shares,
-    with the conjugate chirp, done by FFT at a 5-smooth length >= L + m - 1;
-    so chirp phases stay below (L + m)^2 * step / 2 whatever n is.  The
-    blocks are combined by Horner's rule in z_j^L, highest first, as the
-    reads go: a group of at most _GROUP coefficients at a time, from the
-    top, so time is O(n log(L + m)) and memory does not grow with n.  A
-    block of zeros skips its transforms (they would be zero).  With one
-    block this is exactly the whole-prefix transform.
-    """
-    if n == 0:
-        return np.zeros(m, dtype=complex)
-    length = min(n, max(analytic._BLOCK, m))
-    n_blocks = -(-n // length)
-    half = step / 2.0
-    k = np.arange(max(length, m), dtype=float)
-    kl = k[:length]
-    if n_blocks == 1:
-        # the whole-prefix transform's phases, bit for bit
-        chirp = np.exp(1j * half * k * k)
-        pre_exponent = kl * math.log(r) + 1j * (phi0 * kl + half * kl * kl)
-    else:
-        # every block repeats these phases, so they are reduced mod 2*pi in
-        # exact pieces: a rounding error shared by all blocks would add up
-        # across them.  z_j^L comes from one phase L * (phi0 + j*step) per
-        # node the same way, not from powers of z_j.
-        square = analytic._phase2(half, k, k)
-        chirp = np.exp(1j * square)
-        weights = np.exp(kl * math.log(r) + 1j * (analytic._phase(phi0, kl) + square[:length]))
-        j = np.arange(m, dtype=float)
-        powers = np.exp(length * math.log(r)
-                        + 1j * (analytic._phase(phi0, length)
-                                + analytic._phase2(step, length, j)))
-    size = _fast_len(length + m - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = chirp[:m].conj()
-    kernel[size - length + 1:] = chirp[length - 1:0:-1].conj()
-    kernel = np.fft.fft(kernel)
-
-    per_group = max(1, analytic._GROUP // length)
-    acc = None
-    for first in range((n_blocks - 1) // per_group * per_group, -1, -per_group):
-        lo = first * length
-        hi = min(n, lo + per_group * length)
-        count = -(-(hi - lo) // length)
-        coeffs = read(lo, hi)
-        if count * length > hi - lo:            # the top block is short
-            coeffs = np.concatenate(
-                (coeffs, np.zeros(count * length - (hi - lo), dtype=complex)))
-        blocks = coeffs.reshape(count, length)
-        live = blocks.any(axis=1)
-        rows = iter(())
-        if live.any():
-            if n_blocks == 1:
-                # the whole-prefix transform's own product, bit for bit
-                # (numpy's complex product is not bitwise commutative, and
-                # numpy may evaluate a large `a * <temporary>` in place with
-                # its operands swapped)
-                weighted = blocks[0] * np.exp(pre_exponent)
-            else:
-                weighted = (blocks if live.all() else blocks[live]) * weights
-            conv = np.fft.ifft(np.fft.fft(weighted, size, axis=-1) * kernel, axis=-1)
-            rows = iter(conv[..., :m].reshape(-1, m)[::-1])
-        for alive in live[::-1].tolist():
-            if acc is None:
-                acc = next(rows) if alive else np.zeros(m, dtype=complex)
-            elif alive:
-                acc = acc * powers + next(rows)
-            else:
-                acc = acc * powers
-    return acc * chirp[:m]
-
-
-
 def _planted(rng, n, length, kind):
     """n seeded coefficients (float64 when real) with blocks of zeros: the
     second and third whole blocks, and the top block, which may be short."""
@@ -357,11 +252,11 @@ def _planted(rng, n, length, kind):
     return coeffs
 
 
-def _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m):
+def _assert_same_bits_as_the_reference(coeffs, r, phi0, step, m):
     """The in-place transform of ``coeffs`` read in their own layout and of
-    their complex copy, against the oracle on the complex copy, bit for bit."""
+    their complex copy, against the reference, bit for bit."""
     n, copy = len(coeffs), coeffs.astype(complex)
-    want = _old_blocked_czt(lambda lo, hi: copy[lo:hi].copy(), n, r, phi0, step, m)
+    want = _czt(copy, r, phi0, step, m)
     for src in (coeffs, copy):
         got = _blocked_czt(lambda lo, hi: src[lo:hi].copy(), n, r, phi0, step, m)
         assert got.dtype == complex and got.shape == (m,)
@@ -384,9 +279,9 @@ def test_in_place_transform_matches_the_copying_one_bit_for_bit(n, planted, kind
     elif kind == "real":
         coeffs = coeffs.real.copy()
     assert coeffs.dtype == (float if kind == "real" else complex)
-    _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m)
+    _assert_same_bits_as_the_reference(coeffs, r, phi0, step, m)
     if n == 300:
-        _assert_same_bits_as_the_oracle(np.zeros(n, dtype=coeffs.dtype), r, phi0, step, m)
+        _assert_same_bits_as_the_reference(np.zeros(n, dtype=coeffs.dtype), r, phi0, step, m)
 
 
 @pytest.mark.parametrize("block, group", [
@@ -405,7 +300,7 @@ def test_in_place_transform_with_small_blocks_matches_bit_for_bit(monkeypatch, b
         coeffs = _planted(rng, n, max(block, m), kind)
         if not planted:
             coeffs = coeffs + (1.0 if kind == "real" else 1j)
-        _assert_same_bits_as_the_oracle(coeffs, r, phi0, step, m)
+        _assert_same_bits_as_the_reference(coeffs, r, phi0, step, m)
 
 
 def _dead_blocks(coeffs, length, dead):
@@ -433,7 +328,7 @@ def test_batches_with_dead_blocks_match_bit_for_bit(monkeypatch, dead, m, kind):
     coeffs, r, phi0, step = _seeded_case(rng, n)
     if kind == "real":
         coeffs = coeffs.real.copy()
-    _assert_same_bits_as_the_oracle(_dead_blocks(coeffs, length, dead), r, phi0, step, m)
+    _assert_same_bits_as_the_reference(_dead_blocks(coeffs, length, dead), r, phi0, step, m)
 
 
 @pytest.mark.parametrize("n, block, group, m", [
@@ -474,12 +369,12 @@ def test_top_rung_working_set_is_one_batch_and_a_little():
 
 def test_scan_top_rung_reads_the_own_layout_bit_for_bit():
     # the probe bench's top rung: 230 247 Rudin-Shapiro terms, 8 blocks, read
-    # as float64 by the scan and as complex by the oracle
+    # as float64 by the scan and as complex by the reference
     seq = nb.make_sequence(nb.rudin_shapiro())
     r, m = 0.9999, 4096
     n = truncation_length(seq.bound, r, 1e-6)
     assert n == 230_247 and seq._read(0, 8).dtype == float
-    want = _old_blocked_czt(seq.read, n, r, 0.3, 1.4 / m, m)
+    want = reference_blocked_czt(seq.read, n, r, 0.3, 1.4 / m, m)
     assert _blocked_czt(seq._read, n, r, 0.3, 1.4 / m, m).tobytes() == want.tobytes()
     assert _blocked_czt(seq.read, n, r, 0.3, 1.4 / m, m).tobytes() == want.tobytes()
 

@@ -723,7 +723,9 @@ def test_support_gap_walk_matches_the_full_scan(chunk, monkeypatch):
     # the support is listed in batches of one reader chunk: 1 and 7 put
     # batch edges among close exponents; fills below, at and above delta,
     # complex fills, and decay envelopes whose thresholds let flank fills
-    # through at some offsets but not at others
+    # through at some offsets but not at others.  min_recurrence only
+    # thresholds the hit count after the walk, so its outcomes are tested
+    # at the default chunk alone
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     horizon = 4000 if chunk < 4096 else 20_000
     delta = 0.5
@@ -746,7 +748,8 @@ def test_support_gap_walk_matches_the_full_scan(chunk, monkeypatch):
                                                          min_recurrence=1, **kw)
                         hits = 0 if want is None else len(want.witnesses)
                         # both outcomes of min_recurrence, where hits allow
-                        for min_rec in {1, 3, max(1, hits), hits + 1}:
+                        min_recs = {1, 3, max(1, hits), hits + 1} if chunk > 7 else {1}
+                        for min_rec in min_recs:
                             got = rl.find_gap_certificate(seq, width, horizon,
                                                           min_recurrence=min_rec, **kw)
                             assert got == (want if hits >= min_rec else None)

@@ -12,9 +12,11 @@ import nbscope as nb
 from nbscope import randomseries
 from nbscope import sequences as seqmod
 from nbscope.analytic import TERM_CAP, NumericCapError
-from nbscope.randomseries import (_COVER_CAP, Separation, _cover_mass, _distribution_of,
-                                  _hex_cover, _rng_for, _variance_with_se)
-from nbscope.sequences import SequenceError, _exact_kind
+from nbscope.randomseries import _distribution_of
+from nbscope.sequences import SequenceError
+from references import (reference_cover_mass, reference_distribution, reference_draw,
+                        reference_experiment, reference_far_centers, reference_hex_cover,
+                        reference_variance_window)
 
 
 def test_seeded_reproducibility():
@@ -53,22 +55,6 @@ def test_markov_process_path():
     assert vals.mean() < 0.5
 
 
-def reference_markov_path(spec, length, trial=None):
-    """The per-step Markov sampling loop that sample_process replaced, verbatim."""
-    rng = _rng_for(spec, trial)
-    em = np.asarray(spec.params["emissions"], dtype=complex)
-    tr = np.asarray(spec.params["transition"], dtype=float)
-    k = len(em)
-    states = np.empty(length, dtype=np.int64)
-    states[0] = rng.choice(k, p=spec.params["initial"])
-    # one uniform per step, inverted through the row CDF
-    u = rng.random(length - 1)
-    cdf = np.cumsum(tr, axis=1)
-    for i in range(1, length):
-        states[i] = min(int(np.searchsorted(cdf[states[i - 1]], u[i - 1], side="right")), k - 1)
-    return em[states]
-
-
 def _seeded_transition(rng, k):
     tr = rng.dirichlet(np.ones(k), size=k)
     if k > 1:
@@ -103,7 +89,7 @@ def test_markov_path_matches_reference_loop(k, monkeypatch):
             for length in sorted({1, 2, 997, 5000, chunk, chunk + 1, chunk + 2}):
                 trial = (None, 0, case)[length % 3]
                 got = nb.sample_process(spec, length, trial=trial).prefix(length)
-                want = reference_markov_path(spec, length, trial)
+                want = reference_draw(spec, length, trial)[0]
                 assert got.tobytes() == want.tobytes(), (k, chunk, case, length)
     # a row whose CDF ends well below 1 (markov_process allows only rounding
     # there), so many draws land past it and take the clip to state k - 1
@@ -112,7 +98,7 @@ def test_markov_path_matches_reference_loop(k, monkeypatch):
     short[-1] = [0.5 * p for p in short[-1]]
     spec = nb.ProcessSpec("markov", dict(spec.params, transition=short), spec.bound, k)
     got = nb.sample_process(spec, 3000).prefix(3000)
-    assert got.tobytes() == reference_markov_path(spec, 3000).tobytes()
+    assert got.tobytes() == reference_draw(spec, 3000)[0].tobytes()
 
 
 def test_markov_validation():
@@ -172,31 +158,6 @@ def test_separated_values_from_samples():
     assert sep.prob_z >= 1.0 / sep.cover_size
 
 
-def old_cover_mass(points, weights, carr, radius):
-    """separated_values' mass of each cover center, as it scanned every
-    point for every center, verbatim."""
-    return np.array([weights[np.abs(points - c) <= radius].sum() for c in carr])
-
-
-def old_hex_cover(K, m):
-    """randomseries._hex_cover as a double loop over the lattice with one
-    math.hypot per point and a Python sort, verbatim."""
-    s = math.sqrt(3) / m
-    R = K + 1.0 / m
-    rows = int(math.ceil(R / (s * math.sqrt(3) / 2.0))) + 1
-    cols = int(math.ceil(R / s)) + 1
-    pts = []
-    for j in range(-rows, rows + 1):
-        y = j * s * math.sqrt(3) / 2.0
-        off = (j % 2) * s / 2.0
-        for i in range(-cols, cols + 1):
-            x = i * s + off
-            if math.hypot(x, y) <= R:
-                pts.append(complex(x, y))
-    pts.sort(key=lambda c: (c.real, c.imag))
-    return pts
-
-
 def _edge_covers():
     """(K, m) with K + 1/m a few ulp either side of the distance of a
     lattice point from 0.  Among these points are some whose np.hypot
@@ -224,7 +185,7 @@ def test_hex_cover_matches_the_loop_it_replaced():
     cases += [(1.0, 287), (1e-12, 1), (2.5, 1)]      # 100,000 centers, then tiny covers
     for K, m in cases:
         got = randomseries._hex_cover(K, m)
-        want = np.asarray(old_hex_cover(K, m), dtype=complex)
+        want = reference_hex_cover(K, m)
         assert got.dtype == complex and got.tobytes() == want.tobytes(), (K, m)
 
 
@@ -250,7 +211,7 @@ def test_cover_mass_matches_the_scan_it_replaced(centers, monkeypatch):
         K = max(float(np.max(np.abs(points))), 1e-12)
         m = max(1, round(math.sqrt(centers / 1.2) / K))     # about that many centers
         carr = np.asarray(randomseries._hex_cover(K, m), dtype=complex)
-        want = old_cover_mass(points, weights, carr, 1.0 / m)
+        want = reference_cover_mass(points, weights, carr, m)
         got = randomseries._cover_mass(points, weights, carr, m)
         assert got.tobytes() == want.tobytes(), (name, m, carr.size)
         if centers > 1000:
@@ -259,85 +220,9 @@ def test_cover_mass_matches_the_scan_it_replaced(centers, monkeypatch):
         dist = (points, weights) if name.startswith("iid") else points
         sigma = float(np.mean(np.abs(points - points.mean()) ** 2))
         fast = nb.separated_values(dist, m, sigma)
-        monkeypatch.setattr(randomseries, "_cover_mass",
-                            lambda p, w, c, m_eff: old_cover_mass(p, w, c, 1.0 / m_eff))
+        monkeypatch.setattr(randomseries, "_cover_mass", reference_cover_mass)
         assert nb.separated_values(dist, m, sigma) == fast, name
         monkeypatch.undo()
-
-
-def loop_separated_values(distribution, m: int, sigma: float, bound=None):
-    """separated_values as it picked centers with max over a range and
-    found the far centers with one scalar abs per center, verbatim."""
-    if m < 1:
-        raise SequenceError("cover parameter m must be >= 1")
-    if sigma < 0:
-        raise SequenceError("sigma must be >= 0")
-    if not math.isfinite(sigma):
-        raise SequenceError(f"sigma must be finite, got {sigma}")
-    if isinstance(distribution, tuple) and len(distribution) == 2:
-        points = np.asarray(distribution[0], dtype=complex)
-        weights = np.asarray(distribution[1], dtype=float)
-        if points.size != weights.size:
-            raise SequenceError("values and probs must have equal length")
-        weights = weights / weights.sum()
-    else:
-        points = np.asarray(distribution, dtype=complex).ravel()
-        if points.size == 0:
-            raise SequenceError("empty sample set")
-        weights = np.full(points.size, 1.0 / points.size)
-    if points.size == 0:
-        raise SequenceError("empty sample set")
-
-    if sigma == 0.0:
-        return None
-    K = float(bound) if bound is not None else float(np.max(np.abs(points)))
-    K = max(K, 1e-12)
-    if not math.isfinite(K):
-        raise SequenceError(f"cover radius K must be finite, got {K}")
-    threshold = math.sqrt(sigma / 2.0)
-    m_eff = max(int(m), int(math.ceil(1.0 / threshold)))
-    radius = 1.0 / m_eff
-    # _hex_cover scans (2 rows + 1)(2 cols + 1) points, rows <= 2Rm/3 + 2
-    # and cols <= Rm/sqrt(3) + 2 with R = K + 1/m
-    R = K + radius
-    scanned = (4 * R * m_eff / 3 + 5) * (2 * R * m_eff / math.sqrt(3) + 5)
-    if scanned > _COVER_CAP:
-        raise SequenceError(f"cover of the radius-{K} disk by disks of radius 1/{m_eff} "
-                            f"scans up to {scanned:.3g} lattice points (cap {_COVER_CAP})")
-
-    carr = _hex_cover(K, m_eff)
-    n_cover = len(carr)
-    mass = _cover_mass(points, weights, carr, m_eff)
-
-    def pick(cand_idx):
-        best = max(cand_idx, key=lambda i: (mass[i], -i))
-        raw_prob = float(mass[best])
-        sel = np.abs(points - carr[best]) <= radius
-        snapped = complex(np.sum(points[sel] * weights[sel]) / weights[sel].sum())
-        snapped_prob = float(weights[np.abs(points - snapped) <= radius].sum())
-        if snapped_prob >= raw_prob:
-            return snapped, snapped_prob
-        return complex(carr[best]), raw_prob
-
-    z, prob_z = pick(range(n_cover))
-    if prob_z <= 0.0:
-        return None
-
-    k_tilde = (sigma / (8.0 * K * K)) / n_cover
-    away = [i for i in range(n_cover) if abs(carr[i] - z) >= threshold]
-    away = [i for i in away if mass[i] > 0]
-    if not away:
-        return None
-    w, prob_w = pick(away)
-    if abs(w - z) < threshold:
-        # snapping pulled w inside the exclusion disk; keep the raw center
-        best = max(away, key=lambda i: (mass[i], -i))
-        w, prob_w = complex(carr[best]), float(mass[best])
-    if prob_w < k_tilde:
-        return None
-    return Separation(z=z, w=w, prob_z=prob_z, prob_w=prob_w,
-                      cover_size=n_cover, disk_radius=radius,
-                      threshold=threshold, min_prob_w=k_tilde)
 
 
 def _tied_distributions():
@@ -355,14 +240,18 @@ def _tied_distributions():
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 40])
-def test_separated_values_matches_the_loops_it_replaced(m):
+def test_separated_values_matches_the_loops_it_replaced(m, monkeypatch):
+    # ties in mass, where a pick takes the least of the heaviest centers,
+    # and far centers filtered by the reference's scalar abs
     for dist in _tied_distributions():
         points = np.asarray(dist[0] if isinstance(dist, tuple) else dist, dtype=complex)
         var = float(np.mean(np.abs(points - points.mean()) ** 2))
         for sigma in (var, var / 3, var / 50, 4 * var, 0.02):
             for bound in (None, 3.0):
-                want = loop_separated_values(dist, m, sigma, bound=bound)
-                assert nb.separated_values(dist, m, sigma, bound=bound) == want
+                got = nb.separated_values(dist, m, sigma, bound=bound)
+                with monkeypatch.context() as patch:
+                    patch.setattr(randomseries, "_far_centers", reference_far_centers)
+                    assert nb.separated_values(dist, m, sigma, bound=bound) == got
 
 
 def test_far_centers_keep_the_scalar_abs_at_the_threshold():
@@ -381,9 +270,8 @@ def test_far_centers_keep_the_scalar_abs_at_the_threshold():
                 t = float(scalar[i])
                 for _ in range(abs(ulps)):
                     t = math.nextafter(t, math.copysign(math.inf, ulps))
-                want = [j for j in range(len(carr)) if abs(carr[j] - z) >= t]
-                want = [j for j in want if mass[j] > 0]
-                assert randomseries._far_centers(carr, mass, z, t).tolist() == want
+                want = reference_far_centers(carr, mass, z, t)
+                assert randomseries._far_centers(carr, mass, z, t).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("probs", [[0.5, math.nan], [0.5, math.inf], [1.5, -0.5],
@@ -525,103 +413,6 @@ def test_iid_sigma_matches_exact_arithmetic():
         assert math.isclose(sigma, float(want), rel_tol=1e-12), (values, sigma, float(want))
 
 
-# --- the prefix-based random-series code that reading the drawn path replaced,
-# kept as the oracle (verbatim except that the layout is passed to the
-# constructor)
-
-def old_sample_process(spec, length, trial=None):
-    if length < 1:
-        raise SequenceError("path length must be >= 1")
-    if spec.kind == "iid":
-        rng = _rng_for(spec, trial)
-        vals = np.asarray(spec.params["values"], dtype=complex)
-        idx = rng.choice(len(vals), size=length, p=spec.params["probs"])
-        path = vals[idx]
-        kind = _exact_kind(spec.params["values"])
-    elif spec.kind == "markov":
-        rng = _rng_for(spec, trial)
-        em = np.asarray(spec.params["emissions"], dtype=complex)
-        tr = np.asarray(spec.params["transition"], dtype=float)
-        k = len(em)
-        state = int(rng.choice(k, p=spec.params["initial"]))
-        u = rng.random(length - 1)
-        cdf = np.cumsum(tr, axis=1)
-        step_to = [np.minimum(np.searchsorted(row, u, side="right"), k - 1).tolist()
-                   for row in cdf]
-        states = [state]
-        for i in range(length - 1):
-            state = step_to[state][i]
-            states.append(state)
-        path = em[np.array(states, dtype=np.int64)]
-        kind = _exact_kind(spec.params["emissions"])
-    elif spec.kind == "rotation-driven":
-        gen = nb.make_sequence(nb.GeneratorSpec("rotation", dict(spec.params)))
-        path = gen.prefix(length)
-        kind = "float"
-    else:
-        raise SequenceError(f"unknown process kind {spec.kind!r}")
-    return nb.OneSidedSequence(
-        path.__getitem__, spec.bound, f"stochastic-{spec.kind}",
-        {"seed": spec.seed, "trial": trial, "kind": spec.kind},
-        value_kind=kind, length=length, real_valued=not np.any(path.imag))
-
-
-def old_variance_window(spec, index_set, samples, trial_base=1_000_000):
-    indices = sorted(int(i) for i in index_set)
-    length = indices[-1] + 1
-    draws = np.empty((samples, len(indices)), dtype=complex)
-    for s in range(samples):
-        path = old_sample_process(spec, length, trial=trial_base + s)
-        vals = path.prefix(length)
-        draws[s] = vals[indices]
-    out = []
-    for j, idx in enumerate(indices):
-        var, se = _variance_with_se(draws[:, j])
-        out.append(randomseries.IndexVariance(idx, var, se, samples))
-    return out
-
-
-def old_distribution_of(spec, calib_len=4096):
-    if spec.kind == "iid":
-        values = np.asarray(spec.params["values"], dtype=complex)
-        probs = np.asarray(spec.params["probs"], dtype=float)
-        mean = np.sum(values * probs)
-        # the sigma of the two-pass sum that replaced E|X|^2 - |EX|^2 (see
-        # test_iid_sigma_matches_exact_arithmetic)
-        sigma = float(np.sum(probs * np.abs(values - mean) ** 2))
-        return (values, probs), sigma
-    path = old_sample_process(spec, calib_len, trial=None).prefix(calib_len)
-    mean = path.mean()
-    sigma = float(np.mean(np.abs(path - mean) ** 2))
-    return path, sigma
-
-
-def old_experiment(spec, trials, width, horizon, eps, delta, min_recurrence=3,
-                   cover_m=8):
-    dist, sigma = old_distribution_of(spec)
-    sep = nb.separated_values(dist, cover_m, sigma, bound=spec.bound)
-
-    def run(trial):
-        path = old_sample_process(spec, horizon + 1, trial=trial)
-        var, se = _variance_with_se(path.prefix(horizon + 1))
-        for side in ("backward", "forward"):
-            cert = nb.find_pair_certificate(path, width, horizon, eps=eps,
-                                            delta=delta, flank_side=side,
-                                            min_recurrence=min_recurrence)
-            if cert is not None:
-                assert cert.verify(path)
-                return randomseries.TrialResult(trial, True, cert.pairs, side, var, se)
-        return randomseries.TrialResult(trial, False, (), None, var, se)
-
-    results = [run(trial) for trial in range(trials)]
-    found = sum(1 for r in results if r.found)
-    return randomseries.MonteCarloReport(
-        trials=trials, found_count=found, results=results, separation=sep,
-        delta=delta, width=width, horizon=horizon, eps=eps,
-        params={"kind": spec.kind, "seed": spec.seed,
-                "min_recurrence": min_recurrence})
-
-
 # signed zeros among the atoms: a sequence read gives them as +0, and so
 # must the drawn path
 _PROCESSES = {
@@ -640,14 +431,16 @@ _PROCESSES = {
 def test_path_consumers_match_the_prefix_based_code(name):
     spec = _PROCESSES[name]
     for length, trial in ((1, None), (4097, 2)):
-        new, old = nb.sample_process(spec, length, trial), old_sample_process(spec, length, trial)
-        assert new.prefix(length).tobytes() == old.prefix(length).tobytes()
-        assert (new.family, new.params, new.bound, new.value_kind, new.length,
-                new.real_valued) == (old.family, old.params, old.bound,
-                                     old.value_kind, old.length, old.real_valued)
+        path = nb.sample_process(spec, length, trial)
+        want, kind = reference_draw(spec, length, trial)
+        assert path.prefix(length).tobytes() == want.tobytes()
+        assert (path.family, path.params, path.bound, path.value_kind, path.length,
+                path.real_valued) == (f"stochastic-{spec.kind}",
+                                      {"seed": spec.seed, "trial": trial, "kind": spec.kind},
+                                      spec.bound, kind, length, not np.any(want.imag))
     assert (nb.variance_window(spec, [0, 7, 300], samples=120)
-            == old_variance_window(spec, [0, 7, 300], samples=120))
-    (got, got_sigma), (want, want_sigma) = _distribution_of(spec), old_distribution_of(spec)
+            == reference_variance_window(spec, [0, 7, 300], samples=120))
+    (got, got_sigma), (want, want_sigma) = _distribution_of(spec), reference_distribution(spec)
     assert got_sigma == want_sigma
     if spec.kind == "iid":
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
@@ -657,7 +450,7 @@ def test_path_consumers_match_the_prefix_based_code(name):
     delta = 0.5 * nb.separated_values(want, 8, want_sigma, bound=spec.bound).separation
     args = dict(trials=3, width=3, horizon=3000, eps=eps, delta=delta)
     new = nb.certificate_rate_experiment(spec, **args)
-    old = old_experiment(spec, **args)
+    old = reference_experiment(spec, **args)
     assert json.dumps(new.to_json_dict()) == json.dumps(old.to_json_dict())
     assert new.found_count > 0 or spec.kind == "rotation-driven"
 

@@ -1,76 +1,17 @@
 """The exact rational-form reduction in Python integers, checked against the
 sympy reduction it replaced (sympy is a test-only oracle)."""
 
-import functools
 import itertools
-import math
 import warnings
 
 import numpy as np
 import pytest
 
 from nbscope import ratform
-from nbscope.ratform import RationalForm, RootOfUnityPole
+from nbscope.ratform import RootOfUnityPole
+from references import reference_reduce_exact
 
 ALPHABET = (-1, 0, 1, 1j)
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclotomic(d, dom):
-    """The sympy Poly of the d-th cyclotomic polynomial over ``dom``."""
-    import sympy
-
-    z = sympy.Symbol("z")
-    return sympy.Poly(sympy.cyclotomic_poly(d, z), z, domain=dom)
-
-
-def reference_reduce_exact(num_coeffs, T, pp):
-    """The sympy reduction that ratform._reduce_exact replaced.  Its Polys
-    are built from coefficient lists and the cyclotomics are cached, which
-    gives the same Polys as building them from expressions, faster."""
-    import sympy
-
-    z = sympy.Symbol("z")
-    has_imag = any(c.imag for c in num_coeffs)
-    dom = "QQ_I" if has_imag else "QQ"
-
-    coefs = []
-    for c in num_coeffs:
-        coef = sympy.Integer(int(c.real))
-        if has_imag:
-            coef = coef + sympy.Integer(int(c.imag)) * sympy.I
-        coefs.append(coef)
-    npoly = sympy.Poly.from_list(coefs[::-1], z, domain=dom)
-
-    survivors, cancelled = [], []
-    quotient = -npoly  # 1 - z^T = -(z^T - 1) = -(product of cyclotomics)
-    for d in (d for d in range(1, T + 1) if T % d == 0):
-        if npoly.is_zero:
-            cancelled.append(d)
-            continue
-        q, r = quotient.div(_cyclotomic(d, dom))
-        if r.is_zero:
-            quotient = q
-            cancelled.append(d)
-        else:
-            survivors.append(d)
-
-    den = sympy.Poly(1, z, domain=dom)
-    for d in survivors:
-        den = den * _cyclotomic(d, dom)
-
-    def to_tuple(poly):
-        cs = poly.all_coeffs()[::-1]  # ascending order
-        return tuple(complex(sympy.re(c)) + 1j * float(sympy.im(c)) for c in cs)
-
-    poles = []
-    for d in survivors:
-        for k in range(d):
-            if math.gcd(k, d) == 1:
-                poles.append(RootOfUnityPole(k, d))
-    poles.sort(key=lambda p: (p.angle, p.den))
-    num_tuple = (0j,) if npoly.is_zero else to_tuple(quotient)
-    return RationalForm(num_tuple, to_tuple(den), tuple(poles), T, pp, True)
 
 
 def _assert_same(head, block):

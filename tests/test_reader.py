@@ -1,13 +1,11 @@
 """Differential tests of the one chunked reader (``sequences._chunks``)
 and of every consumer that takes its values from it, with ``_CHUNK``
 patched to 1, 7 and 4096 values on two real and two complex families.
-The scans (zero-flank search, periodicity, extraction, block analysis)
-are checked against their references (``references.py``), which read
-each value once and know no chunks.  The prefix, the CSV writer and the
-certified sums are checked against the per-consumer chunk loops over
-``read`` they ran before, verbatim but for a ``chunk`` argument that
-stands in for the constant each loop had, so chunk edges fall alike on
-both sides."""
+Every consumer is checked against its reference (``references.py``),
+which reads each value once: the prefix against a single read, the CSV
+writer against a row loop, and the scans know no chunks.  The certified
+sums are compensated over chunks, so their references take the patched
+chunk as an argument, and chunk edges fall alike on both sides."""
 
 import cmath
 import io
@@ -19,9 +17,10 @@ import pytest
 import nbscope as nb
 from nbscope import analytic
 from nbscope import sequences as seqmod
-from nbscope._util import ipow, kahan_complex_sum
-from references import (fold_skipped_tail, reference_extract, reference_gap_certificate,
-                        reference_periodicity, reference_szego)
+from references import (fold_skipped_tail, reference_eval_f, reference_eval_two_sided,
+                        reference_extract, reference_gap_certificate, reference_periodicity,
+                        reference_power_sum, reference_shift_pair, reference_szego,
+                        reference_write_rows)
 
 CHUNKS = (1, 7, 4096)
 
@@ -43,95 +42,6 @@ def _make(name):
 def test_families_cover_both_layouts():
     assert [_make(n).real_valued for n in FAMILIES] == [True, True, False, False]
     assert [_make(n).exact for n in FAMILIES] == [True, False, True, False]
-
-
-# ---------------------------------------------------------------------------
-# The loops the prefix, the CSV writer and the certified sums ran, as they were
-
-
-def old_prefix(seq, count, chunk):
-    out = np.empty(count, dtype=complex)
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        out[lo:hi] = seq.read(lo, hi)
-    return out
-
-
-def old_write_sequence_csv(dest, seq, count, chunk):
-    dest.write("n,re,im\r\n")
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        vals = seq.read(lo, hi)
-        fields = [None] * (3 * (hi - lo))
-        fields[0::3] = range(lo, hi)
-        fields[1::3] = vals.real.tolist()
-        fields[2::3] = vals.imag.tolist()
-        dest.write("%d,%.17g,%.17g\r\n" * (hi - lo) % tuple(fields))
-
-
-def old_sum_with_mass(coeffs, z, start_exponent, chunk):
-    n = len(coeffs)
-    if n == 0:
-        return 0j, 0.0
-    partials = []
-    mass = 0.0
-    power = ipow(z, start_exponent)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        steps = np.empty(hi - lo, dtype=complex)
-        steps[0] = power
-        if hi - lo > 1:
-            steps[1:] = z
-        pw = np.cumprod(steps)
-        terms = coeffs[lo:hi] * pw
-        partials.append(complex(np.sum(terms)))
-        mass += float(np.sum(np.abs(terms)))
-        power = complex(pw[-1]) * z
-    return kahan_complex_sum(partials), mass
-
-
-def old_eval_f(seq, z, tol, chunk):
-    n_terms, bound = analytic._truncation(seq, abs(z), tol)
-    val = old_sum_with_mass(old_prefix(seq, n_terms, chunk), z, 0, chunk)[0]
-    return nb.EvalResult(val, bound, n_terms)
-
-
-def old_eval_shift_pair(seq, shift, z, tol, chunk):
-    r = abs(z)
-    m_terms, tail_bound = analytic._truncation(seq, r, tol, start=shift)
-    all_coeffs = old_prefix(seq, shift + m_terms, chunk)
-    head, tail = all_coeffs[:shift], all_coeffs[shift:]
-
-    fplus_val, fplus_mass = old_sum_with_mass(tail, z, 0, chunk)
-    fminus_val, fminus_mass = old_sum_with_mass(head, z, -shift, chunk)
-    head_val, head_mass = old_sum_with_mass(head, z, 0, chunk)
-    tail_val, tail_mass = old_sum_with_mass(tail, z, shift, chunk)
-    f_val = head_val + tail_val
-
-    lhs = fplus_val + fminus_val
-    scale = ipow(z, -shift)
-    rhs = scale * f_val
-    residual = abs(lhs - rhs)
-
-    f_bound = tail_bound * r ** shift
-    eps_m = float(np.finfo(float).eps)
-    rounding = eps_m * (
-        (m_terms + 3) * fplus_mass
-        + (shift + 3) * fminus_mass
-        + abs(scale) * (shift + m_terms + 3) * (head_mass + tail_mass)
-        + 2.0 * (abs(lhs) + abs(rhs)))
-    allowance = 2.0 * (tail_bound + r ** (-shift) * f_bound + rounding)
-    return analytic.ShiftPairResult(fplus=nb.EvalResult(fplus_val, tail_bound, m_terms),
-                                    fminus=fminus_val, identity_residual=residual,
-                                    residual_allowance=allowance, shift=shift)
-
-
-def old_eval_window(win, z, chunk):
-    W = win.radius
-    vals = win.as_array()
-    if abs(z) < 1.0:
-        return nb.EvalResult(old_sum_with_mass(vals[W:], z, 0, chunk)[0], 0.0, W + 1)
-    return nb.EvalResult(old_sum_with_mass(vals[:W][::-1], 1.0 / z, 1, chunk)[0], 0.0, W)
 
 
 def _bits(x):
@@ -186,7 +96,7 @@ def test_chunk_size_defaults_to_the_patched_constant(chunk, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Every consumer against its old loop or its scan's reference
+# Every consumer against its reference
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -196,10 +106,10 @@ def test_prefix_and_csv_writer_match_their_loops(name, chunk, monkeypatch):
     monkeypatch.setattr(seqmod, "_CSV_CHUNK", chunk)
     seq = _make(name)
     for count in (0, 1, chunk, chunk + 1, 3000):
-        assert seq.prefix(count).tobytes() == old_prefix(seq, count, chunk).tobytes()
+        assert seq.prefix(count).tobytes() == seq.read(0, count).tobytes()
         got, want = io.StringIO(), io.StringIO()
         nb.write_sequence_csv(got, seq, count)
-        old_write_sequence_csv(want, seq, count, chunk)
+        reference_write_rows(want, range(count), seq.read(0, count))
         assert got.getvalue() == want.getvalue()
 
 
@@ -258,16 +168,22 @@ def test_szego_analysis_matches_its_loop(name, chunk, monkeypatch):
 def test_certified_sums_match_their_loops(name, chunk, monkeypatch):
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     seq = _make(name)
+    # chunk edges at lo + k * chunk, with both parts of each (sum, mass)
+    for lo, hi, z in ((0, 3000, 0.95j), (13, 2500, -0.9 + 0.3j), (chunk + 1, 2 * chunk + 2, 0.5)):
+        got = analytic._sum_series_with_mass(seq, lo, hi, z, (0, -3, 7))
+        for s, (value, mass) in zip((0, -3, 7), got):
+            want = reference_power_sum(seq.read(lo, hi), z, s, chunk)
+            assert (_bits(value), mass.hex()) == (_bits(want[0]), want[1].hex())
     for z in (0.99 * cmath.exp(0.7j), 0.5, -0.9 + 0.3j):
-        got, want = nb.eval_f(seq, z, tol=1e-10), old_eval_f(seq, z, 1e-10, chunk)
+        got, want = nb.eval_f(seq, z, tol=1e-10), reference_eval_f(seq, z, 1e-10, chunk)
         assert got == want and _bits(got.value) == _bits(want.value)
     for shift, z in ((0, 0.9 + 0.2j), (1, 0.5), (chunk + 3, 0.95j), (1500, -0.99)):
         got = nb.eval_shift_pair(seq, shift, z, tol=1e-12)
-        want = old_eval_shift_pair(seq, shift, z, 1e-12, chunk)
+        want = reference_shift_pair(seq, shift, z, 1e-12, chunk)
         assert got == want
         assert _bits(got.fplus.value) == _bits(want.fplus.value)
         assert _bits(got.fminus) == _bits(want.fminus)
     win = seq.window(40, 30)
     for z in (0.9 + 0.1j, 1.3 - 0.4j, 0.5, 2.0):
-        got, want = nb.eval_two_sided(win, z), old_eval_window(win, z, chunk)
+        got, want = nb.eval_two_sided(win, z), reference_eval_two_sided(win, z, chunk=chunk)
         assert got == want and _bits(got.value) == _bits(want.value)

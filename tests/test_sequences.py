@@ -18,23 +18,14 @@ from hypothesis import strategies as st
 
 import nbscope as nb
 from nbscope import sequences as seqmod
-from nbscope._util import fmt17
 from nbscope.randomseries import _draw
-from nbscope.sequences import SequenceError, _check_finite
-from references import (complex_values, count_gathers, rs_value, scalar_erdos,
-                        scalar_explicit, scalar_gap_powers, scalar_periodic, scalar_rotation,
-                        scalar_snapped)
-
-
-# --- independent oracle: the paired polynomial recursion -------------------
-
-def rs_polynomials(level):
-    """Coefficient arrays of the paired polynomials at the given level,
-    built directly from the recursion P -> P + z^(2^n) Q, Q -> P - z^(2^n) Q."""
-    P, Q = [1], [1]
-    for _ in range(level):
-        P, Q = P + Q, P + [-c for c in Q]
-    return P, Q
+from nbscope.sequences import SequenceError
+from references import (complex_values, count_gathers, reference_explicit,
+                        reference_make_explicit, reference_rational_screen,
+                        reference_read_sequence_csv, reference_read_window_csv,
+                        reference_snap, reference_write_rows, rs_polynomials, rs_value,
+                        scalar_erdos, scalar_explicit, scalar_gap_powers, scalar_periodic,
+                        scalar_rotation)
 
 
 def test_periodic_constant():
@@ -359,6 +350,13 @@ _SQRT2 = math.sqrt(2) % 1
 _CUSTOM_EXPONENTS = [2 ** 70, 0, 3, 5, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 10, 2 ** 63, 2 ** 64]
 _SNAP_SOURCE = (nb.periodic([0.5, 0.0, 1.0, 0.9, -0.2]), scalar_periodic([0.5, 0.0, 1.0, 0.9, -0.2]))
 
+
+def _snapped(source, points, horizon):
+    """The snapped sequence's value at n, from its reference."""
+    at = reference_snap(source, points, 0.0, horizon)[1]
+    return lambda n: at([n])[0]
+
+
 # name -> (sequence factory, scalar oracle, ranges straddling block edges)
 FAMILIES = {
     "periodic-5": (lambda: nb.make_sequence(nb.periodic([1, -1, 1j, -0.0, 0.5 + 2j])),
@@ -407,17 +405,17 @@ FAMILIES = {
                  ((0, 50), (10, 20), (49, 50), (50, 50))),
     "snapped": (lambda: nb.snap_to_limit_points(nb.make_sequence(_SNAP_SOURCE[0]), [1.0, 0.0],
                                                 onset_tol=0.01, scan_horizon=10),
-                scalar_snapped(_SNAP_SOURCE[1], [1.0, 0.0], 10),
+                _snapped(_SNAP_SOURCE[1], [1.0, 0.0], 10),
                 _around([10, 11]) + ((0, 40),) + _BIG),
     "snapped-first-point-zero": (
         lambda: nb.snap_to_limit_points(nb.make_sequence(_SNAP_SOURCE[0]), [0.0, 1.0],
                                         onset_tol=0.01, scan_horizon=12),
-        scalar_snapped(_SNAP_SOURCE[1], [0.0, 1.0], 12),
+        _snapped(_SNAP_SOURCE[1], [0.0, 1.0], 12),
         _around([12, 13]) + ((0, 40),) + _BIG),
     "snapped-rotation": (
         lambda: nb.snap_to_limit_points(nb.make_sequence(nb.rotation(_SQRT2, 0.3)),
                                         [0.0, 0.5, 1.0], onset_tol=0.01, scan_horizon=1000),
-        scalar_snapped(scalar_rotation(_SQRT2, 0.3, "fractional-part"), [0.0, 0.5, 1.0], 1000),
+        _snapped(scalar_rotation(_SQRT2, 0.3, "fractional-part"), [0.0, 0.5, 1.0], 1000),
         _around([1000, 1001], 20, 20) + _BIG),
 }
 
@@ -732,11 +730,6 @@ def test_read_range_errors():
 # Rotation irrationality screen
 
 
-def _old_screen_rejects(q):
-    approx = Fraction(q).limit_denominator(10 ** 6)
-    return abs(q - float(approx)) < 1e-12
-
-
 def _rejected(q):
     try:
         nb.make_sequence(nb.rotation(q))
@@ -765,7 +758,7 @@ def test_rotation_screen_rejects_few_uniform_numbers_and_only_old_rejections():
     qs = np.random.default_rng(2024).random(10_000).tolist()
     rejected = [q for q in qs if _rejected(q)]
     assert len(rejected) < 0.01 * len(qs)
-    assert all(_old_screen_rejects(q) for q in rejected)
+    assert all(reference_rational_screen(q) for q in rejected)
 
 
 @pytest.mark.parametrize("spec", [
@@ -780,107 +773,7 @@ def test_explicit_and_periodic_reject_non_finite_values(spec):
 
 # ---------------------------------------------------------------------------
 # CSV layer: the chunked column reader and writer against the row loops they
-# replaced, which are kept below verbatim as oracles (only renamed).
-
-
-def rowwise_is_integral(v: complex) -> bool:
-    return v.imag == 0.0 and float(v.real).is_integer()
-
-
-def rowwise_exact_kind(values) -> str:
-    return "exact-integer" if all(rowwise_is_integral(v) for v in values) else "exact-rational"
-
-
-def rowwise_explicit(values):
-    return nb.GeneratorSpec("explicit", {"values": tuple(complex(v) for v in values)})
-
-
-def rowwise_make_explicit(params) -> nb.OneSidedSequence:
-    values = tuple(complex(v) for v in params.get("values", ()))
-    if not values:
-        raise SequenceError("explicit sequence needs at least one value")
-    arr = np.asarray(values, dtype=complex)
-    _check_finite(arr, "explicit values")
-    bound = float(np.max(np.abs(arr)))
-    kind = params.get("value_kind") or rowwise_exact_kind(values)
-    seq = nb.OneSidedSequence(arr.__getitem__, bound,
-                              params.get("family_label", "explicit"),
-                              {"count": len(values)}, value_kind=kind,
-                              length=len(values))
-    seq.real_valued = not np.any(arr.imag)
-    return seq
-
-
-def rowwise_write_rows(dest, indices, vals) -> None:
-    own = isinstance(dest, (str, bytes))
-    f = open(dest, "w", newline="") if own else dest
-    try:
-        w = csv.writer(f)
-        w.writerow(["n", "re", "im"])
-        for n, v in zip(indices, vals):
-            w.writerow([n, fmt17(v.real), fmt17(v.imag)])
-    finally:
-        if own:
-            f.close()
-
-
-def rowwise_read_sequence_csv(src) -> nb.OneSidedSequence:
-    rows = rowwise_read_rows(src)
-    values = []
-    for i, (n, v) in enumerate(rows):
-        if n != i:
-            raise SequenceError(
-                f"CSV indices must ascend from 0 without gaps; row {i} has n={n}")
-        values.append(v)
-    if not values:
-        raise SequenceError("CSV contains no data rows")
-    kind = "exact-integer" if all(rowwise_is_integral(v) for v in values) else "float"
-    return rowwise_make_explicit({"values": values, "family_label": "csv",
-                                  "value_kind": kind})
-
-
-def rowwise_read_window_csv(src) -> nb.TwoSidedWindow:
-    rows = rowwise_read_rows(src)
-    if not rows:
-        raise SequenceError("CSV contains no data rows")
-    ns = [n for n, _ in rows]
-    W = max(ns)
-    if sorted(ns) != list(range(-W, W + 1)):
-        raise SequenceError("window CSV must cover -W..W without gaps")
-    vals = dict(rows)
-    values = tuple(vals[k] for k in range(-W, W + 1))
-    return nb.TwoSidedWindow(values, W, {"kind": "csv"}, eps=0.0,
-                             bound=max(abs(v) for v in values))
-
-
-def rowwise_read_rows(src):
-    own = isinstance(src, (str, bytes))
-    f = open(src, "r", newline="") if own else src
-    try:
-        if isinstance(f, io.TextIOBase) or hasattr(f, "read"):
-            r = csv.reader(f)
-        else:  # pragma: no cover
-            raise SequenceError("unreadable CSV source")
-        header = next(r, None)
-        if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
-            raise SequenceError(f"expected header 'n,re,im', got {header}")
-        out = []
-        for row in r:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SequenceError(f"malformed CSV row: {row}")
-            try:
-                n, v = int(row[0]), complex(float(row[1]), float(row[2]))
-            except ValueError:
-                raise SequenceError(f"malformed CSV row: {row}") from None
-            if not cmath.isfinite(v):
-                raise SequenceError(f"non-finite value in CSV row: {row}")
-            out.append((n, v + 0j))
-        return out
-    finally:
-        if own:
-            f.close()
+# replaced, their references.
 
 
 DEFAULT_CSV_CHUNK = seqmod._CSV_CHUNK
@@ -922,7 +815,7 @@ def test_csv_writer_is_byte_identical_to_the_row_loop(name, chunk):
     count = _write_count(chunk)
     new, old = io.StringIO(), io.StringIO()
     nb.write_sequence_csv(new, nb.make_sequence(_WRITE_SPECS[name]), count)
-    rowwise_write_rows(old, range(count),
+    reference_write_rows(old, range(count),
                        nb.make_sequence(_WRITE_SPECS[name]).prefix(count))
     assert new.getvalue() == old.getvalue()
     assert new.getvalue().count("\r\n") == count + 1
@@ -936,7 +829,7 @@ def test_csv_windows_are_byte_identical_to_the_row_loop(name, chunk):
                                   2, {"kind": "test"})):
         new, old = io.StringIO(), io.StringIO()
         nb.write_window_csv(new, win)
-        rowwise_write_rows(old, range(-win.radius, win.radius + 1), win.values)
+        reference_write_rows(old, range(-win.radius, win.radius + 1), win.values)
         assert new.getvalue() == old.getvalue()
 
 
@@ -947,7 +840,7 @@ def test_csv_file_on_disk_is_byte_identical_and_leaves_the_cache_empty(tmp_path)
     calls = count_gathers(seq)
     nb.write_sequence_csv(str(new), seq, 9000)
     assert max(map(len, calls)) <= seqmod._CSV_CHUNK
-    rowwise_write_rows(str(old), range(9000), seq.prefix(9000))
+    reference_write_rows(str(old), range(9000), seq.prefix(9000))
     assert new.read_bytes() == old.read_bytes()
 
 
@@ -1063,8 +956,8 @@ def _outcome(read, text):
 
 
 def _assert_same_reads(text):
-    for read, oracle in ((nb.read_sequence_csv, rowwise_read_sequence_csv),
-                         (nb.read_window_csv, rowwise_read_window_csv)):
+    for read, oracle in ((nb.read_sequence_csv, reference_read_sequence_csv),
+                         (nb.read_window_csv, reference_read_window_csv)):
         got, want = _outcome(read, text), _outcome(oracle, text)
         if want[:2] == ("error", csv.Error):
             # a line the csv module rejects is a SequenceError naming the line
@@ -1083,8 +976,8 @@ def test_csv_reader_matches_the_row_loop(name, chunk):
     # the row loop built range(-W, W + 1) for W >= 2^63 - 1 and raised
     # OverflowError (a traceback, exit 1); the count check comes first now
     assert (_outcome(nb.read_sequence_csv, text)
-            == _outcome(rowwise_read_sequence_csv, text))
-    assert _outcome(rowwise_read_window_csv, text)[1] is OverflowError
+            == _outcome(reference_read_sequence_csv, text))
+    assert _outcome(reference_read_window_csv, text)[1] is OverflowError
     assert _outcome(nb.read_window_csv, text) == (
         "error", SequenceError, "window CSV must cover -W..W without gaps")
 
@@ -1156,8 +1049,8 @@ def test_csv_files_with_cr_line_ends_read_as_the_row_loop_reads_them(chunk, tmp_
                  "n,re,im\r" + "\r".join(f"{n},{n / 3!r},0" for n in range(20)) + "\r",
                  "n,re,im\r0,1,0\r\r\r2,1,0\n"):
         path.write_bytes(text.encode())
-        for read, oracle in ((nb.read_sequence_csv, rowwise_read_sequence_csv),
-                             (nb.read_window_csv, rowwise_read_window_csv)):
+        for read, oracle in ((nb.read_sequence_csv, reference_read_sequence_csv),
+                             (nb.read_window_csv, reference_read_window_csv)):
             assert _outcome(read, path) == _outcome(oracle, path)
 
 
@@ -1247,7 +1140,7 @@ def test_explicit_matches_the_double_conversion(name):
     if not isinstance(values, (list, np.ndarray)):
         values = list(values)
     assert (_explicit_outcome(nb.explicit, seqmod._make_explicit, values)
-            == _explicit_outcome(rowwise_explicit, rowwise_make_explicit, values))
+            == _explicit_outcome(reference_explicit, reference_make_explicit, values))
 
 
 def test_explicit_does_not_alias_a_writable_array():
@@ -1257,55 +1150,7 @@ def test_explicit_does_not_alias_a_writable_array():
     assert seq.eval(0) == 1
 
 
-# --- snapping: the whole-prefix snap it replaced, as the oracle -------------
-
-def old_snap_to_limit_points(seq, points, onset_tol, scan_horizon=10_000):
-    """The whole-prefix snap that the chunked scan replaced, verbatim except
-    that the layout is passed to the constructor."""
-    pts = [complex(p) for p in points]
-    if not pts:
-        raise SequenceError("need at least one limit point")
-    if len(pts) > 1:
-        min_dist = min(abs(a - b) for i, a in enumerate(pts)
-                       for b in pts[i + 1:])
-        if min_dist <= 2 * onset_tol:
-            raise SequenceError(
-                f"limit points must be pairwise farther apart than "
-                f"2*onset_tol = {2 * onset_tol}")
-        gamma = 0.5 * min_dist
-    else:
-        gamma = math.inf
-
-    horizon = seq.clamp_horizon(scan_horizon)
-    raw = seq.prefix(horizon + 1)
-    parr = np.asarray(pts, dtype=complex)
-    dists = np.abs(raw[:, None] - parr[None, :])
-    idx = np.argmin(dists, axis=1)
-    snapped = parr[idx]
-
-    ties = []
-    if len(pts) > 1:
-        part = np.partition(dists, 1, axis=1)
-        close = np.nonzero(part[:, 1] - part[:, 0] <= onset_tol)[0]
-        ties = [int(i) for i in close]
-
-    dev = np.abs(raw - snapped)
-    viol = np.nonzero(dev > gamma)[0]
-    onset = int(viol[-1]) + 1 if viol.size else 0
-
-    def at(idx):
-        past = np.array([seq.eval(n) for n in idx.tolist()], dtype=complex)
-        near = parr[np.argmin(np.abs(past[:, None] - parr[None, :]), axis=1)]
-        return np.where(idx <= horizon, snapped[np.minimum(idx, horizon)], near)
-
-    bound = max(abs(p) for p in pts)
-    return nb.OneSidedSequence(
-        at, bound, "snapped",
-        {"points": tuple(pts), "gamma": gamma, "onset_index": onset,
-         "ties": tuple(ties), "scan_horizon": horizon, "source": seq.family},
-        value_kind=seqmod._exact_kind(pts), length=seq.length,
-        real_valued=not np.any(parr.imag))
-
+# --- snapping, against its reference -----------------------------------------
 
 def _planted(base, points, at):
     """``base`` (a complex array) with, at each index of ``at``, a tie (the
@@ -1355,15 +1200,16 @@ _SNAP_CASES = _snap_cases()
 @pytest.mark.parametrize("name", sorted(_SNAP_CASES))
 def test_chunked_snap_matches_the_whole_prefix_snap(name, chunk, monkeypatch):
     seq, points, tol, horizon = _SNAP_CASES[name]
-    old = old_snap_to_limit_points(seq, points, tol, horizon)
+    end = horizon + 40 if seq.length is None else seq.length
+    params, at = reference_snap(seq.read(0, end).__getitem__, points, tol, horizon)
     monkeypatch.setattr(seqmod, "_CHUNK", chunk)
     new = nb.snap_to_limit_points(seq, points, tol, horizon)
-    assert new.params == old.params
+    assert new.params == dict(params, source=seq.family)
+    pts = [complex(p) for p in points]
     assert (new.bound, new.value_kind, new.length, new.real_valued) == \
-        (old.bound, old.value_kind, old.length, old.real_valued)
-    end = horizon + 40 if seq.length is None else seq.length
+        (max(map(abs, pts)), seqmod._exact_kind(pts), seq.length, not any(p.imag for p in pts))
     for lo, hi in ((0, end), (horizon - 3, end), (horizon + 1, end), (5, 5)):
-        assert new._read(lo, hi).tobytes() == old._read(lo, hi).tobytes()
+        assert new.read(lo, hi).tobytes() == (at(range(lo, hi)) + 0j).tobytes()
     if name.endswith("explicit") and chunk == 7:
         # the planted ties and violations sit on chunk edges and are found
         assert set(_EDGES) <= set(new.params["ties"])
